@@ -84,10 +84,6 @@ class MultiHead:
 
     heads: tuple[AnyHead, ...]
 
-    @property
-    def head_count(self) -> int:
-        return len(self.heads)
-
 
 def lsa_forward(h: Matrix, p: LsaParams) -> Matrix:
     """(H W3)((H W1)^T (H W2)); output has the shape of H."""

@@ -3,7 +3,8 @@
 All randomness flows from one splittable counter-based generator seeded by
 --seed (default overridable through the ELSA_WB_SEED environment variable),
 so identical configurations produce byte-identical reports. Exit status is
-0 exactly when every assertion of the invoked suite passed.
+0 exactly when every assertion of the invoked suite passed. JSON reports
+are strict: a non-finite value is written as null.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,22 +24,6 @@ from . import attention, gauss, maskmove, netcomp, pipeline, ridge
 from .matrix import Matrix
 
 ENV_SEED = "ELSA_WB_SEED"
-
-
-@dataclass
-class RunConfig:
-    """Everything one subcommand run depends on."""
-
-    command: str
-    seed: int
-    trials: int = 100
-    max_dim: int = 6
-    tol: float = 1e-12
-    knot_spec: str = netcomp.DEFAULT_KNOT_SPEC
-    out: Optional[str] = None
-    fmt: str = "json"
-    perturb: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _default_seed() -> int:
@@ -60,8 +45,20 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
+def _finite_or_null(value):
+    """Copy of a report with every non-finite float replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    text = json.dumps(_finite_or_null(doc), sort_keys=True, indent=2, allow_nan=False)
+    _emit(text + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +88,25 @@ def _random_mskmov_case(rng: np.random.Generator, max_dim: int):
     mat = rng.uniform(-1.0, 1.0, size=(m, n))
     return mat, spec
 
-def _suite_mskmov(cfg: RunConfig, rng: np.random.Generator) -> dict:
+def _suite_mskmov(args: argparse.Namespace, rng: np.random.Generator) -> dict:
     failures = 0
-    for _ in range(cfg.trials):
-        mat, spec = _random_mskmov_case(rng, cfg.max_dim)
+    for _ in range(args.trials):
+        mat, spec = _random_mskmov_case(rng, args.max_dim)
         got = maskmove.mskmov(Matrix.from_array(mat), spec).array
         if not np.array_equal(got, _copy_move_reference(mat, spec)):
             failures += 1
-    return {"trials": cfg.trials, "failures": failures}
+    return {"trials": args.trials, "failures": failures}
 
 
-def _suite_const(cfg: RunConfig, rng: np.random.Generator) -> dict:
+def _suite_const(args: argparse.Namespace, rng: np.random.Generator) -> dict:
     failures = 0
-    for _ in range(cfg.trials):
-        m = int(rng.integers(1, cfg.max_dim + 1))
-        n = int(rng.integers(1, cfg.max_dim + 1))
+    for _ in range(args.trials):
+        m = int(rng.integers(1, args.max_dim + 1))
+        n = int(rng.integers(1, args.max_dim + 1))
         c = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
         h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
         params = attention.const_params(c, (m, n))
-        if cfg.perturb:
+        if args.perturb:
             flipped = params.b1.to_array()
             flipped[0, 0] = -1.0 if flipped[0, 0] == 1.0 else 1.0
             params = attention.ElsaParams(
@@ -118,27 +115,27 @@ def _suite_const(cfg: RunConfig, rng: np.random.Generator) -> dict:
             )
         if attention.elsa_forward(h, params) != c:
             failures += 1
-    return {"trials": cfg.trials, "failures": failures}
+    return {"trials": args.trials, "failures": failures}
 
 
-def _suite_skip(cfg: RunConfig, rng: np.random.Generator) -> dict:
+def _suite_skip(args: argparse.Namespace, rng: np.random.Generator) -> dict:
     failures = 0
-    for _ in range(cfg.trials):
-        m = int(rng.integers(1, cfg.max_dim + 1))
-        n = int(rng.integers(1, cfg.max_dim + 1))
+    for _ in range(args.trials):
+        m = int(rng.integers(1, args.max_dim + 1))
+        n = int(rng.integers(1, args.max_dim + 1))
         h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
         if attention.elsa_forward(h, attention.skip_params((m, n))) != h:
             failures += 1
-    return {"trials": cfg.trials, "failures": failures}
+    return {"trials": args.trials, "failures": failures}
 
 
-def _suite_matmul(cfg: RunConfig, rng: np.random.Generator, variant: int) -> dict:
+def _suite_matmul(args: argparse.Namespace, rng: np.random.Generator, variant: int) -> dict:
     build = attention.matmul_params_v1 if variant == 1 else attention.matmul_params_v2
     failures = 0
-    for _ in range(cfg.trials):
-        r = int(rng.integers(1, cfg.max_dim + 1))
-        s = int(rng.integers(1, cfg.max_dim + 1))
-        t = int(rng.integers(1, cfg.max_dim + 1))
+    for _ in range(args.trials):
+        r = int(rng.integers(1, args.max_dim + 1))
+        s = int(rng.integers(1, args.max_dim + 1))
+        t = int(rng.integers(1, args.max_dim + 1))
         a = rng.uniform(-1.0, 1.0, size=(r, s))
         b = rng.uniform(-1.0, 1.0, size=(s, t))
         pack, params, blk = build(r, s, t)
@@ -148,35 +145,35 @@ def _suite_matmul(cfg: RunConfig, rng: np.random.Generator, variant: int) -> dic
         block = out[blk.row_lo - 1 : blk.row_hi, blk.col_lo - 1 : blk.col_hi]
         rest = out.copy()
         rest[blk.row_lo - 1 : blk.row_hi, blk.col_lo - 1 : blk.col_hi] = 0.0
-        if np.max(np.abs(block - a @ b)) > cfg.tol or np.any(rest != 0.0):
+        if np.max(np.abs(block - a @ b)) > args.tol or np.any(rest != 0.0):
             failures += 1
-    return {"trials": cfg.trials, "failures": failures}
+    return {"trials": args.trials, "failures": failures}
 
 
-def cmd_verify_lemmas(cfg: RunConfig) -> int:
-    rngs = _spawn_rngs(cfg.seed, 5)
+def cmd_verify_lemmas(args: argparse.Namespace) -> int:
+    rngs = _spawn_rngs(args.seed, 5)
     suites = {
-        "mask_move": _suite_mskmov(cfg, rngs[0]),
-        "const": _suite_const(cfg, rngs[1]),
-        "skip": _suite_skip(cfg, rngs[2]),
-        "matmul_v1": _suite_matmul(cfg, rngs[3], 1),
-        "matmul_v2": _suite_matmul(cfg, rngs[4], 2),
+        "mask_move": _suite_mskmov(args, rngs[0]),
+        "const": _suite_const(args, rngs[1]),
+        "skip": _suite_skip(args, rngs[2]),
+        "matmul_v1": _suite_matmul(args, rngs[3], 1),
+        "matmul_v2": _suite_matmul(args, rngs[4], 2),
     }
     failing = sorted(name for name, res in suites.items() if res["failures"] > 0)
     report = {
         "command": "verify-lemmas",
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "max_dim": cfg.max_dim,
-        "tol": cfg.tol,
-        "perturb": cfg.perturb,
+        "seed": args.seed,
+        "trials": args.trials,
+        "max_dim": args.max_dim,
+        "tol": args.tol,
+        "perturb": args.perturb,
         "suites": suites,
         "failing_suites": failing,
         "passed": not failing,
     }
-    if cfg.trials == 0:
+    if args.trials == 0:
         report["warnings"] = ["trials=0: nothing was checked"]
-    _emit_json(report, cfg.out)
+    _emit_json(report, args.report)
     return 0 if not failing else 1
 
 
@@ -195,37 +192,38 @@ def _generate_problem(
     return ridge.make_problem(x, y, u, lam, eta=eta, steps=steps)
 
 
-def cmd_ridge(cfg: RunConfig) -> int:
-    form = cfg.extra["form"]
-    if cfg.extra.get("problem"):
+def cmd_ridge(args: argparse.Namespace) -> int:
+    if args.problem:
         try:
-            problem = ridge.load_problem(cfg.extra["problem"])
+            problem = ridge.load_problem(args.problem)
         except (OSError, ridge.BadProblemFile) as exc:
-            _emit_json({"command": "ridge", "error": type(exc).__name__, "message": str(exc)}, cfg.out)
+            _emit_json({"command": "ridge", "error": type(exc).__name__, "message": str(exc)},
+                       args.report)
             return 1
-        if cfg.extra.get("steps") is not None:
-            problem = ridge.with_steps(problem, cfg.extra["steps"])
+        if args.steps is not None:
+            problem = ridge.with_steps(problem, args.steps)
     else:
-        (rng,) = _spawn_rngs(cfg.seed, 1)
+        (rng,) = _spawn_rngs(args.seed, 1)
         problem = _generate_problem(
             rng,
-            n=cfg.extra["n"],
-            d=cfg.extra["d"],
-            lam=cfg.extra["lam"],
-            eta=cfg.extra["eta"],
-            steps=cfg.extra["steps"] if cfg.extra.get("steps") is not None else 200,
+            n=args.n,
+            d=args.d,
+            lam=args.lam,
+            eta=args.eta,
+            steps=args.steps if args.steps is not None else 200,
         )
-    run = pipeline.run_pipeline(problem, form)
+    run = pipeline.run_pipeline(problem, args.form)
     report = dict(run.report)
     report["command"] = "ridge"
-    report["seed"] = cfg.seed
+    report["seed"] = args.seed
     if report["closed_form_prediction"] is not None:
         gap = abs(report["prediction"] - report["closed_form_prediction"])
         report["closed_form_gap"] = gap / (1.0 + abs(report["closed_form_prediction"]))
-    passed = report["max_step_deviation"] <= cfg.tol
-    report["step_tol"] = cfg.tol
+    # A NaN deviation fails the comparison; the prediction must be finite too.
+    passed = report["max_step_deviation"] <= args.tol and math.isfinite(report["prediction"])
+    report["step_tol"] = args.tol
     report["passed"] = passed
-    _emit_json(report, cfg.out)
+    _emit_json(report, args.report)
     return 0 if passed else 1
 
 
@@ -243,21 +241,20 @@ def _generate_dd_system(rng: np.random.Generator, m: int) -> gauss.LinearSystem:
     return gauss.LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
 
 
-def cmd_gauss(cfg: RunConfig) -> int:
-    mode = cfg.extra["mode"]
+def cmd_gauss(args: argparse.Namespace) -> int:
     try:
-        if cfg.extra.get("system"):
-            system = gauss.load_system(cfg.extra["system"])
+        if args.system:
+            system = gauss.load_system(args.system)
         else:
-            (rng,) = _spawn_rngs(cfg.seed, 1)
-            system = _generate_dd_system(rng, cfg.extra["size"])
+            (rng,) = _spawn_rngs(args.seed, 1)
+            system = _generate_dd_system(rng, args.size)
 
-        if cfg.extra.get("sweep"):
+        if args.sweep:
             rows = []
             previous = None
             nonincreasing = True
             for n_knots in (64, 128, 256):
-                table = netcomp.build_invsqr(_sweep_spec(cfg.knot_spec, n_knots))
+                table = netcomp.build_invsqr(_sweep_spec(args.knots, n_knots))
                 _, report = gauss.solve(system, mode="relu", table=table)
                 rows.append({"knots": n_knots, "rel_error_vs_oracle": report["rel_error_vs_oracle"]})
                 if previous is not None and report["rel_error_vs_oracle"] > previous:
@@ -265,32 +262,32 @@ def cmd_gauss(cfg: RunConfig) -> int:
                 previous = report["rel_error_vs_oracle"]
             doc = {
                 "command": "gauss",
-                "seed": cfg.seed,
+                "seed": args.seed,
                 "mode": "relu",
                 "m": system.m,
                 "sweep": rows,
                 "passed": nonincreasing,
             }
-            _emit_json(doc, cfg.out)
+            _emit_json(doc, args.report)
             return 0 if nonincreasing else 1
 
-        table = netcomp.build_invsqr(cfg.knot_spec) if mode == "relu" else None
-        _, report = gauss.solve(system, mode=mode, table=table)
+        table = netcomp.build_invsqr(args.knots) if args.mode == "relu" else None
+        _, report = gauss.solve(system, mode=args.mode, table=table)
         report["command"] = "gauss"
-        report["seed"] = cfg.seed
-        tol = cfg.tol
+        report["seed"] = args.seed
+        tol = args.tol if args.tol is not None else (1e-8 if args.mode == "exact" else 5e-2)
         passed = (
             report["rel_error_vs_oracle"] is not None
             and report["rel_error_vs_oracle"] <= tol
         )
         report["tol"] = tol
         report["passed"] = passed
-        _emit_json(report, cfg.out)
+        _emit_json(report, args.report)
         return 0 if passed else 1
-    except gauss.SingularDetected as exc:
+    except (gauss.BadSystemFile, gauss.SingularDetected) as exc:
         _emit_json(
             {"command": "gauss", "error": type(exc).__name__, "message": str(exc)},
-            cfg.out,
+            args.report,
         )
         return 1
 
@@ -308,15 +305,14 @@ def _sweep_spec(base_spec: str, n_knots: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invsqr(cfg: RunConfig) -> int:
+def cmd_invsqr(args: argparse.Namespace) -> int:
     try:
-        table = netcomp.build_invsqr(cfg.knot_spec)
+        table = netcomp.build_invsqr(args.knots)
     except netcomp.BadKnotSpec as exc:
-        _emit_json({"command": "invsqr", "error": "BadKnotSpec", "message": str(exc)}, cfg.out)
+        _emit_json({"command": "invsqr", "error": "BadKnotSpec", "message": str(exc)}, args.report)
         return 1
-    samples = cfg.extra.get("samples", 1001)
     span = 2.0 * table.cutoff
-    xs = np.linspace(-span, span, samples)
+    xs = np.linspace(-span, span, args.samples)
     sig = netcomp.invsqr_eval(table, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         truth = np.where(xs != 0.0, 1.0 / (xs * xs), np.inf)
@@ -327,7 +323,7 @@ def cmd_invsqr(cfg: RunConfig) -> int:
     writer.writerow(["x", "sigma_invsqr", "inv_square", "abs_err", "rel_err"])
     for row in zip(xs, sig, truth, abs_err, rel_err):
         writer.writerow([repr(float(v)) for v in row])
-    _emit(buf.getvalue(), cfg.out)
+    _emit(buf.getvalue(), args.report)
     return 0
 
 
@@ -336,35 +332,42 @@ def cmd_invsqr(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _eta(text: str):
+    return text if text == "auto" else float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elsakit",
         description="Verification suites and runners for attention-built matrix programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _default_seed()
 
     p_verify = sub.add_parser("verify-lemmas", help="run the capability property suites")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--max-dim", type=int, default=6)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=seed)
     p_verify.add_argument("--tol", type=float, default=1e-12)
     p_verify.add_argument("--perturb", action="store_true",
                           help="flip one bias entry as a negative control")
     p_verify.add_argument("--report", default=None)
+    p_verify.set_defaults(run=cmd_verify_lemmas)
 
     p_ridge = sub.add_parser("ridge", help="run an in-context descent pipeline")
     p_ridge.add_argument("--form", choices=["lsa", "elsa"], default="lsa")
     p_ridge.add_argument("--n", type=int, default=20)
     p_ridge.add_argument("--d", type=int, default=4)
     p_ridge.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p_ridge.add_argument("--eta", default="auto",
+    p_ridge.add_argument("--eta", type=_eta, default="auto",
                          help='learning rate, a float or "auto"')
     p_ridge.add_argument("--steps", type=int, default=None)
-    p_ridge.add_argument("--seed", type=int, default=None)
+    p_ridge.add_argument("--seed", type=int, default=seed)
     p_ridge.add_argument("--tol", type=float, default=1e-9,
                          help="pass threshold on the per-step oracle deviation")
     p_ridge.add_argument("--problem", default=None, help="ridge problem JSON file")
     p_ridge.add_argument("--report", default=None)
+    p_ridge.set_defaults(run=cmd_ridge)
 
     p_gauss = sub.add_parser("gauss", help="solve linear systems through the component pipeline")
     p_gauss.add_argument("--mode", choices=["exact", "relu"], default="exact")
@@ -373,65 +376,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gauss.add_argument("--system", default=None, help="system JSON file")
     p_gauss.add_argument("--sweep", action="store_true",
                          help="relu-mode knot refinement sweep (64/128/256)")
-    p_gauss.add_argument("--seed", type=int, default=None)
+    p_gauss.add_argument("--seed", type=int, default=seed)
     p_gauss.add_argument("--tol", type=float, default=None,
                          help="pass threshold on rel. error (default 1e-8 exact, 5e-2 relu)")
     p_gauss.add_argument("--report", default=None)
+    p_gauss.set_defaults(run=cmd_gauss)
 
     p_inv = sub.add_parser("invsqr", help="dump division-approximator samples as CSV")
     p_inv.add_argument("--knots", default=netcomp.DEFAULT_KNOT_SPEC)
     p_inv.add_argument("--samples", type=int, default=1001)
-    p_inv.add_argument("--seed", type=int, default=None)
-    p_inv.add_argument("--out", default=None)
+    p_inv.add_argument("--report", default=None)
+    p_inv.set_defaults(run=cmd_invsqr)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        return args.run(args)
     except OSError as exc:
         sys.stderr.write(f"elsakit: io error: {exc}\n")
         return 2
-
-
-def _dispatch(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-
-    if args.command == "verify-lemmas":
-        cfg = RunConfig(
-            command="verify-lemmas", seed=seed, trials=args.trials,
-            max_dim=args.max_dim, tol=args.tol, out=args.report, perturb=args.perturb,
-        )
-        return cmd_verify_lemmas(cfg)
-
-    if args.command == "ridge":
-        eta = args.eta if args.eta == "auto" else float(args.eta)
-        cfg = RunConfig(
-            command="ridge", seed=seed, tol=args.tol, out=args.report,
-            extra={
-                "form": args.form, "n": args.n, "d": args.d, "lam": args.lam,
-                "eta": eta, "steps": args.steps, "problem": args.problem,
-            },
-        )
-        return cmd_ridge(cfg)
-
-    if args.command == "gauss":
-        tol = args.tol if args.tol is not None else (1e-8 if args.mode == "exact" else 5e-2)
-        cfg = RunConfig(
-            command="gauss", seed=seed, tol=tol, knot_spec=args.knots, out=args.report,
-            extra={
-                "mode": args.mode, "size": args.size,
-                "system": args.system, "sweep": args.sweep,
-            },
-        )
-        return cmd_gauss(cfg)
-
-    cfg = RunConfig(
-        command="invsqr", seed=seed, knot_spec=args.knots, out=args.out,
-        extra={"samples": args.samples},
-    )
-    return cmd_invsqr(cfg)
 
 
 if __name__ == "__main__":

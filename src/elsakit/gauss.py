@@ -57,6 +57,10 @@ class PivotBelowTolerance(SingularDetected):
     """A pivot magnitude fell below the configured tolerance."""
 
 
+class BadSystemFile(ValueError):
+    """A linear system JSON file is malformed."""
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """F x = alpha with square m-by-m F (m >= 2) and m-by-1 right-hand side."""
@@ -274,8 +278,11 @@ def system_to_json(sys: LinearSystem) -> str:
 
 
 def system_from_json(text: str) -> LinearSystem:
-    doc = json.loads(text)
-    return LinearSystem(f=Matrix(doc["F"]), alpha=Matrix.column(doc["alpha"]))
+    try:
+        doc = json.loads(text)
+        return LinearSystem(f=Matrix(doc["F"]), alpha=Matrix.column(doc["alpha"]))
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise BadSystemFile(f"malformed linear system: {exc}") from exc
 
 
 def load_system(path: str) -> LinearSystem:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,8 +216,3 @@ def load_csv(path: str) -> Matrix:
     if len(widths) != 1:
         raise ShapeMismatch(f"ragged rows in {path}")
     return Matrix(rows)
-
-
-def from_rows(rows: Iterable[Iterable[float]]) -> Matrix:
-    """Validated construction from nested iterables."""
-    return Matrix([list(r) for r in rows])

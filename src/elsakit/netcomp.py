@@ -199,10 +199,6 @@ class NetworkComponent:
     def shape(self) -> tuple[int, int]:
         return self.w[0].shape
 
-    @property
-    def head_count(self) -> int:
-        return len(self.w)
-
 
 def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, a)
@@ -323,10 +319,6 @@ class WeightedSumMap:
     @property
     def input_shape(self) -> tuple[int, int]:
         return self.weights.shape[2:]
-
-    @property
-    def output_shape(self) -> tuple[int, int]:
-        return self.weights.shape[:2]
 
 
 def weighted_sum_map(a: Matrix, wsm: WeightedSumMap) -> Matrix:

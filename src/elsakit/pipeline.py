@@ -1,18 +1,25 @@
 """End-to-end in-context ridge descent built from attention blocks.
 
-Two prompt layouts are supported:
+Every pipeline is one :class:`Program`: a prompt layout, a step module
+run T times, and a readout module run once. A module is a sequence of
+multi-head blocks, each fed the previous block's output, followed by a
+skip connection that adds the module's input prompt back. One run loop,
+:func:`run_program`, executes any program. Three builders produce them:
 
 * designed: a (d+1)-by-s prompt, s = 2n+d+3, carrying sqrt(eta)-scaled
   copies of X and y, a sqrt(eta*lam) identity, the query u, and the
-  evolving coefficient column. One step is a 3-head plain-attention sum
-  plus a skip connection; only the coefficient column changes.
+  evolving coefficient column. The step is one 3-head plain-attention
+  block; only the coefficient column changes.
 * enumerated: a d-by-s prompt, s = 2n+2d+3, listing X, a padded target
   block, lam*I, sqrt(eta)*I, u, a scratch column for the prediction, and
-  the coefficient column, with no coupled scalings. One step is two
-  sequential 4-head bias-extended blocks plus a skip connection.
+  the coefficient column, with no coupled scalings. The step is two
+  sequential 4-head bias-extended blocks.
+* zero-bias wrap: the designed program re-expressed with bias-extended
+  heads (zero biases) and a second skip block, showing that the extended
+  form subsumes the plain one.
 
-Step weights are built once and shared across iterations; a final readout
-module writes u^T w_T into its reserved cell.
+Programs are built once and shared across iterations; the readout writes
+u^T w_T into the program's reserved cell.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
+
+import numpy as np
 
 from .attention import (
     ElsaParams,
@@ -97,28 +106,18 @@ class PipelineState:
 
 
 @dataclass(frozen=True)
-class DesignedWeights:
-    """Step and readout heads for the designed layout (shared across steps)."""
+class Program:
+    """Weights of one pipeline, shared across all steps.
 
-    step_heads: MultiHead
-    readout_heads: MultiHead
+    ``step`` and ``readout`` are modules: blocks run in sequence, then the
+    skip connection. The readout leaves the prediction in ``cell`` (1-based
+    row, column).
+    """
 
-
-@dataclass(frozen=True)
-class TwoBlockWeights:
-    """Two sequential multi-head blocks applied before the skip connection."""
-
-    block1: MultiHead
-    block2: MultiHead
-
-
-@dataclass(frozen=True)
-class EnumeratedWeights:
-    step: TwoBlockWeights
-    readout: TwoBlockWeights
-
-
-ModuleWeights = Union[DesignedWeights, EnumeratedWeights]
+    layout: Layout
+    step: tuple[MultiHead, ...]
+    readout: tuple[MultiHead, ...]
+    cell: tuple[int, int]
 
 
 def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
@@ -161,13 +160,13 @@ def build_designed_input(p: RidgeProblem) -> PipelineState:
     return PipelineState(h=h, t=0, layout=layout)
 
 
-def build_designed_weights(n: int, d: int) -> DesignedWeights:
+def build_designed_weights(n: int, d: int) -> Program:
     """Three step heads summing to the negated scaled gradient in the w column.
 
     Head 1 extracts the scaled targets against the scaled design (the X^T y
     term), head 2 the scaled fitted values against the negated design (the
     X^T X w term), head 3 the ridge column against the negated ridge identity
-    (the lam*w term). A fourth module, used once after the last step, moves
+    (the lam*w term). The readout, run once after the last step, moves
     u^T w_T into the bottom-right cell.
     """
     layout = DesignedLayout(n=n, d=d)
@@ -193,28 +192,14 @@ def build_designed_weights(n: int, d: int) -> DesignedWeights:
     )
     r3 = block_write(zeros(s, s), BlockSpec(2 * n + 1, 2 * n + 1, s, s), Matrix([[1.0]]))
     zero_head = LsaParams(w1=zeros(s, s), w2=zeros(s, s), w3=zeros(s, s))
-    readout = MultiHead((LsaParams(w1=r1, w2=r2, w3=r3), zero_head, zero_head))
+    read_block = MultiHead((LsaParams(w1=r1, w2=r2, w3=r3), zero_head, zero_head))
 
-    return DesignedWeights(step_heads=MultiHead((head1, head2, head3)), readout_heads=readout)
-
-
-def step_designed(state: PipelineState, weights: DesignedWeights) -> PipelineState:
-    """One descent step: add the multi-head update to the prompt."""
-    if not isinstance(state.layout, DesignedLayout):
-        raise LayoutMismatch("step_designed needs a designed-layout state")
-    p_t = multihead_forward(state.h, weights.step_heads)
-    return PipelineState(h=add(p_t, state.h), t=state.t + 1, layout=state.layout)
-
-
-def readout_designed(
-    state: PipelineState, weights: DesignedWeights
-) -> tuple[Matrix, float]:
-    """Apply the readout module; the prediction lands in the bottom-right cell."""
-    if not isinstance(state.layout, DesignedLayout):
-        raise LayoutMismatch("readout_designed needs a designed-layout state")
-    p_out = multihead_forward(state.h, weights.readout_heads)
-    h_final = add(p_out, state.h)
-    return h_final, h_final.get(state.layout.d + 1, state.layout.s)
+    return Program(
+        layout=layout,
+        step=(MultiHead((head1, head2, head3)),),
+        readout=(read_block,),
+        cell=(d + 1, s),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +225,7 @@ def build_enumerated_input(p: RidgeProblem) -> PipelineState:
     return PipelineState(h=h, t=0, layout=layout)
 
 
-def build_enumerated_weights(n: int, d: int) -> EnumeratedWeights:
+def build_enumerated_weights(n: int, d: int) -> Program:
     """Two 4-head blocks per step, plus the readout pair.
 
     First block, head by head: the fitted-values term, the ridge term, the
@@ -294,10 +279,7 @@ def build_enumerated_weights(n: int, d: int) -> EnumeratedWeights:
         w1=g1, w2=g2, w3=zs, b1=zb, b2=zb, b3=_eye_block(d, s, BlockSpec(1, d, 1, d))
     )
     pad = zero_params(shape)
-    step = TwoBlockWeights(
-        block1=MultiHead((h1, h2, h3, h4)),
-        block2=MultiHead((contract, pad, pad, pad)),
-    )
+    step_blocks = (MultiHead((h1, h2, h3, h4)), MultiHead((contract, pad, pad, pad)))
 
     q1, q2 = _moved_selectors(
         MskMovSpec(
@@ -309,41 +291,62 @@ def build_enumerated_weights(n: int, d: int) -> EnumeratedWeights:
         w1=q1, w2=q2, w3=zs, b1=zb, b2=zb,
         b3=block_write(zeros(d, s), BlockSpec(1, 1, 1, 1), Matrix([[1.0]])),
     )
-    readout = TwoBlockWeights(
-        block1=MultiHead((read1, pad, pad, pad)),
-        block2=MultiHead((skip_params(shape), pad, pad, pad)),
+    readout_blocks = (
+        MultiHead((read1, pad, pad, pad)),
+        MultiHead((skip_params(shape), pad, pad, pad)),
     )
-    return EnumeratedWeights(step=step, readout=readout)
-
-
-def two_block_forward(h: Matrix, weights: TwoBlockWeights) -> Matrix:
-    """Second block applied to the first block's multi-head output."""
-    p1 = multihead_forward(h, weights.block1)
-    return multihead_forward(p1, weights.block2)
-
-
-def step_enumerated(state: PipelineState, weights: EnumeratedWeights) -> PipelineState:
-    """One descent step: two attention blocks, then the skip connection."""
-    if not isinstance(state.layout, EnumeratedLayout):
-        raise LayoutMismatch("step_enumerated needs an enumerated-layout state")
-    p_t = two_block_forward(state.h, weights.step)
-    return PipelineState(h=add(p_t, state.h), t=state.t + 1, layout=state.layout)
-
-
-def readout_enumerated(
-    state: PipelineState, weights: EnumeratedWeights
-) -> tuple[Matrix, float]:
-    """Apply the readout module; the prediction lands in row 1 of the scratch column."""
-    if not isinstance(state.layout, EnumeratedLayout):
-        raise LayoutMismatch("readout_enumerated needs an enumerated-layout state")
-    p_out = two_block_forward(state.h, weights.readout)
-    h_final = add(p_out, state.h)
-    return h_final, h_final.get(1, state.layout.z_col)
+    return Program(layout=layout, step=step_blocks, readout=readout_blocks, cell=(1, layout.z_col))
 
 
 # ---------------------------------------------------------------------------
-# Generic running and the designed-as-extended wrapper
+# The zero-bias wrap and the run loop
 # ---------------------------------------------------------------------------
+
+
+def wrap_designed_as_elsa(prog: Program) -> Program:
+    """The designed program expressed as two bias-extended blocks per module.
+
+    The first block holds the plain heads with zero biases (padded to four
+    heads); the second is a skip connection. Running it must reproduce the
+    designed pipeline trace exactly.
+    """
+    shape = prog.layout.shape
+    zb = zeros(*shape)
+
+    def as_elsa(p: LsaParams) -> ElsaParams:
+        return ElsaParams(w1=p.w1, w2=p.w2, w3=p.w3, b1=zb, b2=zb, b3=zb)
+
+    pad = zero_params(shape)
+    skip_block = MultiHead((skip_params(shape), pad, pad, pad))
+
+    def wrap(blocks: tuple[MultiHead, ...]) -> tuple[MultiHead, ...]:
+        (plain,) = blocks
+        return (MultiHead(tuple(as_elsa(p) for p in plain.heads) + (pad,)), skip_block)
+
+    return Program(
+        layout=prog.layout, step=wrap(prog.step), readout=wrap(prog.readout), cell=prog.cell
+    )
+
+
+def _run_module(state: PipelineState, prog: Program, blocks: tuple[MultiHead, ...]) -> Matrix:
+    if state.layout != prog.layout:
+        raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
+    out = state.h
+    for block in blocks:
+        out = multihead_forward(out, block)
+    return add(out, state.h)
+
+
+def step(state: PipelineState, prog: Program) -> PipelineState:
+    """One descent step: the step blocks, then the skip connection."""
+    h = _run_module(state, prog, prog.step)
+    return PipelineState(h=h, t=state.t + 1, layout=state.layout)
+
+
+def readout(state: PipelineState, prog: Program) -> tuple[Matrix, float]:
+    """Apply the readout module; returns the final prompt and the prediction cell."""
+    h_final = _run_module(state, prog, prog.readout)
+    return h_final, h_final.get(*prog.cell)
 
 
 def extract_w(state: PipelineState) -> Matrix:
@@ -352,49 +355,19 @@ def extract_w(state: PipelineState) -> Matrix:
     return block_read(state.h, BlockSpec(1, d, state.layout.w_col, state.layout.w_col))
 
 
-def wrap_designed_as_elsa(weights: DesignedWeights, n: int, d: int) -> EnumeratedWeights:
-    """Designed-layout step expressed as two bias-extended blocks.
+def run_program(
+    prog: Program, state: PipelineState, steps: int
+) -> tuple[list[Matrix], Matrix, float]:
+    """Run `steps` descent steps and the readout.
 
-    Block 1 holds the plain heads with zero biases (padded to four heads);
-    block 2 is a skip connection. Running it must reproduce the designed
-    pipeline trace exactly.
+    Returns the coefficient trace w_0..w_T, the final prompt and the prediction.
     """
-    shape = DesignedLayout(n=n, d=d).shape
-    m, s = shape
-    zb = zeros(m, s)
-
-    def as_elsa(p: LsaParams) -> ElsaParams:
-        return ElsaParams(w1=p.w1, w2=p.w2, w3=p.w3, b1=zb, b2=zb, b3=zb)
-
-    pad = zero_params(shape)
-    skip_block = MultiHead((skip_params(shape), pad, pad, pad))
-    step = TwoBlockWeights(
-        block1=MultiHead(tuple(as_elsa(p) for p in weights.step_heads.heads) + (pad,)),
-        block2=skip_block,
-    )
-    readout = TwoBlockWeights(
-        block1=MultiHead(tuple(as_elsa(p) for p in weights.readout_heads.heads) + (pad,)),
-        block2=skip_block,
-    )
-    return EnumeratedWeights(step=step, readout=readout)
-
-
-def run_wrapped_designed(p: RidgeProblem) -> tuple[list[Matrix], Matrix, float]:
-    """Run the designed prompt through the wrapped two-block form.
-
-    Returns the coefficient trace, the final prompt, and the prediction
-    (read from the same bottom-right cell as the designed readout).
-    """
-    weights = wrap_designed_as_elsa(build_designed_weights(p.n, p.d), p.n, p.d)
-    state = build_designed_input(p)
     trace = [extract_w(state)]
-    for _ in range(p.steps):
-        p_t = two_block_forward(state.h, weights.step)
-        state = PipelineState(h=add(p_t, state.h), t=state.t + 1, layout=state.layout)
+    for _ in range(steps):
+        state = step(state, prog)
         trace.append(extract_w(state))
-    p_out = two_block_forward(state.h, weights.readout)
-    h_final = add(p_out, state.h)
-    return trace, h_final, h_final.get(p.d + 1, state.layout.s)
+    h_final, prediction = readout(state, prog)
+    return trace, h_final, prediction
 
 
 class PipelineRun(NamedTuple):
@@ -403,39 +376,23 @@ class PipelineRun(NamedTuple):
     report: dict
 
 
-_FORMS = {
-    "designed": "designed",
-    "lsa": "designed",
-    "enumerated": "enumerated",
-    "elsa": "enumerated",
-}
-
-
 def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
-    """Build the prompt and weights, run T steps and the readout.
+    """Build the prompt and program, run T steps and the readout.
 
     The report records, per step, the infinity-norm deviation of the prompt's
     coefficient column from the plain descent recurrence (relative to
     max(1, |w_t|)), plus the closed-form prediction when the normal equations
     are solvable.
     """
-    kind = _FORMS.get(form)
-    if kind is None:
-        raise ValueError(f"unknown pipeline form {form!r}")
-    if kind == "designed":
-        weights = build_designed_weights(p.n, p.d)
-        state = build_designed_input(p)
-        step_fn, readout_fn = step_designed, readout_designed
+    if form in ("designed", "lsa"):
+        kind = "designed"
+        prog, state = build_designed_weights(p.n, p.d), build_designed_input(p)
+    elif form in ("enumerated", "elsa"):
+        kind = "enumerated"
+        prog, state = build_enumerated_weights(p.n, p.d), build_enumerated_input(p)
     else:
-        weights = build_enumerated_weights(p.n, p.d)
-        state = build_enumerated_input(p)
-        step_fn, readout_fn = step_enumerated, readout_enumerated
-
-    trace = [extract_w(state)]
-    for _ in range(p.steps):
-        state = step_fn(state, weights)
-        trace.append(extract_w(state))
-    _, prediction = readout_fn(state, weights)
+        raise ValueError(f"unknown pipeline form {form!r}")
+    trace, _, prediction = run_program(prog, state, p.steps)
 
     _, oracle_trace = gd_run(p)
     per_step = []
@@ -459,7 +416,7 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
         "prediction": prediction,
         "oracle_prediction": oracle_prediction,
         "closed_form_prediction": closed_form_prediction,
-        "max_step_deviation": max(per_step),
+        "max_step_deviation": float(np.max(per_step)),
         "per_step_deviation": per_step,
     }
     return PipelineRun(prediction=prediction, w_trace=trace, report=report)

@@ -29,16 +29,15 @@ from elsakit import (
     mskmov,
     MskMovSpec,
     predict,
-    readout_designed,
-    readout_enumerated,
+    readout,
     ridge_closed_form,
     ridge_via_gauss,
     run_pipeline,
-    run_wrapped_designed,
+    run_program,
     skip_params,
     solve,
-    step_designed,
-    step_enumerated,
+    step,
+    wrap_designed_as_elsa,
     build_enumerated_input,
     build_enumerated_weights,
     extract_w,
@@ -140,9 +139,9 @@ def test_criterion_3_pipeline_step_exactness():
         p = make_problem(Matrix.from_array(x), Matrix.from_array(y),
                          Matrix.from_array(u), lam, eta="auto", steps=200)
         _, oracle_trace = gd_run(p)
-        for form, build, step, readout in (
-            ("designed", build_designed_input, step_designed, readout_designed),
-            ("enumerated", build_enumerated_input, step_enumerated, readout_enumerated),
+        for form, build in (
+            ("designed", build_designed_input),
+            ("enumerated", build_enumerated_input),
         ):
             weights = (build_designed_weights(n, d) if form == "designed"
                        else build_enumerated_weights(n, d))
@@ -317,7 +316,8 @@ def test_criterion_9_extended_form_subsumes_plain():
                          Matrix.from_array(u), float(rng.uniform(0, 2)),
                          eta="auto", steps=25)
         plain = run_pipeline(p, "designed")
-        wrapped_trace, _, wrapped_pred = run_wrapped_designed(p)
+        wrapped = wrap_designed_as_elsa(build_designed_weights(p.n, p.d))
+        wrapped_trace, _, wrapped_pred = run_program(wrapped, build_designed_input(p), p.steps)
         for a, b in zip(wrapped_trace, plain.w_trace):
             worst = max(worst, float(np.abs(a.array - b.array).max()))
         worst = max(worst, abs(wrapped_pred - plain.prediction))

@@ -115,6 +115,21 @@ class TestRidgeCommand:
         assert code == 1
         assert json.loads(out)["error"] == "BadProblemFile"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_rate_fails_with_strict_json(self, capsys):
+        code, out = run_cli(
+            ["ridge", "--n", "5", "--d", "3", "--lambda", "0", "--eta", "100",
+             "--steps", "400"], capsys
+        )
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["prediction"] is None
+
 
 class TestGaussCommand:
     def test_exact_mode_passes(self, capsys):
@@ -143,6 +158,17 @@ class TestGaussCommand:
         code, out = run_cli(["gauss", "--system", str(path), "--seed", "0"], capsys)
         assert code == 1
         assert json.loads(out)["error"] == "PivotBelowTolerance"
+
+    @pytest.mark.parametrize("text", ['{"F": [[2.0]]}', "not json"])
+    def test_bad_system_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out = run_cli(["gauss", "--system", str(path), "--seed", "0"], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["command"] == "gauss"
+        assert report["error"] == "BadSystemFile"
+        assert report["message"]
 
 
 class TestInvsqrCommand:
@@ -174,6 +200,16 @@ class TestInvsqrCommand:
         mid = len(errs) // 2
         for i in range(mid):  # grid is symmetric; skip the x=0 midpoint
             assert errs[i] == pytest.approx(errs[-1 - i], abs=1e-12)
+
+    def test_report_writes_csv(self, tmp_path, capsys):
+        path = tmp_path / "sigma.csv"
+        code, out = run_cli(
+            ["invsqr", "--knots", "explicit:1,2", "--samples", "5", "--report", str(path)],
+            capsys,
+        )
+        assert code == 0
+        assert out == ""
+        assert len(path.read_text().splitlines()) == 6
 
     def test_bad_knot_spec(self, capsys):
         code, out = run_cli(["invsqr", "--knots", "explicit:2,1"], capsys)

@@ -22,15 +22,13 @@ from elsakit import (
     matmul,
     multihead_forward,
     predict,
-    readout_designed,
-    readout_enumerated,
+    readout,
     ridge_closed_form,
     run_pipeline,
-    run_wrapped_designed,
-    step_designed,
-    step_enumerated,
+    run_program,
+    step,
     transpose,
-    two_block_forward,
+    wrap_designed_as_elsa,
     zeros,
 )
 from oracles import random_ridge_arrays
@@ -79,7 +77,7 @@ class TestDesignedWeights:
         rng = np.random.default_rng(3)
         p = problem(rng, n=3, d=2, w0=rng.normal(size=(2, 1)))
         h = build_designed_input(p).h
-        head1 = build_designed_weights(p.n, p.d).step_heads.heads[0]
+        head1 = build_designed_weights(p.n, p.d).step[0].heads[0]
         mid = matmul(transpose(matmul(h, head1.w1)), matmul(h, head1.w2)).array
         s = 2 * p.n + p.d + 3
         expected = np.zeros((s, s))
@@ -95,7 +93,7 @@ class TestDesignedWeights:
                         w0=rng.normal(size=(d, 1)), steps=1)
             state = build_designed_input(p)
             weights = build_designed_weights(n, d)
-            p_t = multihead_forward(state.h, weights.step_heads).array
+            p_t = multihead_forward(state.h, weights.step[0]).array
             delta = gd_step(p, GdState(t=0, w=p.w0)).delta.array
             s = 2 * n + d + 3
             expected_col = -p.eta * delta[:, 0]
@@ -112,7 +110,7 @@ class TestDesignedWeights:
         w_star = ridge_closed_form(p)
         p_star = make_problem(p.x, p.y, p.u, p.lam, eta=p.eta, steps=1, w0=w_star)
         state = build_designed_input(p_star)
-        p_t = multihead_forward(state.h, build_designed_weights(8, 3).step_heads)
+        p_t = multihead_forward(state.h, build_designed_weights(8, 3).step[0])
         assert np.abs(p_t.array[:, -1]).max() <= 1e-12
 
 
@@ -120,7 +118,7 @@ class TestDesignedStep:
     def test_step_matches_descent_oracle(self):
         rng = np.random.default_rng(6)
         p = problem(rng, n=6, d=3, steps=1, w0=rng.normal(size=(3, 1)))
-        state = step_designed(build_designed_input(p), build_designed_weights(6, 3))
+        state = step(build_designed_input(p), build_designed_weights(6, 3))
         oracle = gd_step(p, GdState(t=0, w=p.w0))
         assert rel_dev(extract_w(state), oracle.w) <= 1e-10
 
@@ -128,7 +126,7 @@ class TestDesignedStep:
         rng = np.random.default_rng(7)
         p = problem(rng, n=5, d=2, steps=1, w0=rng.normal(size=(2, 1)))
         before = build_designed_input(p)
-        after = step_designed(before, build_designed_weights(5, 2))
+        after = step(before, build_designed_weights(5, 2))
         assert np.array_equal(after.h.array[:, :-1], before.h.array[:, :-1])
 
     def test_two_steps_match_run_trace(self):
@@ -138,14 +136,14 @@ class TestDesignedStep:
         state = build_designed_input(p)
         _, trace = gd_run(p)
         for t in (1, 2):
-            state = step_designed(state, weights)
+            state = step(state, weights)
             assert rel_dev(extract_w(state), trace[t]) <= 1e-10
 
     def test_layout_guard(self):
         rng = np.random.default_rng(9)
         p = problem(rng, n=3, d=2)
         with pytest.raises(LayoutMismatch):
-            step_designed(build_enumerated_input(p), build_designed_weights(3, 2))
+            step(build_enumerated_input(p), build_designed_weights(3, 2))
 
 
 class TestDesignedReadout:
@@ -155,8 +153,8 @@ class TestDesignedReadout:
         weights = build_designed_weights(5, 3)
         state = build_designed_input(p)
         for _ in range(p.steps):
-            state = step_designed(state, weights)
-        h_final, pred = readout_designed(state, weights)
+            state = step(state, weights)
+        h_final, pred = readout(state, weights)
         expected = predict(extract_w(state), p.u)
         assert abs(pred - expected) <= 1e-11 * (1.0 + abs(expected))
 
@@ -168,16 +166,16 @@ class TestDesignedReadout:
         weights = build_designed_weights(4, 2)
         state = build_designed_input(p)
         for _ in range(2):
-            state = step_designed(state, weights)
-        _, pred = readout_designed(state, weights)
+            state = step(state, weights)
+        _, pred = readout(state, weights)
         assert pred == 0.0
 
     def test_only_bottom_right_cell_changes(self):
         rng = np.random.default_rng(12)
         p = problem(rng, n=4, d=2, steps=1)
         weights = build_designed_weights(4, 2)
-        state = step_designed(build_designed_input(p), weights)
-        h_final, _ = readout_designed(state, weights)
+        state = step(build_designed_input(p), weights)
+        h_final, _ = readout(state, weights)
         diff = h_final.array != state.h.array
         diff[-1, -1] = False
         assert not diff.any()
@@ -215,7 +213,7 @@ class TestEnumeratedWeights:
         rng = np.random.default_rng(17)
         p = problem(rng, n=4, d=3, lam=1.3, w0=rng.normal(size=(3, 1)))
         h = build_enumerated_input(p).h
-        head2 = build_enumerated_weights(4, 3).step.block1.heads[1]
+        head2 = build_enumerated_weights(4, 3).step[0].heads[1]
         out = elsa_forward(h, head2).array
         expected = np.zeros_like(out)
         expected[:, -1] = p.lam * p.w0.array[:, 0]
@@ -225,7 +223,7 @@ class TestEnumeratedWeights:
         rng = np.random.default_rng(18)
         p = problem(rng, n=5, d=2, w0=rng.normal(size=(2, 1)))
         h = build_enumerated_input(p).h
-        head3 = build_enumerated_weights(5, 2).step.block1.heads[2]
+        head3 = build_enumerated_weights(5, 2).step[0].heads[2]
         out = elsa_forward(h, head3).array
         expected_col = -(p.x.array.T @ p.y.array)[:, 0]
         assert np.allclose(out[:, -1], expected_col, atol=1e-12)
@@ -238,13 +236,13 @@ class TestEnumeratedWeights:
         p = problem(rng, n=6, d=3, lam=0.9, steps=1, w0=rng.normal(size=(3, 1)))
         h = build_enumerated_input(p).h
         weights = build_enumerated_weights(6, 3)
-        p1 = multihead_forward(h, weights.step.block1).array
+        p1 = multihead_forward(h, weights.step[0]).array
         delta = gd_step(p, GdState(t=0, w=p.w0)).delta.array
         s = 2 * 6 + 2 * 3 + 3
         assert np.abs(p1[:, -1] - delta[:, 0]).max() <= 1e-11 * max(1.0, np.abs(delta).max())
         marker = p1[:, 2 * 6 + 3 : 2 * 6 + 6]
         assert np.array_equal(marker, -p.eta * np.eye(3))
-        p2 = two_block_forward(h, weights.step).array
+        p2 = multihead_forward(multihead_forward(h, weights.step[0]), weights.step[1]).array
         assert np.abs(p2[:, -1] + p.eta * delta[:, 0]).max() <= 1e-11 * max(
             1.0, np.abs(p.eta * delta).max()
         )
@@ -261,28 +259,28 @@ class TestEnumeratedStep:
         state = build_enumerated_input(p)
         _, trace = gd_run(p)
         for t in range(1, 7):
-            state = step_enumerated(state, weights)
+            state = step(state, weights)
             assert rel_dev(extract_w(state), trace[t]) <= 1e-10
 
     def test_zero_rate_freezes_coefficients(self):
         rng = np.random.default_rng(21)
         p = problem(rng, n=4, d=2, eta=0.0, steps=1, w0=rng.normal(size=(2, 1)))
         weights = build_enumerated_weights(4, 2)
-        state = step_enumerated(build_enumerated_input(p), weights)
+        state = step(build_enumerated_input(p), weights)
         assert extract_w(state) == p.w0
 
     def test_non_coefficient_columns_unchanged(self):
         rng = np.random.default_rng(22)
         p = problem(rng, n=4, d=3, steps=1, w0=rng.normal(size=(3, 1)))
         before = build_enumerated_input(p)
-        after = step_enumerated(before, build_enumerated_weights(4, 3))
+        after = step(before, build_enumerated_weights(4, 3))
         assert np.array_equal(after.h.array[:, :-1], before.h.array[:, :-1])
 
     def test_layout_guard(self):
         rng = np.random.default_rng(23)
         p = problem(rng, n=3, d=2)
         with pytest.raises(LayoutMismatch):
-            step_enumerated(build_designed_input(p), build_enumerated_weights(3, 2))
+            step(build_designed_input(p), build_enumerated_weights(3, 2))
 
 
 class TestEnumeratedReadout:
@@ -292,8 +290,8 @@ class TestEnumeratedReadout:
         weights = build_enumerated_weights(6, 3)
         state = build_enumerated_input(p)
         for _ in range(p.steps):
-            state = step_enumerated(state, weights)
-        _, pred = readout_enumerated(state, weights)
+            state = step(state, weights)
+        _, pred = readout(state, weights)
         expected = predict(extract_w(state), p.u)
         assert abs(pred - expected) <= 1e-11 * (1.0 + abs(expected))
 
@@ -301,7 +299,7 @@ class TestEnumeratedReadout:
         rng = np.random.default_rng(25)
         p = problem(rng, n=4, d=2, steps=0)
         weights = build_enumerated_weights(4, 2)
-        _, pred = readout_enumerated(build_enumerated_input(p), weights)
+        _, pred = readout(build_enumerated_input(p), weights)
         assert pred == 0.0
 
     def test_forms_agree(self):
@@ -358,8 +356,8 @@ class TestStructuralInvariants:
         state_a = build_enumerated_input(p)
         state_b = build_enumerated_input(p)
         for _ in range(8):
-            state_a = step_enumerated(state_a, weights)
-            state_b = step_enumerated(state_b, cloned)
+            state_a = step(state_a, weights)
+            state_b = step(state_b, cloned)
             assert np.array_equal(state_a.h.array, state_b.h.array)
 
     def test_wrapped_designed_reproduces_plain_trace(self):
@@ -367,7 +365,8 @@ class TestStructuralInvariants:
         for _ in range(2):
             p = problem(rng, n=6, d=3, steps=10)
             plain = run_pipeline(p, "designed")
-            wrapped_trace, _, wrapped_pred = run_wrapped_designed(p)
+            wrapped = wrap_designed_as_elsa(build_designed_weights(p.n, p.d))
+            wrapped_trace, _, wrapped_pred = run_program(wrapped, build_designed_input(p), p.steps)
             for a, b in zip(wrapped_trace, plain.w_trace):
                 assert np.abs(a.array - b.array).max() <= 1e-12
             assert abs(wrapped_pred - plain.prediction) <= 1e-12
