@@ -21,9 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import attention, gauss, maskmove, netcomp, pipeline, ridge
-from .matrix import Matrix
+from .matrix import Matrix, ShapeMismatch
 
 ENV_SEED = "ELSA_WB_SEED"
+# A zero eigenvalue at lambda = 0 gives a contraction factor of 1 up to
+# rounding, the one equality case of ridge.stable_eta_for.
+CONTRACTION_SLACK = 1e-12
 
 
 def _default_seed() -> int:
@@ -196,7 +199,7 @@ def cmd_ridge(args: argparse.Namespace) -> int:
     if args.problem:
         try:
             problem = ridge.load_problem(args.problem)
-        except (OSError, ridge.BadProblemFile) as exc:
+        except (OSError, ridge.BadProblemFile, ridge.SingularSystem) as exc:
             _emit_json({"command": "ridge", "error": type(exc).__name__, "message": str(exc)},
                        args.report)
             return 1
@@ -219,8 +222,13 @@ def cmd_ridge(args: argparse.Namespace) -> int:
     if report["closed_form_prediction"] is not None:
         gap = abs(report["prediction"] - report["closed_form_prediction"])
         report["closed_form_gap"] = gap / (1.0 + abs(report["closed_form_prediction"]))
+    report["contraction"] = ridge.contraction(problem)
     # A NaN deviation fails the comparison; the prediction must be finite too.
-    passed = report["max_step_deviation"] <= args.tol and math.isfinite(report["prediction"])
+    passed = (
+        report["max_step_deviation"] <= args.tol
+        and math.isfinite(report["prediction"])
+        and report["contraction"] <= 1.0 + CONTRACTION_SLACK
+    )
     report["step_tol"] = args.tol
     report["passed"] = passed
     _emit_json(report, args.report)
@@ -284,7 +292,8 @@ def cmd_gauss(args: argparse.Namespace) -> int:
         report["passed"] = passed
         _emit_json(report, args.report)
         return 0 if passed else 1
-    except (gauss.BadSystemFile, gauss.SingularDetected) as exc:
+    except (gauss.BadSystemFile, gauss.SingularDetected, netcomp.BadKnotSpec,
+            ShapeMismatch) as exc:
         _emit_json(
             {"command": "gauss", "error": type(exc).__name__, "message": str(exc)},
             args.report,

@@ -13,6 +13,11 @@ built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
 1/x^2 at every table knot, holds the first value flat on [-x_1, x_1], and
 decays to zero beyond the final cutoff knot. Multiplying by x recovers an
 approximation of 1/x.
+
+A divider keeps one entry of its input through a 0/1 output weight V, so
+component_forward evaluates the two 1/x^2 activations only where V is
+nonzero and writes 0 elsewhere. This is exact for finite activations:
+a dropped entry would have contributed 0 * sigma = 0.
 """
 
 from __future__ import annotations
@@ -126,27 +131,37 @@ def default_invsqr() -> PiecewiseInvSqr:
     return build_invsqr(DEFAULT_KNOT_SPEC)
 
 
+# Points per block in invsqr_eval. It bounds the (points, intervals)
+# temporaries; at 129 intervals each block temporary (264 KiB) fits in L2.
+INVSQR_CHUNK = 256
+
+
 def invsqr_eval(p: PiecewiseInvSqr, x):
     """Evaluate sigma_invsqr(x) as the literal sum of paired ReLU terms.
 
     Each knot interval contributes one hard sigmoid on the positive side and
     its mirror on the negative side; no shortcut interpolation is used.
-    Accepts a scalar or an ndarray.
+    Accepts a scalar or an ndarray. Points are summed in blocks of
+    INVSQR_CHUNK, so memory stays flat in the number of points; each point's
+    sum is independent of the others, so the blocking changes no bit.
     """
     arr = np.asarray(x, dtype=np.float64)
-    t = arr[..., None]
+    flat = arr.reshape(-1)
+    total = np.empty(flat.shape)
     lo = p.knots[:-1]
     hi = p.knots[1:]
     al = p.slopes
-    total = (
-        np.maximum(0.0, al * (t - hi))
-        - np.maximum(0.0, al * (t - lo))
-        + np.maximum(0.0, al * (t + hi))
-        - np.maximum(0.0, al * (t + lo))
-    ).sum(axis=-1)
+    for start in range(0, flat.size, INVSQR_CHUNK):
+        t = flat[start : start + INVSQR_CHUNK, None]
+        total[start : start + INVSQR_CHUNK] = (
+            np.maximum(0.0, al * (t - hi))
+            - np.maximum(0.0, al * (t - lo))
+            + np.maximum(0.0, al * (t + hi))
+            - np.maximum(0.0, al * (t + lo))
+        ).sum(axis=-1)
     if arr.ndim == 0:
-        return float(total)
-    return total
+        return float(total[0])
+    return total.reshape(arr.shape)
 
 
 def approx_reciprocal(p: PiecewiseInvSqr, x):
@@ -204,27 +219,38 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, a)
 
 
-def _activate(comp: NetworkComponent, a: np.ndarray) -> np.ndarray:
+def _activate(comp: NetworkComponent, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     if comp.activation == "relu":
         return _relu(a)
     if comp.activation == "identity_via_relu":
         return _relu(a) - _relu(-a)
-    if comp.activation == "invsqr":
-        return invsqr_eval(comp.table, a)
-    # exact reciprocal square; zeros pass through as zeros
+    # The 1/x^2 activations run only where v keeps the result (elsewhere
+    # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
+    # on a dense v the gather costs more than the O(1) activation it skips.
     out = np.zeros_like(a)
-    nz = a != 0.0
-    out[nz] = 1.0 / (a[nz] * a[nz])
+    keep = v != 0.0
+    if comp.activation == "invsqr":
+        out[keep] = invsqr_eval(comp.table, a[keep])
+    else:
+        # exact reciprocal square; zeros pass through as zeros
+        keep &= a != 0.0
+        kept = a[keep]
+        out[keep] = 1.0 / (kept * kept)
     return out
 
 
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
-    """Evaluate the component on x (shapes must match)."""
+    """Evaluate the component on x (shapes must match).
+
+    The 1/x^2 activations are evaluated only where the head's v is nonzero;
+    for a finite activation this is exact, since the dropped entries would
+    be multiplied by zero.
+    """
     if x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
     acc = np.zeros(comp.shape)
     for w, v, b, c in zip(comp.w, comp.v, comp.b, comp.c):
-        acc += v.array * _activate(comp, w.array * x.array + b.array) + c.array
+        acc += v.array * _activate(comp, w.array * x.array + b.array, v.array) + c.array
     return Matrix.from_array(acc)
 
 

@@ -184,6 +184,17 @@ def stable_eta(p: RidgeProblem) -> float:
     return stable_eta_for(p.x, p.lam)
 
 
+def contraction(p: RidgeProblem) -> float:
+    """max |1 - eta * eig(X^T X + lam I)|, the descent map's contraction factor.
+
+    Computed by np.linalg.eigvalsh, not from the power-iteration estimate
+    behind stable_eta_for. Above 1 the descent diverges along some
+    eigendirection.
+    """
+    g = p.x.array.T @ p.x.array + p.lam * np.eye(p.d)
+    return float(np.max(np.abs(1.0 - p.eta * np.linalg.eigvalsh(g))))
+
+
 def predict(w: Matrix, u: Matrix) -> float:
     """Scalar prediction u^T w."""
     if w.shape != u.shape or w.cols != 1:

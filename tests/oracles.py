@@ -2,7 +2,8 @@
 
 Nothing here imports from the package's computational paths: products are
 naive triple loops, the move operation is a literal copy loop, the division
-approximator oracle is np.interp on the knot table, and the elimination
+approximator oracle is np.interp on the knot table, the component oracle
+applies the activation to every entry before weighting, and the elimination
 shadow updates rows with plain scalar arithmetic.
 """
 
@@ -43,6 +44,36 @@ def piecewise_invsqr(knots: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """
     ax = np.abs(np.asarray(x, dtype=np.float64))
     return np.interp(ax, knots, values, left=values[0], right=0.0)
+
+
+def exact_invsqr(a: np.ndarray) -> np.ndarray:
+    """1/a^2 on every entry, with 0 -> 0."""
+    out = np.zeros_like(a)
+    nz = a != 0.0
+    out[nz] = 1.0 / (a[nz] * a[nz])
+    return out
+
+
+def dense_component_forward(x: np.ndarray, comp, table_eval) -> np.ndarray:
+    """Literal sum_k v_k * sigma(w_k * x + b_k) + c_k, sigma on every entry.
+
+    comp carries per-head stacks w, v, b, c (objects with .array), an
+    activation name and a knot table; table_eval(table, a) evaluates the
+    "invsqr" activation, so this module imports nothing from the package.
+    """
+    def relu(a):
+        return np.maximum(0.0, a)
+
+    sigma = {
+        "relu": relu,
+        "identity_via_relu": lambda a: relu(a) - relu(-a),
+        "invsqr": lambda a: table_eval(comp.table, a),
+        "invsqr_exact": exact_invsqr,
+    }[comp.activation]
+    acc = np.zeros(x.shape)
+    for w, v, b, c in zip(comp.w, comp.v, comp.b, comp.c):
+        acc += v.array * sigma(w.array * x + b.array) + c.array
+    return acc
 
 
 def shadow_forward_step(p: np.ndarray, k: int) -> np.ndarray:

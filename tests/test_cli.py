@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, determinism, report contents."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from elsakit import (
     LinearSystem,
@@ -19,6 +23,10 @@ from oracles import piecewise_invsqr
 def run_cli(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 class TestVerifyLemmas:
@@ -121,14 +129,63 @@ class TestRidgeCommand:
             ["ridge", "--n", "5", "--d", "3", "--lambda", "0", "--eta", "100",
              "--steps", "400"], capsys
         )
-
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
-        report = json.loads(out, parse_constant=reject)
+        report = json.loads(out, parse_constant=reject_constant)
         assert code == 1
         assert report["passed"] is False
         assert report["prediction"] is None
+
+    def test_divergent_rate_fails_on_contraction(self, capsys):
+        # The pipeline tracks the diverging descent step for step, so only
+        # the contraction factor tells this run apart from a good one.
+        code, out = run_cli(["ridge", "--eta", "10", "--steps", "40"], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["max_step_deviation"] <= report["step_tol"]
+        assert report["contraction"] > 1.0
+
+    def test_default_run_contracts(self, capsys):
+        code, out = run_cli(["ridge"], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["passed"] is True
+        assert 0.0 < report["contraction"] < 1.0
+
+    def test_auto_eta_on_singular_design(self, tmp_path, capsys):
+        doc = {"X": [[0.0, 0.0], [0.0, 0.0]], "y": [1.0, 2.0], "u": [1.0, 1.0],
+               "lambda": 0, "eta": "auto", "steps": 5}
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["ridge", "--problem", str(path)], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["command"] == "ridge"
+        assert report["error"] == "SingularSystem"
+        assert report["message"]
+
+
+class TestRidgeExitCodeProperty:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 8),
+        d=st.integers(1, 4),
+        lam=st.floats(0.0, 2.0),
+        eta=st.one_of(st.just("auto"), st.floats(1e-3, 20.0)),
+        steps=st.integers(0, 30),
+        form=st.sampled_from(["lsa", "elsa"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exit_code_equals_passed(self, n, d, lam, eta, steps, form, seed):
+        args = ["ridge", "--form", form, "--n", str(n), "--d", str(d),
+                "--lambda", str(lam), "--eta", str(eta),
+                "--steps", str(steps), "--seed", str(seed)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(args)
+        report = json.loads(buf.getvalue(), parse_constant=reject_constant)
+        assert (code == 0) == (report.get("passed") is True)
 
 
 class TestGaussCommand:
@@ -168,6 +225,27 @@ class TestGaussCommand:
         assert code == 1
         assert report["command"] == "gauss"
         assert report["error"] == "BadSystemFile"
+        assert report["message"]
+
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "relu", "--knots", "bogus"],
+        ["--mode", "relu", "--sweep", "--knots", "geometric:x1=1,xmax=0.5,n=3"],
+    ], ids=["relu", "sweep"])
+    def test_bad_knot_spec(self, capsys, args):
+        code, out = run_cli(["gauss", "--size", "4", *args], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["command"] == "gauss"
+        assert report["error"] == "BadKnotSpec"
+        assert report["message"]
+
+    def test_size_one_is_a_shape_error(self, capsys):
+        code, out = run_cli(["gauss", "--size", "1"], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["command"] == "gauss"
+        assert report["error"] == "ShapeMismatch"
         assert report["message"]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from elsakit import gauss
 from elsakit import (
     BlockSpec,
     LinearSystem,
@@ -14,6 +15,7 @@ from elsakit import (
     embed_system,
     forward_eliminate_step,
     identity,
+    invsqr_eval,
     make_problem,
     predict,
     ridge_closed_form,
@@ -23,7 +25,13 @@ from elsakit import (
     system_to_json,
     zeros,
 )
-from oracles import random_dd_system, random_ridge_arrays, shadow_backward_step, shadow_forward_step
+from oracles import (
+    dense_component_forward,
+    random_dd_system,
+    random_ridge_arrays,
+    shadow_backward_step,
+    shadow_forward_step,
+)
 
 TWO_BY_TWO = LinearSystem(f=Matrix([[2.0, 1.0], [1.0, 3.0]]), alpha=Matrix([[3.0], [5.0]]))
 
@@ -234,6 +242,22 @@ class TestShadowEquivalence:
                     shadow = shadow_backward_step(shadow, t)
                     scale = max(1.0, np.abs(shadow).max())
                     assert np.abs(state.p.array - shadow).max() <= 1e-12 * scale
+
+
+class TestDenseComponentEquivalence:
+    """Solves are bitwise equal with every component evaluated densely."""
+
+    @pytest.mark.parametrize("mode, m", [("relu", 24), ("exact", 16)])
+    def test_solution_matches_dense_components(self, monkeypatch, mode, m):
+        sys = dd_system(np.random.default_rng(8), m, signed=True)
+        x_fast, _ = solve(sys, mode=mode)
+
+        def dense(x, comp):
+            return Matrix.from_array(dense_component_forward(x.array, comp, invsqr_eval))
+
+        monkeypatch.setattr(gauss, "component_forward", dense)
+        x_dense, _ = solve(sys, mode=mode)
+        assert np.array_equal(x_fast.array, x_dense.array)
 
 
 class TestRidgeBridge:

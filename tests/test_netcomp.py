@@ -1,8 +1,12 @@
 """Network components, skip combinators, weighted sums, and the division table."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from elsakit import netcomp
 from elsakit import (
     BadKnotSpec,
     BlockSpec,
@@ -31,7 +35,7 @@ from elsakit import (
     zeros,
     WeightedSumMap,
 )
-from oracles import piecewise_invsqr
+from oracles import dense_component_forward, piecewise_invsqr
 
 
 def rand(rng, m, n):
@@ -240,6 +244,35 @@ class TestInvsqrEval:
         want = piecewise_invsqr(t.knots, t.values, xs)
         assert np.abs(got - want).max() <= 1e-10 * float(t.values[0])
 
+    def test_chunked_sum_is_bitwise_one_block(self):
+        # Each point's paired-ReLU row is summed on its own, so splitting the
+        # points into blocks must not change a bit.
+        rng = np.random.default_rng(13)
+        t = default_invsqr()
+        xs = rng.normal(scale=50.0, size=3 * netcomp.INVSQR_CHUNK + 5)
+        t_col = xs[:, None]
+        al, lo, hi = t.slopes, t.knots[:-1], t.knots[1:]
+        one_block = (
+            np.maximum(0.0, al * (t_col - hi))
+            - np.maximum(0.0, al * (t_col - lo))
+            + np.maximum(0.0, al * (t_col + hi))
+            - np.maximum(0.0, al * (t_col + lo))
+        ).sum(axis=-1)
+        assert np.array_equal(invsqr_eval(t, xs), one_block)
+        grid = xs[:-5].reshape(3, -1)
+        assert np.array_equal(invsqr_eval(t, grid), one_block[:-5].reshape(3, -1))
+
+    def test_memory_stays_bounded(self):
+        t = default_invsqr()
+        xs = np.linspace(-2.0 * t.cutoff, 2.0 * t.cutoff, 100_000)
+        tracemalloc.start()
+        try:
+            invsqr_eval(t, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestApproxReciprocal:
     def test_exact_at_knots(self):
@@ -283,3 +316,58 @@ class TestDividerComponent:
                                       exact=False, table=t)
         got = component_forward(x, comp)
         assert got == Matrix([[0.25, 0.0], [0.0, 0.0]])
+
+    def test_exact_divider_ignores_masked_out_tiny_entry(self):
+        # 1/(1e-200)^2 overflows to inf; evaluated densely, 0 * inf would put
+        # NaN at (3, 2) although the mask drops that entry.
+        x = Matrix([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-200, 0.0]])
+        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 3, 3), exact=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = component_forward(x, comp)
+        assert got == Matrix([[0.25, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+DIVIDER_MASKS = {
+    "single_entry": MaskSpec(BlockSpec(3, 3, 2, 2), 5, 6),
+    "column_block": MaskSpec(BlockSpec(2, 5, 4, 4), 5, 6),
+    "anti_mask": MaskSpec(BlockSpec(3, 3, 2, 2), 5, 6, anti=True),
+    "all_ones": MaskSpec(BlockSpec(1, 5, 1, 6), 5, 6),
+}
+
+
+def literal_forward(x, comp):
+    return dense_component_forward(x.array, comp, invsqr_eval)
+
+
+class TestDividerMatchesDenseOracle:
+    """The mask-only 1/x^2 evaluation is bitwise the dense literal sum."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["invsqr_exact", "invsqr"])
+    @pytest.mark.parametrize("mask", DIVIDER_MASKS, ids=str)
+    def test_divider_component(self, mask, exact):
+        rng = np.random.default_rng(14)
+        spec = DIVIDER_MASKS[mask]
+        comp = make_divider_component(spec, exact=exact, table=default_invsqr())
+        for _ in range(5):
+            x = rng.normal(scale=10.0, size=(5, 6)) * rng.choice([1e-2, 1.0, 1e2], size=(5, 6))
+            x[rng.random((5, 6)) < 0.2] = 0.0
+            x = Matrix.from_array(x)
+            assert np.array_equal(component_forward(x, comp).array, literal_forward(x, comp))
+
+    @pytest.mark.parametrize("activation", ["invsqr_exact", "invsqr"])
+    def test_two_heads_with_random_affine_parts(self, activation):
+        rng = np.random.default_rng(20)
+        masks = (mask_matrix(DIVIDER_MASKS["column_block"]),
+                 mask_matrix(DIVIDER_MASKS["anti_mask"]))
+        comp = NetworkComponent(
+            w=tuple(rand(rng, 5, 6) for _ in masks),
+            v=masks,
+            b=tuple(rand(rng, 5, 6) for _ in masks),
+            c=tuple(rand(rng, 5, 6) for _ in masks),
+            activation=activation,
+            table=default_invsqr(),
+        )
+        for _ in range(5):
+            x = rand(rng, 5, 6)
+            assert np.array_equal(component_forward(x, comp).array, literal_forward(x, comp))
