@@ -78,13 +78,6 @@ class ElsaParams:
 AnyHead = Union[LsaParams, ElsaParams]
 
 
-@dataclass(frozen=True)
-class MultiHead:
-    """A fixed-order collection of heads summed by :func:`multihead_forward`."""
-
-    heads: tuple[AnyHead, ...]
-
-
 def lsa_forward(h: Matrix, p: LsaParams) -> Matrix:
     """(H W3)((H W1)^T (H W2)); output has the shape of H."""
     if h.cols != p.w1.rows:
@@ -103,23 +96,15 @@ def elsa_forward(h: Matrix, p: ElsaParams) -> Matrix:
     return matmul(t3, matmul(transpose(t1), t2))
 
 
-def multihead_forward(h: Matrix, heads: MultiHead | Sequence[AnyHead]) -> Matrix:
+def multihead_forward(h: Matrix, heads: Sequence[AnyHead]) -> Matrix:
     """Sum of per-head forwards, evaluated in head order."""
-    seq = heads.heads if isinstance(heads, MultiHead) else tuple(heads)
-    if not seq:
+    if not heads:
         raise EmptyHeads("multi-head forward needs at least one head")
     out = None
-    for p in seq:
+    for p in heads:
         term = elsa_forward(h, p) if isinstance(p, ElsaParams) else lsa_forward(h, p)
         out = term if out is None else add(out, term)
     return out
-
-
-def zero_params(input_shape: tuple[int, int]) -> ElsaParams:
-    """All-zero head; contributes nothing but keeps the head count uniform."""
-    m, n = input_shape
-    zn, zm = zeros(n, n), zeros(m, n)
-    return ElsaParams(zn, zn, zn, zm, zm, zm)
 
 
 def _stacked_identity(m: int, n: int) -> Matrix:

@@ -254,6 +254,8 @@ def cmd_gauss(args: argparse.Namespace) -> int:
         if args.system:
             system = gauss.load_system(args.system)
         else:
+            if args.size < 2:
+                raise ShapeMismatch(f"--size must be at least 2, got {args.size}")
             (rng,) = _spawn_rngs(args.seed, 1)
             system = _generate_dd_system(rng, args.size)
 
@@ -345,6 +347,21 @@ def _eta(text: str):
     return text if text == "auto" else float(text)
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elsakit",
@@ -354,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
 
     p_verify = sub.add_parser("verify-lemmas", help="run the capability property suites")
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--max-dim", type=int, default=6)
+    p_verify.add_argument("--trials", type=_int_at_least(0), default=100)
+    p_verify.add_argument("--max-dim", type=_int_at_least(1), default=6)
     p_verify.add_argument("--seed", type=int, default=seed)
     p_verify.add_argument("--tol", type=float, default=1e-12)
     p_verify.add_argument("--perturb", action="store_true",
@@ -365,12 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ridge = sub.add_parser("ridge", help="run an in-context descent pipeline")
     p_ridge.add_argument("--form", choices=["lsa", "elsa"], default="lsa")
-    p_ridge.add_argument("--n", type=int, default=20)
-    p_ridge.add_argument("--d", type=int, default=4)
+    p_ridge.add_argument("--n", type=_int_at_least(1), default=20)
+    p_ridge.add_argument("--d", type=_int_at_least(1), default=4)
     p_ridge.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p_ridge.add_argument("--eta", type=_eta, default="auto",
                          help='learning rate, a float or "auto"')
-    p_ridge.add_argument("--steps", type=int, default=None)
+    p_ridge.add_argument("--steps", type=_int_at_least(0), default=None)
     p_ridge.add_argument("--seed", type=int, default=seed)
     p_ridge.add_argument("--tol", type=float, default=1e-9,
                          help="pass threshold on the per-step oracle deviation")
@@ -393,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invsqr", help="dump division-approximator samples as CSV")
     p_inv.add_argument("--knots", default=netcomp.DEFAULT_KNOT_SPEC)
-    p_inv.add_argument("--samples", type=int, default=1001)
+    p_inv.add_argument("--samples", type=_int_at_least(0), default=1001)
     p_inv.add_argument("--report", default=None)
     p_inv.set_defaults(run=cmd_invsqr)
 

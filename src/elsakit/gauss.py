@@ -25,7 +25,6 @@ from .matrix import (
     BlockSpec,
     Matrix,
     ShapeMismatch,
-    add,
     block_read,
     block_write,
     identity,
@@ -115,13 +114,16 @@ def embed_system(
 
 
 def _reciprocal_of_masked(state: EliminationState, z1: Matrix, pivot: BlockSpec) -> Matrix:
-    """Activation stage: 1/x^2 at the masked pivot, ReLU-identity elsewhere."""
+    """Activation stage: 1/x^2 at the pivot, zero elsewhere.
+
+    z1 is already masked to the pivot, so an anti-mask component passing the
+    other entries through would add exact zeros; the divider alone suffices.
+    """
     size = z1.rows
     div = make_divider_component(
         MaskSpec(pivot, size, size), exact=(state.mode == "exact"), table=state.table
     )
-    keep = make_mask_component(MaskSpec(pivot, size, size, anti=True))
-    return add(component_forward(z1, div), component_forward(z1, keep))
+    return component_forward(z1, div)
 
 
 def _check_pivot(value: float, where: str, tol: float) -> None:

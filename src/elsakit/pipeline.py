@@ -2,21 +2,23 @@
 
 Every pipeline is one :class:`Program`: a prompt layout, a step module
 run T times, and a readout module run once. A module is a sequence of
-multi-head blocks, each fed the previous block's output, followed by a
-skip connection that adds the module's input prompt back. One run loop,
-:func:`run_program`, executes any program. Three builders produce them:
+blocks, each a tuple of heads summed on the previous block's output,
+followed by a skip connection that adds the module's input prompt back.
+One run loop, :func:`run_program`, executes any program. Three builders
+produce them, and no block carries an all-zero padding head:
 
 * designed: a (d+1)-by-s prompt, s = 2n+d+3, carrying sqrt(eta)-scaled
   copies of X and y, a sqrt(eta*lam) identity, the query u, and the
   evolving coefficient column. The step is one 3-head plain-attention
-  block; only the coefficient column changes.
+  block and the readout 1 head; only the coefficient column changes.
 * enumerated: a d-by-s prompt, s = 2n+2d+3, listing X, a padded target
   block, lam*I, sqrt(eta)*I, u, a scratch column for the prediction, and
-  the coefficient column, with no coupled scalings. The step is two
-  sequential 4-head bias-extended blocks.
+  the coefficient column, with no coupled scalings. The step is a 4-head
+  bias-extended block followed by a 1-head contraction; the readout is a
+  1-head block followed by a 1-head skip block.
 * zero-bias wrap: the designed program re-expressed with bias-extended
-  heads (zero biases) and a second skip block, showing that the extended
-  form subsumes the plain one.
+  heads (zero biases), each module followed by a 1-head skip block,
+  showing that the extended form subsumes the plain one.
 
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell.
@@ -30,14 +32,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .attention import (
-    ElsaParams,
-    LsaParams,
-    MultiHead,
-    multihead_forward,
-    skip_params,
-    zero_params,
-)
+from .attention import ElsaParams, LsaParams, multihead_forward, skip_params
 from .matrix import BlockSpec, Matrix, add, block_read, block_write, identity, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import RidgeProblem, SingularSystem, gd_run, predict, ridge_closed_form
@@ -88,6 +83,7 @@ class EnumeratedLayout:
 
 
 Layout = Union[DesignedLayout, EnumeratedLayout]
+Block = tuple[Union[LsaParams, ElsaParams], ...]
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,14 @@ class Program:
     """Weights of one pipeline, shared across all steps.
 
     ``step`` and ``readout`` are modules: blocks run in sequence, then the
-    skip connection. The readout leaves the prediction in ``cell`` (1-based
-    row, column).
+    skip connection. A block is a tuple of heads whose forwards are summed;
+    every head is nonzero. The readout leaves the prediction in ``cell``
+    (1-based row, column).
     """
 
     layout: Layout
-    step: tuple[MultiHead, ...]
-    readout: tuple[MultiHead, ...]
+    step: tuple[Block, ...]
+    readout: tuple[Block, ...]
     cell: tuple[int, int]
 
 
@@ -191,13 +188,11 @@ def build_designed_weights(n: int, d: int) -> Program:
         MskMovSpec(i=2 * n + d + 2, j=2 * n + d + 2, k=s, l=s, m=s, n=s, a=1, b=0)
     )
     r3 = block_write(zeros(s, s), BlockSpec(2 * n + 1, 2 * n + 1, s, s), Matrix([[1.0]]))
-    zero_head = LsaParams(w1=zeros(s, s), w2=zeros(s, s), w3=zeros(s, s))
-    read_block = MultiHead((LsaParams(w1=r1, w2=r2, w3=r3), zero_head, zero_head))
 
     return Program(
         layout=layout,
-        step=(MultiHead((head1, head2, head3)),),
-        readout=(read_block,),
+        step=((head1, head2, head3),),
+        readout=((LsaParams(w1=r1, w2=r2, w3=r3),),),
         cell=(d + 1, s),
     )
 
@@ -226,13 +221,14 @@ def build_enumerated_input(p: RidgeProblem) -> PipelineState:
 
 
 def build_enumerated_weights(n: int, d: int) -> Program:
-    """Two 4-head blocks per step, plus the readout pair.
+    """A 4-head block and a 1-head block per step, plus the readout pair.
 
     First block, head by head: the fitted-values term, the ridge term, the
     negated cross term from the padded target block, and a marker head
-    placing -eta*I next to the scratch columns. The second block contracts
-    the marker against the assembled gradient, leaving -eta*dw in the last
-    column; its remaining heads are all-zero to keep the module uniform.
+    placing -eta*I next to the scratch columns. The second block is the one
+    head contracting the marker against the assembled gradient, leaving
+    -eta*dw in the last column. The readout is a 1-head block moving u^T w
+    into the scratch cell, then a 1-head skip block.
     """
     layout = EnumeratedLayout(n=n, d=d)
     s = layout.s
@@ -278,8 +274,7 @@ def build_enumerated_weights(n: int, d: int) -> Program:
     contract = ElsaParams(
         w1=g1, w2=g2, w3=zs, b1=zb, b2=zb, b3=_eye_block(d, s, BlockSpec(1, d, 1, d))
     )
-    pad = zero_params(shape)
-    step_blocks = (MultiHead((h1, h2, h3, h4)), MultiHead((contract, pad, pad, pad)))
+    step_blocks = ((h1, h2, h3, h4), (contract,))
 
     q1, q2 = _moved_selectors(
         MskMovSpec(
@@ -291,10 +286,7 @@ def build_enumerated_weights(n: int, d: int) -> Program:
         w1=q1, w2=q2, w3=zs, b1=zb, b2=zb,
         b3=block_write(zeros(d, s), BlockSpec(1, 1, 1, 1), Matrix([[1.0]])),
     )
-    readout_blocks = (
-        MultiHead((read1, pad, pad, pad)),
-        MultiHead((skip_params(shape), pad, pad, pad)),
-    )
+    readout_blocks = ((read1,), (skip_params(shape),))
     return Program(layout=layout, step=step_blocks, readout=readout_blocks, cell=(1, layout.z_col))
 
 
@@ -306,9 +298,9 @@ def build_enumerated_weights(n: int, d: int) -> Program:
 def wrap_designed_as_elsa(prog: Program) -> Program:
     """The designed program expressed as two bias-extended blocks per module.
 
-    The first block holds the plain heads with zero biases (padded to four
-    heads); the second is a skip connection. Running it must reproduce the
-    designed pipeline trace exactly.
+    The first block holds the plain heads with zero biases (3 in the step,
+    1 in the readout); the second is a 1-head skip connection. Running it
+    must reproduce the designed pipeline trace exactly.
     """
     shape = prog.layout.shape
     zb = zeros(*shape)
@@ -316,19 +308,18 @@ def wrap_designed_as_elsa(prog: Program) -> Program:
     def as_elsa(p: LsaParams) -> ElsaParams:
         return ElsaParams(w1=p.w1, w2=p.w2, w3=p.w3, b1=zb, b2=zb, b3=zb)
 
-    pad = zero_params(shape)
-    skip_block = MultiHead((skip_params(shape), pad, pad, pad))
+    skip_block = (skip_params(shape),)
 
-    def wrap(blocks: tuple[MultiHead, ...]) -> tuple[MultiHead, ...]:
+    def wrap(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
         (plain,) = blocks
-        return (MultiHead(tuple(as_elsa(p) for p in plain.heads) + (pad,)), skip_block)
+        return (tuple(as_elsa(p) for p in plain), skip_block)
 
     return Program(
         layout=prog.layout, step=wrap(prog.step), readout=wrap(prog.readout), cell=prog.cell
     )
 
 
-def _run_module(state: PipelineState, prog: Program, blocks: tuple[MultiHead, ...]) -> Matrix:
+def _run_module(state: PipelineState, prog: Program, blocks: tuple[Block, ...]) -> Matrix:
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     out = state.h

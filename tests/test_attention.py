@@ -11,7 +11,6 @@ from elsakit import (
     LsaParams,
     Matrix,
     MskMovSpec,
-    MultiHead,
     block_write,
     const_params,
     elsa_forward,
@@ -25,7 +24,6 @@ from elsakit import (
     scale,
     skip_params,
     transpose,
-    zero_params,
     zeros,
 )
 from oracles import naive_matmul
@@ -125,7 +123,7 @@ class TestMultihead:
         rng = np.random.default_rng(5)
         h = rand(rng, 3, 4)
         p = elsa_params_random(rng, 3, 4)
-        assert multihead_forward(h, MultiHead((p,))) == elsa_forward(h, p)
+        assert multihead_forward(h, (p,)) == elsa_forward(h, p)
 
     def test_negated_value_head_cancels(self):
         rng = np.random.default_rng(6)
@@ -142,14 +140,6 @@ class TestMultihead:
         rng = np.random.default_rng(7)
         with pytest.raises(EmptyHeads):
             multihead_forward(rand(rng, 2, 2), ())
-
-    def test_zero_head_is_neutral(self):
-        rng = np.random.default_rng(8)
-        h = rand(rng, 2, 5)
-        p = elsa_params_random(rng, 2, 5)
-        alone = multihead_forward(h, (p,))
-        padded = multihead_forward(h, (p, zero_params((2, 5))))
-        assert alone == padded
 
 
 class TestConstBuilder:

@@ -248,6 +248,14 @@ class TestGaussCommand:
         assert report["error"] == "ShapeMismatch"
         assert report["message"]
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_nonpositive_size_is_a_shape_error(self, capsys, size):
+        code, out = run_cli(["gauss", "--size", size], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["error"] == "ShapeMismatch"
+        assert size in report["message"]
+
 
 class TestInvsqrCommand:
     def test_table_matches_piecewise_oracle(self, capsys):
@@ -293,6 +301,35 @@ class TestInvsqrCommand:
         code, out = run_cli(["invsqr", "--knots", "explicit:2,1"], capsys)
         assert code == 1
         assert json.loads(out)["error"] == "BadKnotSpec"
+
+
+class TestOutOfRangeOptions:
+    @pytest.mark.parametrize("args", [
+        ["ridge", "--n", "0"],
+        ["ridge", "--d", "0"],
+        ["ridge", "--steps", "-1"],
+        ["invsqr", "--samples", "-5"],
+        ["verify-lemmas", "--max-dim", "0"],
+        ["verify-lemmas", "--trials", "-3"],
+        ["ridge", "--n", "abc"],
+    ])
+    def test_rejected_as_usage_error(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""  # no report, so nothing claims "passed"
+        assert f"argument {args[1]}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["ridge", "--n", "1", "--d", "1", "--steps", "0"],
+        ["verify-lemmas", "--max-dim", "1", "--trials", "0"],
+    ])
+    def test_lower_bounds_are_accepted(self, capsys, args):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
 
 class TestIoFailures:

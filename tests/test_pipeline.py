@@ -77,7 +77,7 @@ class TestDesignedWeights:
         rng = np.random.default_rng(3)
         p = problem(rng, n=3, d=2, w0=rng.normal(size=(2, 1)))
         h = build_designed_input(p).h
-        head1 = build_designed_weights(p.n, p.d).step[0].heads[0]
+        head1 = build_designed_weights(p.n, p.d).step[0][0]
         mid = matmul(transpose(matmul(h, head1.w1)), matmul(h, head1.w2)).array
         s = 2 * p.n + p.d + 3
         expected = np.zeros((s, s))
@@ -213,7 +213,7 @@ class TestEnumeratedWeights:
         rng = np.random.default_rng(17)
         p = problem(rng, n=4, d=3, lam=1.3, w0=rng.normal(size=(3, 1)))
         h = build_enumerated_input(p).h
-        head2 = build_enumerated_weights(4, 3).step[0].heads[1]
+        head2 = build_enumerated_weights(4, 3).step[0][1]
         out = elsa_forward(h, head2).array
         expected = np.zeros_like(out)
         expected[:, -1] = p.lam * p.w0.array[:, 0]
@@ -223,7 +223,7 @@ class TestEnumeratedWeights:
         rng = np.random.default_rng(18)
         p = problem(rng, n=5, d=2, w0=rng.normal(size=(2, 1)))
         h = build_enumerated_input(p).h
-        head3 = build_enumerated_weights(5, 2).step[0].heads[2]
+        head3 = build_enumerated_weights(5, 2).step[0][2]
         out = elsa_forward(h, head3).array
         expected_col = -(p.x.array.T @ p.y.array)[:, 0]
         assert np.allclose(out[:, -1], expected_col, atol=1e-12)
@@ -370,3 +370,18 @@ class TestStructuralInvariants:
             for a, b in zip(wrapped_trace, plain.w_trace):
                 assert np.abs(a.array - b.array).max() <= 1e-12
             assert abs(wrapped_pred - plain.prediction) <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (7, 4), (20, 4)])
+    def test_no_padding_heads_and_pinned_head_counts(self, n, d):
+        designed = build_designed_weights(n, d)
+        programs = {
+            "designed": (designed, [3], [1]),
+            "enumerated": (build_enumerated_weights(n, d), [4, 1], [1, 1]),
+            "wrapped": (wrap_designed_as_elsa(designed), [3, 1], [1, 1]),
+        }
+        for name, (prog, step_counts, readout_counts) in programs.items():
+            assert [len(block) for block in prog.step] == step_counts, name
+            assert [len(block) for block in prog.readout] == readout_counts, name
+            for block in prog.step + prog.readout:
+                for head in block:
+                    assert any(np.any(m.array) for m in vars(head).values()), name

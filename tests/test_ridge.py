@@ -11,6 +11,7 @@ from elsakit import (
     Matrix,
     RidgeProblem,
     SingularSystem,
+    contraction,
     gd_run,
     gd_step,
     identity,
@@ -189,6 +190,24 @@ class TestStableEta:
             g = x.T @ x + lam * np.eye(d)
             eigs = np.linalg.eigvalsh(np.eye(d) - p.eta * g)
             assert np.abs(eigs).max() < 1.0
+
+    @pytest.mark.parametrize("seed,kind", enumerate(["full", "wide", "repeated_column", "lam_zero"]))
+    def test_power_estimate_is_below_eigvalsh(self, seed, kind):
+        # Power iteration's Rayleigh quotient never overshoots lambda_max, so
+        # eta = 1/(estimate + lam) is at most the eigvalsh-based rate and the
+        # descent map contracts, on rank-deficient X and at lam = 0 too.
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            d = int(rng.integers(1, 7))
+            n = int(rng.integers(1, d + 1)) if kind == "wide" else int(rng.integers(d, 25))
+            x, y, u = random_ridge_arrays(rng, n, d)
+            if kind == "repeated_column" and d > 1:
+                x[:, -1] = x[:, 0]
+            lam = 0.0 if kind in ("wide", "lam_zero") else float(rng.uniform(0.0, 2.0))
+            p = problem_from_arrays(x, y, u, lam=lam, eta="auto")
+            lam_max = float(np.linalg.eigvalsh(x.T @ x).max())
+            assert 1.0 / p.eta - lam <= lam_max * (1.0 + 1e-12)
+            assert contraction(p) <= 1.0 + 1e-12
 
 
 class TestPredict:
