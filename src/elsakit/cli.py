@@ -3,14 +3,17 @@
 All randomness flows from one splittable counter-based generator seeded by
 --seed (default overridable through the ELSA_WB_SEED environment variable),
 so identical configurations produce byte-identical reports. Exit status is
-0 exactly when every assertion of the invoked suite passed. JSON reports
-are strict: a non-finite value is written as null.
+0 exactly when every check passed; 1 when a check failed or the input was
+bad (main alone reports INPUT_ERRORS as {"command", "error", "message"});
+2 for a usage error or an unreadable or unwritable file, on stderr. JSON
+reports are strict: a non-finite value is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,6 +27,9 @@ from . import attention, gauss, maskmove, netcomp, pipeline, ridge
 from .matrix import Matrix, ShapeMismatch
 
 ENV_SEED = "ELSA_WB_SEED"
+# Bad input that main reports as {command, error, message} with exit 1.
+INPUT_ERRORS = (ridge.BadProblemFile, ridge.SingularSystem, gauss.BadSystemFile,
+                gauss.SingularDetected, netcomp.BadKnotSpec, ShapeMismatch)
 # A zero eigenvalue at lambda = 0 gives a contraction factor of 1 up to
 # rounding, the one equality case of ridge.stable_eta_for.
 CONTRACTION_SLACK = 1e-12
@@ -197,14 +203,9 @@ def _generate_problem(
 
 def cmd_ridge(args: argparse.Namespace) -> int:
     if args.problem:
-        try:
-            problem = ridge.load_problem(args.problem)
-        except (OSError, ridge.BadProblemFile, ridge.SingularSystem) as exc:
-            _emit_json({"command": "ridge", "error": type(exc).__name__, "message": str(exc)},
-                       args.report)
-            return 1
+        problem = ridge.load_problem(args.problem)
         if args.steps is not None:
-            problem = ridge.with_steps(problem, args.steps)
+            problem = dataclasses.replace(problem, steps=args.steps)
     else:
         (rng,) = _spawn_rngs(args.seed, 1)
         problem = _generate_problem(
@@ -250,65 +251,50 @@ def _generate_dd_system(rng: np.random.Generator, m: int) -> gauss.LinearSystem:
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
-    try:
-        if args.system:
-            system = gauss.load_system(args.system)
-        else:
-            if args.size < 2:
-                raise ShapeMismatch(f"--size must be at least 2, got {args.size}")
-            (rng,) = _spawn_rngs(args.seed, 1)
-            system = _generate_dd_system(rng, args.size)
+    if args.system:
+        system = gauss.load_system(args.system)
+    else:
+        if args.size < 2:
+            raise ShapeMismatch(f"--size must be at least 2, got {args.size}")
+        (rng,) = _spawn_rngs(args.seed, 1)
+        system = _generate_dd_system(rng, args.size)
+    mode = "relu" if args.sweep else args.mode
+    tol = args.tol if args.tol is not None else (1e-8 if mode == "exact" else 5e-2)
 
-        if args.sweep:
-            rows = []
-            previous = None
-            nonincreasing = True
-            for n_knots in (64, 128, 256):
-                table = netcomp.build_invsqr(_sweep_spec(args.knots, n_knots))
-                _, report = gauss.solve(system, mode="relu", table=table)
-                rows.append({"knots": n_knots, "rel_error_vs_oracle": report["rel_error_vs_oracle"]})
-                if previous is not None and report["rel_error_vs_oracle"] > previous:
-                    nonincreasing = False
-                previous = report["rel_error_vs_oracle"]
-            doc = {
-                "command": "gauss",
-                "seed": args.seed,
-                "mode": "relu",
-                "m": system.m,
-                "sweep": rows,
-                "passed": nonincreasing,
-            }
-            _emit_json(doc, args.report)
-            return 0 if nonincreasing else 1
-
-        table = netcomp.build_invsqr(args.knots) if args.mode == "relu" else None
-        _, report = gauss.solve(system, mode=args.mode, table=table)
-        report["command"] = "gauss"
-        report["seed"] = args.seed
-        tol = args.tol if args.tol is not None else (1e-8 if args.mode == "exact" else 5e-2)
-        passed = (
-            report["rel_error_vs_oracle"] is not None
-            and report["rel_error_vs_oracle"] <= tol
-        )
-        report["tol"] = tol
-        report["passed"] = passed
-        _emit_json(report, args.report)
+    if args.sweep:
+        base = netcomp.build_invsqr(args.knots)
+        lo, hi = base.interior_knots[0], base.interior_knots[-1]
+        rows = []
+        for n_knots in (64, 128, 256):
+            table = netcomp.build_invsqr(np.geomspace(lo, hi, n_knots + 1))
+            _, report = gauss.solve(system, mode="relu", table=table)
+            rows.append({"knots": n_knots, "rel_error_vs_oracle": report["rel_error_vs_oracle"]})
+        errs = [row["rel_error_vs_oracle"] for row in rows]
+        passed = None not in errs and errs[0] >= errs[1] >= errs[2] and errs[2] <= tol
+        doc = {
+            "command": "gauss",
+            "seed": args.seed,
+            "mode": "relu",
+            "m": system.m,
+            "sweep": rows,
+            "tol": tol,
+            "passed": passed,
+        }
+        _emit_json(doc, args.report)
         return 0 if passed else 1
-    except (gauss.BadSystemFile, gauss.SingularDetected, netcomp.BadKnotSpec,
-            ShapeMismatch) as exc:
-        _emit_json(
-            {"command": "gauss", "error": type(exc).__name__, "message": str(exc)},
-            args.report,
-        )
-        return 1
 
-
-def _sweep_spec(base_spec: str, n_knots: int) -> str:
-    """Reuse the x-range of the base spec with a different knot count."""
-    table = netcomp.build_invsqr(base_spec)
-    x1 = float(table.interior_knots[0])
-    xmax = float(table.interior_knots[-1])
-    return f"geometric:x1={x1!r},xmax={xmax!r},n={n_knots}"
+    table = netcomp.build_invsqr(args.knots) if mode == "relu" else None
+    _, report = gauss.solve(system, mode=mode, table=table)
+    report["command"] = "gauss"
+    report["seed"] = args.seed
+    passed = (
+        report["rel_error_vs_oracle"] is not None
+        and report["rel_error_vs_oracle"] <= tol
+    )
+    report["tol"] = tol
+    report["passed"] = passed
+    _emit_json(report, args.report)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +303,7 @@ def _sweep_spec(base_spec: str, n_knots: int) -> str:
 
 
 def cmd_invsqr(args: argparse.Namespace) -> int:
-    try:
-        table = netcomp.build_invsqr(args.knots)
-    except netcomp.BadKnotSpec as exc:
-        _emit_json({"command": "invsqr", "error": "BadKnotSpec", "message": str(exc)}, args.report)
-        return 1
+    table = netcomp.build_invsqr(args.knots)
     span = 2.0 * table.cutoff
     xs = np.linspace(-span, span, args.samples)
     sig = netcomp.invsqr_eval(table, xs)
@@ -343,23 +325,23 @@ def cmd_invsqr(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eta(text: str):
-    return text if text == "auto" else float(text)
+def _at_least(kind: type, lo):
+    """argparse type: a finite kind (int or float) no smaller than lo, else a usage error."""
 
-
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than lo, else a usage error."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not lo <= value < math.inf:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be finite and at least {lo}, got {text!r}")
         return value
 
     return parse
+
+
+def _eta(text: str):
+    return text if text == "auto" else _at_least(float, 0.0)(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,10 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
 
     p_verify = sub.add_parser("verify-lemmas", help="run the capability property suites")
-    p_verify.add_argument("--trials", type=_int_at_least(0), default=100)
-    p_verify.add_argument("--max-dim", type=_int_at_least(1), default=6)
+    p_verify.add_argument("--trials", type=_at_least(int, 0), default=100)
+    p_verify.add_argument("--max-dim", type=_at_least(int, 1), default=6)
     p_verify.add_argument("--seed", type=int, default=seed)
-    p_verify.add_argument("--tol", type=float, default=1e-12)
+    p_verify.add_argument("--tol", type=_at_least(float, 0.0), default=1e-12)
     p_verify.add_argument("--perturb", action="store_true",
                           help="flip one bias entry as a negative control")
     p_verify.add_argument("--report", default=None)
@@ -382,14 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ridge = sub.add_parser("ridge", help="run an in-context descent pipeline")
     p_ridge.add_argument("--form", choices=["lsa", "elsa"], default="lsa")
-    p_ridge.add_argument("--n", type=_int_at_least(1), default=20)
-    p_ridge.add_argument("--d", type=_int_at_least(1), default=4)
-    p_ridge.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p_ridge.add_argument("--n", type=_at_least(int, 1), default=20)
+    p_ridge.add_argument("--d", type=_at_least(int, 1), default=4)
+    p_ridge.add_argument("--lambda", dest="lam", type=_at_least(float, 0.0), default=0.5)
     p_ridge.add_argument("--eta", type=_eta, default="auto",
                          help='learning rate, a float or "auto"')
-    p_ridge.add_argument("--steps", type=_int_at_least(0), default=None)
+    p_ridge.add_argument("--steps", type=_at_least(int, 0), default=None)
     p_ridge.add_argument("--seed", type=int, default=seed)
-    p_ridge.add_argument("--tol", type=float, default=1e-9,
+    p_ridge.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9,
                          help="pass threshold on the per-step oracle deviation")
     p_ridge.add_argument("--problem", default=None, help="ridge problem JSON file")
     p_ridge.add_argument("--report", default=None)
@@ -403,14 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gauss.add_argument("--sweep", action="store_true",
                          help="relu-mode knot refinement sweep (64/128/256)")
     p_gauss.add_argument("--seed", type=int, default=seed)
-    p_gauss.add_argument("--tol", type=float, default=None,
+    p_gauss.add_argument("--tol", type=_at_least(float, 0.0), default=None,
                          help="pass threshold on rel. error (default 1e-8 exact, 5e-2 relu)")
     p_gauss.add_argument("--report", default=None)
     p_gauss.set_defaults(run=cmd_gauss)
 
     p_inv = sub.add_parser("invsqr", help="dump division-approximator samples as CSV")
     p_inv.add_argument("--knots", default=netcomp.DEFAULT_KNOT_SPEC)
-    p_inv.add_argument("--samples", type=_int_at_least(0), default=1001)
+    p_inv.add_argument("--samples", type=_at_least(int, 0), default=1001)
     p_inv.add_argument("--report", default=None)
     p_inv.set_defaults(run=cmd_invsqr)
 
@@ -420,7 +402,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        try:
+            return args.run(args)
+        except INPUT_ERRORS as exc:
+            report = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+            _emit_json(report, args.report)
+            return 1
     except OSError as exc:
         sys.stderr.write(f"elsakit: io error: {exc}\n")
         return 2

@@ -113,17 +113,19 @@ def embed_system(
     return EliminationState(p=p, stage=("forward", 0), mode=mode, table=table)
 
 
-def _reciprocal_of_masked(state: EliminationState, z1: Matrix, pivot: BlockSpec) -> Matrix:
-    """Activation stage: 1/x^2 at the pivot, zero elsewhere.
+def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) -> Matrix:
+    """Divide module: mask the pivot (z), 1/z^2 by the divider (r), gamma * (r @ z).
 
-    z1 is already masked to the pivot, so an anti-mask component passing the
-    other entries through would add exact zeros; the divider alone suffices.
+    The result is gamma / x at the pivot and zero elsewhere. z is already masked
+    to the pivot, so the divider needs no anti-mask passing the rest through.
     """
-    size = z1.rows
-    div = make_divider_component(
-        MaskSpec(pivot, size, size), exact=(state.mode == "exact"), table=state.table
+    size = x.rows
+    spec = MaskSpec(pivot, size, size)
+    z = component_forward(x, make_mask_component(spec))
+    r = component_forward(
+        z, make_divider_component(spec, exact=(state.mode == "exact"), table=state.table)
     )
-    return component_forward(z1, div)
+    return skip_mul(r, z, side="left", gamma=gamma)
 
 
 def _check_pivot(value: float, where: str, tol: float) -> None:
@@ -152,10 +154,7 @@ def forward_eliminate_step(
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     _check_pivot(state.p.get(k, k), f"forward step {k}", pivot_tol)
 
-    pivot = BlockSpec(k, k, k, k)
-    z1 = component_forward(state.p, make_mask_component(MaskSpec(pivot, size, size)))
-    z2 = _reciprocal_of_masked(state, z1, pivot)
-    z3 = skip_mul(z2, z1, side="right", gamma=-1)
+    z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
     z4 = component_forward(
         state.p, make_mask_component(MaskSpec(BlockSpec(k + 1, m, k, k), size, size))
     )
@@ -196,9 +195,7 @@ def backward_substitute_step(
     _check_pivot(q.get(t, t), f"backward step {t}", pivot_tol)
 
     pivot = BlockSpec(t, t, t, t)
-    z4 = component_forward(q, make_mask_component(MaskSpec(pivot, size, size)))
-    z5 = _reciprocal_of_masked(state, z4, pivot)
-    z6 = skip_mul(z5, z4, side="left", gamma=1)
+    z6 = _divide(state, q, pivot, gamma=1)
     z7 = component_forward(z6, make_affine_component(ones(size, size), _eye_without(size, t)))
     prod = skip_mul(z7, q, side="left", gamma=1)
     q_next = component_forward(prod, make_mask_component(MaskSpec(pivot, size, size, anti=True)))
@@ -280,10 +277,11 @@ def system_to_json(sys: LinearSystem) -> str:
 
 
 def system_from_json(text: str) -> LinearSystem:
+    """Parse {"F", "alpha"}; every malformed document raises BadSystemFile."""
     try:
         doc = json.loads(text)
         return LinearSystem(f=Matrix(doc["F"]), alpha=Matrix.column(doc["alpha"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadSystemFile(f"malformed linear system: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -224,7 +224,10 @@ def problem_to_json(p: RidgeProblem) -> str:
 
 
 def problem_from_json(text: str) -> RidgeProblem:
-    """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}."""
+    """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
+
+    Raises BadProblemFile, or SingularSystem for eta="auto" on no positive spectrum.
+    """
     try:
         doc = json.loads(text)
         x = Matrix(doc["X"])
@@ -239,7 +242,7 @@ def problem_from_json(text: str) -> RidgeProblem:
         if not isinstance(eta, str):
             eta = float(eta)
         return make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadProblemFile(f"malformed ridge problem: {exc}") from exc
 
 
@@ -247,7 +250,3 @@ def load_problem(path: str) -> RidgeProblem:
     with open(path) as fh:
         return problem_from_json(fh.read())
 
-
-def with_steps(p: RidgeProblem, steps: int) -> RidgeProblem:
-    """Copy of p with a different iteration budget."""
-    return replace(p, steps=steps)

@@ -9,11 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from elsakit import (
+    BadProblemFile,
+    BadSystemFile,
     LinearSystem,
     Matrix,
+    SingularSystem,
     build_invsqr,
     make_problem,
+    problem_from_json,
     problem_to_json,
+    system_from_json,
     system_to_json,
 )
 from elsakit.cli import main
@@ -164,6 +169,106 @@ class TestRidgeCommand:
         assert report["message"]
 
 
+GOOD_PROBLEM = {"X": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 2.0], "u": [1.0, 1.0],
+                "lambda": 0.5, "eta": 0.1, "steps": 5}
+GOOD_SYSTEM = {"F": [[2.0, 1.0], [1.0, 3.0]], "alpha": [3.0, 5.0]}
+
+
+class TestBadInputFiles:
+    """Each malformed file ends in one structured report, never a traceback."""
+
+    @pytest.mark.parametrize("command,flag,text,error", [
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "X": [[1.0, 0.0], [1.0]]}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "lambda": -1}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": -2}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": float("inf")}),
+         "BadProblemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "F": [[2.0, 1.0], [1.0]]}),
+         "BadSystemFile"),
+        ("gauss", "--system", '{"F": [[1e400, 1.0], [1.0, 3.0]], "alpha": [3.0, 5.0]}',
+         "BadSystemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": [3.0, "a"]}),
+         "BadSystemFile"),
+    ], ids=["ragged-X", "negative-lambda", "negative-steps", "infinite-steps",
+            "ragged-F", "overflowing-entry", "non-numeric-alpha"])
+    def test_reported_as_structured_error(self, tmp_path, capsys, command, flag, text, error):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([command, flag, str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=reject_constant)
+        assert code == 1
+        assert set(report) == {"command", "error", "message"}
+        assert report["command"] == command
+        assert report["error"] == error
+        assert report["message"]
+        assert "Traceback" not in captured.err
+
+
+# Any JSON value, non-finite floats and unbounded integers included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=10,
+)
+
+
+def floats(size):
+    return st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size)
+
+
+@st.composite
+def corrupted(draw, valid):
+    """A well-formed document with any subset of its values replaced."""
+    doc = draw(valid)
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def problem_docs(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {
+        "X": draw(st.lists(floats(d), min_size=n, max_size=n)),
+        "y": draw(floats(n)),
+        "u": draw(floats(d)),
+        "lambda": draw(st.floats(0.0, 3.0)),
+        "eta": draw(st.just("auto") | st.floats(0.0, 3.0)),
+        "steps": draw(st.integers(0, 5)),
+        "w0": draw(st.just("zero") | floats(d)),
+    }
+
+
+@st.composite
+def system_docs(draw):
+    m = draw(st.integers(2, 3))
+    return {"F": draw(st.lists(floats(m), min_size=m, max_size=m)), "alpha": draw(floats(m))}
+
+
+class TestFileParserProperty:
+    """A parser either returns a value or raises its own named error."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(doc=corrupted(problem_docs()))
+    def test_problem_from_json(self, doc):
+        try:
+            problem_from_json(json.dumps(doc))
+        except (BadProblemFile, SingularSystem):
+            pass
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(doc=corrupted(system_docs()))
+    def test_system_from_json(self, doc):
+        try:
+            system_from_json(json.dumps(doc))
+        except BadSystemFile:
+            pass
+
+
 class TestRidgeExitCodeProperty:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=40, deadline=None, database=None,
@@ -205,6 +310,18 @@ class TestGaussCommand:
         errs = [row["rel_error_vs_oracle"] for row in report["sweep"]]
         assert errs[0] >= errs[1] >= errs[2]
         assert [row["knots"] for row in report["sweep"]] == [64, 128, 256]
+
+    def test_sweep_fails_above_tol(self, capsys):
+        # Both knots lie below every pivot, so refinement cannot help.
+        code, out = run_cli(
+            ["gauss", "--mode", "relu", "--size", "3", "--knots", "explicit:1,2", "--sweep"],
+            capsys,
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["tol"] == 5e-2
+        assert report["sweep"][-1]["rel_error_vs_oracle"] > report["tol"]
 
     def test_singular_system_names_pivot_error(self, tmp_path, capsys):
         sys_json = system_to_json(
@@ -312,6 +429,14 @@ class TestOutOfRangeOptions:
         ["verify-lemmas", "--max-dim", "0"],
         ["verify-lemmas", "--trials", "-3"],
         ["ridge", "--n", "abc"],
+        ["ridge", "--lambda", "-1"],
+        ["ridge", "--lambda", "nan"],
+        ["ridge", "--eta", "-1"],
+        ["ridge", "--eta", "nan"],
+        ["ridge", "--eta", "inf"],
+        ["ridge", "--tol", "inf"],
+        ["gauss", "--tol", "-1"],
+        ["verify-lemmas", "--tol", "nan"],
     ])
     def test_rejected_as_usage_error(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +450,7 @@ class TestOutOfRangeOptions:
     @pytest.mark.parametrize("args", [
         ["ridge", "--n", "1", "--d", "1", "--steps", "0"],
         ["verify-lemmas", "--max-dim", "1", "--trials", "0"],
+        ["ridge", "--lambda", "0", "--eta", "0", "--tol", "0"],
     ])
     def test_lower_bounds_are_accepted(self, capsys, args):
         code, out = run_cli(args, capsys)
@@ -339,6 +465,22 @@ class TestIoFailures:
                      "--report", str(target)])
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [("ridge", "--problem"), ("gauss", "--system")])
+    def test_missing_input_file(self, tmp_path, capsys, command, flag):
+        code = main([command, flag, str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "io error" in captured.err
+
+    def test_input_error_with_unwritable_report(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "report.json"
+        code = main(["gauss", "--size", "1", "--report", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "io error" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestSeedEnvOverride:
