@@ -69,8 +69,6 @@ from .ridge import (
     problem_from_json,
     problem_to_json,
     ridge_closed_form,
-    ridge_cost,
-    stable_eta,
     stable_eta_for,
 )
 from .pipeline import (

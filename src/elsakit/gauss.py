@@ -29,8 +29,6 @@ from .matrix import (
     block_write,
     identity,
     matmul,
-    ones,
-    scale,
     zeros,
 )
 from .maskmove import MaskSpec
@@ -159,7 +157,7 @@ def forward_eliminate_step(
         state.p, make_mask_component(MaskSpec(BlockSpec(k + 1, m, k, k), size, size))
     )
     z5 = matmul(z4, z3)
-    z6 = component_forward(z5, make_affine_component(ones(size, size), identity(size)))
+    z6 = component_forward(z5, make_affine_component(1.0, identity(size)))
     p_next = skip_mul(z6, state.p, side="left", gamma=1)
     return replace(state, p=p_next, stage=("forward", max(state.stage[1], k)))
 
@@ -188,15 +186,13 @@ def backward_substitute_step(
             state.p,
             make_mask_component(MaskSpec(BlockSpec(t + 1, t + 1, size, size), size, size)),
         )
-        z2 = component_forward(
-            z1, make_affine_component(scale(ones(size, size), -1.0), identity(size))
-        )
+        z2 = component_forward(z1, make_affine_component(-1.0, identity(size)))
         q = skip_mul(z2, state.p, side="right", gamma=1)
     _check_pivot(q.get(t, t), f"backward step {t}", pivot_tol)
 
     pivot = BlockSpec(t, t, t, t)
     z6 = _divide(state, q, pivot, gamma=1)
-    z7 = component_forward(z6, make_affine_component(ones(size, size), _eye_without(size, t)))
+    z7 = component_forward(z6, make_affine_component(1.0, _eye_without(size, t)))
     prod = skip_mul(z7, q, side="left", gamma=1)
     q_next = component_forward(prod, make_mask_component(MaskSpec(pivot, size, size, anti=True)))
     return replace(state, p=q_next, stage=("backward", t))

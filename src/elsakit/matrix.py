@@ -57,8 +57,11 @@ class Matrix:
 
     @classmethod
     def column(cls, values: Sequence[float] | np.ndarray) -> "Matrix":
-        """Column vector from a flat sequence."""
-        return cls(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+        """Column vector from a flat (1-d) sequence."""
+        a = np.asarray(values, dtype=np.float64)
+        if a.ndim != 1:
+            raise ShapeMismatch(f"expected a flat sequence, got shape {a.shape}")
+        return cls(a.reshape(-1, 1))
 
     @property
     def rows(self) -> int:

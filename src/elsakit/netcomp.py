@@ -5,8 +5,10 @@ A network component maps an m-by-n matrix X to
     Z = sum_k ( V_k * sigma(W_k * X + B_k) + C_k ),      (* = elementwise)
 
 which is enough to express componentwise affine maps, masks and anti-masks.
-Two skip-connection combinators (additive and multiplicative) and an
-arbitrary-shape weighted-sum map round out the toolbox.
+Only parameters that vary are matrices; a constant one is a float that numpy
+broadcasts with the same per-entry operation, so the result is bitwise the
+dense literal sum. Two skip-connection combinators (additive and
+multiplicative) and an arbitrary-shape weighted-sum map round out the toolbox.
 
 Division is approximated by sigma_invsqr, a piecewise-linear even function
 built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
@@ -27,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .matrix import Matrix, ShapeMismatch, matmul, ones, scale, zeros
+from .matrix import Matrix, ShapeMismatch, matmul, scale
 from .maskmove import MaskSpec, mask_matrix
 
 
@@ -180,19 +182,24 @@ def approx_reciprocal(p: PiecewiseInvSqr, x):
 ACTIVATIONS = ("relu", "identity_via_relu", "invsqr", "invsqr_exact")
 
 
+Param = Union[Matrix, float]
+
+
 @dataclass(frozen=True)
 class NetworkComponent:
-    """Per-head parameter stacks (w, v, b, c) and one activation selector.
+    """Per-head parameters (w, v, b, c) and one activation selector.
 
-    "identity_via_relu" computes x as relu(x) - relu(-x); "invsqr" applies
-    the table's ReLU sum pointwise; "invsqr_exact" applies exact 1/x^2 with
-    the convention 0 -> 0 so masked-out entries stay finite.
+    Each parameter is a Matrix of the component's shape or a float that is
+    broadcast over it; at least one must be a Matrix, and its shape is the
+    component's shape. "identity_via_relu" computes x as relu(x) - relu(-x);
+    "invsqr" applies the table's ReLU sum pointwise; "invsqr_exact" applies
+    exact 1/x^2 with the convention 0 -> 0 so masked-out entries stay finite.
     """
 
-    w: tuple[Matrix, ...]
-    v: tuple[Matrix, ...]
-    b: tuple[Matrix, ...]
-    c: tuple[Matrix, ...]
+    w: tuple[Param, ...]
+    v: tuple[Param, ...]
+    b: tuple[Param, ...]
+    c: tuple[Param, ...]
     activation: str
     table: PiecewiseInvSqr | None = None
 
@@ -200,11 +207,11 @@ class NetworkComponent:
         k = len(self.w)
         if k < 1 or not (len(self.v) == len(self.b) == len(self.c) == k):
             raise ShapeMismatch("per-head parameter stacks must be nonempty and equal")
-        shape = self.w[0].shape
-        for stack in (self.w, self.v, self.b, self.c):
-            for m in stack:
-                if m.shape != shape:
-                    raise ShapeMismatch("all component parameters must share one shape")
+        params = self.w + self.v + self.b + self.c
+        if not all(isinstance(p, (Matrix, float)) for p in params):
+            raise TypeError("component parameters must be matrices or floats")
+        if len({p.shape for p in params if isinstance(p, Matrix)}) != 1:
+            raise ShapeMismatch("a component needs matrix parameters of one shape")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == "invsqr" and self.table is None:
@@ -212,14 +219,15 @@ class NetworkComponent:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.w[0].shape
+        params = self.w + self.v + self.b + self.c
+        return next(p.shape for p in params if isinstance(p, Matrix))
 
 
 def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, a)
 
 
-def _activate(comp: NetworkComponent, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     if comp.activation == "relu":
         return _relu(a)
     if comp.activation == "identity_via_relu":
@@ -228,12 +236,12 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v: np.ndarray) -> np.ndarra
     # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
     # on a dense v the gather costs more than the O(1) activation it skips.
     out = np.zeros_like(a)
-    keep = v != 0.0
+    keep = np.broadcast_to(v != 0.0, a.shape)
     if comp.activation == "invsqr":
         out[keep] = invsqr_eval(comp.table, a[keep])
     else:
         # exact reciprocal square; zeros pass through as zeros
-        keep &= a != 0.0
+        keep = keep & (a != 0.0)
         kept = a[keep]
         out[keep] = 1.0 / (kept * kept)
     return out
@@ -242,40 +250,31 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v: np.ndarray) -> np.ndarra
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
     """Evaluate the component on x (shapes must match).
 
-    The 1/x^2 activations are evaluated only where the head's v is nonzero;
-    for a finite activation this is exact, since the dropped entries would
-    be multiplied by zero.
+    Float parameters are broadcast. The 1/x^2 activations are evaluated only
+    where the head's v is nonzero; for a finite activation this is exact,
+    since the dropped entries would be multiplied by zero.
     """
     if x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
     acc = np.zeros(comp.shape)
-    for w, v, b, c in zip(comp.w, comp.v, comp.b, comp.c):
-        acc += v.array * _activate(comp, w.array * x.array + b.array, v.array) + c.array
+    for head in zip(comp.w, comp.v, comp.b, comp.c):
+        w, v, b, c = (p.array if isinstance(p, Matrix) else p for p in head)
+        acc += v * _activate(comp, w * x.array + b, v) + c
     return Matrix.from_array(acc)
 
 
-def make_affine_component(gamma: Matrix, c: Matrix) -> NetworkComponent:
+def make_affine_component(gamma: Param, c: Matrix) -> NetworkComponent:
     """Component computing Z = gamma * X + C via the paired +/- ReLU trick."""
-    if gamma.shape != c.shape:
-        raise ShapeMismatch(f"gamma {gamma.shape} != constant {c.shape}")
-    m, n = gamma.shape
+    neg = scale(gamma, -1.0) if isinstance(gamma, Matrix) else -gamma
     return NetworkComponent(
-        w=(ones(m, n), scale(ones(m, n), -1.0)),
-        v=(gamma, scale(gamma, -1.0)),
-        b=(zeros(m, n), zeros(m, n)),
-        c=(c, zeros(m, n)),
-        activation="relu",
+        w=(1.0, -1.0), v=(gamma, neg), b=(0.0, 0.0), c=(c, 0.0), activation="relu"
     )
 
 
 def make_mask_component(spec: MaskSpec) -> NetworkComponent:
     """Single-head component computing M * X (or the anti-mask complement)."""
-    m, n = spec.m, spec.n
     return NetworkComponent(
-        w=(ones(m, n),),
-        v=(mask_matrix(spec),),
-        b=(zeros(m, n),),
-        c=(zeros(m, n),),
+        w=(1.0,), v=(mask_matrix(spec),), b=(0.0,), c=(0.0,),
         activation="identity_via_relu",
     )
 
@@ -284,12 +283,8 @@ def make_divider_component(
     spec: MaskSpec, exact: bool, table: PiecewiseInvSqr | None = None
 ) -> NetworkComponent:
     """Single-head component applying the 1/x^2 activation under a mask."""
-    m, n = spec.m, spec.n
     return NetworkComponent(
-        w=(ones(m, n),),
-        v=(mask_matrix(spec),),
-        b=(zeros(m, n),),
-        c=(zeros(m, n),),
+        w=(1.0,), v=(mask_matrix(spec),), b=(0.0,), c=(0.0,),
         activation="invsqr_exact" if exact else "invsqr",
         table=table,
     )

@@ -88,10 +88,9 @@ Block = tuple[Union[LsaParams, ElsaParams], ...]
 
 @dataclass(frozen=True)
 class PipelineState:
-    """The evolving prompt matrix at step t."""
+    """The evolving prompt matrix and the layout it follows."""
 
     h: Matrix
-    t: int
     layout: Layout
 
     def __post_init__(self):
@@ -154,7 +153,7 @@ def build_designed_input(p: RidgeProblem) -> PipelineState:
     )
     h = block_write(h, BlockSpec(1, d, 2 * n + d + 2, 2 * n + d + 2), p.u)
     h = block_write(h, BlockSpec(1, d, s, s), p.w0)
-    return PipelineState(h=h, t=0, layout=layout)
+    return PipelineState(h=h, layout=layout)
 
 
 def build_designed_weights(n: int, d: int) -> Program:
@@ -217,7 +216,7 @@ def build_enumerated_input(p: RidgeProblem) -> PipelineState:
     )
     h = block_write(h, BlockSpec(1, d, 2 * n + 2 * d + 1, 2 * n + 2 * d + 1), p.u)
     h = block_write(h, BlockSpec(1, d, s, s), p.w0)
-    return PipelineState(h=h, t=0, layout=layout)
+    return PipelineState(h=h, layout=layout)
 
 
 def build_enumerated_weights(n: int, d: int) -> Program:
@@ -331,7 +330,7 @@ def _run_module(state: PipelineState, prog: Program, blocks: tuple[Block, ...]) 
 def step(state: PipelineState, prog: Program) -> PipelineState:
     """One descent step: the step blocks, then the skip connection."""
     h = _run_module(state, prog, prog.step)
-    return PipelineState(h=h, t=state.t + 1, layout=state.layout)
+    return PipelineState(h=h, layout=state.layout)
 
 
 def readout(state: PipelineState, prog: Program) -> tuple[Matrix, float]:

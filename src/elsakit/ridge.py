@@ -31,6 +31,11 @@ class BadProblemFile(ValueError):
     """A problem JSON file is malformed."""
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RidgeProblem:
     """One ridge regression instance.
@@ -56,11 +61,9 @@ class RidgeProblem:
             raise ShapeMismatch(f"u must be {d}x1, got {self.u.shape}")
         if self.w0.shape != (d, 1):
             raise ShapeMismatch(f"w0 must be {d}x1, got {self.w0.shape}")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"ridge parameter must be >= 0, got {self.lam}")
+        _check_nonnegative("ridge parameter", self.lam)
         # eta = 0 is admitted so a frozen-coefficient run is expressible.
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"learning rate must be >= 0, got {self.eta}")
+        _check_nonnegative("learning rate", self.eta)
         if self.steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.steps}")
 
@@ -91,7 +94,8 @@ def make_problem(
     steps: int = 0,
     w0: Matrix | str = "zero",
 ) -> RidgeProblem:
-    """Build a problem, resolving eta="auto" and w0="zero" conventions."""
+    """Build a problem, resolving eta="auto" (after checking lam) and w0="zero"."""
+    _check_nonnegative("ridge parameter", lam)
     d = x.cols
     if isinstance(w0, str):
         if w0 != "zero":
@@ -180,10 +184,6 @@ def stable_eta_for(x: Matrix, lam: float) -> float:
     return 1.0 / denom
 
 
-def stable_eta(p: RidgeProblem) -> float:
-    return stable_eta_for(p.x, p.lam)
-
-
 def contraction(p: RidgeProblem) -> float:
     """max |1 - eta * eig(X^T X + lam I)|, the descent map's contraction factor.
 
@@ -202,14 +202,6 @@ def predict(w: Matrix, u: Matrix) -> float:
     return float(u.array[:, 0] @ w.array[:, 0])
 
 
-def ridge_cost(p: RidgeProblem, w: Matrix) -> float:
-    """The regularized cost 0.5 ||y - X w||^2 + 0.5 lam ||w||^2."""
-    r = p.y.array - p.x.array @ w.array
-    return 0.5 * float(r[:, 0] @ r[:, 0]) + 0.5 * p.lam * float(
-        w.array[:, 0] @ w.array[:, 0]
-    )
-
-
 def problem_to_json(p: RidgeProblem) -> str:
     doc = {
         "X": p.x.array.tolist(),
@@ -223,6 +215,13 @@ def problem_to_json(p: RidgeProblem) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _typed(key: str, value, kind):
+    """value if it has the JSON type kind; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BadProblemFile(f"{key} has the wrong JSON type: {value!r}")
+    return value
+
+
 def problem_from_json(text: str) -> RidgeProblem:
     """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
 
@@ -233,14 +232,14 @@ def problem_from_json(text: str) -> RidgeProblem:
         x = Matrix(doc["X"])
         y = Matrix.column(doc["y"])
         u = Matrix.column(doc["u"])
-        lam = float(doc["lambda"])
-        steps = int(doc["steps"])
+        lam = float(_typed("lambda", doc["lambda"], (int, float)))
+        steps = _typed("steps", doc["steps"], int)
         eta = doc.get("eta", "auto")
         w0 = doc.get("w0", "zero")
         if not isinstance(w0, str):
             w0 = Matrix.column(w0)
         if not isinstance(eta, str):
-            eta = float(eta)
+            eta = float(_typed("eta", eta, (int, float)))
         return make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadProblemFile(f"malformed ridge problem: {exc}") from exc

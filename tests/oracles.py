@@ -57,12 +57,16 @@ def exact_invsqr(a: np.ndarray) -> np.ndarray:
 def dense_component_forward(x: np.ndarray, comp, table_eval) -> np.ndarray:
     """Literal sum_k v_k * sigma(w_k * x + b_k) + c_k, sigma on every entry.
 
-    comp carries per-head stacks w, v, b, c (objects with .array), an
+    comp carries per-head parameters w, v, b, c (objects with .array, or
+    floats that are expanded here to dense arrays of x's shape), an
     activation name and a knot table; table_eval(table, a) evaluates the
     "invsqr" activation, so this module imports nothing from the package.
     """
     def relu(a):
         return np.maximum(0.0, a)
+
+    def dense(p):
+        return np.full(x.shape, p) if isinstance(p, float) else p.array
 
     sigma = {
         "relu": relu,
@@ -71,8 +75,9 @@ def dense_component_forward(x: np.ndarray, comp, table_eval) -> np.ndarray:
         "invsqr_exact": exact_invsqr,
     }[comp.activation]
     acc = np.zeros(x.shape)
-    for w, v, b, c in zip(comp.w, comp.v, comp.b, comp.c):
-        acc += v.array * sigma(w.array * x + b.array) + c.array
+    for head in zip(comp.w, comp.v, comp.b, comp.c):
+        w, v, b, c = map(dense, head)
+        acc += v * sigma(w * x + b) + c
     return acc
 
 
@@ -106,21 +111,22 @@ def shadow_backward_step(q: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
+def ridge_cost(x: np.ndarray, y: np.ndarray, lam: float, w: np.ndarray) -> float:
+    """The regularized cost 0.5||y - Xw||^2 + 0.5*lam*||w||^2."""
+    r = y - x @ w
+    return 0.5 * float(r[:, 0] @ r[:, 0]) + 0.5 * lam * float(w[:, 0] @ w[:, 0])
+
+
 def fd_gradient(x: np.ndarray, y: np.ndarray, lam: float, w: np.ndarray,
                 step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of 0.5||y - Xw||^2 + 0.5*lam*||w||^2."""
-
-    def cost(wv):
-        r = y - x @ wv
-        return 0.5 * float(r[:, 0] @ r[:, 0]) + 0.5 * lam * float(wv[:, 0] @ wv[:, 0])
-
+    """Central finite differences of ridge_cost."""
     g = np.zeros_like(w)
     for idx in range(w.shape[0]):
         up = w.copy()
         dn = w.copy()
         up[idx, 0] += step
         dn[idx, 0] -= step
-        g[idx, 0] = (cost(up) - cost(dn)) / (2.0 * step)
+        g[idx, 0] = (ridge_cost(x, y, lam, up) - ridge_cost(x, y, lam, dn)) / (2.0 * step)
     return g
 
 

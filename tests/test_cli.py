@@ -184,14 +184,30 @@ class TestBadInputFiles:
         ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": -2}), "BadProblemFile"),
         ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": float("inf")}),
          "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "lambda": -1, "eta": "auto"}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": 2.5}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "steps": True}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "lambda": True}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "eta": False}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "y": [[1.0, 2.0]]}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "u": [[1.0], [1.0]]}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "w0": [[0.0, 0.0]]}),
+         "BadProblemFile"),
         ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "F": [[2.0, 1.0], [1.0]]}),
          "BadSystemFile"),
         ("gauss", "--system", '{"F": [[1e400, 1.0], [1.0, 3.0]], "alpha": [3.0, 5.0]}',
          "BadSystemFile"),
         ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": [3.0, "a"]}),
          "BadSystemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": [[3.0, 5.0]]}),
+         "BadSystemFile"),
     ], ids=["ragged-X", "negative-lambda", "negative-steps", "infinite-steps",
-            "ragged-F", "overflowing-entry", "non-numeric-alpha"])
+            "negative-lambda-auto-eta", "fractional-steps", "boolean-steps",
+            "boolean-lambda", "boolean-eta", "nested-y", "nested-u", "nested-w0",
+            "ragged-F", "overflowing-entry", "non-numeric-alpha", "nested-alpha"])
     def test_reported_as_structured_error(self, tmp_path, capsys, command, flag, text, error):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -249,24 +265,28 @@ def system_docs(draw):
 
 
 class TestFileParserProperty:
-    """A parser either returns a value or raises its own named error."""
+    """A parser either returns the document's values or raises its own named error."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150, deadline=None, database=None)
     @given(doc=corrupted(problem_docs()))
     def test_problem_from_json(self, doc):
         try:
-            problem_from_json(json.dumps(doc))
+            p = problem_from_json(json.dumps(doc))
         except (BadProblemFile, SingularSystem):
-            pass
+            return
+        assert type(doc["steps"]) is int and p.steps == doc["steps"]
+        assert p.lam == float(doc["lambda"])
+        assert p.y.array[:, 0].tolist() == [float(v) for v in doc["y"]]
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(doc=corrupted(system_docs()))
     def test_system_from_json(self, doc):
         try:
-            system_from_json(json.dumps(doc))
+            sys = system_from_json(json.dumps(doc))
         except BadSystemFile:
-            pass
+            return
+        assert sys.alpha.array[:, 0].tolist() == [float(v) for v in doc["alpha"]]
 
 
 class TestRidgeExitCodeProperty:

@@ -12,6 +12,7 @@ from elsakit import (
     backward_substitute_step,
     block_read,
     build_invsqr,
+    component_forward,
     embed_system,
     forward_eliminate_step,
     identity,
@@ -258,6 +259,24 @@ class TestDenseComponentEquivalence:
         monkeypatch.setattr(gauss, "component_forward", dense)
         x_dense, _ = solve(sys, mode=mode)
         assert np.array_equal(x_fast.array, x_dense.array)
+
+    @pytest.mark.parametrize("mode", ["relu", "exact"])
+    def test_components_store_one_matrix(self, monkeypatch, mode):
+        # Masks and dividers store only their mask V, the affine units
+        # (gain +/-1) only their constant C; the rest are broadcast floats.
+        seen = []
+
+        def record(x, comp):
+            seen.append(comp)
+            return component_forward(x, comp)
+
+        monkeypatch.setattr(gauss, "component_forward", record)
+        solve(dd_system(np.random.default_rng(9), 5, signed=True), mode=mode)
+        assert "relu" in {comp.activation for comp in seen}
+        for comp in seen:
+            varying = comp.c[0] if comp.activation == "relu" else comp.v[0]
+            params = comp.w + comp.v + comp.b + comp.c
+            assert [p for p in params if isinstance(p, Matrix)] == [varying]
 
 
 class TestRidgeBridge:

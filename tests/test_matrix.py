@@ -42,6 +42,12 @@ class TestConstruction:
         with pytest.raises((ShapeMismatch, ValueError)):
             Matrix([[1.0], [2.0, 3.0]])
 
+    def test_column_takes_a_flat_sequence(self):
+        assert Matrix.column([1.0, 2.0]) == Matrix([[1.0], [2.0]])
+        for values in ([[1.0, 2.0]], [[1.0], [2.0]], 3.0, []):
+            with pytest.raises(ShapeMismatch):
+                Matrix.column(values)
+
     def test_immutable_storage(self):
         m = Matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):

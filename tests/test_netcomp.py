@@ -14,6 +14,7 @@ from elsakit import (
     Matrix,
     MskMovSpec,
     NetworkComponent,
+    ShapeMismatch,
     approx_reciprocal,
     build_invsqr,
     component_forward,
@@ -371,3 +372,60 @@ class TestDividerMatchesDenseOracle:
         for _ in range(5):
             x = rand(rng, 5, 6)
             assert np.array_equal(component_forward(x, comp).array, literal_forward(x, comp))
+
+
+def signed_input(rng, m, n):
+    """Entries of both signs and magnitudes, with +0.0 and -0.0 among them."""
+    x = rng.normal(scale=10.0, size=(m, n)) * rng.choice([1e-2, 1.0, 1e2], size=(m, n))
+    x[rng.random((m, n)) < 0.3] = 0.0
+    x[rng.random((m, n)) < 0.3] *= -1.0
+    return Matrix.from_array(x)
+
+
+BLOCK = MaskSpec(BlockSpec(2, 4, 3, 3), 5, 6)
+COMPONENTS = {
+    "affine_float_gain": lambda rng: make_affine_component(-1.0, rand(rng, 5, 6)),
+    "affine_matrix_gain": lambda rng: make_affine_component(rand(rng, 5, 6), rand(rng, 5, 6)),
+    "affine_zero_gain": lambda rng: make_affine_component(0.0, identity(5)),
+    "mask": lambda rng: make_mask_component(BLOCK),
+    "anti_mask": lambda rng: make_mask_component(MaskSpec(BlockSpec(2, 4, 3, 3), 5, 6, anti=True)),
+    "exact_divider": lambda rng: make_divider_component(BLOCK, exact=True),
+    "table_divider": lambda rng: make_divider_component(BLOCK, exact=False,
+                                                        table=default_invsqr()),
+    "exact_float_v": lambda rng: NetworkComponent(
+        w=(rand(rng, 4, 3),), v=(0.5,), b=(0.0,), c=(-2.0,), activation="invsqr_exact"),
+    "table_float_v": lambda rng: NetworkComponent(
+        w=(rand(rng, 4, 3),), v=(0.5,), b=(0.0,), c=(-2.0,), activation="invsqr",
+        table=default_invsqr()),
+}
+
+
+class TestBroadcastParameters:
+    """Float parameters broadcast to bitwise the dense literal sum."""
+
+    @pytest.mark.parametrize("name", COMPONENTS, ids=str)
+    def test_matches_dense_oracle(self, name):
+        rng = np.random.default_rng(21)
+        comp = COMPONENTS[name](rng)
+        for _ in range(5):
+            x = signed_input(rng, *comp.shape)
+            got = component_forward(x, comp).array
+            want = literal_forward(x, comp)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ShapeMismatch):  # no Matrix gives the shape
+            NetworkComponent(w=(1.0,), v=(1.0,), b=(0.0,), c=(0.0,), activation="relu")
+        with pytest.raises(ShapeMismatch):
+            make_affine_component(1.0, 0.0)
+        with pytest.raises(ShapeMismatch):
+            make_affine_component(ones(2, 3), zeros(3, 2))
+        with pytest.raises(TypeError):
+            NetworkComponent(w=(1,), v=(ones(2, 2),), b=(0.0,), c=(0.0,), activation="relu")
+
+    @pytest.mark.parametrize("name", ["mask", "anti_mask", "exact_divider", "table_divider"])
+    def test_mask_and_divider_store_only_the_mask(self, name):
+        comp = COMPONENTS[name](None)
+        params = comp.w + comp.v + comp.b + comp.c
+        assert [p for p in params if isinstance(p, Matrix)] == [comp.v[0]]

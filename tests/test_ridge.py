@@ -20,11 +20,10 @@ from elsakit import (
     problem_from_json,
     problem_to_json,
     ridge_closed_form,
-    ridge_cost,
-    stable_eta,
+    stable_eta_for,
     zeros,
 )
-from oracles import fd_gradient, random_ridge_arrays
+from oracles import fd_gradient, random_ridge_arrays, ridge_cost
 
 
 def problem_from_arrays(x, y, u, lam, eta="auto", steps=0):
@@ -164,7 +163,7 @@ class TestGdRun:
             p = problem_from_arrays(x, y, u, lam=float(rng.uniform(0, 2)),
                                     eta="auto", steps=60)
             _, trace = gd_run(p)
-            costs = [ridge_cost(p, w) for w in trace]
+            costs = [ridge_cost(x, y, p.lam, w.array) for w in trace]
             assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
 
@@ -172,12 +171,12 @@ class TestStableEta:
     def test_identity_design(self):
         p = problem_from_arrays(np.eye(2), np.ones((2, 1)), np.ones((2, 1)),
                                 lam=0.0, eta=1.0)
-        assert stable_eta(p) == pytest.approx(1.0, rel=1e-9)
+        assert stable_eta_for(p.x, p.lam) == pytest.approx(1.0, rel=1e-9)
 
     def test_scalar_design_by_hand(self):
         p = problem_from_arrays(np.array([[2.0]]), np.ones((1, 1)), np.ones((1, 1)),
                                 lam=0.0, eta=1.0)
-        assert stable_eta(p) == pytest.approx(0.25, rel=1e-12)
+        assert stable_eta_for(p.x, p.lam) == pytest.approx(0.25, rel=1e-12)
 
     def test_descent_map_contracts(self):
         rng = np.random.default_rng(7)
@@ -247,6 +246,11 @@ class TestProblemJson:
             problem_from_json("{\"X\": [[1.0]]}")
         with pytest.raises(BadProblemFile):
             problem_from_json("not json")
+
+    def test_lambda_checked_before_auto_eta(self):
+        # At lam = -1 the auto eta of X = I would find no positive spectrum.
+        with pytest.raises(ValueError, match="ridge parameter"):
+            make_problem(identity(2), zeros(2, 1), zeros(2, 1), -1.0, eta="auto")
 
     def test_validation(self):
         with pytest.raises(Exception):
