@@ -2,11 +2,13 @@
 
 All randomness flows from one splittable counter-based generator seeded by
 --seed (default overridable through the ELSA_WB_SEED environment variable),
-so identical configurations produce byte-identical reports. Exit status is
-0 exactly when every check passed; 1 when a check failed or the input was
-bad (main alone reports INPUT_ERRORS as {"command", "error", "message"});
-2 for a usage error or an unreadable or unwritable file, on stderr. JSON
-reports are strict: a non-finite value is written as null.
+so identical configurations produce byte-identical reports. Each command
+returns its report (invsqr returns CSV text) and main alone writes it and
+picks the exit status: 0 exactly when the report's "passed" is True (CSV
+always exits 0); 1 when a check failed or the input was bad (INPUT_ERRORS
+become {"command", "error", "message"}); 2 for a usage error or an
+unreadable or unwritable file, on stderr. JSON reports are strict: a
+non-finite value is written as null.
 """
 
 from __future__ import annotations
@@ -84,9 +86,13 @@ def _copy_move_reference(a: np.ndarray, spec: maskmove.MskMovSpec) -> np.ndarray
     return out
 
 
-def _random_mskmov_case(rng: np.random.Generator, max_dim: int):
-    m = int(rng.integers(1, max_dim + 1))
-    n = int(rng.integers(1, max_dim + 1))
+def _dims(args: argparse.Namespace, rng: np.random.Generator, count: int) -> list[int]:
+    return [int(rng.integers(1, args.max_dim + 1)) for _ in range(count)]
+
+
+# One trial of each capability suite: (args, rng) -> whether it held.
+def _mask_move_trial(args: argparse.Namespace, rng: np.random.Generator) -> bool:
+    m, n = _dims(args, rng, 2)
     i = int(rng.integers(1, m + 1))
     j = int(rng.integers(i, m + 1))
     k = int(rng.integers(1, n + 1))
@@ -95,78 +101,57 @@ def _random_mskmov_case(rng: np.random.Generator, max_dim: int):
     b_off = int(rng.integers(1 - k, n - l + 1))
     spec = maskmove.MskMovSpec(i=i, j=j, k=k, l=l, m=m, n=n, a=a_off, b=b_off)
     mat = rng.uniform(-1.0, 1.0, size=(m, n))
-    return mat, spec
-
-def _suite_mskmov(args: argparse.Namespace, rng: np.random.Generator) -> dict:
-    failures = 0
-    for _ in range(args.trials):
-        mat, spec = _random_mskmov_case(rng, args.max_dim)
-        got = maskmove.mskmov(Matrix.from_array(mat), spec).array
-        if not np.array_equal(got, _copy_move_reference(mat, spec)):
-            failures += 1
-    return {"trials": args.trials, "failures": failures}
+    got = maskmove.mskmov(Matrix.from_array(mat), spec).array
+    return np.array_equal(got, _copy_move_reference(mat, spec))
 
 
-def _suite_const(args: argparse.Namespace, rng: np.random.Generator) -> dict:
-    failures = 0
-    for _ in range(args.trials):
-        m = int(rng.integers(1, args.max_dim + 1))
-        n = int(rng.integers(1, args.max_dim + 1))
-        c = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
-        h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
-        params = attention.const_params(c, (m, n))
-        if args.perturb:
-            flipped = params.b1.to_array()
-            flipped[0, 0] = -1.0 if flipped[0, 0] == 1.0 else 1.0
-            params = attention.ElsaParams(
-                w1=params.w1, w2=params.w2, w3=params.w3,
-                b1=Matrix.from_array(flipped), b2=params.b2, b3=params.b3,
-            )
-        if attention.elsa_forward(h, params) != c:
-            failures += 1
-    return {"trials": args.trials, "failures": failures}
+def _const_trial(args: argparse.Namespace, rng: np.random.Generator) -> bool:
+    m, n = _dims(args, rng, 2)
+    c = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
+    h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
+    params = attention.const_params(c, (m, n))
+    if args.perturb:
+        flipped = params.b1.to_array()
+        flipped[0, 0] = -1.0 if flipped[0, 0] == 1.0 else 1.0
+        params = dataclasses.replace(params, b1=Matrix.from_array(flipped))
+    return attention.elsa_forward(h, params) == c
 
 
-def _suite_skip(args: argparse.Namespace, rng: np.random.Generator) -> dict:
-    failures = 0
-    for _ in range(args.trials):
-        m = int(rng.integers(1, args.max_dim + 1))
-        n = int(rng.integers(1, args.max_dim + 1))
-        h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
-        if attention.elsa_forward(h, attention.skip_params((m, n))) != h:
-            failures += 1
-    return {"trials": args.trials, "failures": failures}
+def _skip_trial(args: argparse.Namespace, rng: np.random.Generator) -> bool:
+    m, n = _dims(args, rng, 2)
+    h = Matrix.from_array(rng.uniform(-1.0, 1.0, size=(m, n)))
+    return attention.elsa_forward(h, attention.skip_params((m, n))) == h
 
 
-def _suite_matmul(args: argparse.Namespace, rng: np.random.Generator, variant: int) -> dict:
-    build = attention.matmul_params_v1 if variant == 1 else attention.matmul_params_v2
-    failures = 0
-    for _ in range(args.trials):
-        r = int(rng.integers(1, args.max_dim + 1))
-        s = int(rng.integers(1, args.max_dim + 1))
-        t = int(rng.integers(1, args.max_dim + 1))
-        a = rng.uniform(-1.0, 1.0, size=(r, s))
-        b = rng.uniform(-1.0, 1.0, size=(s, t))
-        pack, params, blk = build(r, s, t)
-        out = attention.elsa_forward(
-            pack(Matrix.from_array(a), Matrix.from_array(b)), params
-        ).to_array()
-        block = out[blk.row_lo - 1 : blk.row_hi, blk.col_lo - 1 : blk.col_hi]
-        rest = out.copy()
-        rest[blk.row_lo - 1 : blk.row_hi, blk.col_lo - 1 : blk.col_hi] = 0.0
-        if np.max(np.abs(block - a @ b)) > args.tol or np.any(rest != 0.0):
-            failures += 1
-    return {"trials": args.trials, "failures": failures}
+def _matmul_trial(build, args: argparse.Namespace, rng: np.random.Generator) -> bool:
+    r, s, t = _dims(args, rng, 3)
+    a = rng.uniform(-1.0, 1.0, size=(r, s))
+    b = rng.uniform(-1.0, 1.0, size=(s, t))
+    pack, params, blk = build(r, s, t)
+    packed = pack(Matrix.from_array(a), Matrix.from_array(b))
+    out = attention.elsa_forward(packed, params).to_array()
+    rows, cols = slice(blk.row_lo - 1, blk.row_hi), slice(blk.col_lo - 1, blk.col_hi)
+    block = out[rows, cols].copy()
+    out[rows, cols] = 0.0
+    # A NaN error fails the comparison.
+    return np.max(np.abs(block - a @ b)) <= args.tol and not np.any(out)
 
 
-def cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    rngs = _spawn_rngs(args.seed, 5)
+# Each suite draws from its own child generator, spawned in this order.
+SUITES = {
+    "mask_move": _mask_move_trial,
+    "const": _const_trial,
+    "skip": _skip_trial,
+    "matmul_v1": lambda args, rng: _matmul_trial(attention.matmul_params_v1, args, rng),
+    "matmul_v2": lambda args, rng: _matmul_trial(attention.matmul_params_v2, args, rng),
+}
+
+
+def cmd_verify_lemmas(args: argparse.Namespace) -> dict:
     suites = {
-        "mask_move": _suite_mskmov(args, rngs[0]),
-        "const": _suite_const(args, rngs[1]),
-        "skip": _suite_skip(args, rngs[2]),
-        "matmul_v1": _suite_matmul(args, rngs[3], 1),
-        "matmul_v2": _suite_matmul(args, rngs[4], 2),
+        name: {"trials": args.trials,
+               "failures": sum(not trial(args, rng) for _ in range(args.trials))}
+        for (name, trial), rng in zip(SUITES.items(), _spawn_rngs(args.seed, len(SUITES)))
     }
     failing = sorted(name for name, res in suites.items() if res["failures"] > 0)
     report = {
@@ -182,8 +167,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     }
     if args.trials == 0:
         report["warnings"] = ["trials=0: nothing was checked"]
-    _emit_json(report, args.report)
-    return 0 if not failing else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +185,7 @@ def _generate_problem(
     return ridge.make_problem(x, y, u, lam, eta=eta, steps=steps)
 
 
-def cmd_ridge(args: argparse.Namespace) -> int:
+def cmd_ridge(args: argparse.Namespace) -> dict:
     if args.problem:
         problem = ridge.load_problem(args.problem)
         if args.steps is not None:
@@ -232,8 +216,7 @@ def cmd_ridge(args: argparse.Namespace) -> int:
     )
     report["step_tol"] = args.tol
     report["passed"] = passed
-    _emit_json(report, args.report)
-    return 0 if passed else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +233,7 @@ def _generate_dd_system(rng: np.random.Generator, m: int) -> gauss.LinearSystem:
     return gauss.LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
 
 
-def cmd_gauss(args: argparse.Namespace) -> int:
+def cmd_gauss(args: argparse.Namespace) -> dict:
     if args.system:
         system = gauss.load_system(args.system)
     else:
@@ -258,20 +241,20 @@ def cmd_gauss(args: argparse.Namespace) -> int:
             raise ShapeMismatch(f"--size must be at least 2, got {args.size}")
         (rng,) = _spawn_rngs(args.seed, 1)
         system = _generate_dd_system(rng, args.size)
+    table = netcomp.build_invsqr(args.knots)
     mode = "relu" if args.sweep else args.mode
     tol = args.tol if args.tol is not None else (1e-8 if mode == "exact" else 5e-2)
 
     if args.sweep:
-        base = netcomp.build_invsqr(args.knots)
-        lo, hi = base.interior_knots[0], base.interior_knots[-1]
+        lo, hi = table.interior_knots[0], table.interior_knots[-1]
         rows = []
         for n_knots in (64, 128, 256):
-            table = netcomp.build_invsqr(np.geomspace(lo, hi, n_knots + 1))
-            _, report = gauss.solve(system, mode="relu", table=table)
+            refined = netcomp.build_invsqr(np.geomspace(lo, hi, n_knots + 1))
+            _, report = gauss.solve(system, mode="relu", table=refined)
             rows.append({"knots": n_knots, "rel_error_vs_oracle": report["rel_error_vs_oracle"]})
         errs = [row["rel_error_vs_oracle"] for row in rows]
         passed = None not in errs and errs[0] >= errs[1] >= errs[2] and errs[2] <= tol
-        doc = {
+        return {
             "command": "gauss",
             "seed": args.seed,
             "mode": "relu",
@@ -280,11 +263,8 @@ def cmd_gauss(args: argparse.Namespace) -> int:
             "tol": tol,
             "passed": passed,
         }
-        _emit_json(doc, args.report)
-        return 0 if passed else 1
 
-    table = netcomp.build_invsqr(args.knots) if mode == "relu" else None
-    _, report = gauss.solve(system, mode=mode, table=table)
+    _, report = gauss.solve(system, mode=mode, table=table if mode == "relu" else None)
     report["command"] = "gauss"
     report["seed"] = args.seed
     passed = (
@@ -293,8 +273,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     )
     report["tol"] = tol
     report["passed"] = passed
-    _emit_json(report, args.report)
-    return 0 if passed else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +281,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invsqr(args: argparse.Namespace) -> int:
+def cmd_invsqr(args: argparse.Namespace) -> str:
     table = netcomp.build_invsqr(args.knots)
     span = 2.0 * table.cutoff
     xs = np.linspace(-span, span, args.samples)
@@ -316,8 +295,7 @@ def cmd_invsqr(args: argparse.Namespace) -> int:
     writer.writerow(["x", "sigma_invsqr", "inv_square", "abs_err", "rel_err"])
     for row in zip(xs, sig, truth, abs_err, rel_err):
         writer.writerow([repr(float(v)) for v in row])
-    _emit(buf.getvalue(), args.report)
-    return 0
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +378,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command, write its output, and return the exit status.
+
+    A command returns CSV text (exit 0) or a report (exit 0 only when
+    "passed" is True); bad input becomes an error report without "passed".
+    """
     args = _build_parser().parse_args(argv)
     try:
         try:
-            return args.run(args)
+            result = args.run(args)
         except INPUT_ERRORS as exc:
-            report = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
-            _emit_json(report, args.report)
-            return 1
+            result = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+        if isinstance(result, str):
+            _emit(result, args.report)
+            return 0
+        _emit_json(result, args.report)
+        return 0 if result.get("passed") is True else 1
     except OSError as exc:
         sys.stderr.write(f"elsakit: io error: {exc}\n")
         return 2

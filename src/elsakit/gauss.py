@@ -51,7 +51,7 @@ class SingularDetected(ArithmeticError):
 
 
 class PivotBelowTolerance(SingularDetected):
-    """A pivot magnitude fell below the configured tolerance."""
+    """A pivot magnitude fell below PIVOT_TOLERANCE."""
 
 
 class BadSystemFile(ValueError):
@@ -79,16 +79,16 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class EliminationState:
-    """The padded working matrix plus progress and division-mode bookkeeping.
+    """The padded working matrix, progress, and the division's knot table.
 
     stage ("forward", k) means columns 1..k are eliminated; ("backward", t)
     means solution entries t..m sit in the last column. The padded last row
-    stays exactly zero throughout.
+    stays exactly zero throughout. table None means exact division; a knot
+    table means relu division through it.
     """
 
     p: Matrix
     stage: tuple[str, int]
-    mode: str
     table: Optional[PiecewiseInvSqr] = None
 
     @property
@@ -99,16 +99,22 @@ class EliminationState:
 def embed_system(
     sys: LinearSystem, mode: str = "exact", table: Optional[PiecewiseInvSqr] = None
 ) -> EliminationState:
-    """Pad [F | alpha] with a zero last row; entry state of the pipeline."""
-    if mode not in ("exact", "relu"):
+    """Pad [F | alpha] with a zero last row; entry state of the pipeline.
+
+    Mode "relu" divides through table (default_invsqr() if None); mode
+    "exact" takes no table.
+    """
+    if mode == "relu":
+        table = default_invsqr() if table is None else table
+    elif mode != "exact":
         raise ValueError(f"division mode must be 'exact' or 'relu', got {mode!r}")
-    if mode == "relu" and table is None:
-        table = default_invsqr()
+    elif table is not None:
+        raise ValueError("exact division takes no knot table")
     m = sys.m
     p = zeros(m + 1, m + 1)
     p = block_write(p, BlockSpec(1, m, 1, m), sys.f)
     p = block_write(p, BlockSpec(1, m, m + 1, m + 1), sys.alpha)
-    return EliminationState(p=p, stage=("forward", 0), mode=mode, table=table)
+    return EliminationState(p=p, stage=("forward", 0), table=table)
 
 
 def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) -> Matrix:
@@ -120,15 +126,15 @@ def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) ->
     size = x.rows
     spec = MaskSpec(pivot, size, size)
     z = component_forward(x, make_mask_component(spec))
-    r = component_forward(
-        z, make_divider_component(spec, exact=(state.mode == "exact"), table=state.table)
-    )
+    r = component_forward(z, make_divider_component(spec, state.table))
     return skip_mul(r, z, side="left", gamma=gamma)
 
 
-def _check_pivot(value: float, where: str, tol: float) -> None:
-    if abs(value) < tol:
-        raise PivotBelowTolerance(f"pivot {value:.3e} below tolerance {tol:.1e} at {where}")
+def _check_pivot(value: float, where: str) -> None:
+    if abs(value) < PIVOT_TOLERANCE:
+        raise PivotBelowTolerance(
+            f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {where}"
+        )
 
 
 def _eye_without(size: int, idx: int) -> Matrix:
@@ -136,9 +142,7 @@ def _eye_without(size: int, idx: int) -> Matrix:
     return block_write(identity(size), BlockSpec(idx, idx, idx, idx), zeros(1, 1))
 
 
-def forward_eliminate_step(
-    state: EliminationState, k: int, pivot_tol: float = PIVOT_TOLERANCE
-) -> EliminationState:
+def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     """Eliminate column k below the diagonal.
 
     Mask the pivot, invert its square through the activation, recover the
@@ -150,7 +154,7 @@ def forward_eliminate_step(
     size = m + 1
     if state.stage[0] != "forward" or not (1 <= k <= m - 1) or state.stage[1] < k - 1:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
-    _check_pivot(state.p.get(k, k), f"forward step {k}", pivot_tol)
+    _check_pivot(state.p.get(k, k), f"forward step {k}")
 
     z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
     z4 = component_forward(
@@ -162,9 +166,7 @@ def forward_eliminate_step(
     return replace(state, p=p_next, stage=("forward", max(state.stage[1], k)))
 
 
-def backward_substitute_step(
-    state: EliminationState, t: int, pivot_tol: float = PIVOT_TOLERANCE
-) -> EliminationState:
+def backward_substitute_step(state: EliminationState, t: int) -> EliminationState:
     """Materialize solution entry t in the last column.
 
     For t == m this is the pure divide module. For t < m the previously
@@ -188,7 +190,7 @@ def backward_substitute_step(
         )
         z2 = component_forward(z1, make_affine_component(-1.0, identity(size)))
         q = skip_mul(z2, state.p, side="right", gamma=1)
-    _check_pivot(q.get(t, t), f"backward step {t}", pivot_tol)
+    _check_pivot(q.get(t, t), f"backward step {t}")
 
     pivot = BlockSpec(t, t, t, t)
     z6 = _divide(state, q, pivot, gamma=1)
@@ -199,10 +201,7 @@ def backward_substitute_step(
 
 
 def solve(
-    sys: LinearSystem,
-    mode: str = "exact",
-    table: Optional[PiecewiseInvSqr] = None,
-    pivot_tol: float = PIVOT_TOLERANCE,
+    sys: LinearSystem, mode: str = "exact", table: Optional[PiecewiseInvSqr] = None
 ) -> tuple[Matrix, dict]:
     """Run the full component pipeline; return the solution and a report.
 
@@ -215,7 +214,7 @@ def solve(
     pivots: list[float] = []
     flags: list[str] = []
     knot_range = None
-    if state.mode == "relu":
+    if state.table is not None:
         knot_range = (
             float(state.table.interior_knots[0]),
             float(state.table.interior_knots[-1]),
@@ -228,10 +227,10 @@ def solve(
 
     for k in range(1, m):
         note_pivot(state.p.get(k, k), f"FE{k}")
-        state = forward_eliminate_step(state, k, pivot_tol)
+        state = forward_eliminate_step(state, k)
     for t in range(m, 0, -1):
         note_pivot(state.p.get(t, t), f"BS{t}")
-        state = backward_substitute_step(state, t, pivot_tol)
+        state = backward_substitute_step(state, t)
 
     x = block_read(state.p, BlockSpec(1, m, m + 1, m + 1))
     residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))

@@ -34,17 +34,17 @@ from .maskmove import MaskSpec, mask_matrix
 
 
 class BadKnotSpec(ValueError):
-    """A knot specification is unparsable or not increasing/positive."""
+    """A knot specification is unparsable, non-finite or not increasing/positive."""
 
 
 @dataclass(frozen=True)
 class PiecewiseInvSqr:
     """Knot table for the piecewise-linear approximation of 1/x^2.
 
-    knots holds x_1 < ... < x_{K}, values the matching ordinates; the final
-    knot is the cutoff with value 0, every earlier knot carries 1/x^2
-    exactly. x_0 = 0 is implicit and the value is capped at values[0] on
-    [-x_1, x_1].
+    knots holds finite x_1 < ... < x_{K}, values the matching finite
+    ordinates; the final knot is the cutoff with value 0, every earlier knot
+    carries 1/x^2 exactly. x_0 = 0 is implicit and the value is capped at
+    values[0] on [-x_1, x_1].
     """
 
     knots: np.ndarray
@@ -54,6 +54,9 @@ class PiecewiseInvSqr:
         xs, ys = self.knots, self.values
         if xs.ndim != 1 or xs.size < 2 or ys.shape != xs.shape:
             raise BadKnotSpec("need at least two knots with matching values")
+        # NaN passes every order comparison below, so check finiteness first.
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise BadKnotSpec("knots and their values must be finite")
         if xs[0] <= 0 or np.any(np.diff(xs) <= 0):
             raise BadKnotSpec("knots must be positive and strictly increasing")
         if np.any(np.diff(ys) >= 0):
@@ -118,12 +121,13 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
 
     if interior.size < 2:
         raise BadKnotSpec("need at least two f-matched knots")
-    if interior[0] <= 0 or np.any(np.diff(interior) <= 0):
-        raise BadKnotSpec("knots must be positive and strictly increasing")
-    cutoff = interior[-1] * (interior[-1] / interior[-2])
-    knots = np.concatenate([interior, [cutoff]])
-    values = np.concatenate([1.0 / interior**2, [0.0]])
-    return PiecewiseInvSqr(knots=knots, values=values)
+    # An inf or NaN made here (overflow, inf - inf) fails the table's finiteness check.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if interior[0] <= 0 or np.any(np.diff(interior) <= 0):
+            raise BadKnotSpec("knots must be positive and strictly increasing")
+        cutoff = interior[-1] * (interior[-1] / interior[-2])
+        values = np.concatenate([1.0 / interior**2, [0.0]])
+    return PiecewiseInvSqr(knots=np.concatenate([interior, [cutoff]]), values=values)
 
 
 DEFAULT_KNOT_SPEC = "geometric:x1=1e-2,xmax=1e2,n=128"
@@ -279,13 +283,15 @@ def make_mask_component(spec: MaskSpec) -> NetworkComponent:
     )
 
 
-def make_divider_component(
-    spec: MaskSpec, exact: bool, table: PiecewiseInvSqr | None = None
-) -> NetworkComponent:
-    """Single-head component applying the 1/x^2 activation under a mask."""
+def make_divider_component(spec: MaskSpec, table: PiecewiseInvSqr | None) -> NetworkComponent:
+    """Single-head component applying 1/x^2 under a mask.
+
+    table None means exact 1/x^2 ("invsqr_exact"); a knot table means its
+    ReLU approximation ("invsqr").
+    """
     return NetworkComponent(
         w=(1.0,), v=(mask_matrix(spec),), b=(0.0,), c=(0.0,),
-        activation="invsqr_exact" if exact else "invsqr",
+        activation="invsqr_exact" if table is None else "invsqr",
         table=table,
     )
 

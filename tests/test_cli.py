@@ -313,6 +313,33 @@ class TestRidgeExitCodeProperty:
         assert (code == 0) == (report.get("passed") is True)
 
 
+EXIT_RULE = {
+    "verify_default": (["verify-lemmas"], True),
+    "verify_perturb": (["verify-lemmas", "--perturb"], False),
+    "ridge_default": (["ridge"], True),
+    "ridge_divergent": (["ridge", "--eta", "10", "--steps", "40"], False),
+    "gauss_default": (["gauss"], True),
+    "gauss_tight_tol": (["gauss", "--mode", "relu", "--size", "4", "--tol", "1e-12"], False),
+    "sweep_refines": (["gauss", "--mode", "relu", "--size", "6", "--seed", "2", "--sweep"], True),
+    "sweep_stalls": (["gauss", "--size", "3", "--knots", "explicit:1,2", "--sweep"], False),
+}
+
+
+class TestExitRule:
+    """Every report command: exit 0 exactly when the one report says passed."""
+
+    @pytest.mark.parametrize("name", EXIT_RULE, ids=str)
+    def test_exit_code_follows_report(self, tmp_path, capsys, name):
+        args, verdict = EXIT_RULE[name]
+        code, out = run_cli(args, capsys)
+        report = json.loads(out, parse_constant=reject_constant)  # exactly one document
+        assert report["passed"] is verdict
+        assert (code == 0) == (report["passed"] is True)
+        path = tmp_path / "report.json"
+        assert run_cli([*args, "--report", str(path)], capsys) == (code, "")
+        assert path.read_text() == out
+
+
 class TestGaussCommand:
     def test_exact_mode_passes(self, capsys):
         code, out = run_cli(["gauss", "--mode", "exact", "--size", "8", "--seed", "2"], capsys)
@@ -368,7 +395,10 @@ class TestGaussCommand:
     @pytest.mark.parametrize("args", [
         ["--mode", "relu", "--knots", "bogus"],
         ["--mode", "relu", "--sweep", "--knots", "geometric:x1=1,xmax=0.5,n=3"],
-    ], ids=["relu", "sweep"])
+        ["--mode", "relu", "--knots", "explicit:1,nan,3"],
+        ["--mode", "relu", "--knots", "explicit:1e-200,1e-100"],
+        ["--mode", "exact", "--knots", "garbage"],
+    ], ids=["relu", "sweep", "relu_nan", "relu_overflow", "exact"])
     def test_bad_knot_spec(self, capsys, args):
         code, out = run_cli(["gauss", "--size", "4", *args], capsys)
         report = json.loads(out)
@@ -436,6 +466,14 @@ class TestInvsqrCommand:
 
     def test_bad_knot_spec(self, capsys):
         code, out = run_cli(["invsqr", "--knots", "explicit:2,1"], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == "BadKnotSpec"
+
+    # NaN passes every order check; 1e-200 squares to 0, so its value is inf.
+    @pytest.mark.parametrize("knots", ["explicit:1,nan,3", "explicit:1e-200,1e-100"],
+                             ids=["nan", "overflow"])
+    def test_non_finite_knot_table(self, capsys, knots):
+        code, out = run_cli(["invsqr", "--knots", knots], capsys)
         assert code == 1
         assert json.loads(out)["error"] == "BadKnotSpec"
 

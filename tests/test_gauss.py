@@ -62,6 +62,13 @@ class TestEmbed:
         with pytest.raises(Exception):
             LinearSystem(f=identity(2), alpha=zeros(3, 1))
 
+    def test_exact_mode_rejects_a_table(self):
+        table = build_invsqr("explicit:1,2")
+        with pytest.raises(ValueError, match="no knot table"):
+            embed_system(TWO_BY_TWO, mode="exact", table=table)
+        with pytest.raises(ValueError, match="no knot table"):
+            solve(TWO_BY_TWO, mode="exact", table=table)
+
 
 class TestForwardStep:
     def test_first_column_by_hand(self):

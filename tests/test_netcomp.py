@@ -191,6 +191,24 @@ class TestBuildInvsqr:
         with pytest.raises(BadKnotSpec):
             build_invsqr("quadratic:x1=1,xmax=2,n=4")
 
+    @pytest.mark.parametrize("interior", [
+        [1.0, np.nan, 3.0],
+        [1.0, 2.0, np.inf],
+        [np.inf, np.inf],  # inf - inf is NaN
+        [1e-200, 1e-100],  # 1/x^2 overflows to inf
+        [1e300, 1e308],  # the cutoff knot overflows to inf
+    ], ids=["nan", "inf", "two_inf", "value_overflow", "cutoff_overflow"])
+    def test_non_finite_tables_rejected(self, interior):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadKnotSpec, match="finite"):
+                build_invsqr(interior)
+
+    def test_table_itself_checks_finiteness(self):
+        with pytest.raises(BadKnotSpec, match="finite"):
+            netcomp.PiecewiseInvSqr(knots=np.array([1.0, np.nan, 3.0]),
+                                    values=np.array([1.0, 0.5, 0.0]))
+
 
 class TestInvsqrEval:
     def test_frozen_small_table_values(self):
@@ -306,15 +324,14 @@ class TestApproxReciprocal:
 class TestDividerComponent:
     def test_masked_exact_reciprocal_square(self):
         x = Matrix([[4.0, 7.0], [3.0, 0.0]])
-        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 2, 2), exact=True)
+        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 2, 2), None)
         got = component_forward(x, comp)
         assert got == Matrix([[0.0625, 0.0], [0.0, 0.0]])
 
     def test_masked_table_reciprocal_square(self):
         t = build_invsqr([1.0, 2.0, 4.0])
         x = Matrix([[2.0, 9.0], [1.0, 5.0]])
-        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 2, 2),
-                                      exact=False, table=t)
+        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 2, 2), t)
         got = component_forward(x, comp)
         assert got == Matrix([[0.25, 0.0], [0.0, 0.0]])
 
@@ -322,7 +339,7 @@ class TestDividerComponent:
         # 1/(1e-200)^2 overflows to inf; evaluated densely, 0 * inf would put
         # NaN at (3, 2) although the mask drops that entry.
         x = Matrix([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-200, 0.0]])
-        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 3, 3), exact=True)
+        comp = make_divider_component(MaskSpec(BlockSpec(1, 1, 1, 1), 3, 3), None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = component_forward(x, comp)
@@ -349,7 +366,7 @@ class TestDividerMatchesDenseOracle:
     def test_divider_component(self, mask, exact):
         rng = np.random.default_rng(14)
         spec = DIVIDER_MASKS[mask]
-        comp = make_divider_component(spec, exact=exact, table=default_invsqr())
+        comp = make_divider_component(spec, None if exact else default_invsqr())
         for _ in range(5):
             x = rng.normal(scale=10.0, size=(5, 6)) * rng.choice([1e-2, 1.0, 1e2], size=(5, 6))
             x[rng.random((5, 6)) < 0.2] = 0.0
@@ -389,9 +406,8 @@ COMPONENTS = {
     "affine_zero_gain": lambda rng: make_affine_component(0.0, identity(5)),
     "mask": lambda rng: make_mask_component(BLOCK),
     "anti_mask": lambda rng: make_mask_component(MaskSpec(BlockSpec(2, 4, 3, 3), 5, 6, anti=True)),
-    "exact_divider": lambda rng: make_divider_component(BLOCK, exact=True),
-    "table_divider": lambda rng: make_divider_component(BLOCK, exact=False,
-                                                        table=default_invsqr()),
+    "exact_divider": lambda rng: make_divider_component(BLOCK, None),
+    "table_divider": lambda rng: make_divider_component(BLOCK, default_invsqr()),
     "exact_float_v": lambda rng: NetworkComponent(
         w=(rand(rng, 4, 3),), v=(0.5,), b=(0.0,), c=(-2.0,), activation="invsqr_exact"),
     "table_float_v": lambda rng: NetworkComponent(
