@@ -6,12 +6,20 @@ the three projected inputs. With suitable parameters the extended form
 can emit any constant matrix, reproduce its input (a skip connection),
 or place the product of two packed submatrices into a designated block;
 the builders below construct those parameter sets.
+
+:func:`lsa_forward`, :func:`elsa_forward` and :func:`multihead_forward`
+are the literal dense computation and the oracle for everything else.
+:func:`compile_head` is a view of the same weights restricted to the
+rows and columns they touch; :func:`compiled_forward` runs a block of
+such heads on an ndarray and is what the ridge pipelines execute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .matrix import (
     BlockSpec,
@@ -104,6 +112,91 @@ def multihead_forward(h: Matrix, heads: Sequence[AnyHead]) -> Matrix:
     for p in heads:
         term = elsa_forward(h, p) if isinstance(p, ElsaParams) else lsa_forward(h, p)
         out = term if out is None else add(out, term)
+    return out
+
+
+Index = Union[np.ndarray, slice]
+
+
+def _index(ix: np.ndarray) -> Index:
+    """A sorted index set, as a slice when it is one contiguous run (a view, not a copy)."""
+    if ix.size and ix[-1] - ix[0] + 1 == ix.size:
+        return slice(int(ix[0]), int(ix[-1]) + 1)
+    return ix
+
+
+class _Projection(NamedTuple):
+    """One projection H W + B restricted to its support."""
+
+    rows: Index  # R: rows of W[:, C] with a nonzero entry
+    cols: Index  # C: columns where W or B has a nonzero entry
+    w: np.ndarray  # W[R, C]
+    b: Optional[np.ndarray]  # B[:, C], or None when B is absent or all zero
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        t = h[:, self.rows] @ self.w
+        return t if self.b is None else t + self.b
+
+
+def _project(w: Matrix, b: Optional[Matrix]) -> _Projection:
+    touched = w.array != 0.0
+    used = touched.any(axis=0)
+    if b is not None:
+        used |= (b.array != 0.0).any(axis=0)
+    cols = np.flatnonzero(used)
+    rows = np.flatnonzero(touched[:, cols].any(axis=1))
+    bias = b.array[:, cols] if b is not None and b.array.any() else None
+    return _Projection(_index(rows), _index(cols), w.array[np.ix_(rows, cols)], bias)
+
+
+class CompiledHead(NamedTuple):
+    """A head restricted to the rows and columns its weights touch; see :func:`compile_head`."""
+
+    p1: _Projection
+    p2: _Projection
+    p3: _Projection
+    k1: Index  # positions of K = C1 & C3 within C1
+    k3: Index  # positions of K within C3
+    input_shape: tuple[Optional[int], int]  # (rows or None for a plain head, width)
+
+
+def compile_head(p: AnyHead) -> CompiledHead:
+    """The support-restricted view of one head, for :func:`compiled_forward`.
+
+    Projection l keeps only the columns C_l where W_l or B_l is nonzero and
+    the rows R_l where W_l[:, C_l] is nonzero, so t_l = H[:, R_l] W_l[R_l, C_l]
+    (+ B_l[:, C_l]) is the nonzero part of H W_l + B_l. The output is nonzero
+    only in the columns C2, and only the columns K = C1 & C3 of t1 and t3
+    meet. The products keep the literal forward's parenthesization, so a head
+    whose supports are full computes exactly what the literal forward does.
+    The view is exact for finite prompts: it skips the 0 * inf terms that
+    turn the dense forward's output into NaN, and :class:`Matrix` keeps
+    user-built prompts finite.
+    """
+    biases = (p.b1, p.b2, p.b3) if isinstance(p, ElsaParams) else (None, None, None)
+    p1, p2, p3 = (_project(w, b) for w, b in zip((p.w1, p.w2, p.w3), biases))
+    n = p.w1.rows
+    cols1, cols3 = np.arange(n)[p1.cols], np.arange(n)[p3.cols]
+    _, k1, k3 = np.intersect1d(cols1, cols3, assume_unique=True, return_indices=True)
+    rows = p.input_shape[0] if isinstance(p, ElsaParams) else None
+    return CompiledHead(p1, p2, p3, _index(k1), _index(k3), (rows, n))
+
+
+def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray:
+    """Sum of the compiled heads' forwards on h, in head order.
+
+    Equals :func:`multihead_forward` of the uncompiled heads on finite h:
+    exactly outside the heads' output columns, and to rounding inside them.
+    """
+    if not block:
+        raise EmptyHeads("multi-head forward needs at least one head")
+    out = np.zeros(h.shape)
+    for c in block:
+        rows, width = c.input_shape
+        if h.shape[1] != width or rows not in (None, h.shape[0]):
+            raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
+        t1, t2, t3 = c.p1.apply(h), c.p2.apply(h), c.p3.apply(h)
+        out[:, c.p2.cols] += t3[:, c.k3] @ (t1[:, c.k1].T @ t2)
     return out
 
 

@@ -21,19 +21,30 @@ produce them, and no block carries an all-zero padding head:
   showing that the extended form subsumes the plain one.
 
 Programs are built once and shared across iterations; the readout writes
-u^T w_T into the program's reserved cell.
+u^T w_T into the program's reserved cell. The run loop executes each
+program's compiled view (:attr:`Program.compiled`): every head restricted
+to the rows and columns its weights touch, compiled once per program. The
+literal dense forwards in :mod:`elsakit.attention` stay the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .attention import ElsaParams, LsaParams, multihead_forward, skip_params
-from .matrix import BlockSpec, Matrix, add, block_read, block_write, identity, scale, transpose, zeros
+from .attention import (
+    CompiledHead,
+    ElsaParams,
+    LsaParams,
+    compile_head,
+    compiled_forward,
+    skip_params,
+)
+from .matrix import BlockSpec, Matrix, block_read, block_write, identity, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import RidgeProblem, SingularSystem, gd_run, predict, ridge_closed_form
 
@@ -84,6 +95,12 @@ class EnumeratedLayout:
 
 Layout = Union[DesignedLayout, EnumeratedLayout]
 Block = tuple[Union[LsaParams, ElsaParams], ...]
+CompiledModule = tuple[tuple[CompiledHead, ...], ...]
+
+
+class CompiledProgram(NamedTuple):
+    step: CompiledModule
+    readout: CompiledModule
 
 
 @dataclass(frozen=True)
@@ -114,6 +131,15 @@ class Program:
     step: tuple[Block, ...]
     readout: tuple[Block, ...]
     cell: tuple[int, int]
+
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """Both modules with every head compiled once; it lives and dies with the program."""
+
+        def compile_module(blocks: tuple[Block, ...]) -> CompiledModule:
+            return tuple(tuple(compile_head(p) for p in block) for block in blocks)
+
+        return CompiledProgram(compile_module(self.step), compile_module(self.readout))
 
 
 def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
@@ -318,24 +344,25 @@ def wrap_designed_as_elsa(prog: Program) -> Program:
     )
 
 
-def _run_module(state: PipelineState, prog: Program, blocks: tuple[Block, ...]) -> Matrix:
+def _run_module(state: PipelineState, prog: Program, blocks: CompiledModule) -> Matrix:
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
-    out = state.h
+    h = state.h.array
+    out = h
     for block in blocks:
-        out = multihead_forward(out, block)
-    return add(out, state.h)
+        out = compiled_forward(out, block)
+    return Matrix.from_array(out + h)
 
 
 def step(state: PipelineState, prog: Program) -> PipelineState:
     """One descent step: the step blocks, then the skip connection."""
-    h = _run_module(state, prog, prog.step)
+    h = _run_module(state, prog, prog.compiled.step)
     return PipelineState(h=h, layout=state.layout)
 
 
 def readout(state: PipelineState, prog: Program) -> tuple[Matrix, float]:
     """Apply the readout module; returns the final prompt and the prediction cell."""
-    h_final = _run_module(state, prog, prog.readout)
+    h_final = _run_module(state, prog, prog.compiled.readout)
     return h_final, h_final.get(*prog.cell)
 
 

@@ -4,10 +4,14 @@ Nothing here imports from the package's computational paths: products are
 naive triple loops, the move operation is a literal copy loop, the division
 approximator oracle is np.interp on the knot table, the component oracle
 applies the activation to every entry before weighting, and the elimination
-shadow updates rows with plain scalar arithmetic.
+shadow updates rows with plain scalar arithmetic. The one exception is
+literal_run_module, which chains the package's dense attention forwards:
+those are the literal construction the compiled pipeline heads must match.
 """
 
 import numpy as np
+
+from elsakit import add, multihead_forward
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,6 +83,14 @@ def dense_component_forward(x: np.ndarray, comp, table_eval) -> np.ndarray:
         w, v, b, c = map(dense, head)
         acc += v * sigma(w * x + b) + c
     return acc
+
+
+def literal_run_module(h, blocks):
+    """A pipeline module run literally: each block's dense multi-head forward, then the skip."""
+    out = h
+    for block in blocks:
+        out = multihead_forward(out, block)
+    return add(out, h)
 
 
 def shadow_forward_step(p: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,10 @@ from elsakit import (
     Matrix,
     MskMovSpec,
     block_write,
+    build_designed_weights,
+    build_enumerated_weights,
+    compile_head,
+    compiled_forward,
     const_params,
     elsa_forward,
     identity,
@@ -24,6 +28,7 @@ from elsakit import (
     scale,
     skip_params,
     transpose,
+    wrap_designed_as_elsa,
     zeros,
 )
 from oracles import naive_matmul
@@ -215,3 +220,70 @@ class TestMatmulBuilders:
         pack, _, _ = matmul_params_v1(2, 3, 2)
         with pytest.raises(Exception):
             pack(zeros(3, 2), zeros(3, 2))
+
+
+def compiled_and_literal(h: Matrix, heads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compiled and literal forwards of one block, and the mask of the compiled output columns."""
+    compiled = [compile_head(p) for p in heads]
+    out_cols = np.zeros(h.cols, dtype=bool)
+    for c in compiled:
+        out_cols[c.p2.cols] = True
+    return compiled_forward(h.array, compiled), multihead_forward(h, heads).array, out_cols
+
+
+def assert_compiled_matches(h: Matrix, heads) -> None:
+    """Exactly zero outside the output columns, within 1e-14 relative inside them."""
+    got, want, out_cols = compiled_and_literal(h, heads)
+    assert np.all(got[:, ~out_cols] == 0.0) and np.all(want[:, ~out_cols] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+class TestCompiledHead:
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 2), (5, 8), (8, 5), (8, 8)])
+    def test_const_and_skip_heads(self, m, n):
+        rng = np.random.default_rng(300 * m + n)
+        for _ in range(10):
+            h = rand(rng, m, n)
+            assert_compiled_matches(h, (const_params(rand(rng, m, n), (m, n)),))
+            assert_compiled_matches(h, (skip_params((m, n)),))
+
+    @pytest.mark.parametrize("builder", [matmul_params_v1, matmul_params_v2])
+    def test_matmul_heads(self, builder):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            r, s, t = rng.integers(1, 9, size=3)
+            pack, params, _ = builder(r, s, t)
+            h = pack(rand(rng, r, s), rand(rng, s, t))
+            assert_compiled_matches(h, (params,))
+
+    def test_full_support_heads_are_bitwise_literal(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            m, n = rng.integers(1, 10, size=2)
+            heads = (lsa_params_random(rng, n), elsa_params_random(rng, m, n))
+            for block in (heads[:1], heads[1:], heads):
+                got, want, _ = compiled_and_literal(rand(rng, m, n), block)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4)])
+    def test_every_pipeline_head(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        designed = build_designed_weights(n, d)
+        for prog in (designed, build_enumerated_weights(n, d), wrap_designed_as_elsa(designed)):
+            for block in prog.step + prog.readout:
+                h = rand(rng, *prog.layout.shape)
+                assert_compiled_matches(h, block)
+                for head in block:
+                    assert_compiled_matches(h, (head,))
+
+    def test_shape_checks(self):
+        rng = np.random.default_rng(14)
+        plain = compile_head(lsa_params_random(rng, 3))
+        extended = compile_head(elsa_params_random(rng, 2, 3))
+        with pytest.raises(EmptyHeads):
+            compiled_forward(np.zeros((2, 3)), ())
+        with pytest.raises(DimensionMismatch):
+            compiled_forward(np.zeros((2, 4)), (plain,))
+        with pytest.raises(DimensionMismatch):
+            compiled_forward(np.zeros((1, 3)), (extended,))
+        assert compiled_forward(np.zeros((5, 3)), (plain,)).shape == (5, 3)

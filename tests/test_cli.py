@@ -129,10 +129,11 @@ class TestRidgeCommand:
         assert json.loads(out)["error"] == "BadProblemFile"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergent_rate_fails_with_strict_json(self, capsys):
+    @pytest.mark.parametrize("form", ["lsa", "elsa"])
+    def test_divergent_rate_fails_with_strict_json(self, form, capsys):
         code, out = run_cli(
             ["ridge", "--n", "5", "--d", "3", "--lambda", "0", "--eta", "100",
-             "--steps", "400"], capsys
+             "--steps", "400", "--form", form], capsys
         )
         report = json.loads(out, parse_constant=reject_constant)
         assert code == 1

@@ -1,7 +1,9 @@
 """In-context descent pipelines against the ridge oracle."""
 
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from elsakit import (
     GdState,
     LayoutMismatch,
     Matrix,
+    PipelineState,
     build_designed_input,
     build_designed_weights,
     build_enumerated_input,
@@ -31,7 +34,7 @@ from elsakit import (
     wrap_designed_as_elsa,
     zeros,
 )
-from oracles import random_ridge_arrays
+from oracles import literal_run_module, random_ridge_arrays
 
 
 def problem(rng, n, d, lam=0.5, eta="auto", steps=5, w0=None):
@@ -385,3 +388,49 @@ class TestStructuralInvariants:
             for block in prog.step + prog.readout:
                 for head in block:
                     assert any(np.any(m.array) for m in vars(head).values()), name
+
+
+class TestCompiledProgram:
+    """The run loop executes compiled heads; the literal dense module is the oracle."""
+
+    @staticmethod
+    def programs(p):
+        designed = build_designed_weights(p.n, p.d)
+        return {
+            "designed": (designed, build_designed_input(p)),
+            "enumerated": (build_enumerated_weights(p.n, p.d), build_enumerated_input(p)),
+            "wrapped": (wrap_designed_as_elsa(designed), build_designed_input(p)),
+        }
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_steps_and_readout_match_literal_module(self, n, d):
+        rng = np.random.default_rng(40 + n)
+        p = problem(rng, n, d, steps=60, w0=rng.normal(size=(d, 1)))
+        for name, (prog, state) in self.programs(p).items():
+            w_col = prog.layout.w_col - 1
+            for _ in range(p.steps):
+                got = step(state, prog).h.array
+                want = literal_run_module(state.h, prog.step).array
+                assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), name
+                others = np.arange(got.shape[1]) != w_col
+                assert np.array_equal(got[:, others], state.h.array[:, others]), name
+                state = PipelineState(h=Matrix.from_array(got), layout=state.layout)
+            h_final, pred = readout(state, prog)
+            want = literal_run_module(state.h, prog.readout).get(*prog.cell)
+            assert abs(pred - want) <= 1e-14 * max(1.0, abs(want)), name
+            changed = h_final.array != state.h.array
+            changed[prog.cell[0] - 1, prog.cell[1] - 1] = False
+            assert not changed.any(), name
+
+    def test_compiled_view_dies_with_program(self):
+        rng = np.random.default_rng(44)
+        p = problem(rng, n=4, d=2, steps=3)
+        prog = build_enumerated_weights(p.n, p.d)
+        assert prog.compiled is prog.compiled
+        head = weakref.ref(prog.step[0][0])
+        compiled_weights = weakref.ref(prog.compiled.step[0][0].p1.w)
+        run_program(prog, build_enumerated_input(p), p.steps)
+        del prog
+        gc.collect()
+        assert head() is None
+        assert compiled_weights() is None
