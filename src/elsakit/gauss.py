@@ -28,6 +28,7 @@ from .matrix import (
     block_read,
     block_write,
     identity,
+    json_entries,
     matmul,
     zeros,
 )
@@ -275,7 +276,8 @@ def system_from_json(text: str) -> LinearSystem:
     """Parse {"F", "alpha"}; every malformed document raises BadSystemFile."""
     try:
         doc = json.loads(text)
-        return LinearSystem(f=Matrix(doc["F"]), alpha=Matrix.column(doc["alpha"]))
+        f = Matrix(json_entries("F", doc["F"]))
+        return LinearSystem(f=f, alpha=Matrix.column(json_entries("alpha", doc["alpha"])))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadSystemFile(f"malformed linear system: {exc}") from exc
 

@@ -129,6 +129,21 @@ class BlockSpec:
         return self.col_hi - self.col_lo + 1
 
 
+def json_entries(key: str, value):
+    """value, if every leaf of its nested lists is a JSON number; else TypeError.
+
+    File parsers call this first: :class:`Matrix` would coerce true or "1" to a float.
+    """
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"{key} entries must be JSON numbers, got {v!r}")
+    return value
+
+
 def identity(m: int) -> Matrix:
     """The m-by-m identity."""
     if m < 1:

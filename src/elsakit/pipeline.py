@@ -3,9 +3,10 @@
 Every pipeline is one :class:`Program`: a prompt layout, a step module
 run T times, and a readout module run once. A module is a sequence of
 blocks, each a tuple of heads summed on the previous block's output,
-followed by a skip connection that adds the module's input prompt back.
-One run loop, :func:`run_program`, executes any program. Three builders
-produce them, and no block carries an all-zero padding head:
+followed by the one skip connection, which adds the module's input prompt
+back. One run loop, :func:`run_program`, executes any program. Three
+builders produce them; no block carries an all-zero padding head and no
+block returns its input unchanged:
 
 * designed: a (d+1)-by-s prompt, s = 2n+d+3, carrying sqrt(eta)-scaled
   copies of X and y, a sqrt(eta*lam) identity, the query u, and the
@@ -14,11 +15,10 @@ produce them, and no block carries an all-zero padding head:
 * enumerated: a d-by-s prompt, s = 2n+2d+3, listing X, a padded target
   block, lam*I, sqrt(eta)*I, u, a scratch column for the prediction, and
   the coefficient column, with no coupled scalings. The step is a 4-head
-  bias-extended block followed by a 1-head contraction; the readout is a
-  1-head block followed by a 1-head skip block.
-* zero-bias wrap: the designed program re-expressed with bias-extended
-  heads (zero biases), each module followed by a 1-head skip block,
-  showing that the extended form subsumes the plain one.
+  bias-extended block followed by a 1-head contraction; the readout is
+  one 1-head block.
+* zero-bias wrap: the designed program with every head bias-extended
+  (zero biases), showing that the extended form subsumes the plain one.
 
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell. The run loop executes each
@@ -36,14 +36,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .attention import (
-    CompiledHead,
-    ElsaParams,
-    LsaParams,
-    compile_head,
-    compiled_forward,
-    skip_params,
-)
+from .attention import CompiledHead, ElsaParams, LsaParams, compile_head, compiled_forward
 from .matrix import BlockSpec, Matrix, block_read, block_write, identity, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import RidgeProblem, SingularSystem, gd_run, predict, ridge_closed_form
@@ -252,12 +245,11 @@ def build_enumerated_weights(n: int, d: int) -> Program:
     negated cross term from the padded target block, and a marker head
     placing -eta*I next to the scratch columns. The second block is the one
     head contracting the marker against the assembled gradient, leaving
-    -eta*dw in the last column. The readout is a 1-head block moving u^T w
-    into the scratch cell, then a 1-head skip block.
+    -eta*dw in the last column. The readout is one 1-head block moving u^T w
+    into the scratch cell.
     """
     layout = EnumeratedLayout(n=n, d=d)
     s = layout.s
-    shape = layout.shape
     zs = zeros(s, s)
     zb = zeros(d, s)
 
@@ -311,8 +303,7 @@ def build_enumerated_weights(n: int, d: int) -> Program:
         w1=q1, w2=q2, w3=zs, b1=zb, b2=zb,
         b3=block_write(zeros(d, s), BlockSpec(1, 1, 1, 1), Matrix([[1.0]])),
     )
-    readout_blocks = ((read1,), (skip_params(shape),))
-    return Program(layout=layout, step=step_blocks, readout=readout_blocks, cell=(1, layout.z_col))
+    return Program(layout=layout, step=step_blocks, readout=((read1,),), cell=(1, layout.z_col))
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +312,19 @@ def build_enumerated_weights(n: int, d: int) -> Program:
 
 
 def wrap_designed_as_elsa(prog: Program) -> Program:
-    """The designed program expressed as two bias-extended blocks per module.
+    """The designed program with every head bias-extended, all biases zero.
 
-    The first block holds the plain heads with zero biases (3 in the step,
-    1 in the readout); the second is a 1-head skip connection. Running it
-    must reproduce the designed pipeline trace exactly.
+    Same blocks, same heads (3 in the step, 1 in the readout), same weights;
+    the module's own skip connection needs no head. Running it reproduces
+    the designed pipeline trace exactly.
     """
-    shape = prog.layout.shape
-    zb = zeros(*shape)
-
-    def as_elsa(p: LsaParams) -> ElsaParams:
-        return ElsaParams(w1=p.w1, w2=p.w2, w3=p.w3, b1=zb, b2=zb, b3=zb)
-
-    skip_block = (skip_params(shape),)
+    zb = zeros(*prog.layout.shape)
 
     def wrap(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
-        (plain,) = blocks
-        return (tuple(as_elsa(p) for p in plain), skip_block)
+        return tuple(
+            tuple(ElsaParams(w1=p.w1, w2=p.w2, w3=p.w3, b1=zb, b2=zb, b3=zb) for p in block)
+            for block in blocks
+        )
 
     return Program(
         layout=prog.layout, step=wrap(prog.step), readout=wrap(prog.readout), cell=prog.cell

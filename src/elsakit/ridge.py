@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .matrix import DimensionMismatch, Matrix, ShapeMismatch
+from .matrix import DimensionMismatch, Matrix, ShapeMismatch, json_entries
 
 
 class SingularSystem(ArithmeticError):
@@ -152,32 +152,26 @@ def gd_run(p: RidgeProblem) -> tuple[GdState, list[Matrix]]:
     return state, trace
 
 
+def _gram_spectrum(x: Matrix) -> np.ndarray:
+    """Ascending eigenvalues of X^T X by np.linalg.eigvalsh; all NaN if X^T X overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.array.T @ x.array
+    if not np.all(np.isfinite(g)):
+        return np.full(x.cols, np.nan)
+    return np.linalg.eigvalsh(g)
+
+
 def stable_eta_for(x: Matrix, lam: float) -> float:
-    """eta = 1 / (sigma_max(X)^2 + lam), sigma_max estimated by power iteration.
+    """eta = 1 / (lambda_max(X^T X) + lam), lambda_max the top of the eigvalsh spectrum.
 
     Guarantees the descent map contracts: every eigenvalue of
     I - eta (X^T X + lam I) lies in (-1, 1] with equality only for a
-    zero eigendirection at lam = 0.
+    zero eigendirection at lam = 0. Raises ValueError when X^T X is not
+    finite.
     """
-    g = x.array.T @ x.array
-    d = g.shape[0]
-    # Deterministic, non-symmetric start so no eigendirection is missed
-    # by accident of symmetry.
-    v = 1.0 + np.arange(d) / max(1, d)
-    v /= np.linalg.norm(v)
-    lam_max = 0.0
-    for _ in range(500):
-        gv = g @ v
-        norm = np.linalg.norm(gv)
-        if norm == 0.0:
-            lam_max = 0.0
-            break
-        new_est = float(v @ gv)
-        v = gv / norm
-        if abs(new_est - lam_max) <= 1e-13 * max(1.0, abs(new_est)):
-            lam_max = new_est
-            break
-        lam_max = new_est
+    lam_max = float(_gram_spectrum(x)[-1])
+    if np.isnan(lam_max):
+        raise ValueError("the Gram matrix X^T X is not finite (it overflows); eta undefined")
     denom = lam_max + lam
     if denom <= 0.0:
         raise SingularSystem("X^T X + lam I has no positive spectrum; eta undefined")
@@ -187,12 +181,10 @@ def stable_eta_for(x: Matrix, lam: float) -> float:
 def contraction(p: RidgeProblem) -> float:
     """max |1 - eta * eig(X^T X + lam I)|, the descent map's contraction factor.
 
-    Computed by np.linalg.eigvalsh, not from the power-iteration estimate
-    behind stable_eta_for. Above 1 the descent diverges along some
-    eigendirection.
+    Reads the same eigvalsh spectrum of X^T X as stable_eta_for (NaN when
+    X^T X overflows). Above 1 the descent diverges along some eigendirection.
     """
-    g = p.x.array.T @ p.x.array + p.lam * np.eye(p.d)
-    return float(np.max(np.abs(1.0 - p.eta * np.linalg.eigvalsh(g))))
+    return float(np.max(np.abs(1.0 - p.eta * (_gram_spectrum(p.x) + p.lam))))
 
 
 def predict(w: Matrix, u: Matrix) -> float:
@@ -225,19 +217,20 @@ def _typed(key: str, value, kind):
 def problem_from_json(text: str) -> RidgeProblem:
     """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
 
-    Raises BadProblemFile, or SingularSystem for eta="auto" on no positive spectrum.
+    Every entry of X, y, u and w0 must be a JSON number. Raises BadProblemFile,
+    or SingularSystem for eta="auto" on no positive spectrum.
     """
     try:
         doc = json.loads(text)
-        x = Matrix(doc["X"])
-        y = Matrix.column(doc["y"])
-        u = Matrix.column(doc["u"])
+        x = Matrix(json_entries("X", doc["X"]))
+        y = Matrix.column(json_entries("y", doc["y"]))
+        u = Matrix.column(json_entries("u", doc["u"]))
         lam = float(_typed("lambda", doc["lambda"], (int, float)))
         steps = _typed("steps", doc["steps"], int)
         eta = doc.get("eta", "auto")
         w0 = doc.get("w0", "zero")
         if not isinstance(w0, str):
-            w0 = Matrix.column(w0)
+            w0 = Matrix.column(json_entries("w0", w0))
         if not isinstance(eta, str):
             eta = float(_typed("eta", eta, (int, float)))
         return make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)

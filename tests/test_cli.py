@@ -205,10 +205,28 @@ class TestBadInputFiles:
          "BadSystemFile"),
         ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": [[3.0, 5.0]]}),
          "BadSystemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "X": [[True, 0.0], [0.0, 1.0]]}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "y": ["1", 2.0]}), "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "u": [1.0, False]}),
+         "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "w0": ["0", 0.0]}), "BadProblemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "F": [["2", 1.0], [1.0, 3.0]]}),
+         "BadSystemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": ["1e0", 5.0]}),
+         "BadSystemFile"),
+        ("gauss", "--system", json.dumps({**GOOD_SYSTEM, "alpha": [3.0, True]}),
+         "BadSystemFile"),
+        ("ridge", "--problem",
+         json.dumps({**GOOD_PROBLEM, "X": [[1e200, 1.0], [2.0, 3.0]], "eta": "auto"}),
+         "BadProblemFile"),
     ], ids=["ragged-X", "negative-lambda", "negative-steps", "infinite-steps",
             "negative-lambda-auto-eta", "fractional-steps", "boolean-steps",
             "boolean-lambda", "boolean-eta", "nested-y", "nested-u", "nested-w0",
-            "ragged-F", "overflowing-entry", "non-numeric-alpha", "nested-alpha"])
+            "ragged-F", "overflowing-entry", "non-numeric-alpha", "nested-alpha",
+            "boolean-X-entry", "string-y-entry", "boolean-u-entry", "string-w0-entry",
+            "string-F-entry", "string-alpha-entry", "boolean-alpha-entry",
+            "overflowing-gram-auto-eta"])
     def test_reported_as_structured_error(self, tmp_path, capsys, command, flag, text, error):
         path = tmp_path / "input.json"
         path.write_text(text)

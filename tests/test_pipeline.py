@@ -48,6 +48,13 @@ def problem(rng, n, d, lam=0.5, eta="auto", steps=5, w0=None):
     )
 
 
+def same_index(a, b) -> bool:
+    """Two compiled index sets (a slice or an index array) are the same."""
+    if isinstance(a, slice) or isinstance(b, slice):
+        return a == b
+    return np.array_equal(a, b)
+
+
 def rel_dev(a: Matrix, b: Matrix) -> float:
     return float(np.abs(a.array - b.array).max() / max(1.0, np.abs(b.array).max()))
 
@@ -376,18 +383,46 @@ class TestStructuralInvariants:
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (7, 4), (20, 4)])
     def test_no_padding_heads_and_pinned_head_counts(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
         designed = build_designed_weights(n, d)
         programs = {
             "designed": (designed, [3], [1]),
-            "enumerated": (build_enumerated_weights(n, d), [4, 1], [1, 1]),
-            "wrapped": (wrap_designed_as_elsa(designed), [3, 1], [1, 1]),
+            "enumerated": (build_enumerated_weights(n, d), [4, 1], [1]),
+            "wrapped": (wrap_designed_as_elsa(designed), [3], [1]),
         }
         for name, (prog, step_counts, readout_counts) in programs.items():
             assert [len(block) for block in prog.step] == step_counts, name
             assert [len(block) for block in prog.readout] == readout_counts, name
+            h = Matrix.from_array(rng.normal(size=prog.layout.shape))
             for block in prog.step + prog.readout:
                 for head in block:
                     assert any(np.any(m.array) for m in vars(head).values()), name
+                # The module adds its input back itself; a block must do work.
+                assert multihead_forward(h, block) != h, name
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_zero_bias_wrap_is_the_designed_program(self, n, d):
+        designed = build_designed_weights(n, d)
+        wrapped = wrap_designed_as_elsa(designed)
+        for plain_module, wrapped_module in zip(designed.compiled, wrapped.compiled):
+            assert len(plain_module) == len(wrapped_module)
+            for plain_block, wrapped_block in zip(plain_module, wrapped_module):
+                assert len(plain_block) == len(wrapped_block)
+                for a, b in zip(plain_block, wrapped_block):
+                    for pa, pb in zip((a.p1, a.p2, a.p3), (b.p1, b.p2, b.p3)):
+                        assert same_index(pa.rows, pb.rows) and same_index(pa.cols, pb.cols)
+                        assert np.array_equal(pa.w, pb.w)
+                        assert pa.b is None and pb.b is None
+                    assert same_index(a.k1, b.k1) and same_index(a.k3, b.k3)
+                    assert a.input_shape[1] == b.input_shape[1]
+        rng = np.random.default_rng(50 + n)
+        p = problem(rng, n, d, steps=20, w0=rng.normal(size=(d, 1)))
+        plain_trace, plain_h, plain_pred = run_program(designed, build_designed_input(p), p.steps)
+        trace, h, pred = run_program(wrapped, build_designed_input(p), p.steps)
+        assert all(np.array_equal(a.array, b.array) for a, b in zip(trace, plain_trace))
+        assert len(trace) == len(plain_trace)
+        assert np.array_equal(h.array, plain_h.array)
+        assert pred == plain_pred
 
 
 class TestCompiledProgram:

@@ -1,6 +1,7 @@
 """Ridge oracle: closed form, descent recurrence, stability helper, JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,9 +193,8 @@ class TestStableEta:
 
     @pytest.mark.parametrize("seed,kind", enumerate(["full", "wide", "repeated_column", "lam_zero"]))
     def test_power_estimate_is_below_eigvalsh(self, seed, kind):
-        # Power iteration's Rayleigh quotient never overshoots lambda_max, so
-        # eta = 1/(estimate + lam) is at most the eigvalsh-based rate and the
-        # descent map contracts, on rank-deficient X and at lam = 0 too.
+        # eta = 1/(lambda_max + lam) never overshoots the eigvalsh-based rate,
+        # so the descent map contracts, on rank-deficient X and at lam = 0 too.
         rng = np.random.default_rng(seed)
         for _ in range(40):
             d = int(rng.integers(1, 7))
@@ -207,6 +207,28 @@ class TestStableEta:
             lam_max = float(np.linalg.eigvalsh(x.T @ x).max())
             assert 1.0 / p.eta - lam <= lam_max * (1.0 + 1e-12)
             assert contraction(p) <= 1.0 + 1e-12
+
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("sigma", [(1.0, 0.999, 0.5, 0.1), (1.0, 1.0 - 1e-9, 0.3)])
+    def test_eta_is_the_eigvalsh_formula(self, sigma, lam):
+        # A close top pair is where an iterative estimate of lambda_max is slow.
+        rng = np.random.default_rng(len(sigma))
+        d = len(sigma)
+        u_basis, _ = np.linalg.qr(rng.normal(size=(d + 3, d)))
+        v_basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        x = u_basis @ np.diag(sigma) @ v_basis.T
+        want = 1.0 / (np.linalg.eigvalsh(x.T @ x)[-1] + lam)
+        got = stable_eta_for(Matrix.from_array(x), lam)
+        assert abs(got - want) <= 4 * np.spacing(want)
+
+    def test_overflowing_gram_matrix_is_named(self):
+        x = Matrix([[1e200, 1.0], [2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram matrix"):
+                stable_eta_for(x, 0.5)
+            assert np.isnan(contraction(make_problem(x, zeros(2, 1), zeros(2, 1), 0.5, eta=0.1)))
 
 
 class TestPredict:
