@@ -28,6 +28,7 @@ from .matrix import (
     ShapeMismatch,
     add,
     block_write,
+    eye_block,
     identity,
     matmul,
     transpose,
@@ -200,19 +201,13 @@ def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray
     return out
 
 
-def _stacked_identity(m: int, n: int) -> Matrix:
-    """[I_n; 0] when m > n, [I_m 0] when m < n, I_m when m == n."""
-    k = min(m, n)
-    return block_write(zeros(m, n), BlockSpec(1, k, 1, k), identity(k))
-
-
 def const_params(c: Matrix, input_shape: tuple[int, int]) -> ElsaParams:
     """Parameters making the forward emit the constant c for every input of the shape."""
     m, n = input_shape
     if c.shape != (m, n):
         raise ShapeMismatch(f"constant {c.shape} != input shape {input_shape}")
     zn = zeros(n, n)
-    eye = _stacked_identity(m, n)
+    eye = eye_block(m, n, BlockSpec(1, min(m, n), 1, min(m, n)))
     if m >= n:
         # b1^T b2 = I_n, then b3 carries c.
         return ElsaParams(zn, zn, zn, eye, eye, c)
@@ -224,7 +219,7 @@ def skip_params(input_shape: tuple[int, int]) -> ElsaParams:
     """Parameters making the forward the identity map on the shape (a skip connection)."""
     m, n = input_shape
     zn, zm = zeros(n, n), zeros(m, n)
-    eye = _stacked_identity(m, n)
+    eye = eye_block(m, n, BlockSpec(1, min(m, n), 1, min(m, n)))
     if m >= n:
         # (H I_n)(b1^T b2) = H.
         return ElsaParams(zn, zn, identity(n), eye, eye, zm)
@@ -257,10 +252,8 @@ def matmul_params_v1(r: int, s: int, t: int) -> MatmulConstruction:
     # In H^T H the product sits at rows 1..r, cols r+1..r+t already; the
     # selectors just blank everything else.
     w, v = mskmov_selectors(MskMovSpec(i=1, j=r, k=r + 1, l=r + t, m=n, n=n))
-    b3 = block_write(zeros(m, n), BlockSpec(1, r, 1, r), identity(r))
-    params = ElsaParams(
-        transpose(w), v, zeros(n, n), zeros(m, n), zeros(m, n), b3
-    )
+    b3 = eye_block(m, n, BlockSpec(1, r, 1, r))
+    params = ElsaParams(transpose(w), v, zeros(n, n), zeros(m, n), zeros(m, n), b3)
     return MatmulConstruction(pack, params, BlockSpec(1, r, r + 1, r + t))
 
 
@@ -278,10 +271,8 @@ def matmul_params_v2(r: int, s: int, t: int) -> MatmulConstruction:
         h = block_write(zeros(m, n), BlockSpec(1, r, 1, s), a)
         return block_write(h, BlockSpec(r + 1, r + s, s + 1, s + t), b)
 
-    w3 = block_write(zeros(n, n), BlockSpec(1, s, t + 1, t + s), identity(s))
-    w2 = block_write(zeros(n, n), BlockSpec(s + 1, s + t, s + 1, s + t), identity(t))
-    b1 = block_write(zeros(m, n), BlockSpec(r + 1, r + s, t + 1, t + s), identity(s))
-    params = ElsaParams(
-        zeros(n, n), w2, w3, b1, zeros(m, n), zeros(m, n)
-    )
+    w3 = eye_block(n, n, BlockSpec(1, s, t + 1, t + s))
+    w2 = eye_block(n, n, BlockSpec(s + 1, s + t, s + 1, s + t))
+    b1 = eye_block(m, n, BlockSpec(r + 1, r + s, t + 1, t + s))
+    params = ElsaParams(zeros(n, n), w2, w3, b1, zeros(m, n), zeros(m, n))
     return MatmulConstruction(pack, params, BlockSpec(1, r, s + 1, s + t))

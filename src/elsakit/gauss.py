@@ -131,11 +131,13 @@ def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) ->
     return skip_mul(r, z, side="left", gamma=gamma)
 
 
-def _check_pivot(value: float, where: str) -> None:
+def _check_pivot(state: EliminationState, value: float, where: str) -> None:
     if abs(value) < PIVOT_TOLERANCE:
         raise PivotBelowTolerance(
             f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {where}"
         )
+    if state.table is None and not np.isfinite(value * value):
+        raise SingularDetected(f"pivot {value:.3e} at {where} squares to inf in exact division")
 
 
 def _eye_without(size: int, idx: int) -> Matrix:
@@ -155,7 +157,7 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     size = m + 1
     if state.stage[0] != "forward" or not (1 <= k <= m - 1) or state.stage[1] < k - 1:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
-    _check_pivot(state.p.get(k, k), f"forward step {k}")
+    _check_pivot(state, state.p.get(k, k), f"forward step {k}")
 
     z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
     z4 = component_forward(
@@ -191,7 +193,7 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
         )
         z2 = component_forward(z1, make_affine_component(-1.0, identity(size)))
         q = skip_mul(z2, state.p, side="right", gamma=1)
-    _check_pivot(q.get(t, t), f"backward step {t}")
+    _check_pivot(state, q.get(t, t), f"backward step {t}")
 
     pivot = BlockSpec(t, t, t, t)
     z6 = _divide(state, q, pivot, gamma=1)

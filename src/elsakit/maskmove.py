@@ -3,8 +3,9 @@
 A row selector W copies chosen rows of A into chosen positions of an
 otherwise-zero matrix via W @ A; a column selector V does the same for
 columns via A @ V. Composing both moves a whole submatrix to an offset
-position: the mask-and-move operation. Selectors are 0/1 matrices, so
-moved entries are copied bit-for-bit.
+position: the mask-and-move operation, whose two selectors are shifted
+identity blocks (:func:`elsakit.matrix.eye_block`). Selectors are 0/1
+matrices, so moved entries are copied bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matrix import BlockSpec, IndexOutOfRange, Matrix, matmul
+from .matrix import BlockSpec, IndexOutOfRange, Matrix, eye_block, matmul
 
 
 class DuplicateTargetRow(ValueError):
@@ -92,43 +93,41 @@ class MaskSpec:
             raise SpecOutOfRange(str(exc)) from exc
 
 
+def _selector(pairs: IndexPairSet, size: int, target: int) -> Matrix:
+    """size-by-size 0/1 matrix with a 1 at each 1-based pair; pair[target] must be distinct."""
+    noun, duplicate = (("row", DuplicateTargetRow), ("column", DuplicateTargetColumn))[target]
+    out = np.zeros((size, size))
+    seen: set[int] = set()
+    for pair in pairs.pairs:
+        i, j = pair
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise IndexOutOfRange(f"pair ({i},{j}) outside size {size}")
+        if pair[target] in seen:
+            raise duplicate(f"target {noun} {pair[target]} selected twice")
+        seen.add(pair[target])
+        out[i - 1, j - 1] = 1.0
+    return Matrix.from_array(out)
+
+
 def selector_w(k_set: IndexPairSet, m: int) -> Matrix:
     """m-by-m row selector: (W @ A) has row i_k equal to A row j_k, rest zero."""
-    w = np.zeros((m, m))
-    seen: set[int] = set()
-    for i, j in k_set.pairs:
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise IndexOutOfRange(f"pair ({i},{j}) outside size {m}")
-        if i in seen:
-            raise DuplicateTargetRow(f"target row {i} selected twice")
-        seen.add(i)
-        w[i - 1, j - 1] = 1.0
-    return Matrix.from_array(w)
+    return _selector(k_set, m, target=0)
 
 
 def selector_v(j_set: IndexPairSet, n: int) -> Matrix:
     """n-by-n column selector: (A @ V) has column l_j equal to A column k_j, rest zero."""
-    v = np.zeros((n, n))
-    seen: set[int] = set()
-    for k, l in j_set.pairs:
-        if not (1 <= k <= n and 1 <= l <= n):
-            raise IndexOutOfRange(f"pair ({k},{l}) outside size {n}")
-        if l in seen:
-            raise DuplicateTargetColumn(f"target column {l} selected twice")
-        seen.add(l)
-        v[k - 1, l - 1] = 1.0
-    return Matrix.from_array(v)
+    return _selector(j_set, n, target=1)
 
 
 def mskmov_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
-    """The (W, V) pair realizing mask-and-move as W @ A @ V.
+    """The (W, V) pair realizing mask-and-move as W @ A @ V: two shifted identity blocks.
 
-    W selects rows i..j into rows i+a..j+a, V selects columns k..l into
-    columns k+b..l+b.
+    W is I on rows i+a..j+a x columns i..j, V is I on rows k..l x columns
+    k+b..l+b; the spec has already checked that both blocks fit their hosts.
     """
-    k_set = IndexPairSet.of((r + spec.a, r) for r in range(spec.i, spec.j + 1))
-    j_set = IndexPairSet.of((c, c + spec.b) for c in range(spec.k, spec.l + 1))
-    return selector_w(k_set, spec.m), selector_v(j_set, spec.n)
+    w = eye_block(spec.m, spec.m, BlockSpec(spec.i + spec.a, spec.j + spec.a, spec.i, spec.j))
+    v = eye_block(spec.n, spec.n, BlockSpec(spec.k, spec.l, spec.k + spec.b, spec.l + spec.b))
+    return w, v
 
 
 def mskmov(a: Matrix, spec: MskMovSpec) -> Matrix:

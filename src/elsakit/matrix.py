@@ -151,6 +151,17 @@ def identity(m: int) -> Matrix:
     return Matrix.from_array(np.eye(m))
 
 
+def eye_block(rows: int, cols: int, block: BlockSpec, value: float = 1.0) -> Matrix:
+    """rows-by-cols zeros with value * I in a square block (-1 leaves -0.0 off its diagonal)."""
+    k = block.block_rows
+    if block.block_cols != k:
+        raise ShapeMismatch(f"identity block {block} is not square")
+    block.check_host(rows, cols)
+    out = np.zeros((rows, cols))
+    out[block.row_lo - 1 : block.row_hi, block.col_lo - 1 : block.col_hi] = value * np.eye(k)
+    return Matrix.from_array(out)
+
+
 def zeros(m: int, n: int) -> Matrix:
     """The m-by-n zero matrix."""
     if m < 1 or n < 1:

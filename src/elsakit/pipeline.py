@@ -37,7 +37,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .attention import CompiledHead, ElsaParams, LsaParams, compile_head, compiled_forward
-from .matrix import BlockSpec, Matrix, block_read, block_write, identity, scale, transpose, zeros
+from .matrix import BlockSpec, Matrix, block_read, block_write, eye_block, identity
+from .matrix import scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import RidgeProblem, SingularSystem, gd_run, predict, ridge_closed_form
 
@@ -141,14 +142,6 @@ def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
     return transpose(w), v
 
 
-def _eye_block(rows: int, cols: int, block: BlockSpec, sign: float = 1.0) -> Matrix:
-    """Zero matrix with +/-I written into the given square block."""
-    eye = identity(block.block_rows)
-    if sign < 0:
-        eye = scale(eye, -1.0)
-    return block_write(zeros(rows, cols), block, eye)
-
-
 # ---------------------------------------------------------------------------
 # Designed layout
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def build_designed_weights(n: int, d: int) -> Program:
     layout = DesignedLayout(n=n, d=d)
     s = layout.s
 
-    w13 = _eye_block(s, s, BlockSpec(1, n, 1, n))
+    w13 = eye_block(s, s, BlockSpec(1, n, 1, n))
     w11, w12 = _moved_selectors(
         MskMovSpec(i=n + 1, j=2 * n, k=2 * n + 1, l=2 * n + 1, m=s, n=s, a=-n, b=s - (2 * n + 1))
     )
@@ -199,13 +192,13 @@ def build_designed_weights(n: int, d: int) -> Program:
     w31, w32 = _moved_selectors(
         MskMovSpec(i=2 * n + 2, j=2 * n + d + 1, k=s, l=s, m=s, n=s, a=-(2 * n + 1), b=0)
     )
-    w33 = _eye_block(s, s, BlockSpec(2 * n + 2, 2 * n + d + 1, 1, d), sign=-1.0)
+    w33 = eye_block(s, s, BlockSpec(2 * n + 2, 2 * n + d + 1, 1, d), -1.0)
     head3 = LsaParams(w1=w31, w2=w32, w3=w33)
 
     r1, r2 = _moved_selectors(
         MskMovSpec(i=2 * n + d + 2, j=2 * n + d + 2, k=s, l=s, m=s, n=s, a=1, b=0)
     )
-    r3 = block_write(zeros(s, s), BlockSpec(2 * n + 1, 2 * n + 1, s, s), Matrix([[1.0]]))
+    r3 = eye_block(s, s, BlockSpec(2 * n + 1, 2 * n + 1, s, s))
 
     return Program(
         layout=layout,
@@ -255,22 +248,22 @@ def build_enumerated_weights(n: int, d: int) -> Program:
 
     w11, w12 = _moved_selectors(MskMovSpec(i=1, j=n, k=s, l=s, m=s, n=s))
     h1 = ElsaParams(
-        w1=w11, w2=w12, w3=_eye_block(s, s, BlockSpec(1, n, 1, n)), b1=zb, b2=zb, b3=zb
+        w1=w11, w2=w12, w3=eye_block(s, s, BlockSpec(1, n, 1, n)), b1=zb, b2=zb, b3=zb
     )
 
     w21, w22 = _moved_selectors(
         MskMovSpec(i=2 * n + 1, j=2 * n + d, k=s, l=s, m=s, n=s, a=-2 * n, b=0)
     )
     h2 = ElsaParams(
-        w1=w21, w2=w22, w3=zs, b1=zb, b2=zb, b3=_eye_block(d, s, BlockSpec(1, d, 1, d))
+        w1=w21, w2=w22, w3=zs, b1=zb, b2=zb, b3=eye_block(d, s, BlockSpec(1, d, 1, d))
     )
 
     h3 = ElsaParams(
-        w1=_eye_block(s, s, BlockSpec(n + 1, 2 * n, s - n + 1, s)),
+        w1=eye_block(s, s, BlockSpec(n + 1, 2 * n, s - n + 1, s)),
         w2=zs,
-        w3=_eye_block(s, s, BlockSpec(1, n, s - n + 1, s)),
+        w3=eye_block(s, s, BlockSpec(1, n, s - n + 1, s)),
         b1=zb,
-        b2=_eye_block(d, s, BlockSpec(1, d, s - d + 1, s), sign=-1.0),
+        b2=eye_block(d, s, BlockSpec(1, d, s - d + 1, s), -1.0),
         b3=zb,
     )
 
@@ -282,14 +275,14 @@ def build_enumerated_weights(n: int, d: int) -> Program:
     )
     h4 = ElsaParams(
         w1=w41, w2=w42, w3=zs, b1=zb, b2=zb,
-        b3=_eye_block(d, s, BlockSpec(1, d, 1, d), sign=-1.0),
+        b3=eye_block(d, s, BlockSpec(1, d, 1, d), -1.0),
     )
 
     g1, g2 = _moved_selectors(
         MskMovSpec(i=2 * n + d + 1, j=2 * n + 2 * d, k=s, l=s, m=s, n=s, a=-(2 * n + d), b=0)
     )
     contract = ElsaParams(
-        w1=g1, w2=g2, w3=zs, b1=zb, b2=zb, b3=_eye_block(d, s, BlockSpec(1, d, 1, d))
+        w1=g1, w2=g2, w3=zs, b1=zb, b2=zb, b3=eye_block(d, s, BlockSpec(1, d, 1, d))
     )
     step_blocks = ((h1, h2, h3, h4), (contract,))
 
@@ -301,7 +294,7 @@ def build_enumerated_weights(n: int, d: int) -> Program:
     )
     read1 = ElsaParams(
         w1=q1, w2=q2, w3=zs, b1=zb, b2=zb,
-        b3=block_write(zeros(d, s), BlockSpec(1, 1, 1, 1), Matrix([[1.0]])),
+        b3=eye_block(d, s, BlockSpec(1, 1, 1, 1)),
     )
     return Program(layout=layout, step=step_blocks, readout=((read1,),), cell=(1, layout.z_col))
 

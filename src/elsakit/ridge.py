@@ -217,8 +217,8 @@ def _typed(key: str, value, kind):
 def problem_from_json(text: str) -> RidgeProblem:
     """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
 
-    Every entry of X, y, u and w0 must be a JSON number. Raises BadProblemFile,
-    or SingularSystem for eta="auto" on no positive spectrum.
+    Every entry of X, y, u and w0 must be a JSON number and X^T X finite.
+    Raises BadProblemFile, or SingularSystem for eta="auto" on no positive spectrum.
     """
     try:
         doc = json.loads(text)
@@ -233,6 +233,8 @@ def problem_from_json(text: str) -> RidgeProblem:
             w0 = Matrix.column(json_entries("w0", w0))
         if not isinstance(eta, str):
             eta = float(_typed("eta", eta, (int, float)))
+            if np.isnan(_gram_spectrum(x)[-1]):
+                raise ValueError("the Gram matrix X^T X is not finite (it overflows)")
         return make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadProblemFile(f"malformed ridge problem: {exc}") from exc

@@ -220,13 +220,17 @@ class TestBadInputFiles:
         ("ridge", "--problem",
          json.dumps({**GOOD_PROBLEM, "X": [[1e200, 1.0], [2.0, 3.0]], "eta": "auto"}),
          "BadProblemFile"),
+        ("ridge", "--problem", json.dumps({**GOOD_PROBLEM, "X": [[1e200, 1.0], [2.0, 3.0]]}),
+         "BadProblemFile"),
+        ("gauss", "--system", '{"F": [[1e160, 0.0], [0.0, 1.0]], "alpha": [1e160, 1.0]}',
+         "SingularDetected"),
     ], ids=["ragged-X", "negative-lambda", "negative-steps", "infinite-steps",
             "negative-lambda-auto-eta", "fractional-steps", "boolean-steps",
             "boolean-lambda", "boolean-eta", "nested-y", "nested-u", "nested-w0",
             "ragged-F", "overflowing-entry", "non-numeric-alpha", "nested-alpha",
             "boolean-X-entry", "string-y-entry", "boolean-u-entry", "string-w0-entry",
             "string-F-entry", "string-alpha-entry", "boolean-alpha-entry",
-            "overflowing-gram-auto-eta"])
+            "overflowing-gram-auto-eta", "overflowing-gram-explicit-eta", "huge-exact-pivot"])
     def test_reported_as_structured_error(self, tmp_path, capsys, command, flag, text, error):
         path = tmp_path / "input.json"
         path.write_text(text)

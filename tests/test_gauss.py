@@ -35,6 +35,8 @@ from oracles import (
 )
 
 TWO_BY_TWO = LinearSystem(f=Matrix([[2.0, 1.0], [1.0, 3.0]]), alpha=Matrix([[3.0], [5.0]]))
+# Solution [1, 1]; the first pivot's square overflows float64.
+HUGE_PIVOT = LinearSystem(f=Matrix([[1e160, 0.0], [0.0, 1.0]]), alpha=Matrix([[1e160], [1.0]]))
 
 
 def dd_system(rng, m, spread=1.0, signed=False):
@@ -213,6 +215,14 @@ class TestSolve:
         )
         with pytest.raises(PivotBelowTolerance):
             solve(singular)
+
+    def test_exact_mode_names_a_pivot_whose_square_overflows(self):
+        with pytest.raises(gauss.SingularDetected, match="forward step 1"):
+            solve(HUGE_PIVOT, mode="exact")
+
+    def test_relu_mode_flags_a_huge_pivot(self):
+        _, report = solve(HUGE_PIVOT, mode="relu")
+        assert "pivot_out_of_table_range:FE1:1e+160" in report["flags"]
 
     def test_pad_row_stays_zero_through_all_stages(self):
         rng = np.random.default_rng(6)

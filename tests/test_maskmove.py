@@ -58,6 +58,12 @@ class TestSelectorW:
         with pytest.raises(DuplicateTargetRow):
             selector_w(IndexPairSet.of([(1, 1), (1, 2)]), 2)
 
+    def test_error_messages(self):
+        with pytest.raises(DuplicateTargetRow, match=r"^target row 1 selected twice$"):
+            selector_w(IndexPairSet.of([(1, 1), (1, 2)]), 2)
+        with pytest.raises(IndexOutOfRange, match=r"^pair \(3,1\) outside size 2$"):
+            selector_w(IndexPairSet.of([(3, 1)]), 2)
+
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             selector_w(IndexPairSet.of([(3, 1)]), 2)
@@ -83,6 +89,12 @@ class TestSelectorV:
     def test_duplicate_target_column(self):
         with pytest.raises(DuplicateTargetColumn):
             selector_v(IndexPairSet.of([(1, 2), (2, 2)]), 2)
+
+    def test_error_messages(self):
+        with pytest.raises(DuplicateTargetColumn, match=r"^target column 2 selected twice$"):
+            selector_v(IndexPairSet.of([(1, 2), (2, 2)]), 2)
+        with pytest.raises(IndexOutOfRange, match=r"^pair \(1,3\) outside size 2$"):
+            selector_v(IndexPairSet.of([(1, 3)]), 2)
 
 
 class TestMskMov:
@@ -131,6 +143,18 @@ class TestMskMov:
             assert set(np.unique(v.array)) <= {0.0, 1.0}
             assert np.all(w.array.sum(axis=1) <= 1.0)  # one source per target row
             assert np.all(v.array.sum(axis=0) <= 1.0)  # one source per target column
+
+    def test_selectors_equal_pair_set_selectors_bitwise(self):
+        # The shifted identity blocks against the general pair-set selectors.
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            _, s = random_case(rng)
+            w, v = mskmov_selectors(s)
+            rows = IndexPairSet.of((r + s.a, r) for r in range(s.i, s.j + 1))
+            cols = IndexPairSet.of((c, c + s.b) for c in range(s.k, s.l + 1))
+            for got, expected in ((w, selector_w(rows, s.m)), (v, selector_v(cols, s.n))):
+                assert got.shape == expected.shape
+                assert got.array.tobytes() == expected.array.tobytes()
 
     def test_idempotent_full_block_no_offset(self):
         rng = np.random.default_rng(3)

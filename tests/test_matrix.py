@@ -12,12 +12,14 @@ from elsakit import (
     add,
     block_read,
     block_write,
+    eye_block,
     hadamard,
     identity,
     load_csv,
     matmul,
     ones,
     save_csv,
+    scale,
     transpose,
     zeros,
 )
@@ -165,6 +167,35 @@ class TestBlocks:
         a = Matrix([[1.0, 2.0], [3.0, 4.0]])
         block_write(a, BlockSpec(1, 1, 1, 1), Matrix([[9.0]]))
         assert a.get(1, 1) == 1.0
+
+
+class TestEyeBlock:
+    @pytest.mark.parametrize("value", [1.0, -1.0])
+    def test_signed_identity_in_rectangular_host(self, value):
+        got = eye_block(4, 6, BlockSpec(2, 3, 4, 5), value)
+        expected = np.zeros((4, 6))
+        expected[1:3, 3:5] = value * np.eye(2)
+        assert got.shape == (4, 6)
+        assert np.array_equal(got.array, expected)
+        tall = eye_block(5, 2, BlockSpec(1, 2, 1, 2), value)
+        assert tall == block_write(zeros(5, 2), BlockSpec(1, 2, 1, 2), scale(identity(2), value))
+
+    def test_negative_block_keeps_negative_zeros(self):
+        got = eye_block(4, 5, BlockSpec(2, 4, 3, 5), -1.0).array
+        inside = np.zeros((4, 5), dtype=bool)
+        inside[1:4, 2:5] = True
+        off_diagonal = inside & (got == 0.0)
+        assert off_diagonal.sum() == 6
+        assert np.all(np.signbit(got[off_diagonal]))
+        assert not np.any(np.signbit(got[~inside]))
+
+    def test_non_square_block_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            eye_block(4, 4, BlockSpec(1, 2, 1, 3))
+
+    def test_block_outside_host_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            eye_block(3, 3, BlockSpec(2, 4, 2, 4))
 
 
 class TestHadamardTranspose:
