@@ -21,10 +21,8 @@ from .matrix import (
     eye_block,
     hadamard,
     identity,
-    load_csv,
     matmul,
     ones,
-    save_csv,
     scale,
     transpose,
     zeros,
@@ -60,7 +58,6 @@ from .attention import (
 )
 from .ridge import (
     BadProblemFile,
-    GdState,
     RidgeProblem,
     SingularSystem,
     contraction,
@@ -98,7 +95,6 @@ from .netcomp import (
     BadKnotSpec,
     NetworkComponent,
     PiecewiseInvSqr,
-    WeightedSumMap,
     approx_reciprocal,
     build_invsqr,
     component_forward,
@@ -107,10 +103,7 @@ from .netcomp import (
     make_affine_component,
     make_divider_component,
     make_mask_component,
-    mskmov_weighted_sum,
-    skip_add,
     skip_mul,
-    weighted_sum_map,
 )
 from .gauss import (
     PIVOT_TOLERANCE,

@@ -210,7 +210,8 @@ def cmd_ridge(args: argparse.Namespace) -> dict:
     report["contraction"] = ridge.contraction(problem)
     # A NaN deviation fails the comparison; the prediction must be finite too.
     passed = (
-        report["max_step_deviation"] <= args.tol
+        report["diverged_at"] is None
+        and report["max_step_deviation"] <= args.tol
         and math.isfinite(report["prediction"])
         and report["contraction"] <= 1.0 + CONTRACTION_SLACK
     )

@@ -8,7 +8,6 @@ all public block operations take 1-based inclusive indices and convert to
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -223,25 +222,3 @@ def block_write(a: Matrix, s: BlockSpec, v: Matrix) -> Matrix:
     out[s.row_lo - 1 : s.row_hi, s.col_lo - 1 : s.col_hi] = v.array
     return Matrix.from_array(out)
 
-
-def save_csv(a: Matrix, path: str) -> None:
-    """Write plain comma-separated rows, no header, '.' decimal point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in a.array:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def load_csv(path: str) -> Matrix:
-    """Read a matrix written by :func:`save_csv` (scientific notation allowed)."""
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            if record:
-                rows.append([float(x) for x in record])
-    if not rows:
-        raise ShapeMismatch(f"no rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ShapeMismatch(f"ragged rows in {path}")
-    return Matrix(rows)

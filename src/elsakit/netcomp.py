@@ -7,8 +7,8 @@ A network component maps an m-by-n matrix X to
 which is enough to express componentwise affine maps, masks and anti-masks.
 Only parameters that vary are matrices; a constant one is a float that numpy
 broadcasts with the same per-entry operation, so the result is bitwise the
-dense literal sum. Two skip-connection combinators (additive and
-multiplicative) and an arbitrary-shape weighted-sum map round out the toolbox.
+dense literal sum. The multiplicative skip connection rounds out the
+toolbox; the additive skip is the pipeline module's own out + h.
 
 Division is approximated by sigma_invsqr, a piecewise-linear even function
 built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
@@ -296,15 +296,6 @@ def make_divider_component(spec: MaskSpec, table: PiecewiseInvSqr | None) -> Net
     )
 
 
-def skip_add(m: Matrix, a: Matrix, gamma: int) -> Matrix:
-    """Addition-type skip connection: module output plus gamma times the input."""
-    if gamma not in (-1, 1):
-        raise ValueError("gamma must be -1 or +1")
-    if m.shape != a.shape:
-        raise ShapeMismatch(f"cannot add skip {a.shape} to output {m.shape}")
-    return Matrix.from_array(m.array + gamma * a.array)
-
-
 def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
     """Multiplication-type skip connection.
 
@@ -321,46 +312,3 @@ def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return prod if gamma == 1 else scale(prod, -1.0)
 
-
-# ---------------------------------------------------------------------------
-# Weighted-sum maps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightedSumMap:
-    """Arbitrary-shape map P[s,t] = SUM(W_{s,t} * A) + b_{s,t}.
-
-    weights has shape (m_o, n_o, m_i, n_i); biases has shape (m_o, n_o).
-    """
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.ndim != 4 or self.biases.shape != self.weights.shape[:2]:
-            raise ShapeMismatch("weights must be 4-d with matching bias grid")
-        self.weights.setflags(write=False)
-        self.biases.setflags(write=False)
-
-    @property
-    def input_shape(self) -> tuple[int, int]:
-        return self.weights.shape[2:]
-
-
-def weighted_sum_map(a: Matrix, wsm: WeightedSumMap) -> Matrix:
-    """Apply the per-cell weighted sums to a."""
-    if a.shape != wsm.input_shape:
-        raise ShapeMismatch(f"input {a.shape} != map input {wsm.input_shape}")
-    out = np.einsum("stij,ij->st", wsm.weights, a.array) + wsm.biases
-    return Matrix.from_array(out)
-
-
-def mskmov_weighted_sum(i: int, j: int, k: int, l: int, m: int, n: int,
-                        a: int = 0, b: int = 0) -> WeightedSumMap:
-    """Weighted-sum realization of mask-and-move via single-cell selectors."""
-    weights = np.zeros((m, n, m, n))
-    for src_r in range(i, j + 1):
-        for src_c in range(k, l + 1):
-            weights[src_r + a - 1, src_c + b - 1, src_r - 1, src_c - 1] = 1.0
-    return WeightedSumMap(weights=weights, biases=np.zeros((m, n)))

@@ -40,7 +40,7 @@ from .attention import CompiledHead, ElsaParams, LsaParams, compile_head, compil
 from .matrix import BlockSpec, Matrix, block_read, block_write, eye_block, identity
 from .matrix import scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
-from .ridge import RidgeProblem, SingularSystem, gd_run, predict, ridge_closed_form
+from .ridge import RidgeProblem, SingularSystem, finite_prefix, gd_run, predict, ridge_closed_form
 
 
 class LayoutMismatch(ValueError):
@@ -357,14 +357,17 @@ def run_program(
 ) -> tuple[list[Matrix], Matrix, float]:
     """Run `steps` descent steps and the readout.
 
-    Returns the coefficient trace w_0..w_T, the final prompt and the prediction.
+    Returns the coefficient trace w_0..w_T, the final prompt and the
+    prediction. A divergent run overflows silently, and its trace ends
+    before the first non-finite coefficient column.
     """
     trace = [extract_w(state)]
-    for _ in range(steps):
-        state = step(state, prog)
-        trace.append(extract_w(state))
-    h_final, prediction = readout(state, prog)
-    return trace, h_final, prediction
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            state = step(state, prog)
+            trace.append(extract_w(state))
+        h_final, prediction = readout(state, prog)
+    return finite_prefix(trace), h_final, prediction
 
 
 class PipelineRun(NamedTuple):
@@ -379,25 +382,28 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     The report records, per step, the infinity-norm deviation of the prompt's
     coefficient column from the plain descent recurrence (relative to
     max(1, |w_t|)), plus the closed-form prediction when the normal equations
-    are solvable.
+    are solvable. A divergent run ends its deviations at the first step t
+    where either coefficient column is not finite, and reports that t as
+    "diverged_at" (None when every step is finite).
     """
-    if form in ("designed", "lsa"):
+    if form == "lsa":
         kind = "designed"
         prog, state = build_designed_weights(p.n, p.d), build_designed_input(p)
-    elif form in ("enumerated", "elsa"):
+    elif form == "elsa":
         kind = "enumerated"
         prog, state = build_enumerated_weights(p.n, p.d), build_enumerated_input(p)
     else:
         raise ValueError(f"unknown pipeline form {form!r}")
     trace, _, prediction = run_program(prog, state, p.steps)
 
-    _, oracle_trace = gd_run(p)
+    oracle_trace = gd_run(p)
     per_step = []
     for w_pipe, w_oracle in zip(trace, oracle_trace):
         diff = float(abs(w_pipe.array - w_oracle.array).max())
         denom = max(1.0, float(abs(w_oracle.array).max()))
         per_step.append(diff / denom)
-    oracle_prediction = predict(oracle_trace[-1], p.u)
+    diverged_at = len(per_step) if len(per_step) <= p.steps else None
+    oracle_prediction = math.nan if diverged_at is not None else predict(oracle_trace[-1], p.u)
     try:
         closed_form_prediction = predict(ridge_closed_form(p), p.u)
     except SingularSystem:
@@ -415,5 +421,6 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
         "closed_form_prediction": closed_form_prediction,
         "max_step_deviation": float(np.max(per_step)),
         "per_step_deviation": per_step,
+        "diverged_at": diverged_at,
     }
     return PipelineRun(prediction=prediction, w_trace=trace, report=report)

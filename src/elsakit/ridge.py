@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -76,15 +75,6 @@ class RidgeProblem:
         return self.x.cols
 
 
-@dataclass(frozen=True)
-class GdState:
-    """Iterate index t, current coefficients w, and the last update direction."""
-
-    t: int
-    w: Matrix
-    delta: Optional[Matrix] = None
-
-
 def make_problem(
     x: Matrix,
     y: Matrix,
@@ -133,23 +123,28 @@ def gradient(p: RidgeProblem, w: Matrix) -> Matrix:
     return Matrix.from_array(dw)
 
 
-def gd_step(p: RidgeProblem, s: GdState) -> GdState:
-    """One batch update from state s."""
-    if s.t >= p.steps:
-        raise ValueError(f"state already at final iteration {s.t}")
-    delta = gradient(p, s.w)
-    w_next = Matrix.from_array(s.w.array - p.eta * delta.array)
-    return GdState(t=s.t + 1, w=w_next, delta=delta)
+def gd_step(p: RidgeProblem, w: Matrix) -> Matrix:
+    """One batch update: w - eta * gradient(p, w)."""
+    return Matrix.from_array(w.array - p.eta * gradient(p, w).array)
 
 
-def gd_run(p: RidgeProblem) -> tuple[GdState, list[Matrix]]:
-    """Apply the update p.steps times from w0; trace holds w_0 .. w_T."""
-    state = GdState(t=0, w=p.w0)
+def finite_prefix(trace: list[Matrix]) -> list[Matrix]:
+    """The iterates of trace before its first non-finite one (all of it if none is)."""
+    finite = np.isfinite(np.concatenate([w.array for w in trace], axis=1)).all(axis=0)
+    return trace if finite.all() else trace[: int(np.argmin(finite))]
+
+
+def gd_run(p: RidgeProblem) -> list[Matrix]:
+    """Apply the update p.steps times from w0; the trace holds w_0 .. w_T.
+
+    A divergent eta overflows silently and the trace ends before its first
+    non-finite iterate.
+    """
     trace = [p.w0]
-    for _ in range(p.steps):
-        state = gd_step(p, state)
-        trace.append(state.w)
-    return state, trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(p.steps):
+            trace.append(gd_step(p, trace[-1]))
+    return finite_prefix(trace)
 
 
 def _gram_spectrum(x: Matrix) -> np.ndarray:

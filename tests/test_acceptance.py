@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from elsakit import (
-    GdState,
     LinearSystem,
     Matrix,
     build_designed_weights,
@@ -21,7 +20,7 @@ from elsakit import (
     forward_eliminate_step,
     build_designed_input,
     gd_run,
-    gd_step,
+    gradient,
     invsqr_eval,
     make_problem,
     matmul_params_v1,
@@ -138,7 +137,7 @@ def test_criterion_3_pipeline_step_exactness():
         lam = float(rng.uniform(0.0, 2.0))
         p = make_problem(Matrix.from_array(x), Matrix.from_array(y),
                          Matrix.from_array(u), lam, eta="auto", steps=200)
-        _, oracle_trace = gd_run(p)
+        oracle_trace = gd_run(p)
         for form, build in (
             ("designed", build_designed_input),
             ("enumerated", build_enumerated_input),
@@ -296,7 +295,7 @@ def test_criterion_8_gradient_check():
         p = make_problem(Matrix.from_array(x), Matrix.from_array(y),
                          Matrix.from_array(np.zeros((d, 1))), lam, eta=0.1, steps=1)
         w = rng.normal(size=(d, 1))
-        delta = gd_step(p, GdState(t=0, w=Matrix.from_array(w))).delta.array
+        delta = gradient(p, Matrix.from_array(w)).array
         ref = fd_gradient(x, y, lam, w, step=1e-5)
         worst = max(worst, float(np.abs(delta - ref).max() / max(1.0, np.abs(ref).max())))
     elapsed = time.perf_counter() - start
@@ -315,7 +314,7 @@ def test_criterion_9_extended_form_subsumes_plain():
         p = make_problem(Matrix.from_array(x), Matrix.from_array(y),
                          Matrix.from_array(u), float(rng.uniform(0, 2)),
                          eta="auto", steps=25)
-        plain = run_pipeline(p, "designed")
+        plain = run_pipeline(p, "lsa")
         wrapped = wrap_designed_as_elsa(build_designed_weights(p.n, p.d))
         wrapped_trace, _, wrapped_pred = run_program(wrapped, build_designed_input(p), p.steps)
         for a, b in zip(wrapped_trace, plain.w_trace):

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +27,8 @@ from elsakit import (
 )
 from elsakit.cli import main
 from oracles import piecewise_invsqr
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -128,7 +134,6 @@ class TestRidgeCommand:
         assert code == 1
         assert json.loads(out)["error"] == "BadProblemFile"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("form", ["lsa", "elsa"])
     def test_divergent_rate_fails_with_strict_json(self, form, capsys):
         code, out = run_cli(
@@ -139,6 +144,7 @@ class TestRidgeCommand:
         assert code == 1
         assert report["passed"] is False
         assert report["prediction"] is None
+        assert report["diverged_at"] is not None
 
     def test_divergent_rate_fails_on_contraction(self, capsys):
         # The pipeline tracks the diverging descent step for step, so only
@@ -149,6 +155,26 @@ class TestRidgeCommand:
         assert report["passed"] is False
         assert report["max_step_deviation"] <= report["step_tol"]
         assert report["contraction"] > 1.0
+
+    @pytest.mark.parametrize("form", ["lsa", "elsa"])
+    def test_divergent_explicit_eta_stops_silently(self, tmp_path, form):
+        # X^T X is finite, but eta = 0.1 overflows the descent at step 3.
+        doc = {"X": [[1e100, 1], [2, 3]], "y": [1, 2], "u": [1, 1], "lambda": 0.5,
+               "eta": 0.1, "steps": 5}
+        path = tmp_path / "divergent.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "elsakit.cli", "ridge", "--problem", str(path),
+             "--form", form], env=env, capture_output=True, text=True, timeout=60,
+        )
+        report = json.loads(result.stdout, parse_constant=reject_constant)
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert report["passed"] is False
+        assert report["diverged_at"] == 3
+        assert len(report["per_step_deviation"]) == 3
 
     def test_default_run_contracts(self, capsys):
         code, out = run_cli(["ridge"], capsys)
@@ -290,7 +316,6 @@ def system_docs(draw):
 class TestFileParserProperty:
     """A parser either returns the document's values or raises its own named error."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150, deadline=None, database=None)
     @given(doc=corrupted(problem_docs()))
     def test_problem_from_json(self, doc):
@@ -313,7 +338,6 @@ class TestFileParserProperty:
 
 
 class TestRidgeExitCodeProperty:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion against the in-tree package."""
+"""Every narrative demo runs to completion, warning-free, against the in-tree package."""
 
 import os
 import subprocess
@@ -15,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -15,10 +15,8 @@ from elsakit import (
     eye_block,
     hadamard,
     identity,
-    load_csv,
     matmul,
     ones,
-    save_csv,
     scale,
     transpose,
     zeros,
@@ -219,22 +217,3 @@ class TestHadamardTranspose:
         a = Matrix.from_array(rng.uniform(-1, 1, size=(4, 7)))
         assert transpose(transpose(a)) == a
 
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        a = Matrix.from_array(rng.uniform(-1e3, 1e3, size=(4, 3)) * 10.0 ** rng.integers(-8, 8))
-        path = tmp_path / "m.csv"
-        save_csv(a, str(path))
-        assert load_csv(str(path)) == a
-
-    def test_plain_rows_no_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n3.5e-2,4.0\n")
-        assert load_csv(str(path)) == Matrix([[1.0, 2.0], [0.035, 4.0]])
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ShapeMismatch):
-            load_csv(str(path))

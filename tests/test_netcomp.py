@@ -12,7 +12,6 @@ from elsakit import (
     BlockSpec,
     MaskSpec,
     Matrix,
-    MskMovSpec,
     NetworkComponent,
     ShapeMismatch,
     approx_reciprocal,
@@ -26,15 +25,10 @@ from elsakit import (
     make_divider_component,
     make_mask_component,
     mask_matrix,
-    mskmov,
-    mskmov_weighted_sum,
     ones,
     scale,
-    skip_add,
     skip_mul,
-    weighted_sum_map,
     zeros,
-    WeightedSumMap,
 )
 from oracles import dense_component_forward, piecewise_invsqr
 
@@ -116,36 +110,7 @@ class TestAffineComponent:
             assert np.abs(got - (gamma.array * x.array + c.array)).max() <= 1e-14
 
 
-class TestWeightedSum:
-    def test_zero_weights_emit_biases(self):
-        rng = np.random.default_rng(5)
-        biases = rng.uniform(-1, 1, size=(3, 2))
-        wsm = WeightedSumMap(weights=np.zeros((3, 2, 4, 4)), biases=biases)
-        got = weighted_sum_map(Matrix.from_array(rng.uniform(-1, 1, size=(4, 4))), wsm)
-        assert np.array_equal(got.array, biases)
-
-    def test_single_cell_selectors_reproduce_move(self):
-        rng = np.random.default_rng(6)
-        a = rand(rng, 4, 5)
-        spec = MskMovSpec(i=2, j=3, k=1, l=3, m=4, n=5, a=1, b=2)
-        wsm = mskmov_weighted_sum(2, 3, 1, 3, 4, 5, a=1, b=2)
-        assert weighted_sum_map(a, wsm) == mskmov(a, spec)
-
-    def test_all_ones_weights_give_grand_sum(self):
-        rng = np.random.default_rng(7)
-        a = rng.uniform(-1, 1, size=(3, 3))
-        wsm = WeightedSumMap(weights=np.ones((2, 2, 3, 3)), biases=np.zeros((2, 2)))
-        got = weighted_sum_map(Matrix.from_array(a), wsm).array
-        assert np.allclose(got, a.sum(), rtol=1e-15)
-
-
 class TestSkipConnections:
-    def test_add_with_zero_module_output(self):
-        rng = np.random.default_rng(8)
-        a = rand(rng, 3, 3)
-        assert skip_add(zeros(3, 3), a, gamma=1) == a
-        assert skip_add(zeros(3, 3), a, gamma=-1) == scale(a, -1.0)
-
     def test_mul_left_with_identity_module(self):
         rng = np.random.default_rng(9)
         a = rand(rng, 3, 4)
@@ -160,8 +125,6 @@ class TestSkipConnections:
         assert z3 == Matrix([[-0.5, 0.0], [0.0, 0.0]])
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            skip_add(zeros(1, 1), zeros(1, 1), gamma=2)
         with pytest.raises(ValueError):
             skip_mul(zeros(1, 1), zeros(1, 1), side="middle", gamma=1)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from elsakit import (
-    GdState,
     LayoutMismatch,
     Matrix,
     PipelineState,
@@ -21,6 +20,7 @@ from elsakit import (
     extract_w,
     gd_run,
     gd_step,
+    gradient,
     make_problem,
     matmul,
     multihead_forward,
@@ -104,7 +104,7 @@ class TestDesignedWeights:
             state = build_designed_input(p)
             weights = build_designed_weights(n, d)
             p_t = multihead_forward(state.h, weights.step[0]).array
-            delta = gd_step(p, GdState(t=0, w=p.w0)).delta.array
+            delta = gradient(p, p.w0).array
             s = 2 * n + d + 3
             expected_col = -p.eta * delta[:, 0]
             assert np.abs(p_t[:d, s - 1] - expected_col).max() <= 1e-11 * max(
@@ -129,8 +129,7 @@ class TestDesignedStep:
         rng = np.random.default_rng(6)
         p = problem(rng, n=6, d=3, steps=1, w0=rng.normal(size=(3, 1)))
         state = step(build_designed_input(p), build_designed_weights(6, 3))
-        oracle = gd_step(p, GdState(t=0, w=p.w0))
-        assert rel_dev(extract_w(state), oracle.w) <= 1e-10
+        assert rel_dev(extract_w(state), gd_step(p, p.w0)) <= 1e-10
 
     def test_non_coefficient_columns_unchanged(self):
         rng = np.random.default_rng(7)
@@ -144,7 +143,7 @@ class TestDesignedStep:
         p = problem(rng, n=4, d=2, steps=2)
         weights = build_designed_weights(4, 2)
         state = build_designed_input(p)
-        _, trace = gd_run(p)
+        trace = gd_run(p)
         for t in (1, 2):
             state = step(state, weights)
             assert rel_dev(extract_w(state), trace[t]) <= 1e-10
@@ -247,7 +246,7 @@ class TestEnumeratedWeights:
         h = build_enumerated_input(p).h
         weights = build_enumerated_weights(6, 3)
         p1 = multihead_forward(h, weights.step[0]).array
-        delta = gd_step(p, GdState(t=0, w=p.w0)).delta.array
+        delta = gradient(p, p.w0).array
         s = 2 * 6 + 2 * 3 + 3
         assert np.abs(p1[:, -1] - delta[:, 0]).max() <= 1e-11 * max(1.0, np.abs(delta).max())
         marker = p1[:, 2 * 6 + 3 : 2 * 6 + 6]
@@ -267,7 +266,7 @@ class TestEnumeratedStep:
         p = problem(rng, n=5, d=2, steps=6)
         weights = build_enumerated_weights(5, 2)
         state = build_enumerated_input(p)
-        _, trace = gd_run(p)
+        trace = gd_run(p)
         for t in range(1, 7):
             state = step(state, weights)
             assert rel_dev(extract_w(state), trace[t]) <= 1e-10
@@ -315,8 +314,8 @@ class TestEnumeratedReadout:
     def test_forms_agree(self):
         rng = np.random.default_rng(26)
         p = problem(rng, n=8, d=3, steps=100)
-        run_l = run_pipeline(p, "designed")
-        run_e = run_pipeline(p, "enumerated")
+        run_l = run_pipeline(p, "lsa")
+        run_e = run_pipeline(p, "elsa")
         assert abs(run_l.prediction - run_e.prediction) <= 1e-9 * (
             1.0 + abs(run_l.prediction)
         )
@@ -335,7 +334,7 @@ class TestRunPipeline:
     def test_step_deviation_stays_tiny(self):
         rng = np.random.default_rng(28)
         p = problem(rng, n=10, d=4, steps=200)
-        for form in ("designed", "enumerated"):
+        for form in ("lsa", "elsa"):
             run = run_pipeline(p, form)
             assert run.report["max_step_deviation"] <= 1e-9
 
@@ -353,8 +352,21 @@ class TestRunPipeline:
     def test_unknown_form_rejected(self):
         rng = np.random.default_rng(30)
         p = problem(rng, n=3, d=2)
-        with pytest.raises(ValueError):
-            run_pipeline(p, "softmax")
+        for form in ("softmax", "designed", "enumerated"):
+            with pytest.raises(ValueError):
+                run_pipeline(p, form)
+
+    def test_divergent_rate_ends_the_deviations(self):
+        rng = np.random.default_rng(33)
+        assert run_pipeline(problem(rng, n=4, d=2, steps=3), "lsa").report["diverged_at"] is None
+        p = make_problem(Matrix([[1e100, 1.0], [2.0, 3.0]]), Matrix.column([1.0, 2.0]),
+                         Matrix.column([1.0, 1.0]), 0.5, eta=0.1, steps=5)
+        for form in ("lsa", "elsa"):
+            run = run_pipeline(p, form)
+            assert run.report["diverged_at"] == 3
+            assert len(run.report["per_step_deviation"]) == 3
+            assert len(run.w_trace) == 3
+            assert math.isnan(run.report["oracle_prediction"])
 
 
 class TestStructuralInvariants:
@@ -374,7 +386,7 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(32)
         for _ in range(2):
             p = problem(rng, n=6, d=3, steps=10)
-            plain = run_pipeline(p, "designed")
+            plain = run_pipeline(p, "lsa")
             wrapped = wrap_designed_as_elsa(build_designed_weights(p.n, p.d))
             wrapped_trace, _, wrapped_pred = run_program(wrapped, build_designed_input(p), p.steps)
             for a, b in zip(wrapped_trace, plain.w_trace):

@@ -8,13 +8,13 @@ import pytest
 
 from elsakit import (
     BadProblemFile,
-    GdState,
     Matrix,
     RidgeProblem,
     SingularSystem,
     contraction,
     gd_run,
     gd_step,
+    gradient,
     identity,
     make_problem,
     predict,
@@ -92,30 +92,21 @@ class TestClosedForm:
 class TestGdStep:
     def test_hand_recurrence(self):
         p = tiny_problem(lam=1.0, eta=0.1, steps=1)
-        s1 = gd_step(p, GdState(t=0, w=zeros(1, 1)))
-        assert s1.delta.array[0, 0] == -5.0
-        assert s1.w.array[0, 0] == 0.5
-        assert s1.t == 1
+        assert gradient(p, zeros(1, 1)).array[0, 0] == -5.0
+        assert gd_step(p, zeros(1, 1)).array[0, 0] == 0.5
 
     def test_closed_form_is_fixed_point(self):
         rng = np.random.default_rng(3)
         x, y, u = random_ridge_arrays(rng, 8, 3)
         p = problem_from_arrays(x, y, u, lam=0.5, steps=1)
         w_star = ridge_closed_form(p)
-        s1 = gd_step(p, GdState(t=0, w=w_star))
-        assert np.abs(s1.delta.array).max() <= 1e-12
-        assert np.abs(s1.w.array - w_star.array).max() <= 1e-12
+        assert np.abs(gradient(p, w_star).array).max() <= 1e-12
+        assert np.abs(gd_step(p, w_star).array - w_star.array).max() <= 1e-12
 
     def test_zero_rate_freezes_coefficients(self):
         p = tiny_problem(lam=1.0, eta=0.0, steps=1)
-        s1 = gd_step(p, GdState(t=0, w=zeros(1, 1)))
-        assert s1.w == zeros(1, 1)
-        assert s1.delta.array[0, 0] == -5.0
-
-    def test_step_past_budget_rejected(self):
-        p = tiny_problem(steps=0)
-        with pytest.raises(ValueError):
-            gd_step(p, GdState(t=0, w=zeros(1, 1)))
+        assert gd_step(p, zeros(1, 1)) == zeros(1, 1)
+        assert gradient(p, zeros(1, 1)).array[0, 0] == -5.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -126,33 +117,35 @@ class TestGdStep:
             lam = float(rng.uniform(0.0, 2.0))
             p = problem_from_arrays(x, y, np.zeros((d, 1)), lam=lam, steps=1)
             w = rng.normal(size=(d, 1))
-            s = gd_step(p, GdState(t=0, w=Matrix.from_array(w)))
+            dw = gradient(p, Matrix.from_array(w)).array
             ref = fd_gradient(x, y, lam, w)
             denom = max(1.0, np.abs(ref).max())
-            assert np.abs(s.delta.array - ref).max() / denom <= 1e-6
+            assert np.abs(dw - ref).max() / denom <= 1e-6
 
 
 class TestGdRun:
+    def test_divergent_rate_ends_before_first_overflow(self):
+        p = make_problem(Matrix([[1e100, 1.0], [2.0, 3.0]]), Matrix.column([1.0, 2.0]),
+                         Matrix.column([1.0, 1.0]), 0.5, eta=0.1, steps=5)
+        trace = gd_run(p)
+        assert len(trace) == 3
+        assert all(np.all(np.isfinite(w.array)) for w in trace)
+        assert trace == [p.w0, gd_step(p, p.w0), gd_step(p, gd_step(p, p.w0))]
+
     def test_zero_steps(self):
         p = tiny_problem(steps=0)
-        final, trace = gd_run(p)
-        assert final.t == 0 and final.w == p.w0
-        assert len(trace) == 1
+        assert gd_run(p) == [p.w0]
 
     def test_single_step_composition(self):
         p = tiny_problem(steps=1)
-        final, trace = gd_run(p)
-        direct = gd_step(p, GdState(t=0, w=p.w0))
-        assert final.w == direct.w
-        assert trace[1] == direct.w
+        assert gd_run(p) == [p.w0, gd_step(p, p.w0)]
 
     def test_converges_to_closed_form(self):
         rng = np.random.default_rng(5)
         x, y, u = random_ridge_arrays(rng, 12, 4)
         p = problem_from_arrays(x, y, u, lam=0.3, eta="auto", steps=10_000)
         w_star = ridge_closed_form(p).array
-        final, _ = gd_run(p)
-        err = np.abs(final.w.array - w_star).max()
+        err = np.abs(gd_run(p)[-1].array - w_star).max()
         assert err <= 1e-8 * (1.0 + np.abs(w_star).max())
 
     def test_monotone_descent_under_stable_rate(self):
@@ -163,7 +156,7 @@ class TestGdRun:
             x, y, u = random_ridge_arrays(rng, n, d)
             p = problem_from_arrays(x, y, u, lam=float(rng.uniform(0, 2)),
                                     eta="auto", steps=60)
-            _, trace = gd_run(p)
+            trace = gd_run(p)
             costs = [ridge_cost(x, y, p.lam, w.array) for w in trace]
             assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
