@@ -23,8 +23,12 @@ block returns its input unchanged:
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell. The run loop executes each
 program's compiled view (:attr:`Program.compiled`): every head restricted
-to the rows and columns its weights touch, compiled once per program. The
-literal dense forwards in :mod:`elsakit.attention` stay the oracle.
+to the rows and columns its weights touch, compiled once per program. A
+step changes only the columns its last block writes, so the loop binds
+the first step block to the initial prompt once: every projection that
+reads none of those columns is evaluated once, not at every step. The
+per-step :func:`step` and the literal dense forwards in
+:mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .attention import CompiledHead, ElsaParams, LsaParams, compile_head, compiled_forward
-from .matrix import BlockSpec, Matrix, block_read, block_write, eye_block, identity
-from .matrix import scale, transpose, zeros
+from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, block_write, eye_block
+from .matrix import identity, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import RidgeProblem, SingularSystem, finite_prefix, gd_run, predict, ridge_closed_form
 
@@ -352,22 +356,94 @@ def extract_w(state: PipelineState) -> Matrix:
     return block_read(state.h, BlockSpec(1, d, state.layout.w_col, state.layout.w_col))
 
 
+class _BoundHead(NamedTuple):
+    """A head of the first step block bound to the initial prompt.
+
+    t1, t2 and t3 hold t1[:, k1], t2 and t3[:, k3] of a projection that
+    reads no written column, or None for one evaluated each step; const
+    holds the whole term when all three are bound.
+    """
+
+    head: CompiledHead
+    t1: Optional[np.ndarray]
+    t2: Optional[np.ndarray]
+    t3: Optional[np.ndarray]
+    const: Optional[np.ndarray]
+
+    def term(self, h: np.ndarray) -> np.ndarray:
+        """The head's output columns C2 on the prompt h, as compiled_forward computes them."""
+        if self.const is not None:
+            return self.const
+        c = self.head
+        t1 = c.p1.apply(h)[:, c.k1] if self.t1 is None else self.t1
+        t2 = c.p2.apply(h) if self.t2 is None else self.t2
+        t3 = c.p3.apply(h)[:, c.k3] if self.t3 is None else self.t3
+        return t3 @ (t1.T @ t2)
+
+
+def _bind(prog: Program, state: PipelineState) -> tuple[_BoundHead, ...]:
+    """The first step block with every projection that reads no written column evaluated.
+
+    The step module's output is nonzero only in the columns its last block
+    writes, so its skip connection leaves every other column of the prompt
+    as it was: those columns, and every projection reading only them, are
+    the same at every step.
+    """
+    if state.layout != prog.layout:
+        raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
+    h = state.h.array
+    first = prog.compiled.step[0]
+    for c in first:
+        rows, width = c.input_shape
+        if h.shape[1] != width or rows not in (None, h.shape[0]):
+            raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
+    written = np.zeros(h.shape[1], dtype=bool)
+    for c in prog.compiled.step[-1]:
+        written[c.p2.cols] = True
+    # Every step after the first reads the unwritten columns as h0 + 0.0.
+    h0 = h + 0.0
+    bound = []
+    for c in first:
+        t1, t2, t3 = (None if written[p.rows].any() else p.apply(h0) for p in (c.p1, c.p2, c.p3))
+        t1 = None if t1 is None else t1[:, c.k1]
+        t3 = None if t3 is None else t3[:, c.k3]
+        const = t3 @ (t1.T @ t2) if all(t is not None for t in (t1, t2, t3)) else None
+        bound.append(_BoundHead(c, t1, t2, t3, const))
+    return tuple(bound)
+
+
 def run_program(
     prog: Program, state: PipelineState, steps: int
 ) -> tuple[list[Matrix], Matrix, float]:
     """Run `steps` descent steps and the readout.
 
     Returns the coefficient trace w_0..w_T, the final prompt and the
-    prediction. A divergent run overflows silently, and its trace ends
-    before the first non-finite coefficient column.
+    prediction. The loop binds the first step block to the initial prompt
+    once: a projection that reads none of the columns the step writes is
+    evaluated once, and a head whose three projections all are becomes one
+    constant term. Each step then adds the head terms in head order, runs
+    the later blocks and the skip connection on one ndarray, and equals
+    :func:`step` bit for bit; :func:`step` stays the per-step oracle. A
+    divergent run overflows silently, and its trace ends before the first
+    non-finite coefficient column.
     """
-    trace = [extract_w(state)]
+    bound = _bind(prog, state)
+    later = prog.compiled.step[1:]
+    d, wc = state.layout.d, state.layout.w_col - 1
+    h = state.h.array
+    ws = np.empty((steps + 1, d, 1))
+    ws[0] = h[:d, wc : wc + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            state = step(state, prog)
-            trace.append(extract_w(state))
-        h_final, prediction = readout(state, prog)
-    return finite_prefix(trace), h_final, prediction
+        for t in range(1, steps + 1):
+            out = np.zeros(h.shape)
+            for b in bound:
+                out[:, b.head.p2.cols] += b.term(h)
+            for block in later:
+                out = compiled_forward(out, block)
+            h = out + h
+            ws[t] = h[:d, wc : wc + 1]
+        h_final, prediction = readout(PipelineState(Matrix.from_array(h), state.layout), prog)
+    return finite_prefix([Matrix.from_array(w) for w in ws]), h_final, prediction
 
 
 class PipelineRun(NamedTuple):
@@ -397,11 +473,10 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     trace, _, prediction = run_program(prog, state, p.steps)
 
     oracle_trace = gd_run(p)
-    per_step = []
-    for w_pipe, w_oracle in zip(trace, oracle_trace):
-        diff = float(abs(w_pipe.array - w_oracle.array).max())
-        denom = max(1.0, float(abs(w_oracle.array).max()))
-        per_step.append(diff / denom)
+    compared = min(len(trace), len(oracle_trace))
+    wp = np.concatenate([w.array for w in trace[:compared]], axis=1)
+    wo = np.concatenate([w.array for w in oracle_trace[:compared]], axis=1)
+    per_step = (np.abs(wp - wo).max(axis=0) / np.maximum(1.0, np.abs(wo).max(axis=0))).tolist()
     diverged_at = len(per_step) if len(per_step) <= p.steps else None
     oracle_prediction = math.nan if diverged_at is not None else predict(oracle_trace[-1], p.u)
     try:

@@ -137,14 +137,19 @@ def finite_prefix(trace: list[Matrix]) -> list[Matrix]:
 def gd_run(p: RidgeProblem) -> list[Matrix]:
     """Apply the update p.steps times from w0; the trace holds w_0 .. w_T.
 
+    Each step computes what :func:`gd_step` does, with X^T y evaluated once.
     A divergent eta overflows silently and the trace ends before its first
     non-finite iterate.
     """
-    trace = [p.w0]
+    x, eta, lam = p.x.array, p.eta, p.lam
+    xty = x.T @ p.y.array
+    w = p.w0.array
+    trace = [w]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(p.steps):
-            trace.append(gd_step(p, trace[-1]))
-    return finite_prefix(trace)
+            w = w - eta * (-xty + x.T @ (x @ w) + lam * w)
+            trace.append(w)
+    return finite_prefix([Matrix.from_array(w) for w in trace])
 
 
 def _gram_spectrum(x: Matrix) -> np.ndarray:

@@ -7,17 +7,25 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elsakit import (
+    BlockSpec,
+    DesignedLayout,
+    DimensionMismatch,
     LayoutMismatch,
+    LsaParams,
     Matrix,
     PipelineState,
+    Program,
     build_designed_input,
     build_designed_weights,
     build_enumerated_input,
     build_enumerated_weights,
     elsa_forward,
     extract_w,
+    eye_block,
     gd_run,
     gd_step,
     gradient,
@@ -468,6 +476,98 @@ class TestCompiledProgram:
             changed = h_final.array != state.h.array
             changed[prog.cell[0] - 1, prog.cell[1] - 1] = False
             assert not changed.any(), name
+
+    @staticmethod
+    def step_loop(prog, state, steps):
+        """What run_program returns, taken one literal step() at a time."""
+        trace = [extract_w(state)]
+        for _ in range(steps):
+            state = step(state, prog)
+            trace.append(extract_w(state))
+        h_final, pred = readout(state, prog)
+        return trace, h_final, pred
+
+    @staticmethod
+    def assert_same_run(got, want, name):
+        (trace, h, pred), (want_trace, want_h, want_pred) = got, want
+        assert [w.array.tobytes() for w in trace] == [w.array.tobytes() for w in want_trace], name
+        assert h.array.tobytes() == want_h.array.tobytes(), name
+        assert np.float64(pred).tobytes() == np.float64(want_pred).tobytes(), name
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_bound_loop_is_the_step_loop(self, n, d):
+        rng = np.random.default_rng(60 + n)
+        for lam in (0.0, 0.5, 2.0):
+            p = problem(rng, n, d, lam=lam, steps=60, w0=rng.normal(size=(d, 1)))
+            for name, (prog, state) in self.programs(p).items():
+                got = run_program(prog, state, p.steps)
+                self.assert_same_run(got, self.step_loop(prog, state, p.steps), name)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(1, 4),
+        lam=st.just(0.0) | st.floats(0.0, 4.0),
+        steps=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_loop_is_the_step_loop_property(self, n, d, lam, steps, seed):
+        rng = np.random.default_rng(seed)
+        p = problem(rng, n, d, lam=lam, steps=steps, w0=rng.normal(size=(d, 1)))
+        for name, (prog, state) in self.programs(p).items():
+            got = run_program(prog, state, p.steps)
+            self.assert_same_run(got, self.step_loop(prog, state, p.steps), name)
+
+    def test_negative_zeros_keep_their_sign(self):
+        rng = np.random.default_rng(61)
+        p = problem(rng, n=5, d=3, steps=8, w0=rng.normal(size=(3, 1)))
+        for name, (prog, state) in self.programs(p).items():
+            h = state.h.to_array()
+            unwritten = h[:, : prog.layout.w_col - 1]
+            unwritten[unwritten == 0.0] = -0.0
+            unwritten[0, :2] = -0.0  # two entries of X
+            unwritten[-1, prog.layout.w_col - 2] = -0.0  # an entry of u or the scratch column
+            h[0, prog.layout.w_col - 1] = -0.0  # and one of w0
+            assert np.signbit(h).any(), name
+            state = PipelineState(h=Matrix.from_array(h), layout=state.layout)
+            got = run_program(prog, state, p.steps)
+            want = self.step_loop(prog, state, p.steps)
+            assert np.array_equal(np.signbit(got[1].array), np.signbit(want[1].array)), name
+            for w, want_w in zip(got[0], want[0]):
+                assert np.array_equal(np.signbit(w.array), np.signbit(want_w.array)), name
+            self.assert_same_run(got, want, name)
+
+    def test_foreign_state_is_refused(self):
+        rng = np.random.default_rng(62)
+        p = problem(rng, n=3, d=2, steps=2)
+        with pytest.raises(LayoutMismatch):
+            run_program(build_designed_weights(3, 2), build_enumerated_input(p), p.steps)
+        with pytest.raises(LayoutMismatch):
+            run_program(build_enumerated_weights(3, 2), build_designed_input(p), 0)
+        wider = build_designed_weights(4, 2)
+        prog = Program(DesignedLayout(3, 2), wider.step, wider.readout, wider.cell)
+        with pytest.raises(DimensionMismatch):
+            run_program(prog, build_designed_input(p), p.steps)
+
+    @pytest.mark.parametrize("reader", ["w1", "w3"])
+    def test_head_reading_the_written_column_runs_each_step(self, reader):
+        rng = np.random.default_rng(63)
+        n, d = 4, 2
+        p = problem(rng, n, d, steps=12, w0=rng.normal(size=(d, 1)))
+        designed = build_designed_weights(n, d)
+        s = designed.layout.s
+        # The extra head adds t3 (t1^T t2) to the w column s, with t1 = t3 = H[:, 1] and
+        # t2 = -0.1 H[:, 1], except that the reader projection takes the w column H[:, s].
+        x_col = eye_block(s, s, BlockSpec(1, 1, 1, 1))
+        weights = {"w1": x_col, "w3": x_col, reader: eye_block(s, s, BlockSpec(s, s, 1, 1))}
+        w2 = eye_block(s, s, BlockSpec(1, 1, s, s), -0.1)
+        head = LsaParams(w1=weights["w1"], w2=w2, w3=weights["w3"])
+        step_block = (*designed.step[0], head)
+        prog = Program(designed.layout, (step_block,), designed.readout, designed.cell)
+        state = build_designed_input(p)
+        got = run_program(prog, state, p.steps)
+        assert got[0][-1] != run_program(designed, state, p.steps)[0][-1]
+        self.assert_same_run(got, self.step_loop(prog, state, p.steps), reader)
 
     def test_compiled_view_dies_with_program(self):
         rng = np.random.default_rng(44)

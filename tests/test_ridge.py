@@ -136,6 +136,17 @@ class TestGdRun:
         p = tiny_problem(steps=0)
         assert gd_run(p) == [p.w0]
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_trace_is_iterated_gd_step(self, n, d):
+        rng = np.random.default_rng(7 + n)
+        x, y, u = random_ridge_arrays(rng, n, d)
+        for lam in (0.0, 0.5, 2.0):
+            p = problem_from_arrays(x, y, u, lam=lam, eta="auto", steps=60)
+            want = [p.w0]
+            for _ in range(p.steps):
+                want.append(gd_step(p, want[-1]))
+            assert [w.array.tobytes() for w in gd_run(p)] == [w.array.tobytes() for w in want]
+
     def test_single_step_composition(self):
         p = tiny_problem(steps=1)
         assert gd_run(p) == [p.w0, gd_step(p, p.w0)]
