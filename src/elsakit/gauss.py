@@ -42,7 +42,7 @@ from .netcomp import (
     make_mask_component,
     skip_mul,
 )
-from .ridge import RidgeProblem, predict
+from .ridge import RidgeProblem, normal_equations, predict
 
 PIVOT_TOLERANCE = 1e-10
 
@@ -262,10 +262,7 @@ def ridge_via_gauss(
     p: RidgeProblem, mode: str = "exact", table: Optional[PiecewiseInvSqr] = None
 ) -> tuple[Matrix, float]:
     """Solve the normal equations (X^T X + lam I) w = X^T y with the pipeline."""
-    xt = p.x.array.T
-    f = Matrix.from_array(xt @ p.x.array + p.lam * np.eye(p.d))
-    b = Matrix.from_array(xt @ p.y.array)
-    w, _ = solve(LinearSystem(f=f, alpha=b), mode=mode, table=table)
+    w, _ = solve(LinearSystem(*normal_equations(p)), mode=mode, table=table)
     return w, predict(w, p.u)
 
 

@@ -13,17 +13,15 @@ floating-point summation order.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matrix import DimensionMismatch, Matrix, ShapeMismatch, json_entries
 
 
 class SingularSystem(ArithmeticError):
-    """The normal-equations matrix has a pivot below tolerance."""
+    """The normal-equations matrix is numerically singular."""
 
 
 class BadProblemFile(ValueError):
@@ -98,22 +96,26 @@ def make_problem(
     return RidgeProblem(x=x, y=y, u=u, lam=lam, eta=float(eta), steps=steps, w0=w0)
 
 
+def normal_equations(p: RidgeProblem) -> tuple[Matrix, Matrix]:
+    """(X^T X + lam I, X^T y): the ridge normal equations, assembled here only."""
+    x = p.x.array
+    return Matrix.from_array(x.T @ x + p.lam * np.eye(p.d)), Matrix.from_array(x.T @ p.y.array)
+
+
 def ridge_closed_form(p: RidgeProblem) -> Matrix:
-    """Solve (X^T X + lam I) w = X^T y by a partial-pivot dense factorization."""
-    xt = p.x.array.T
-    f = xt @ p.x.array + p.lam * np.eye(p.d)
-    b = xt @ p.y.array
-    with warnings.catch_warnings():
-        # the explicit pivot check below covers the singular case
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(f, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    tol = np.finfo(np.float64).eps * max(1.0, float(np.max(pivots, initial=0.0))) * p.d
-    if np.min(pivots) <= tol:
-        raise SingularSystem(
-            f"normal equations pivot {np.min(pivots):.3e} below tolerance {tol:.3e}"
-        )
-    return Matrix.from_array(scipy.linalg.lu_solve((lu, piv), b, check_finite=False))
+    """Solve (X^T X + lam I) w = X^T y by np.linalg.solve (LAPACK gesv).
+
+    Raises SingularSystem unless mu_min > eps * max(1, mu_max) * d for mu = eig(X^T X)
+    + lam, the eigvalsh spectrum eta and the contraction share, or if X^T X overflows.
+    """
+    mu = _gram_spectrum(p.x) + p.lam
+    if np.isnan(mu[0]):
+        raise SingularSystem("the Gram matrix X^T X is not finite (it overflows)")
+    tol = np.finfo(np.float64).eps * max(1.0, float(mu[-1])) * p.d
+    if mu[0] <= tol:
+        raise SingularSystem(f"normal equations eigenvalue {mu[0]:.3e} below tolerance {tol:.3e}")
+    f, b = normal_equations(p)
+    return Matrix.from_array(np.linalg.solve(f.array, b.array))
 
 
 def gradient(p: RidgeProblem, w: Matrix) -> Matrix:

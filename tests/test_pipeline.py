@@ -3,6 +3,7 @@
 import copy
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from elsakit import (
     Matrix,
     PipelineState,
     Program,
+    RidgeProblem,
     build_designed_input,
     build_designed_weights,
     build_enumerated_input,
@@ -375,6 +377,17 @@ class TestRunPipeline:
             assert len(run.report["per_step_deviation"]) == 3
             assert len(run.w_trace) == 3
             assert math.isnan(run.report["oracle_prediction"])
+
+    def test_overflowing_gram_matrix_has_no_closed_form(self):
+        # X^T X overflows, so the closed form is singular and the descent diverges at step 2
+        p = RidgeProblem(x=Matrix([[1e200, 1.0], [2.0, 3.0]]), y=Matrix.column([1.0, 2.0]),
+                         u=Matrix.column([1.0, 1.0]), lam=0.5, eta=0.1, steps=3, w0=zeros(2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in ("lsa", "elsa"):
+                report = run_pipeline(p, form).report
+                assert report["closed_form_prediction"] is None
+                assert report["diverged_at"] == 2
 
 
 class TestStructuralInvariants:

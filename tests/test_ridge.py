@@ -1,7 +1,11 @@
 """Ridge oracle: closed form, descent recurrence, stability helper, JSON."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,9 @@ def problem_from_arrays(x, y, u, lam, eta="auto", steps=0):
         Matrix.from_array(x), Matrix.from_array(y), Matrix.from_array(u),
         lam, eta=eta, steps=steps,
     )
+
+
+RANK_ONE_X = np.array([[1.0, 1.0], [1.0, 1.0]])
 
 
 def tiny_problem(lam=1.0, eta=0.1, steps=1):
@@ -66,27 +73,35 @@ class TestClosedForm:
 
     def test_residual_of_normal_equations(self):
         rng = np.random.default_rng(2)
+        cases = []
         for _ in range(20):
             n = int(rng.integers(2, 12))
             d = int(rng.integers(1, 6))
-            x, y, u = random_ridge_arrays(rng, n, d)
-            lam = float(rng.uniform(1e-6, 2.0))
+            cases.append((*random_ridge_arrays(rng, n, d), float(rng.uniform(1e-6, 2.0))))
+        # the rank-deficient design of test_singular_system_raises, made solvable by lam
+        cases.append((RANK_ONE_X, np.array([[1.0], [2.0]]), np.zeros((2, 1)), 1e-3))
+        for x, y, u, lam in cases:
             p = problem_from_arrays(x, y, u, lam=lam)
             w = ridge_closed_form(p).array
-            lhs = (x.T @ x + lam * np.eye(d)) @ w
+            lhs = (x.T @ x + lam * np.eye(x.shape[1])) @ w
             rhs = x.T @ y
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1e-30, np.abs(rhs).max())
 
     def test_singular_system_raises(self):
-        p = problem_from_arrays(
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            np.array([[1.0], [2.0]]),
-            np.zeros((2, 1)),
-            lam=0.0,
-            eta=0.1,
-        )
-        with pytest.raises(SingularSystem):
-            ridge_closed_form(p)
+        zero_column = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        for x in (RANK_ONE_X, zero_column):
+            y = np.arange(1.0, x.shape[0] + 1).reshape(-1, 1)
+            p = problem_from_arrays(x, y, np.zeros((2, 1)), lam=0.0, eta=0.1)
+            with pytest.raises(SingularSystem, match="eigenvalue"):
+                ridge_closed_form(p)
+
+    def test_overflowing_gram_matrix_is_named(self):
+        p = RidgeProblem(x=Matrix([[1e200, 1.0], [2.0, 3.0]]), y=Matrix.column([1.0, 2.0]),
+                         u=Matrix.column([1.0, 1.0]), lam=0.5, eta=0.1, steps=3, w0=zeros(2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="X\\^T X is not finite"):
+                ridge_closed_form(p)
 
 
 class TestGdStep:
@@ -289,3 +304,15 @@ class TestProblemJson:
                 x=identity(2), y=zeros(3, 1), u=zeros(2, 1),
                 lam=0.0, eta=0.1, steps=0, w0=zeros(2, 1),
             )
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process may have loaded scipy already
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, elsakit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
