@@ -108,6 +108,7 @@ from .netcomp import (
 from .gauss import (
     PIVOT_TOLERANCE,
     BadSystemFile,
+    EliminationOverflow,
     EliminationState,
     LinearSystem,
     PivotBelowTolerance,

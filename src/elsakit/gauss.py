@@ -8,6 +8,17 @@ a module is one of the declared primitives: a mask (componentwise unit), the
 product, or a multiplicative skip connection. There is no row exchange:
 a too-small pivot raises instead of being repaired.
 
+Each module is evaluated on the static support of its intermediates, which
+its MaskSpecs fix: a pivot entry, a column block, one row. Off its support a
+component outputs its constant for every finite input (+0.0 for a mask or
+divider, I for the affine units), so every component runs through
+component_forward on its block alone, and each multiplicative skip, whose
+left or right operand is I plus that block, is a row or column update of
+the state. A solve costs O(m^3) and is bitwise the dense evaluation of
+every module over the whole padded state, sign of zero included; the tests
+keep that dense evaluation as the reference. A module whose updated entries
+overflow float64 raises EliminationOverflow.
+
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
 approximation in the whole pipeline.
@@ -16,7 +27,9 @@ approximation in the whole pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,13 +40,13 @@ from .matrix import (
     ShapeMismatch,
     block_read,
     block_write,
-    identity,
     json_entries,
     matmul,
     zeros,
 )
 from .maskmove import MaskSpec
 from .netcomp import (
+    NetworkComponent,
     PiecewiseInvSqr,
     component_forward,
     default_invsqr,
@@ -53,6 +66,10 @@ class SingularDetected(ArithmeticError):
 
 class PivotBelowTolerance(SingularDetected):
     """A pivot magnitude fell below PIVOT_TOLERANCE."""
+
+
+class EliminationOverflow(SingularDetected):
+    """A module's updated entries overflowed float64 (an inf or NaN appeared)."""
 
 
 class BadSystemFile(ValueError):
@@ -118,16 +135,52 @@ def embed_system(
     return EliminationState(p=p, stage=("forward", 0), table=table)
 
 
-def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) -> Matrix:
-    """Divide module: mask the pivot (z), 1/z^2 by the divider (r), gamma * (r @ z).
+# A divide module's pivot and a fold's solved entry are single entries, kept
+# by _ENTRY_MASK on their own 1-by-1 block. Each affine unit's constant reads
+# 0 on the block it runs on: the fold entry (t+1, m+1) and the column below a
+# pivot lie off the diagonal of I, and z7's constant is I with the pivot
+# entry zeroed.
+_ENTRY = MaskSpec(BlockSpec(1, 1, 1, 1), 1, 1)
+_ENTRY_MASK = make_mask_component(_ENTRY)
+_NEGATE = make_affine_component(-1.0, zeros(1, 1))
+_PLUS_IDENTITY = make_affine_component(1.0, zeros(1, 1))
 
-    The result is gamma / x at the pivot and zero elsewhere. z is already masked
-    to the pivot, so the divider needs no anti-mask passing the rest through.
+
+@lru_cache(maxsize=8)
+def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
+    """The divider on a pivot block, once per knot table (None: exact division)."""
+    return make_divider_component(_ENTRY, table)
+
+
+@lru_cache(maxsize=1024)
+def _column_units(size: int, k: int) -> tuple[BlockSpec, NetworkComponent, NetworkComponent]:
+    """Forward step k's column block (rows k+1..m of column k) and the mask
+    (z4) and affine unit (z6 = z5 + I) evaluated on it.
+
+    Off the block the mask outputs +0.0 and the affine unit its constant I
+    for every finite input, so the block is all of them that needs evaluating.
     """
-    size = x.rows
-    spec = MaskSpec(pivot, size, size)
-    z = component_forward(x, make_mask_component(spec))
-    r = component_forward(z, make_divider_component(spec, state.table))
+    below = MaskSpec(BlockSpec(k + 1, size - 1, k, k), size, size)
+    mask = make_mask_component(below.restrict(below.block))
+    return below.block, mask, make_affine_component(1.0, zeros(below.block.block_rows, 1))
+
+
+@lru_cache(maxsize=1024)
+def _clear_unit(size: int, t: int) -> NetworkComponent:
+    """Backward step t's anti-mask of the pivot (t, t), on row t: the row z7 @ Q changes."""
+    clear = MaskSpec(BlockSpec(t, t, t, t), size, size, anti=True)
+    return make_mask_component(clear.restrict(BlockSpec(t, t, 1, size)))
+
+
+def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) -> Matrix:
+    """Divide module on the pivot: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
+
+    Returns the 1-by-1 pivot block, gamma / x there; the rest of the module's
+    output is zero. z is already masked to the pivot, so the divider needs no
+    anti-mask passing the rest through.
+    """
+    z = component_forward(block_read(x, pivot), _ENTRY_MASK)
+    r = component_forward(z, _pivot_divider(state.table))
     return skip_mul(r, z, side="left", gamma=gamma)
 
 
@@ -136,22 +189,46 @@ def _check_pivot(state: EliminationState, value: float, where: str) -> None:
         raise PivotBelowTolerance(
             f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {where}"
         )
-    if state.table is None and not np.isfinite(value * value):
+    if state.table is None and not math.isfinite(value * value):
         raise SingularDetected(f"pivot {value:.3e} at {where} squares to inf in exact division")
 
 
-def _eye_without(size: int, idx: int) -> Matrix:
-    """Identity with the (idx, idx) entry zeroed."""
-    return block_write(identity(size), BlockSpec(idx, idx, idx, idx), zeros(1, 1))
+def _update(p: Matrix, block: BlockSpec, value: Matrix, where: str, *, add: bool = False) -> Matrix:
+    """p with a module's update on block: value replaces the block, or is added to it.
+
+    Every entry off the block is p's own; the updated entries must be
+    finite, else EliminationOverflow. The dense product a module stands for
+    adds +0.0 terms to each entry, so it turns any -0.0 into +0.0; the final
+    + 0.0 does the same and changes no other bit.
+    """
+    out = p.to_array()
+    view = out[block.row_lo - 1 : block.row_hi, block.col_lo - 1 : block.col_hi]
+    if add:
+        view += value.array
+    else:
+        view[...] = value.array
+    if not np.isfinite(view).all():
+        raise EliminationOverflow(
+            f"{where} overflows float64 in rows {block.row_lo}..{block.row_hi}, "
+            f"columns {block.col_lo}..{block.col_hi}"
+        )
+    out += 0.0
+    return Matrix.from_array(out)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     """Eliminate column k below the diagonal.
 
     Mask the pivot, invert its square through the activation, recover the
-    negated reciprocal by a multiplicative skip, mask the subdiagonal
-    column, form the multiplier column, add the identity, and multiply the
-    whole state from the left.
+    negated reciprocal by a multiplicative skip (z3), mask the subdiagonal
+    column (z4), form the multiplier column z5 = z4 @ z3, add the identity
+    (z6 = I + z5), and multiply the state from the left by z6.
+
+    Each module runs on the support its masks give it: z3 is the pivot
+    entry; z4, z5 and z6 - I are rows k+1..m of column k. So z6 @ P keeps
+    every row but k+1..m and adds z5 times row k to those: a row update
+    that never touches the padded row. An update that is not finite raises
+    EliminationOverflow.
     """
     m = state.m
     size = m + 1
@@ -159,14 +236,17 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     _check_pivot(state, state.p.get(k, k), f"forward step {k}")
 
-    z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
-    z4 = component_forward(
-        state.p, make_mask_component(MaskSpec(BlockSpec(k + 1, m, k, k), size, size))
-    )
-    z5 = matmul(z4, z3)
-    z6 = component_forward(z5, make_affine_component(1.0, identity(size)))
-    p_next = skip_mul(z6, state.p, side="left", gamma=1)
-    return replace(state, p=p_next, stage=("forward", max(state.stage[1], k)))
+    below, below_mask, plus_identity = _column_units(size, k)
+    rows = BlockSpec(k + 1, m, 1, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
+        z4 = component_forward(block_read(state.p, below), below_mask)
+        z6 = component_forward(matmul(z4, z3), plus_identity)
+        # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
+        pivot_row = block_read(state.p, BlockSpec(k, k, 1, size))
+        spread = skip_mul(z6, pivot_row, side="left", gamma=1)
+        p_next = _update(state.p, rows, spread, f"forward step {k}", add=True)
+    return EliminationState(p_next, ("forward", max(state.stage[1], k)), state.table)
 
 
 def backward_substitute_step(state: EliminationState, t: int) -> EliminationState:
@@ -176,31 +256,37 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
     solved entry t+1 is first folded into the right-hand-side column, then
     the divide module runs at (t, t); an anti-mask keeps earlier solution
     entries in place.
+
+    Each module runs on its support. The fold Q (I - xi e_{t+1,m+1}) adds
+    -xi times column t+1 to column m+1 and keeps the rest. The divide
+    module's z6 is the pivot entry, so z7 is I with (t, t) replaced, z7 @ Q
+    scales row t, and the anti-mask, run on that row, clears (t, t). An
+    update that is not finite raises EliminationOverflow.
     """
     m = state.m
     size = m + 1
-    if t == m:
-        if state.stage != ("forward", m - 1):
-            raise ValueError(f"cannot solve variable {m} from stage {state.stage}")
-        q = state.p
-    else:
-        if state.stage != ("backward", t + 1):
-            raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
-        # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-        z1 = component_forward(
-            state.p,
-            make_mask_component(MaskSpec(BlockSpec(t + 1, t + 1, size, size), size, size)),
-        )
-        z2 = component_forward(z1, make_affine_component(-1.0, identity(size)))
-        q = skip_mul(z2, state.p, side="right", gamma=1)
-    _check_pivot(state, q.get(t, t), f"backward step {t}")
+    expected = ("forward", m - 1) if t == m else ("backward", t + 1)
+    if state.stage != expected:
+        raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
+    q = state.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t < m:
+            # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
+            xi = block_read(q, BlockSpec(t + 1, t + 1, size, size))
+            z2 = component_forward(component_forward(xi, _ENTRY_MASK), _NEGATE)
+            # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
+            solved = block_read(q, BlockSpec(1, size, t + 1, t + 1))
+            spread = skip_mul(z2, solved, side="right", gamma=1)
+            q = _update(q, BlockSpec(1, size, size, size), spread, f"backward step {t}", add=True)
+        _check_pivot(state, q.get(t, t), f"backward step {t}")
 
-    pivot = BlockSpec(t, t, t, t)
-    z6 = _divide(state, q, pivot, gamma=1)
-    z7 = component_forward(z6, make_affine_component(1.0, _eye_without(size, t)))
-    prod = skip_mul(z7, q, side="left", gamma=1)
-    q_next = component_forward(prod, make_mask_component(MaskSpec(pivot, size, size, anti=True)))
-    return replace(state, p=q_next, stage=("backward", t))
+        z6 = _divide(state, q, BlockSpec(t, t, t, t), gamma=1)
+        z7 = component_forward(z6, _PLUS_IDENTITY)
+        row = BlockSpec(t, t, 1, size)
+        scaled = skip_mul(z7, block_read(q, row), side="left", gamma=1)
+        cleared = component_forward(scaled, _clear_unit(size, t))
+    q_next = _update(q, row, cleared, f"backward step {t}")
+    return EliminationState(q_next, ("backward", t), state.table)
 
 
 def solve(

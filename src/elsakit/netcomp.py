@@ -20,11 +20,18 @@ A divider keeps one entry of its input through a 0/1 output weight V, so
 component_forward evaluates the two 1/x^2 activations only where V is
 nonzero and writes 0 elsewhere. This is exact for finite activations:
 a dropped entry would have contributed 0 * sigma = 0.
+
+A component is evaluated on whatever matrix it is built for. The
+elimination modules (elsakit.gauss) build theirs on the block each mask
+selects, a pivot entry, a column block or a row, and never on the whole
+padded state: off its block a component outputs its constant C for every
+finite input, which the module accounts for without evaluating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,14 +44,15 @@ class BadKnotSpec(ValueError):
     """A knot specification is unparsable, non-finite or not increasing/positive."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseInvSqr:
     """Knot table for the piecewise-linear approximation of 1/x^2.
 
     knots holds finite x_1 < ... < x_{K}, values the matching finite
     ordinates; the final knot is the cutoff with value 0, every earlier knot
     carries 1/x^2 exactly. x_0 = 0 is implicit and the value is capped at
-    values[0] on [-x_1, x_1].
+    values[0] on [-x_1, x_1]. A table compares and hashes by identity, so
+    components built from it can be cached per table.
     """
 
     knots: np.ndarray
@@ -75,9 +83,12 @@ class PiecewiseInvSqr:
     def cutoff(self) -> float:
         return float(self.knots[-1])
 
-    @property
+    @cached_property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.knots)
+        """Per-interval slopes, computed once per table (every divider call reads them)."""
+        slopes = np.diff(self.values) / np.diff(self.knots)
+        slopes.setflags(write=False)
+        return slopes
 
 
 def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
@@ -189,7 +200,7 @@ ACTIVATIONS = ("relu", "identity_via_relu", "invsqr", "invsqr_exact")
 Param = Union[Matrix, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkComponent:
     """Per-head parameters (w, v, b, c) and one activation selector.
 
@@ -206,25 +217,32 @@ class NetworkComponent:
     c: tuple[Param, ...]
     activation: str
     table: PiecewiseInvSqr | None = None
+    shape: tuple[int, int] = field(init=False, repr=False, compare=False)
+    # Per head (w, v, b, c) as the arrays and floats component_forward combines.
+    heads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.w)
         if k < 1 or not (len(self.v) == len(self.b) == len(self.c) == k):
             raise ShapeMismatch("per-head parameter stacks must be nonempty and equal")
-        params = self.w + self.v + self.b + self.c
-        if not all(isinstance(p, (Matrix, float)) for p in params):
-            raise TypeError("component parameters must be matrices or floats")
-        if len({p.shape for p in params if isinstance(p, Matrix)}) != 1:
+        raw, shapes = [], set()
+        for p in self.w + self.v + self.b + self.c:
+            if isinstance(p, Matrix):
+                shapes.add(p.shape)
+                raw.append(p.array)
+            elif isinstance(p, float):
+                raw.append(p)
+            else:
+                raise TypeError("component parameters must be matrices or floats")
+        if len(shapes) != 1:
             raise ShapeMismatch("a component needs matrix parameters of one shape")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == "invsqr" and self.table is None:
             raise ValueError("invsqr activation needs a knot table")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        params = self.w + self.v + self.b + self.c
-        return next(p.shape for p in params if isinstance(p, Matrix))
+        object.__setattr__(self, "shape", shapes.pop())
+        heads = zip(raw[:k], raw[k : 2 * k], raw[2 * k : 3 * k], raw[3 * k :])
+        object.__setattr__(self, "heads", tuple(heads))
 
 
 def _relu(a: np.ndarray) -> np.ndarray:
@@ -240,7 +258,7 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
     # on a dense v the gather costs more than the O(1) activation it skips.
     out = np.zeros_like(a)
-    keep = np.broadcast_to(v != 0.0, a.shape)
+    keep = np.not_equal(v, 0.0, out=np.empty(a.shape, dtype=bool))
     if comp.activation == "invsqr":
         out[keep] = invsqr_eval(comp.table, a[keep])
     else:
@@ -261,8 +279,7 @@ def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
     if x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
     acc = np.zeros(comp.shape)
-    for head in zip(comp.w, comp.v, comp.b, comp.c):
-        w, v, b, c = (p.array if isinstance(p, Matrix) else p for p in head)
+    for w, v, b, c in comp.heads:
         acc += v * _activate(comp, w * x.array + b, v) + c
     return Matrix.from_array(acc)
 

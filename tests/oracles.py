@@ -4,14 +4,33 @@ Nothing here imports from the package's computational paths: products are
 naive triple loops, the move operation is a literal copy loop, the division
 approximator oracle is np.interp on the knot table, the component oracle
 applies the activation to every entry before weighting, and the elimination
-shadow updates rows with plain scalar arithmetic. The one exception is
-literal_run_module, which chains the package's dense attention forwards:
-those are the literal construction the compiled pipeline heads must match.
+shadow updates rows with plain scalar arithmetic. There are two exceptions,
+both chaining package components as the literal construction that a fast
+path must match: literal_run_module runs the dense attention forwards the
+compiled pipeline heads are checked against, and literal_forward_step /
+literal_backward_step run every elimination module densely over the whole
+padded state, which the block-evaluated steps are checked against bitwise.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from elsakit import add, multihead_forward
+from elsakit import (
+    BlockSpec,
+    MaskSpec,
+    add,
+    block_write,
+    component_forward,
+    identity,
+    make_affine_component,
+    make_divider_component,
+    make_mask_component,
+    matmul,
+    multihead_forward,
+    skip_mul,
+    zeros,
+)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,6 +110,55 @@ def literal_run_module(h, blocks):
     for block in blocks:
         out = multihead_forward(out, block)
     return add(out, h)
+
+
+def _literal_divide(table, x, pivot: BlockSpec, gamma: int):
+    """Dense divide module: mask the pivot (z), 1/z^2 by the divider (r), gamma * (r @ z)."""
+    size = x.rows
+    spec = MaskSpec(pivot, size, size)
+    z = component_forward(x, make_mask_component(spec))
+    r = component_forward(z, make_divider_component(spec, table))
+    return skip_mul(r, z, side="left", gamma=gamma)
+
+
+def literal_forward_step(state, k: int):
+    """Forward elimination of column k with every module dense over the padded state.
+
+    Takes and returns a gauss EliminationState; it checks no pivot or stage.
+    """
+    size = state.m + 1
+    p = state.p
+    z3 = _literal_divide(state.table, p, BlockSpec(k, k, k, k), gamma=-1)
+    z4 = component_forward(
+        p, make_mask_component(MaskSpec(BlockSpec(k + 1, state.m, k, k), size, size))
+    )
+    z5 = matmul(z4, z3)
+    z6 = component_forward(z5, make_affine_component(1.0, identity(size)))
+    p_next = skip_mul(z6, p, side="left", gamma=1)
+    return replace(state, p=p_next, stage=("forward", max(state.stage[1], k)))
+
+
+def literal_backward_step(state, t: int):
+    """Backward substitution of variable t with every module dense over the padded state.
+
+    Takes and returns a gauss EliminationState; it checks no pivot or stage.
+    """
+    size = state.m + 1
+    q = state.p
+    if t < state.m:
+        # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
+        z1 = component_forward(
+            q, make_mask_component(MaskSpec(BlockSpec(t + 1, t + 1, size, size), size, size))
+        )
+        z2 = component_forward(z1, make_affine_component(-1.0, identity(size)))
+        q = skip_mul(z2, q, side="right", gamma=1)
+    pivot = BlockSpec(t, t, t, t)
+    z6 = _literal_divide(state.table, q, pivot, gamma=1)
+    eye_without = block_write(identity(size), pivot, zeros(1, 1))
+    z7 = component_forward(z6, make_affine_component(1.0, eye_without))
+    prod = skip_mul(z7, q, side="left", gamma=1)
+    q_next = component_forward(prod, make_mask_component(MaskSpec(pivot, size, size, anti=True)))
+    return replace(state, p=q_next, stage=("backward", t))
 
 
 def shadow_forward_step(p: np.ndarray, k: int) -> np.ndarray:

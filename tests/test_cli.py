@@ -427,6 +427,40 @@ class TestGaussCommand:
         assert code == 1
         assert json.loads(out)["error"] == "PivotBelowTolerance"
 
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("doc", [
+        {"F": [[1, 1e300], [1e300, 1]], "alpha": [1, 1]},
+        {"F": [[1, 1, 1e300], [1e300, 1, 1], [0, 0, 1]], "alpha": [1, 1, 1]},
+        {"F": [[1, 0], [1e300, 1]], "alpha": [1e300, 1]},
+        {"F": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1e300], [0, 0, 1e300, 1]],
+         "alpha": [1, 1, 1, 1]},
+    ], ids=["pivot_2x2", "off_pivot", "right_hand_side", "column_3"])
+    def test_overflowing_elimination_is_named(self, tmp_path, capsys, doc, mode):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = main(["gauss", "--system", str(path), "--mode", mode])
+        out, err = capsys.readouterr()
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert err == ""
+        assert report == {"command": "gauss", "error": "EliminationOverflow",
+                          "message": report["message"]}
+        assert "overflows float64" in report["message"]
+
+    def test_overflowing_elimination_prints_no_warning(self, tmp_path):
+        # A fresh process turns no warning into an error, so one would reach stderr.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"F": [[1, 1e300], [1e300, 1]], "alpha": [1, 1]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "elsakit.cli", "gauss", "--system", str(path),
+             "--mode", "relu"], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["error"] == "EliminationOverflow"
+
     @pytest.mark.parametrize("text", ['{"F": [[2.0]]}', "not json"])
     def test_bad_system_file(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

@@ -1,11 +1,16 @@
 """Component-built elimination against hand values, a dense solver, and the shadow."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elsakit import gauss
+from elsakit import gauss, netcomp
 from elsakit import (
     BlockSpec,
+    EliminationOverflow,
     LinearSystem,
     Matrix,
     PivotBelowTolerance,
@@ -18,6 +23,7 @@ from elsakit import (
     identity,
     invsqr_eval,
     make_problem,
+    matmul,
     predict,
     ridge_closed_form,
     ridge_via_gauss,
@@ -28,6 +34,8 @@ from elsakit import (
 )
 from oracles import (
     dense_component_forward,
+    literal_backward_step,
+    literal_forward_step,
     random_dd_system,
     random_ridge_arrays,
     shadow_backward_step,
@@ -42,6 +50,36 @@ HUGE_PIVOT = LinearSystem(f=Matrix([[1e160, 0.0], [0.0, 1.0]]), alpha=Matrix([[1
 def dd_system(rng, m, spread=1.0, signed=False):
     f, alpha = random_dd_system(rng, m, spread, signed=signed)
     return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
+
+
+def assert_states_match_literal(sys, mode):
+    """Run a solve step by step; each state must be bitwise the dense step's from the same state."""
+    state = embed_system(sys, mode=mode)
+    for k in range(1, sys.m):
+        nxt = forward_eliminate_step(state, k)
+        ref = literal_forward_step(state, k)
+        assert nxt.p.array.tobytes() == ref.p.array.tobytes(), f"forward step {k}"
+        assert nxt.stage == ref.stage
+        state = nxt
+    for t in range(sys.m, 0, -1):
+        nxt = backward_substitute_step(state, t)
+        ref = literal_backward_step(state, t)
+        assert nxt.p.array.tobytes() == ref.p.array.tobytes(), f"backward step {t}"
+        assert nxt.stage == ref.stage
+        state = nxt
+
+
+# Finite systems whose elimination overflows float64, with the module that overflows.
+OVERFLOWS = {
+    "pivot_2x2": ([[1.0, 1e300], [1e300, 1.0]], [1.0, 1.0], "forward step 1"),
+    "off_pivot": ([[1.0, 1.0, 1e300], [1e300, 1.0, 1.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0],
+                  "forward step 1"),
+    "right_hand_side": ([[1.0, 0.0], [1e300, 1.0]], [1e300, 1.0], "forward step 1"),
+    "column_3": ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1e300],
+                  [0.0, 0.0, 1e300, 1.0]], [1.0, 1.0, 1.0, 1.0], "forward step 3"),
+    "fold": ([[1.0, 1e300], [0.0, 1.0]], [1.0, 1e300], "backward step 1"),
+    "row_scale": ([[0.02, 0.0], [0.0, 1.0]], [1e307, 1.0], "backward step 1"),
+}
 
 
 class TestEmbed:
@@ -260,6 +298,69 @@ class TestShadowEquivalence:
                     shadow = shadow_backward_step(shadow, t)
                     scale = max(1.0, np.abs(shadow).max())
                     assert np.abs(state.p.array - shadow).max() <= 1e-12 * scale
+
+
+class TestLiteralOracle:
+    """Block evaluation against every module evaluated densely over the padded state."""
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 3, 9, 33, 64])
+    def test_every_state_is_bitwise_the_dense_steps(self, m, mode):
+        assert_states_match_literal(dd_system(np.random.default_rng([14, m]), m, signed=True), mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_signed_zero_inputs(self, data):
+        # -0.0 in F and alpha: the dense products turn it into +0.0 everywhere.
+        m = data.draw(st.integers(2, 12), label="m")
+        entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+        f = np.array(data.draw(st.lists(entry, min_size=m * m, max_size=m * m), label="F"))
+        f = f.reshape(m, m)
+        signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m,
+                                            max_size=m), label="signs"))
+        np.fill_diagonal(f, signs * (np.abs(f).sum(axis=1) - np.abs(np.diag(f)) + 1.0))
+        alpha = np.array(data.draw(st.lists(entry, min_size=m, max_size=m), label="alpha"))
+        mode = data.draw(st.sampled_from(["exact", "relu"]), label="mode")
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        assert_states_match_literal(sys, mode)
+
+    def test_no_product_or_component_spans_the_state(self, monkeypatch):
+        # The dense path multiplied (m+1)x(m+1) matrices three times per module.
+        m = 40
+        full = (m + 1, m + 1)
+        products, components = [], []
+
+        def record_product(a, b):
+            products.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        def record_component(x, comp):
+            components.append((x.shape, comp.shape))
+            return component_forward(x, comp)
+
+        monkeypatch.setattr(gauss, "matmul", record_product)
+        monkeypatch.setattr(netcomp, "matmul", record_product)
+        monkeypatch.setattr(gauss, "component_forward", record_component)
+        for mode in ("exact", "relu"):
+            solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
+        assert len(products) == 2 * (3 * (m - 1) + 3 * m - 1)
+        # No operand is the whole state, so no product has it on both sides.
+        assert not [p for p in products if full in p]
+        assert len(components) == 2 * (4 * (m - 1) + 4 * m + 2 * (m - 1))
+        assert not [c for c in components if full in c]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("name", OVERFLOWS)
+    def test_named_at_the_overflowing_module(self, name, mode):
+        f, alpha, where = OVERFLOWS[name]
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EliminationOverflow, match=f"^{where} overflows float64"):
+                solve(sys, mode=mode)
+        assert issubclass(EliminationOverflow, gauss.SingularDetected)
 
 
 class TestDenseComponentEquivalence:
