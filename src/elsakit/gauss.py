@@ -11,13 +11,17 @@ a too-small pivot raises instead of being repaired.
 Each module is evaluated on the static support of its intermediates, which
 its MaskSpecs fix: a pivot entry, a column block, one row. Off its support a
 component outputs its constant for every finite input (+0.0 for a mask or
-divider, I for the affine units), so every component runs through
-component_forward on its block alone, and each multiplicative skip, whose
-left or right operand is I plus that block, is a row or column update of
-the state. A solve costs O(m^3) and is bitwise the dense evaluation of
-every module over the whole padded state, sign of zero included; the tests
-keep that dense evaluation as the reference. A module whose updated entries
-overflow float64 raises EliminationOverflow.
+divider, I for the affine units), so every component runs on its block
+alone, and each multiplicative skip, whose left or right operand is I plus
+that block, is a row or column update of the state. A solve costs O(m^3)
+and is bitwise the dense evaluation of every module over the whole padded
+state, sign of zero included; the tests keep that dense evaluation as the
+reference. A module whose updated entries overflow float64 raises
+EliminationOverflow.
+
+Each module is one kernel that updates a writable padded ndarray in place,
+through NetworkComponent.apply and skip_product. solve runs every kernel on
+one copy of the system; a step function runs one on a copy of its state.
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -34,26 +38,16 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import (
-    BlockSpec,
-    Matrix,
-    ShapeMismatch,
-    block_read,
-    block_write,
-    json_entries,
-    matmul,
-    zeros,
-)
+from .matrix import BlockSpec, Matrix, ShapeMismatch, block_write, json_entries, zeros
 from .maskmove import MaskSpec
 from .netcomp import (
     NetworkComponent,
     PiecewiseInvSqr,
-    component_forward,
     default_invsqr,
     make_affine_component,
     make_divider_component,
     make_mask_component,
-    skip_mul,
+    skip_product,
 )
 from .ridge import RidgeProblem, normal_equations, predict
 
@@ -153,16 +147,16 @@ def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
 
 
 @lru_cache(maxsize=1024)
-def _column_units(size: int, k: int) -> tuple[BlockSpec, NetworkComponent, NetworkComponent]:
-    """Forward step k's column block (rows k+1..m of column k) and the mask
-    (z4) and affine unit (z6 = z5 + I) evaluated on it.
+def _column_units(size: int, k: int) -> tuple[NetworkComponent, NetworkComponent]:
+    """The mask (z4) and affine unit (z6 = z5 + I) of forward step k, on its
+    column block: rows k+1..m of column k.
 
     Off the block the mask outputs +0.0 and the affine unit its constant I
     for every finite input, so the block is all of them that needs evaluating.
     """
     below = MaskSpec(BlockSpec(k + 1, size - 1, k, k), size, size)
     mask = make_mask_component(below.restrict(below.block))
-    return below.block, mask, make_affine_component(1.0, zeros(below.block.block_rows, 1))
+    return mask, make_affine_component(1.0, zeros(below.block.block_rows, 1))
 
 
 @lru_cache(maxsize=1024)
@@ -172,48 +166,81 @@ def _clear_unit(size: int, t: int) -> NetworkComponent:
     return make_mask_component(clear.restrict(BlockSpec(t, t, 1, size)))
 
 
-def _divide(state: EliminationState, x: Matrix, pivot: BlockSpec, gamma: int) -> Matrix:
-    """Divide module on the pivot: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
+def _divide(table: Optional[PiecewiseInvSqr], pivot: np.ndarray, gamma: int) -> np.ndarray:
+    """Divide module on a 1-by-1 pivot: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
 
-    Returns the 1-by-1 pivot block, gamma / x there; the rest of the module's
-    output is zero. z is already masked to the pivot, so the divider needs no
-    anti-mask passing the rest through.
+    Returns gamma / x on the pivot block; the rest of the module's output is
+    zero. z is already masked to the pivot, so the divider needs no anti-mask
+    passing the rest through.
     """
-    z = component_forward(block_read(x, pivot), _ENTRY_MASK)
-    r = component_forward(z, _pivot_divider(state.table))
-    return skip_mul(r, z, side="left", gamma=gamma)
+    z = _ENTRY_MASK.apply(pivot)
+    r = _pivot_divider(table).apply(z)
+    return skip_product(r, z, side="left", gamma=gamma)
 
 
-def _check_pivot(state: EliminationState, value: float, where: str) -> None:
+def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, where: str) -> None:
     if abs(value) < PIVOT_TOLERANCE:
         raise PivotBelowTolerance(
             f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {where}"
         )
-    if state.table is None and not math.isfinite(value * value):
+    if table is None and not math.isfinite(value * value):
         raise SingularDetected(f"pivot {value:.3e} at {where} squares to inf in exact division")
 
 
-def _update(p: Matrix, block: BlockSpec, value: Matrix, where: str, *, add: bool = False) -> Matrix:
-    """p with a module's update on block: value replaces the block, or is added to it.
+def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=False) -> None:
+    """A module's update of block (1-based, inclusive) of p in place: value replaces it or is added.
 
-    Every entry off the block is p's own; the updated entries must be
-    finite, else EliminationOverflow. The dense product a module stands for
-    adds +0.0 terms to each entry, so it turns any -0.0 into +0.0; the final
-    + 0.0 does the same and changes no other bit.
+    The updated entries must be finite, else EliminationOverflow. The dense
+    product a module stands for adds +0.0 terms to each entry, so it turns
+    any -0.0 of the state into +0.0; the final + 0.0 does the same and
+    changes no other bit.
     """
-    out = p.to_array()
-    view = out[block.row_lo - 1 : block.row_hi, block.col_lo - 1 : block.col_hi]
+    row_lo, row_hi, col_lo, col_hi = block
+    view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
     if add:
-        view += value.array
+        view += value
     else:
-        view[...] = value.array
+        view[...] = value
     if not np.isfinite(view).all():
         raise EliminationOverflow(
-            f"{where} overflows float64 in rows {block.row_lo}..{block.row_hi}, "
-            f"columns {block.col_lo}..{block.col_hi}"
+            f"{where} overflows float64 in rows {row_lo}..{row_hi}, columns {col_lo}..{col_hi}"
         )
-    out += 0.0
-    return Matrix.from_array(out)
+    p += 0.0
+
+
+def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> None:
+    """Forward step k on the padded state p, in place; see forward_eliminate_step."""
+    size = p.shape[0]
+    where = f"forward step {k}"
+    _check_pivot(table, float(p[k - 1, k - 1]), where)
+    below_mask, plus_identity = _column_units(size, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z3 = _divide(table, p[k - 1 : k, k - 1 : k], gamma=-1)
+        z4 = below_mask.apply(p[k : size - 1, k - 1 : k])
+        z6 = plus_identity.apply(z4 @ z3)
+        # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
+        spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
+        _update(p, (k + 1, size - 1, 1, size), spread, where, add=True)
+
+
+def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) -> None:
+    """Backward step t on the padded state q, in place; see backward_substitute_step."""
+    size = q.shape[0]
+    where = f"backward step {t}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t < size - 1:
+            # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
+            z2 = _NEGATE.apply(_ENTRY_MASK.apply(q[t : t + 1, size - 1 :]))
+            # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
+            spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
+            _update(q, (1, size, size, size), spread, where, add=True)
+        _check_pivot(table, float(q[t - 1, t - 1]), where)
+
+        z6 = _divide(table, q[t - 1 : t, t - 1 : t], gamma=1)
+        z7 = _PLUS_IDENTITY.apply(z6)
+        scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
+        cleared = _clear_unit(size, t).apply(scaled)
+    _update(q, (t, t, 1, size), cleared, where)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
@@ -231,22 +258,11 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     EliminationOverflow.
     """
     m = state.m
-    size = m + 1
     if state.stage[0] != "forward" or not (1 <= k <= m - 1) or state.stage[1] < k - 1:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
-    _check_pivot(state, state.p.get(k, k), f"forward step {k}")
-
-    below, below_mask, plus_identity = _column_units(size, k)
-    rows = BlockSpec(k + 1, m, 1, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z3 = _divide(state, state.p, BlockSpec(k, k, k, k), gamma=-1)
-        z4 = component_forward(block_read(state.p, below), below_mask)
-        z6 = component_forward(matmul(z4, z3), plus_identity)
-        # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
-        pivot_row = block_read(state.p, BlockSpec(k, k, 1, size))
-        spread = skip_mul(z6, pivot_row, side="left", gamma=1)
-        p_next = _update(state.p, rows, spread, f"forward step {k}", add=True)
-    return EliminationState(p_next, ("forward", max(state.stage[1], k)), state.table)
+    p = state.p.to_array()
+    _forward_module(p, k, state.table)
+    return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
 
 def backward_substitute_step(state: EliminationState, t: int) -> EliminationState:
@@ -264,29 +280,12 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
     update that is not finite raises EliminationOverflow.
     """
     m = state.m
-    size = m + 1
     expected = ("forward", m - 1) if t == m else ("backward", t + 1)
     if state.stage != expected:
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
-    q = state.p
-    with np.errstate(over="ignore", invalid="ignore"):
-        if t < m:
-            # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-            xi = block_read(q, BlockSpec(t + 1, t + 1, size, size))
-            z2 = component_forward(component_forward(xi, _ENTRY_MASK), _NEGATE)
-            # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
-            solved = block_read(q, BlockSpec(1, size, t + 1, t + 1))
-            spread = skip_mul(z2, solved, side="right", gamma=1)
-            q = _update(q, BlockSpec(1, size, size, size), spread, f"backward step {t}", add=True)
-        _check_pivot(state, q.get(t, t), f"backward step {t}")
-
-        z6 = _divide(state, q, BlockSpec(t, t, t, t), gamma=1)
-        z7 = component_forward(z6, _PLUS_IDENTITY)
-        row = BlockSpec(t, t, 1, size)
-        scaled = skip_mul(z7, block_read(q, row), side="left", gamma=1)
-        cleared = component_forward(scaled, _clear_unit(size, t))
-    q_next = _update(q, row, cleared, f"backward step {t}")
-    return EliminationState(q_next, ("backward", t), state.table)
+    q = state.p.to_array()
+    _backward_module(q, t, state.table)
+    return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
 
 def solve(
@@ -314,14 +313,16 @@ def solve(
         if knot_range and not (knot_range[0] <= abs(value) <= knot_range[1]):
             flags.append(f"pivot_out_of_table_range:{where}:{value!r}")
 
+    # One writable copy of the padded system; every module updates it in place.
+    p = state.p.to_array()
     for k in range(1, m):
-        note_pivot(state.p.get(k, k), f"FE{k}")
-        state = forward_eliminate_step(state, k)
+        note_pivot(float(p[k - 1, k - 1]), f"FE{k}")
+        _forward_module(p, k, state.table)
     for t in range(m, 0, -1):
-        note_pivot(state.p.get(t, t), f"BS{t}")
-        state = backward_substitute_step(state, t)
+        note_pivot(float(p[t - 1, t - 1]), f"BS{t}")
+        _backward_module(p, t, state.table)
 
-    x = block_read(state.p, BlockSpec(1, m, m + 1, m + 1))
+    x = Matrix.from_array(p[:m, m:].copy())
     residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
     try:
         reference = np.linalg.solve(sys.f.array, sys.alpha.array)

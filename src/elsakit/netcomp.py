@@ -17,26 +17,28 @@ decays to zero beyond the final cutoff knot. Multiplying by x recovers an
 approximation of 1/x.
 
 A divider keeps one entry of its input through a 0/1 output weight V, so
-component_forward evaluates the two 1/x^2 activations only where V is
-nonzero and writes 0 elsewhere. This is exact for finite activations:
-a dropped entry would have contributed 0 * sigma = 0.
+a component evaluates the two 1/x^2 activations only where V is nonzero
+and writes 0 elsewhere. This is exact for finite activations: a dropped
+entry would have contributed 0 * sigma = 0.
 
 A component is evaluated on whatever matrix it is built for. The
 elimination modules (elsakit.gauss) build theirs on the block each mask
 selects, a pivot entry, a column block or a row, and never on the whole
 padded state: off its block a component outputs its constant C for every
-finite input, which the module accounts for without evaluating it.
+finite input, which the module accounts for without evaluating it. It runs
+them on ndarrays: NetworkComponent.apply and skip_product are the bodies of
+component_forward and skip_mul.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .matrix import Matrix, ShapeMismatch, matmul, scale
+from .matrix import DimensionMismatch, Matrix, ShapeMismatch, scale
 from .maskmove import MaskSpec, mask_matrix
 
 
@@ -144,7 +146,9 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
 DEFAULT_KNOT_SPEC = "geometric:x1=1e-2,xmax=1e2,n=128"
 
 
+@lru_cache(maxsize=1)
 def default_invsqr() -> PiecewiseInvSqr:
+    """The table of DEFAULT_KNOT_SPEC, built once and shared (its arrays are read-only)."""
     return build_invsqr(DEFAULT_KNOT_SPEC)
 
 
@@ -218,7 +222,8 @@ class NetworkComponent:
     activation: str
     table: PiecewiseInvSqr | None = None
     shape: tuple[int, int] = field(init=False, repr=False, compare=False)
-    # Per head (w, v, b, c) as the arrays and floats component_forward combines.
+    # Per head (w, v, b, c) as the arrays and floats apply combines; a unit
+    # weight w or v and a zero constant c are None (see apply).
     heads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,8 +246,24 @@ class NetworkComponent:
         if self.activation == "invsqr" and self.table is None:
             raise ValueError("invsqr activation needs a knot table")
         object.__setattr__(self, "shape", shapes.pop())
-        heads = zip(raw[:k], raw[k : 2 * k], raw[2 * k : 3 * k], raw[3 * k :])
+        unit = [None if isinstance(p, float) and p == 1.0 else p for p in raw[: 2 * k]]
+        c = [None if isinstance(p, float) and p == 0.0 else p for p in raw[3 * k :]]
+        heads = zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c)
         object.__setattr__(self, "heads", tuple(heads))
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """component_forward's body on an ndarray of the component's shape, unchecked.
+
+        The head sum starts from +0.0 and skips its exact no-ops: a product by
+        a unit w or v, and the addition of a zero c (acc + (h + 0.0) is acc + h,
+        as acc is never -0.0).
+        """
+        acc = 0.0
+        for w, v, b, c in self.heads:
+            s = _activate(self, (a if w is None else w * a) + b, v)
+            h = s if v is None else v * s
+            acc = acc + (h if c is None else h + c)
+        return acc
 
 
 def _relu(a: np.ndarray) -> np.ndarray:
@@ -258,7 +279,7 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
     # on a dense v the gather costs more than the O(1) activation it skips.
     out = np.zeros_like(a)
-    keep = np.not_equal(v, 0.0, out=np.empty(a.shape, dtype=bool))
+    keep = np.not_equal(1.0 if v is None else v, 0.0, out=np.empty(a.shape, dtype=bool))
     if comp.activation == "invsqr":
         out[keep] = invsqr_eval(comp.table, a[keep])
     else:
@@ -278,10 +299,7 @@ def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
     """
     if x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
-    acc = np.zeros(comp.shape)
-    for w, v, b, c in comp.heads:
-        acc += v * _activate(comp, w * x.array + b, v) + c
-    return Matrix.from_array(acc)
+    return Matrix.from_array(comp.apply(x.array))
 
 
 def make_affine_component(gamma: Param, c: Matrix) -> NetworkComponent:
@@ -313,8 +331,8 @@ def make_divider_component(spec: MaskSpec, table: PiecewiseInvSqr | None) -> Net
     )
 
 
-def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
-    """Multiplication-type skip connection.
+def skip_product(m: np.ndarray, a: np.ndarray, side: str, gamma: int) -> np.ndarray:
+    """Multiplication-type skip connection on ndarrays; skip_mul's body.
 
     side "left" computes gamma * (M @ A) (module output on the left),
     side "right" computes gamma * (A @ M).
@@ -322,10 +340,17 @@ def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
     if gamma not in (-1, 1):
         raise ValueError("gamma must be -1 or +1")
     if side == "left":
-        prod = matmul(m, a)
+        prod = m @ a
     elif side == "right":
-        prod = matmul(a, m)
+        prod = a @ m
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return prod if gamma == 1 else scale(prod, -1.0)
+    return prod if gamma == 1 else -1.0 * prod
 
+
+def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
+    """skip_product on matrices; the inner dimensions must agree."""
+    left, right = (a, m) if side == "right" else (m, a)
+    if left.cols != right.rows:
+        raise DimensionMismatch(f"cannot multiply {left.shape} by {right.shape}")
+    return Matrix.from_array(skip_product(m.array, a.array, side, gamma))

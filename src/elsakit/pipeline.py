@@ -23,7 +23,8 @@ block returns its input unchanged:
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell. The run loop executes each
 program's compiled view (:attr:`Program.compiled`): every head restricted
-to the rows and columns its weights touch, compiled once per program. A
+to the rows and columns its weights touch, compiled once per program.
+:func:`run_pipeline` keeps only that view, once per form and (n, d). A
 step changes only the columns its last block writes, so the loop binds
 the first step block to the initial prompt once: every projection that
 reads none of those columns is evaluated once, not at every step. The
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -97,8 +98,12 @@ CompiledModule = tuple[tuple[CompiledHead, ...], ...]
 
 
 class CompiledProgram(NamedTuple):
+    """A program's layout and cell with both modules compiled; the run loop needs nothing else."""
+
+    layout: Layout
     step: CompiledModule
     readout: CompiledModule
+    cell: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,8 @@ class Program:
         def compile_module(blocks: tuple[Block, ...]) -> CompiledModule:
             return tuple(tuple(compile_head(p) for p in block) for block in blocks)
 
-        return CompiledProgram(compile_module(self.step), compile_module(self.readout))
+        modules = (compile_module(self.step), compile_module(self.readout))
+        return CompiledProgram(self.layout, *modules, self.cell)
 
 
 def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
@@ -328,7 +334,7 @@ def wrap_designed_as_elsa(prog: Program) -> Program:
     )
 
 
-def _run_module(state: PipelineState, prog: Program, blocks: CompiledModule) -> Matrix:
+def _run_module(state: PipelineState, prog: CompiledProgram, blocks: CompiledModule) -> Matrix:
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
@@ -340,13 +346,13 @@ def _run_module(state: PipelineState, prog: Program, blocks: CompiledModule) -> 
 
 def step(state: PipelineState, prog: Program) -> PipelineState:
     """One descent step: the step blocks, then the skip connection."""
-    h = _run_module(state, prog, prog.compiled.step)
+    h = _run_module(state, prog.compiled, prog.compiled.step)
     return PipelineState(h=h, layout=state.layout)
 
 
 def readout(state: PipelineState, prog: Program) -> tuple[Matrix, float]:
     """Apply the readout module; returns the final prompt and the prediction cell."""
-    h_final = _run_module(state, prog, prog.compiled.readout)
+    h_final = _run_module(state, prog.compiled, prog.compiled.readout)
     return h_final, h_final.get(*prog.cell)
 
 
@@ -381,7 +387,7 @@ class _BoundHead(NamedTuple):
         return t3 @ (t1.T @ t2)
 
 
-def _bind(prog: Program, state: PipelineState) -> tuple[_BoundHead, ...]:
+def _bind(prog: CompiledProgram, state: PipelineState) -> tuple[_BoundHead, ...]:
     """The first step block with every projection that reads no written column evaluated.
 
     The step module's output is nonzero only in the columns its last block
@@ -392,13 +398,13 @@ def _bind(prog: Program, state: PipelineState) -> tuple[_BoundHead, ...]:
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
-    first = prog.compiled.step[0]
+    first = prog.step[0]
     for c in first:
         rows, width = c.input_shape
         if h.shape[1] != width or rows not in (None, h.shape[0]):
             raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
     written = np.zeros(h.shape[1], dtype=bool)
-    for c in prog.compiled.step[-1]:
+    for c in prog.step[-1]:
         written[c.p2.cols] = True
     # Every step after the first reads the unwritten columns as h0 + 0.0.
     h0 = h + 0.0
@@ -427,8 +433,13 @@ def run_program(
     divergent run overflows silently, and its trace ends before the first
     non-finite coefficient column.
     """
+    return _run_compiled(prog.compiled, state, steps)
+
+
+def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
+    """run_program's loop on a compiled view."""
     bound = _bind(prog, state)
-    later = prog.compiled.step[1:]
+    later = prog.step[1:]
     d, wc = state.layout.d, state.layout.w_col - 1
     h = state.h.array
     ws = np.empty((steps + 1, d, 1))
@@ -442,8 +453,8 @@ def run_program(
                 out = compiled_forward(out, block)
             h = out + h
             ws[t] = h[:d, wc : wc + 1]
-        h_final, prediction = readout(PipelineState(Matrix.from_array(h), state.layout), prog)
-    return finite_prefix([Matrix.from_array(w) for w in ws]), h_final, prediction
+        h_final = _run_module(PipelineState(Matrix.from_array(h), state.layout), prog, prog.readout)
+    return finite_prefix([Matrix.from_array(w) for w in ws]), h_final, h_final.get(*prog.cell)
 
 
 class PipelineRun(NamedTuple):
@@ -452,8 +463,15 @@ class PipelineRun(NamedTuple):
     report: dict
 
 
+@lru_cache(maxsize=16)
+def _compiled_program(form: str, n: int, d: int) -> CompiledProgram:
+    """The compiled view of form's program for (n, d); the dense program is dropped."""
+    build = build_designed_weights if form == "lsa" else build_enumerated_weights
+    return build(n, d).compiled
+
+
 def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
-    """Build the prompt and program, run T steps and the readout.
+    """Build the prompt, run T steps and the readout of the form's cached program view.
 
     The report records, per step, the infinity-norm deviation of the prompt's
     coefficient column from the plain descent recurrence (relative to
@@ -463,14 +481,12 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     "diverged_at" (None when every step is finite).
     """
     if form == "lsa":
-        kind = "designed"
-        prog, state = build_designed_weights(p.n, p.d), build_designed_input(p)
+        kind, state = "designed", build_designed_input(p)
     elif form == "elsa":
-        kind = "enumerated"
-        prog, state = build_enumerated_weights(p.n, p.d), build_enumerated_input(p)
+        kind, state = "enumerated", build_enumerated_input(p)
     else:
         raise ValueError(f"unknown pipeline form {form!r}")
-    trace, _, prediction = run_program(prog, state, p.steps)
+    trace, _, prediction = _run_compiled(_compiled_program(form, p.n, p.d), state, p.steps)
 
     oracle_trace = gd_run(p)
     compared = min(len(trace), len(oracle_trace))

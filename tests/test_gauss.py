@@ -1,5 +1,6 @@
 """Component-built elimination against hand values, a dense solver, and the shadow."""
 
+import json
 import warnings
 
 import numpy as np
@@ -17,13 +18,12 @@ from elsakit import (
     backward_substitute_step,
     block_read,
     build_invsqr,
-    component_forward,
+    default_invsqr,
     embed_system,
     forward_eliminate_step,
     identity,
     invsqr_eval,
     make_problem,
-    matmul,
     predict,
     ridge_closed_form,
     ridge_via_gauss,
@@ -326,24 +326,26 @@ class TestLiteralOracle:
 
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
+        # Every component runs through NetworkComponent.apply and every skip
+        # through skip_product; z5 = z4 @ z3 multiplies two of their outputs.
         m = 40
         full = (m + 1, m + 1)
         products, components = [], []
+        apply = netcomp.NetworkComponent.apply
 
-        def record_product(a, b):
+        def record_product(a, b, side, gamma):
             products.append((a.shape, b.shape))
-            return matmul(a, b)
+            return netcomp.skip_product(a, b, side, gamma)
 
-        def record_component(x, comp):
+        def record_component(comp, x):
             components.append((x.shape, comp.shape))
-            return component_forward(x, comp)
+            return apply(comp, x)
 
-        monkeypatch.setattr(gauss, "matmul", record_product)
-        monkeypatch.setattr(netcomp, "matmul", record_product)
-        monkeypatch.setattr(gauss, "component_forward", record_component)
+        monkeypatch.setattr(gauss, "skip_product", record_product)
+        monkeypatch.setattr(netcomp.NetworkComponent, "apply", record_component)
         for mode in ("exact", "relu"):
             solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
-        assert len(products) == 2 * (3 * (m - 1) + 3 * m - 1)
+        assert len(products) == 2 * (2 * (m - 1) + 3 * m - 1)
         # No operand is the whole state, so no product has it on both sides.
         assert not [p for p in products if full in p]
         assert len(components) == 2 * (4 * (m - 1) + 4 * m + 2 * (m - 1))
@@ -363,6 +365,112 @@ class TestOverflow:
         assert issubclass(EliminationOverflow, gauss.SingularDetected)
 
 
+def with_negative_zeros(sys, rng):
+    """sys with -0.0 in about 20% of the off-diagonal of F and 30% of alpha, and at (1, 2) and m."""
+    f, alpha = sys.f.to_array(), sys.alpha.to_array()
+    m = sys.m
+    f[~np.eye(m, dtype=bool) & (rng.random((m, m)) < 0.2)] = -0.0
+    alpha[rng.random((m, 1)) < 0.3] = -0.0
+    f[0, 1] = alpha[-1, 0] = -0.0
+    return LinearSystem(f=Matrix(f), alpha=Matrix(alpha))
+
+
+def step_loop(sys, mode, forward, backward):
+    """(solution, pivots) of a solve taken one step function at a time."""
+    state = embed_system(sys, mode=mode)
+    pivots = []
+    for k in range(1, sys.m):
+        pivots.append(state.p.get(k, k))
+        state = forward(state, k)
+    for t in range(sys.m, 0, -1):
+        pivots.append(state.p.get(t, t))
+        state = backward(state, t)
+    return block_read(state.p, BlockSpec(1, sys.m, sys.m + 1, sys.m + 1)), pivots
+
+
+class TestInPlaceKernels:
+    """solve runs the modules in place on one buffer; the steps and the dense steps agree."""
+
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negzero"])
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 24])
+    def test_solve_is_the_step_loop_and_the_literal_steps(self, m, mode, negative_zeros):
+        rng = np.random.default_rng([15, m])
+        sys = dd_system(rng, m, signed=True)
+        if negative_zeros:
+            sys = with_negative_zeros(sys, rng)
+        assert_states_match_literal(sys, mode)
+        x, report = solve(sys, mode=mode)
+        for forward, backward in ((forward_eliminate_step, backward_substitute_step),
+                                  (literal_forward_step, literal_backward_step)):
+            want_x, want_pivots = step_loop(sys, mode, forward, backward)
+            assert x.array.tobytes() == want_x.array.tobytes()
+            assert np.array(report["pivots"]).tobytes() == np.array(want_pivots).tobytes()
+        assert any(p < 0 for p in report["pivots"]) or m == 2
+        reference = np.linalg.solve(sys.f.array, sys.alpha.array)
+        want = {
+            "mode": mode,
+            "m": m,
+            "residual_inf": float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array))),
+            "rel_error_vs_oracle": float(
+                np.max(np.abs(x.array - reference)) / max(1.0, np.max(np.abs(reference)))
+            ),
+            "pivots": report["pivots"],
+            "flags": [],
+        }
+        assert json.dumps(report) == json.dumps(want)
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("name", OVERFLOWS)
+    def test_overflow_changes_no_input(self, name, mode):
+        f, alpha, where = OVERFLOWS[name]
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        saved = sys.f.array.tobytes(), sys.alpha.array.tobytes()
+        with pytest.raises(EliminationOverflow):
+            solve(sys, mode=mode)
+        assert (sys.f.array.tobytes(), sys.alpha.array.tobytes()) == saved
+        state = embed_system(sys, mode=mode)
+        steps = [(forward_eliminate_step, k) for k in range(1, sys.m)]
+        steps += [(backward_substitute_step, t) for t in range(sys.m, 0, -1)]
+        for run, i in steps:
+            before = state.p.array.tobytes()
+            try:
+                state = run(state, i)
+            except EliminationOverflow as exc:
+                assert str(exc).startswith(where)
+                assert state.p.array.tobytes() == before
+                assert not state.p.array.flags.writeable
+                break
+        else:
+            pytest.fail("no step overflowed")
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_steps_never_share_a_buffer(self, mode):
+        sys = dd_system(np.random.default_rng(16), 6, signed=True)
+        state = embed_system(sys, mode=mode)
+        states = [state]
+        for k in range(1, 6):
+            states.append(forward_eliminate_step(states[-1], k))
+        states.append(forward_eliminate_step(states[-1], 5))  # a column already eliminated
+        for t in range(6, 0, -1):
+            states.append(backward_substitute_step(states[-1], t))
+        buffers = [s.p.array for s in states] + [sys.f.array, sys.alpha.array]
+        for i, a in enumerate(buffers):
+            assert not a.flags.writeable
+            for b in buffers[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_default_relu_solves_share_one_divider(self):
+        assert default_invsqr() is default_invsqr()
+        sys = dd_system(np.random.default_rng(17), 4)
+        solve(sys, mode="relu")
+        before = gauss._pivot_divider.cache_info()
+        solve(sys, mode="relu")
+        after = gauss._pivot_divider.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+
 class TestDenseComponentEquivalence:
     """Solves are bitwise equal with every component evaluated densely."""
 
@@ -371,10 +479,10 @@ class TestDenseComponentEquivalence:
         sys = dd_system(np.random.default_rng(8), m, signed=True)
         x_fast, _ = solve(sys, mode=mode)
 
-        def dense(x, comp):
-            return Matrix.from_array(dense_component_forward(x.array, comp, invsqr_eval))
+        def dense(comp, x):
+            return dense_component_forward(x, comp, invsqr_eval)
 
-        monkeypatch.setattr(gauss, "component_forward", dense)
+        monkeypatch.setattr(netcomp.NetworkComponent, "apply", dense)
         x_dense, _ = solve(sys, mode=mode)
         assert np.array_equal(x_fast.array, x_dense.array)
 
@@ -383,12 +491,13 @@ class TestDenseComponentEquivalence:
         # Masks and dividers store only their mask V, the affine units
         # (gain +/-1) only their constant C; the rest are broadcast floats.
         seen = []
+        apply = netcomp.NetworkComponent.apply
 
-        def record(x, comp):
+        def record(comp, x):
             seen.append(comp)
-            return component_forward(x, comp)
+            return apply(comp, x)
 
-        monkeypatch.setattr(gauss, "component_forward", record)
+        monkeypatch.setattr(netcomp.NetworkComponent, "apply", record)
         solve(dd_system(np.random.default_rng(9), 5, signed=True), mode=mode)
         assert "relu" in {comp.activation for comp in seen}
         for comp in seen:

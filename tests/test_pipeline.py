@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import json
 import math
 import warnings
 import weakref
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elsakit import pipeline
 from elsakit import (
     BlockSpec,
     DesignedLayout,
     DimensionMismatch,
+    EnumeratedLayout,
     LayoutMismatch,
     LsaParams,
     Matrix,
@@ -390,6 +393,35 @@ class TestRunPipeline:
                 assert report["diverged_at"] == 2
 
 
+class TestProgramCache:
+    """run_pipeline reuses one compiled view per form and shape."""
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+    def test_cached_runs_are_fresh_program_runs(self, n, d):
+        rng = np.random.default_rng(70 + n)
+        p = problem(rng, n, d, steps=20, w0=rng.normal(size=(d, 1)))
+        fresh = {
+            "lsa": (build_designed_weights(n, d), build_designed_input(p)),
+            "elsa": (build_enumerated_weights(n, d), build_enumerated_input(p)),
+        }
+        for form, (prog, state) in fresh.items():
+            first, second = run_pipeline(p, form), run_pipeline(p, form)
+            trace, _, prediction = run_program(prog, state, p.steps)
+            for run in (first, second):
+                assert [w.array.tobytes() for w in run.w_trace] == [
+                    w.array.tobytes() for w in trace
+                ], form
+                assert np.float64(run.prediction).tobytes() == np.float64(prediction).tobytes()
+            assert json.dumps(first.report) == json.dumps(second.report), form
+
+    def test_one_view_per_form_and_shape(self):
+        view = pipeline._compiled_program("lsa", 3, 2)
+        assert pipeline._compiled_program("lsa", 3, 2) is view
+        assert view.layout == DesignedLayout(3, 2)
+        assert pipeline._compiled_program("lsa", 2, 3).layout == DesignedLayout(2, 3)
+        assert pipeline._compiled_program("elsa", 3, 2).layout == EnumeratedLayout(3, 2)
+
+
 class TestStructuralInvariants:
     def test_weight_sharing_reuse_is_bitwise_stable(self):
         rng = np.random.default_rng(31)
@@ -437,7 +469,10 @@ class TestStructuralInvariants:
     def test_zero_bias_wrap_is_the_designed_program(self, n, d):
         designed = build_designed_weights(n, d)
         wrapped = wrap_designed_as_elsa(designed)
-        for plain_module, wrapped_module in zip(designed.compiled, wrapped.compiled):
+        plain, wrap = designed.compiled, wrapped.compiled
+        assert (plain.layout, plain.cell) == (wrap.layout, wrap.cell)
+        modules = ((plain.step, wrap.step), (plain.readout, wrap.readout))
+        for plain_module, wrapped_module in modules:
             assert len(plain_module) == len(wrapped_module)
             for plain_block, wrapped_block in zip(plain_module, wrapped_module):
                 assert len(plain_block) == len(wrapped_block)
