@@ -9,15 +9,17 @@ product, or a multiplicative skip connection. There is no row exchange:
 a too-small pivot raises instead of being repaired.
 
 Each module is evaluated on the static support of its intermediates, which
-its MaskSpecs fix: a pivot entry, a column block, one row. Off its support a
+its masks fix: a pivot entry, a column block, one row. Off its support a
 component outputs its constant for every finite input (+0.0 for a mask or
 divider, I for the affine units), so every component runs on its block
 alone, and each multiplicative skip, whose left or right operand is I plus
-that block, is a row or column update of the state. A solve costs O(m^3)
-and is bitwise the dense evaluation of every module over the whole padded
-state, sign of zero included; the tests keep that dense evaluation as the
-reference. A module whose updated entries overflow float64 raises
-EliminationOverflow.
+that block, is a row or column update of the state. On its block every
+component is a constant: a mask or divider keeps each entry (V = 1) and an
+affine unit adds 0 (C = 0), so the four components are shape-free and built
+once. A solve costs O(m^3) and is bitwise the dense evaluation of every
+module over the whole padded state, sign of zero included; the tests keep
+that dense evaluation as the reference. A module whose updated entries
+overflow float64 raises EliminationOverflow.
 
 Each module is one kernel that updates a writable padded ndarray in place,
 through NetworkComponent.apply and skip_product. solve runs every kernel on
@@ -39,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from .matrix import BlockSpec, Matrix, ShapeMismatch, block_write, json_entries, zeros
-from .maskmove import MaskSpec
 from .netcomp import (
     NetworkComponent,
     PiecewiseInvSqr,
@@ -129,41 +130,20 @@ def embed_system(
     return EliminationState(p=p, stage=("forward", 0), table=table)
 
 
-# A divide module's pivot and a fold's solved entry are single entries, kept
-# by _ENTRY_MASK on their own 1-by-1 block. Each affine unit's constant reads
-# 0 on the block it runs on: the fold entry (t+1, m+1) and the column below a
-# pivot lie off the diagonal of I, and z7's constant is I with the pivot
-# entry zeroed.
-_ENTRY = MaskSpec(BlockSpec(1, 1, 1, 1), 1, 1)
-_ENTRY_MASK = make_mask_component(_ENTRY)
-_NEGATE = make_affine_component(-1.0, zeros(1, 1))
-_PLUS_IDENTITY = make_affine_component(1.0, zeros(1, 1))
+# Each mask keeps all of the block it runs on (the pivot, the column below
+# it, the fold's solved entry), and the backward anti-mask all of row t but
+# the pivot (see _backward_module). Each affine unit's constant reads 0
+# there: the fold entry (t+1, m+1) and the column below a pivot lie off the
+# diagonal of I, and z7's constant is I with the pivot entry zeroed.
+_KEEP = make_mask_component(None)
+_NEGATE = make_affine_component(-1.0, 0.0)
+_PLUS_IDENTITY = make_affine_component(1.0, 0.0)
 
 
 @lru_cache(maxsize=8)
 def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
-    """The divider on a pivot block, once per knot table (None: exact division)."""
-    return make_divider_component(_ENTRY, table)
-
-
-@lru_cache(maxsize=1024)
-def _column_units(size: int, k: int) -> tuple[NetworkComponent, NetworkComponent]:
-    """The mask (z4) and affine unit (z6 = z5 + I) of forward step k, on its
-    column block: rows k+1..m of column k.
-
-    Off the block the mask outputs +0.0 and the affine unit its constant I
-    for every finite input, so the block is all of them that needs evaluating.
-    """
-    below = MaskSpec(BlockSpec(k + 1, size - 1, k, k), size, size)
-    mask = make_mask_component(below.restrict(below.block))
-    return mask, make_affine_component(1.0, zeros(below.block.block_rows, 1))
-
-
-@lru_cache(maxsize=1024)
-def _clear_unit(size: int, t: int) -> NetworkComponent:
-    """Backward step t's anti-mask of the pivot (t, t), on row t: the row z7 @ Q changes."""
-    clear = MaskSpec(BlockSpec(t, t, t, t), size, size, anti=True)
-    return make_mask_component(clear.restrict(BlockSpec(t, t, 1, size)))
+    """The divider on a pivot, once per knot table (None: exact division)."""
+    return make_divider_component(None, table)
 
 
 def _divide(table: Optional[PiecewiseInvSqr], pivot: np.ndarray, gamma: int) -> np.ndarray:
@@ -173,7 +153,7 @@ def _divide(table: Optional[PiecewiseInvSqr], pivot: np.ndarray, gamma: int) -> 
     zero. z is already masked to the pivot, so the divider needs no anti-mask
     passing the rest through.
     """
-    z = _ENTRY_MASK.apply(pivot)
+    z = _KEEP.apply(pivot)
     r = _pivot_divider(table).apply(z)
     return skip_product(r, z, side="left", gamma=gamma)
 
@@ -192,8 +172,12 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=F
 
     The updated entries must be finite, else EliminationOverflow. The dense
     product a module stands for adds +0.0 terms to each entry, so it turns
-    any -0.0 of the state into +0.0; the final + 0.0 does the same and
-    changes no other bit.
+    any -0.0 into +0.0; the final + 0.0 does the same on the block,
+    whatever sign a product gave a zero, and changes no other bit. A step
+    function adds 0.0 to its whole state once, after its kernel, as its
+    input may hold -0.0 anywhere. solve needs no such add: every pivot
+    after the first lies in a row an update has already normalised, and
+    every solution entry is written by a backward row write.
     """
     row_lo, row_hi, col_lo, col_hi = block
     view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
@@ -205,7 +189,7 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=F
         raise EliminationOverflow(
             f"{where} overflows float64 in rows {row_lo}..{row_hi}, columns {col_lo}..{col_hi}"
         )
-    p += 0.0
+    view += 0.0
 
 
 def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> None:
@@ -213,11 +197,10 @@ def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> 
     size = p.shape[0]
     where = f"forward step {k}"
     _check_pivot(table, float(p[k - 1, k - 1]), where)
-    below_mask, plus_identity = _column_units(size, k)
     with np.errstate(over="ignore", invalid="ignore"):
         z3 = _divide(table, p[k - 1 : k, k - 1 : k], gamma=-1)
-        z4 = below_mask.apply(p[k : size - 1, k - 1 : k])
-        z6 = plus_identity.apply(z4 @ z3)
+        z4 = _KEEP.apply(p[k : size - 1, k - 1 : k])
+        z6 = _PLUS_IDENTITY.apply(z4 @ z3)
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
         spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
         _update(p, (k + 1, size - 1, 1, size), spread, where, add=True)
@@ -230,7 +213,7 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) ->
     with np.errstate(over="ignore", invalid="ignore"):
         if t < size - 1:
             # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-            z2 = _NEGATE.apply(_ENTRY_MASK.apply(q[t : t + 1, size - 1 :]))
+            z2 = _NEGATE.apply(_KEEP.apply(q[t : t + 1, size - 1 :]))
             # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
             spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
             _update(q, (1, size, size, size), spread, where, add=True)
@@ -239,7 +222,10 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) ->
         z6 = _divide(table, q[t - 1 : t, t - 1 : t], gamma=1)
         z7 = _PLUS_IDENTITY.apply(z6)
         scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
-        cleared = _clear_unit(size, t).apply(scaled)
+        cleared = _KEEP.apply(scaled)
+        # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, which
+        # _update's + 0.0 makes +0.0, or NaN if that entry is not finite.
+        cleared[0, t - 1] *= 0.0
     _update(q, (t, t, 1, size), cleared, where)
 
 
@@ -262,6 +248,7 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     p = state.p.to_array()
     _forward_module(p, k, state.table)
+    p += 0.0
     return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
 
@@ -285,6 +272,7 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
     q = state.p.to_array()
     _backward_module(q, t, state.table)
+    q += 0.0
     return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
 
@@ -295,7 +283,9 @@ def solve(
 
     The report carries the pivot sequence, the infinity-norm residual, the
     relative gap to a partial-pivot dense solve, and, in relu mode, flags
-    for pivots outside the knot table's matched range.
+    for pivots outside the knot table's matched range. A gap that is not
+    finite, or a dense solve that fails, is None with the flag
+    "reference_solve_failed".
     """
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
@@ -323,14 +313,18 @@ def solve(
         _backward_module(p, t, state.table)
 
     x = Matrix.from_array(p[:m, m:].copy())
-    residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
-    try:
-        reference = np.linalg.solve(sys.f.array, sys.alpha.array)
-        rel_error = float(
-            np.max(np.abs(x.array - reference)) / max(1.0, np.max(np.abs(reference)))
-        )
-    except np.linalg.LinAlgError:
-        reference = None
+    # Entries near 1e308 can overflow the residual, the dense solve or the
+    # gap; the report carries such a value instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
+        try:
+            reference = np.linalg.solve(sys.f.array, sys.alpha.array)
+            rel_error = float(
+                np.max(np.abs(x.array - reference)) / max(1.0, np.max(np.abs(reference)))
+            )
+        except np.linalg.LinAlgError:
+            rel_error = math.nan
+    if not math.isfinite(rel_error):
         rel_error = None
         flags.append("reference_solve_failed")
 

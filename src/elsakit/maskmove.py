@@ -92,20 +92,6 @@ class MaskSpec:
         except IndexOutOfRange as exc:
             raise SpecOutOfRange(str(exc)) from exc
 
-    def restrict(self, host: BlockSpec) -> "MaskSpec":
-        """This mask read on the sub-block host, as a mask of host's own shape.
-
-        host must contain the masked block, so the restriction keeps all of it.
-        """
-        b = self.block
-        inside = (host.row_lo <= b.row_lo and b.row_hi <= host.row_hi
-                  and host.col_lo <= b.col_lo and b.col_hi <= host.col_hi)
-        if not inside or host.row_hi > self.m or host.col_hi > self.n:
-            raise SpecOutOfRange(f"block {b} of {self.m}x{self.n} mask not inside {host}")
-        dr, dc = host.row_lo - 1, host.col_lo - 1
-        local = BlockSpec(b.row_lo - dr, b.row_hi - dr, b.col_lo - dc, b.col_hi - dc)
-        return MaskSpec(local, host.block_rows, host.block_cols, self.anti)
-
 
 def _selector(pairs: IndexPairSet, size: int, target: int) -> Matrix:
     """size-by-size 0/1 matrix with a 1 at each 1-based pair; pair[target] must be distinct."""

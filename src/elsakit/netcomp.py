@@ -21,13 +21,14 @@ a component evaluates the two 1/x^2 activations only where V is nonzero
 and writes 0 elsewhere. This is exact for finite activations: a dropped
 entry would have contributed 0 * sigma = 0.
 
-A component is evaluated on whatever matrix it is built for. The
-elimination modules (elsakit.gauss) build theirs on the block each mask
-selects, a pivot entry, a column block or a row, and never on the whole
-padded state: off its block a component outputs its constant C for every
-finite input, which the module accounts for without evaluating it. It runs
-them on ndarrays: NetworkComponent.apply and skip_product are the bodies of
-component_forward and skip_mul.
+A component whose parameters are all floats has no shape and runs on any
+input. The elimination modules (elsakit.gauss) run four such components,
+each on the block a mask selects (a pivot entry, a column block, a row) and
+never on the whole padded state: on that block a mask's and a divider's V
+is all ones and each affine unit's C all zeros, and off it a component
+outputs its constant C for every finite input, which the module accounts
+for without evaluating it. They run on ndarrays: NetworkComponent.apply and
+skip_product are the bodies of component_forward and skip_mul.
 """
 
 from __future__ import annotations
@@ -209,10 +210,11 @@ class NetworkComponent:
     """Per-head parameters (w, v, b, c) and one activation selector.
 
     Each parameter is a Matrix of the component's shape or a float that is
-    broadcast over it; at least one must be a Matrix, and its shape is the
-    component's shape. "identity_via_relu" computes x as relu(x) - relu(-x);
-    "invsqr" applies the table's ReLU sum pointwise; "invsqr_exact" applies
-    exact 1/x^2 with the convention 0 -> 0 so masked-out entries stay finite.
+    broadcast over it. The matrices share one shape, the component's; a
+    component of floats alone has shape None and runs on any input.
+    "identity_via_relu" computes x as relu(x) - relu(-x); "invsqr" applies
+    the table's ReLU sum pointwise; "invsqr_exact" applies exact 1/x^2 with
+    the convention 0 -> 0 so masked-out entries stay finite.
     """
 
     w: tuple[Param, ...]
@@ -221,7 +223,7 @@ class NetworkComponent:
     c: tuple[Param, ...]
     activation: str
     table: PiecewiseInvSqr | None = None
-    shape: tuple[int, int] = field(init=False, repr=False, compare=False)
+    shape: tuple[int, int] | None = field(init=False, repr=False, compare=False)
     # Per head (w, v, b, c) as the arrays and floats apply combines; a unit
     # weight w or v and a zero constant c are None (see apply).
     heads: tuple = field(init=False, repr=False, compare=False)
@@ -239,20 +241,20 @@ class NetworkComponent:
                 raw.append(p)
             else:
                 raise TypeError("component parameters must be matrices or floats")
-        if len(shapes) != 1:
+        if len(shapes) > 1:
             raise ShapeMismatch("a component needs matrix parameters of one shape")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == "invsqr" and self.table is None:
             raise ValueError("invsqr activation needs a knot table")
-        object.__setattr__(self, "shape", shapes.pop())
+        object.__setattr__(self, "shape", shapes.pop() if shapes else None)
         unit = [None if isinstance(p, float) and p == 1.0 else p for p in raw[: 2 * k]]
         c = [None if isinstance(p, float) and p == 0.0 else p for p in raw[3 * k :]]
         heads = zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c)
         object.__setattr__(self, "heads", tuple(heads))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """component_forward's body on an ndarray of the component's shape, unchecked.
+        """component_forward's body on an ndarray, without its shape check.
 
         The head sum starts from +0.0 and skips its exact no-ops: a product by
         a unit w or v, and the addition of a zero c (acc + (h + 0.0) is acc + h,
@@ -291,18 +293,18 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
 
 
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
-    """Evaluate the component on x (shapes must match).
+    """Evaluate the component on x (shapes must match, unless the component has none).
 
     Float parameters are broadcast. The 1/x^2 activations are evaluated only
     where the head's v is nonzero; for a finite activation this is exact,
     since the dropped entries would be multiplied by zero.
     """
-    if x.shape != comp.shape:
+    if comp.shape is not None and x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
     return Matrix.from_array(comp.apply(x.array))
 
 
-def make_affine_component(gamma: Param, c: Matrix) -> NetworkComponent:
+def make_affine_component(gamma: Param, c: Param) -> NetworkComponent:
     """Component computing Z = gamma * X + C via the paired +/- ReLU trick."""
     neg = scale(gamma, -1.0) if isinstance(gamma, Matrix) else -gamma
     return NetworkComponent(
@@ -310,22 +312,27 @@ def make_affine_component(gamma: Param, c: Matrix) -> NetworkComponent:
     )
 
 
-def make_mask_component(spec: MaskSpec) -> NetworkComponent:
-    """Single-head component computing M * X (or the anti-mask complement)."""
+def make_mask_component(spec: MaskSpec | None) -> NetworkComponent:
+    """Single-head component computing M * X (or the anti-mask complement).
+
+    spec None keeps every entry (V = 1.0), on an input of any shape.
+    """
     return NetworkComponent(
-        w=(1.0,), v=(mask_matrix(spec),), b=(0.0,), c=(0.0,),
+        w=(1.0,), v=(1.0 if spec is None else mask_matrix(spec),), b=(0.0,), c=(0.0,),
         activation="identity_via_relu",
     )
 
 
-def make_divider_component(spec: MaskSpec, table: PiecewiseInvSqr | None) -> NetworkComponent:
-    """Single-head component applying 1/x^2 under a mask.
+def make_divider_component(
+    spec: MaskSpec | None, table: PiecewiseInvSqr | None
+) -> NetworkComponent:
+    """Single-head component applying 1/x^2 under a mask (spec None: every entry).
 
     table None means exact 1/x^2 ("invsqr_exact"); a knot table means its
     ReLU approximation ("invsqr").
     """
     return NetworkComponent(
-        w=(1.0,), v=(mask_matrix(spec),), b=(0.0,), c=(0.0,),
+        w=(1.0,), v=(1.0 if spec is None else mask_matrix(spec),), b=(0.0,), c=(0.0,),
         activation="invsqr_exact" if table is None else "invsqr",
         table=table,
     )

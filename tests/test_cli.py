@@ -461,6 +461,24 @@ class TestGaussCommand:
         assert result.stderr == ""
         assert json.loads(result.stdout)["error"] == "EliminationOverflow"
 
+    @pytest.mark.parametrize("doc, mode", [
+        ({"F": [[1e154, 0.5], [-1e308, -1e154]], "alpha": [-1e154, 0.5]}, "exact"),
+        ({"F": [[1e154, 0.5], [-1e308, -1e154]], "alpha": [-1e154, 0.5]}, "relu"),
+        ({"F": [[1e154, -0.0, -1e154], [1e154, 3.0, -1e308], [-1e308, 1e-300, 0.5]],
+          "alpha": [1e300, -1e300, -1e154]}, "relu"),
+    ], ids=["residual-exact", "residual-relu", "gap-relu"])
+    def test_overflowing_oracle_fails_without_a_warning(self, tmp_path, capsys, doc, mode):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code = main(["gauss", "--system", str(path), "--mode", mode])
+        out, err = capsys.readouterr()
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert err == ""
+        assert report["passed"] is False
+        assert report["rel_error_vs_oracle"] is None
+        assert "reference_solve_failed" in report["flags"]
+
     @pytest.mark.parametrize("text", ['{"F": [[2.0]]}', "not json"])
     def test_bad_system_file(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

@@ -46,6 +46,14 @@ TWO_BY_TWO = LinearSystem(f=Matrix([[2.0, 1.0], [1.0, 3.0]]), alpha=Matrix([[3.0
 # Solution [1, 1]; the first pivot's square overflows float64.
 HUGE_PIVOT = LinearSystem(f=Matrix([[1e160, 0.0], [0.0, 1.0]]), alpha=Matrix([[1e160], [1.0]]))
 
+# Finite systems whose report overflows: the residual and the oracle gap
+# (exact mode), or the gap alone.
+REFERENCE_OVERFLOWS = {
+    "residual": ([[1e154, 0.5], [-1e308, -1e154]], [-1e154, 0.5]),
+    "gap": ([[1e154, -0.0, -1e154], [1e154, 3.0, -1e308], [-1e308, 1e-300, 0.5]],
+            [1e300, -1e300, -1e154]),
+}
+
 
 def dd_system(rng, m, spread=1.0, signed=False):
     f, alpha = random_dd_system(rng, m, spread, signed=signed)
@@ -194,6 +202,17 @@ class TestBackwardStep:
         with pytest.raises(ValueError):
             backward_substitute_step(state, 1)  # variable 2 not solved yet
 
+    def test_anti_mask_zero_weight_keeps_an_overflow(self):
+        # Between knots 1e-100 and 1e100 the table's sigma(1e99) is ~9e199, so
+        # z7 is finite but the scaled pivot z7 * 1e99 is not. The anti-mask
+        # weighs it by 0 and gets NaN, so the step overflows, although every
+        # other entry of the row is finite.
+        table = build_invsqr("explicit:1e-100,1e100")
+        sys = LinearSystem(f=Matrix([[1e99, 0.0], [0.0, 1e99]]),
+                           alpha=Matrix([[1e-300], [1e-300]]))
+        with pytest.raises(EliminationOverflow, match="^backward step 2 overflows float64"):
+            solve(sys, mode="relu", table=table)
+
 
 class TestSolve:
     def test_hand_example(self):
@@ -254,6 +273,19 @@ class TestSolve:
         with pytest.raises(PivotBelowTolerance):
             solve(singular)
 
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_zero_pivot_is_named_as_the_steps_name_it(self, mode):
+        # Forward step 1 adds a zero product (0.0 times row 1) to the -0.0 at
+        # (2, 2); solve names that pivot +0.0, as the dense step and the step
+        # functions leave it.
+        sys = LinearSystem(f=Matrix([[1.0, -2.0], [0.0, -0.0]]), alpha=Matrix([[1.0], [1.0]]))
+        state = forward_eliminate_step(embed_system(sys, mode=mode), 1)
+        with pytest.raises(PivotBelowTolerance) as stepped:
+            backward_substitute_step(state, 2)
+        with pytest.raises(PivotBelowTolerance, match="^pivot 0.000e") as solved:
+            solve(sys, mode=mode)
+        assert str(solved.value) == str(stepped.value)
+
     def test_exact_mode_names_a_pivot_whose_square_overflows(self):
         with pytest.raises(gauss.SingularDetected, match="forward step 1"):
             solve(HUGE_PIVOT, mode="exact")
@@ -261,6 +293,18 @@ class TestSolve:
     def test_relu_mode_flags_a_huge_pivot(self):
         _, report = solve(HUGE_PIVOT, mode="relu")
         assert "pivot_out_of_table_range:FE1:1e+160" in report["flags"]
+
+    @pytest.mark.parametrize("name, mode", [("residual", "exact"), ("residual", "relu"),
+                                            ("gap", "relu")])
+    def test_overflowing_report_is_null_not_a_warning(self, name, mode):
+        f, alpha = REFERENCE_OVERFLOWS[name]
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = solve(sys, mode=mode)
+        assert np.isfinite(x.array).all()
+        assert report["rel_error_vs_oracle"] is None
+        assert report["flags"][-1] == "reference_solve_failed"
 
     def test_pad_row_stays_zero_through_all_stages(self):
         rng = np.random.default_rng(6)
@@ -488,8 +532,9 @@ class TestDenseComponentEquivalence:
 
     @pytest.mark.parametrize("mode", ["relu", "exact"])
     def test_components_store_one_matrix(self, monkeypatch, mode):
-        # Masks and dividers store only their mask V, the affine units
-        # (gain +/-1) only their constant C; the rest are broadcast floats.
+        # On its block every mask and divider keeps all entries and every
+        # affine unit (gain +/-1) adds zero, so a solve runs components of
+        # broadcast floats alone: none stores a Matrix, and none has a shape.
         seen = []
         apply = netcomp.NetworkComponent.apply
 
@@ -501,9 +546,9 @@ class TestDenseComponentEquivalence:
         solve(dd_system(np.random.default_rng(9), 5, signed=True), mode=mode)
         assert "relu" in {comp.activation for comp in seen}
         for comp in seen:
-            varying = comp.c[0] if comp.activation == "relu" else comp.v[0]
             params = comp.w + comp.v + comp.b + comp.c
-            assert [p for p in params if isinstance(p, Matrix)] == [varying]
+            assert not [p for p in params if isinstance(p, Matrix)]
+            assert comp.shape is None
 
 
 class TestRidgeBridge:

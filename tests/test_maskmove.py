@@ -14,7 +14,6 @@ from elsakit import (
     MskMovSpec,
     SpecOutOfRange,
     add,
-    block_read,
     hadamard,
     identity,
     mask_matrix,
@@ -185,19 +184,3 @@ class TestMaskMatrix:
     def test_host_validation(self):
         with pytest.raises(SpecOutOfRange):
             MaskSpec(BlockSpec(1, 3, 1, 1), 2, 2)
-
-    @pytest.mark.parametrize("anti", [False, True])
-    @pytest.mark.parametrize("host", [BlockSpec(2, 3, 4, 4), BlockSpec(1, 4, 3, 6),
-                                      BlockSpec(1, 5, 1, 6)])
-    def test_restriction_reads_the_mask_on_the_host(self, anti, host):
-        spec = MaskSpec(BlockSpec(2, 3, 4, 4), 5, 6, anti=anti)
-        restricted = spec.restrict(host)
-        assert restricted.anti == anti
-        assert restricted.m == host.block_rows and restricted.n == host.block_cols
-        assert mask_matrix(restricted) == block_read(mask_matrix(spec), host)
-
-    @pytest.mark.parametrize("host", [BlockSpec(3, 4, 1, 6), BlockSpec(1, 5, 5, 6),
-                                      BlockSpec(1, 6, 1, 6)])
-    def test_restriction_host_must_hold_the_block(self, host):
-        with pytest.raises(SpecOutOfRange):
-            MaskSpec(BlockSpec(2, 3, 4, 4), 5, 6).restrict(host)

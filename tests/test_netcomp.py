@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elsakit import netcomp
 from elsakit import (
@@ -394,10 +396,6 @@ class TestBroadcastParameters:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ShapeMismatch):  # no Matrix gives the shape
-            NetworkComponent(w=(1.0,), v=(1.0,), b=(0.0,), c=(0.0,), activation="relu")
-        with pytest.raises(ShapeMismatch):
-            make_affine_component(1.0, 0.0)
         with pytest.raises(ShapeMismatch):
             make_affine_component(ones(2, 3), zeros(3, 2))
         with pytest.raises(TypeError):
@@ -408,3 +406,51 @@ class TestBroadcastParameters:
         comp = COMPONENTS[name](None)
         params = comp.w + comp.v + comp.b + comp.c
         assert [p for p in params if isinstance(p, Matrix)] == [comp.v[0]]
+
+
+# Components of floats alone: the keep-all mask, the +/-1 affine units (C 0.0
+# or a drawn float) and the exact and table dividers, all without a shape.
+SHAPE_FREE = {
+    "keep": lambda c: make_mask_component(None),
+    "plus_identity": lambda c: make_affine_component(1.0, 0.0),
+    "negate": lambda c: make_affine_component(-1.0, 0.0),
+    "plus_c": lambda c: make_affine_component(1.0, c),
+    "minus_c": lambda c: make_affine_component(-1.0, c),
+    "exact_divider": lambda c: make_divider_component(None, None),
+    "table_divider": lambda c: make_divider_component(None, default_invsqr()),
+}
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]),
+    st.floats(-2.2e-308, 2.2e-308),  # subnormals and zeros
+    st.floats(-1e3, 1e3),
+)
+
+
+class TestShapeFreeComponents:
+    """A component of floats alone runs on any shape, bitwise the dense literal sum."""
+
+    def test_has_no_shape_and_takes_any_input(self):
+        comp = make_mask_component(None)
+        assert comp.shape is None and comp.v == (1.0,)
+        x = Matrix([[1.5, -2.0, 0.0]])
+        assert component_forward(x, comp) == x
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(sorted(SHAPE_FREE)),
+        c=EXTREME,
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_apply_is_the_dense_sum_bitwise(self, name, c, rows, cols, data):
+        comp = SHAPE_FREE[name](c)
+        assert comp.shape is None
+        entries = data.draw(st.lists(EXTREME, min_size=rows * cols, max_size=rows * cols))
+        x = np.array(entries).reshape(rows, cols)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = comp.apply(x)
+            want = dense_component_forward(x, comp, invsqr_eval)
+        assert got.shape == want.shape
+        # Bytes compare the sign of zero and NaN bits too.
+        assert got.tobytes() == want.tobytes()

@@ -1,0 +1,135 @@
+"""Seeded SHA-256 digests of elsakit's outputs, to show a refactor changes no bit.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/bitwise_digest.py
+
+Each line is "<sha256>  <name>". A digest hashes raw float64 bytes, so the
+sign of zero counts, and reports as json.dumps(report, sort_keys=True):
+
+* solves: 84 gauss solves, the solution bytes and then the report of each;
+  seeds 0-11 outermost, then relu m in (5, 12, 24, 30) and exact m in
+  (7, 16, 30), each system random_dd_system(default_rng([seed, m]), m,
+  signed=True) from tests/oracles.py;
+* step-states: every state of step-by-step solves, m in {2, 3, 9, 33, 64,
+  100, 129}, both modes, each system as drawn and again with -0.0 in about
+  20% of F's off-diagonal and 30% of alpha;
+* run-pipeline: run_pipeline's w trace, prediction and report, both forms,
+  (n, d) in {(1, 1), (3, 2), (2, 3), (20, 4), (100, 8)}, lambda in
+  {0, 0.5}, T = 30, every shape run twice so the cached view is reused;
+* run-program: run_program's trace, final prompt and prediction for the
+  designed, enumerated and zero-bias wrapped programs of the same problems.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from oracles import random_dd_system, random_ridge_arrays  # noqa: E402
+
+from elsakit import (  # noqa: E402
+    LinearSystem,
+    Matrix,
+    backward_substitute_step,
+    build_designed_input,
+    build_designed_weights,
+    build_enumerated_input,
+    build_enumerated_weights,
+    embed_system,
+    forward_eliminate_step,
+    make_problem,
+    run_pipeline,
+    run_program,
+    solve,
+    wrap_designed_as_elsa,
+)
+
+SOLVE_SIZES = [("relu", m) for m in (5, 12, 24, 30)] + [("exact", m) for m in (7, 16, 30)]
+STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
+RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
+RIDGE_STEPS = 30
+
+
+def dd_system(seed, m, negative_zeros=False):
+    rng = np.random.default_rng([seed, m])
+    f, alpha = random_dd_system(rng, m, signed=True)
+    if negative_zeros:
+        f[~np.eye(m, dtype=bool) & (rng.random((m, m)) < 0.2)] = -0.0
+        alpha[rng.random((m, 1)) < 0.3] = -0.0
+    return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
+
+
+def digest_solves(h):
+    for seed in range(12):
+        for mode, m in SOLVE_SIZES:
+            x, report = solve(dd_system(seed, m), mode=mode)
+            h.update(x.array.tobytes())
+            h.update(json.dumps(report, sort_keys=True).encode())
+
+
+def digest_step_states(h):
+    for m in STEP_SIZES:
+        for mode in ("exact", "relu"):
+            for negative_zeros in (False, True):
+                state = embed_system(dd_system(100 + m, m, negative_zeros), mode=mode)
+                h.update(state.p.array.tobytes())
+                for k in range(1, m):
+                    state = forward_eliminate_step(state, k)
+                    h.update(state.p.array.tobytes())
+                for t in range(m, 0, -1):
+                    state = backward_substitute_step(state, t)
+                    h.update(state.p.array.tobytes())
+
+
+def ridge_problems():
+    for repeat in range(2):
+        for n, d in RIDGE_SHAPES:
+            for lam in (0.0, 0.5):
+                rng = np.random.default_rng([n, d, int(lam * 10)])
+                x, y, u = random_ridge_arrays(rng, n, d)
+                yield make_problem(Matrix.from_array(x), Matrix.from_array(y),
+                                   Matrix.from_array(u), lam, steps=RIDGE_STEPS)
+
+
+def digest_run_pipeline(h):
+    for p in ridge_problems():
+        for form in ("lsa", "elsa"):
+            run = run_pipeline(p, form)
+            for w in run.w_trace:
+                h.update(w.array.tobytes())
+            h.update(np.float64(run.prediction).tobytes())
+            h.update(json.dumps(run.report, sort_keys=True).encode())
+
+
+def digest_run_program(h):
+    for p in ridge_problems():
+        designed = build_designed_weights(p.n, p.d)
+        programs = (
+            (designed, build_designed_input(p)),
+            (build_enumerated_weights(p.n, p.d), build_enumerated_input(p)),
+            (wrap_designed_as_elsa(designed), build_designed_input(p)),
+        )
+        for prog, state in programs:
+            trace, final, prediction = run_program(prog, state, p.steps)
+            for w in trace:
+                h.update(w.array.tobytes())
+            h.update(final.array.tobytes())
+            h.update(np.float64(prediction).tobytes())
+
+
+def main():
+    for name, fill in (("solves", digest_solves), ("step-states", digest_step_states),
+                       ("run-pipeline", digest_run_pipeline),
+                       ("run-program", digest_run_program)):
+        h = hashlib.sha256()
+        fill(h)
+        print(f"{h.hexdigest()}  {name}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
