@@ -22,8 +22,9 @@ that dense evaluation as the reference. A module whose updated entries
 overflow float64 raises EliminationOverflow.
 
 Each module is one kernel that updates a writable padded ndarray in place,
-through NetworkComponent.apply and skip_product. solve runs every kernel on
-one copy of the system; a step function runs one on a copy of its state.
+through its components' compiled views (a call of each component; apply is
+the literal oracle) and skip_product. solve runs every kernel on one copy
+of the system; a step function runs one on a copy of its state.
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -153,8 +154,8 @@ def _divide(table: Optional[PiecewiseInvSqr], pivot: np.ndarray, gamma: int) -> 
     zero. z is already masked to the pivot, so the divider needs no anti-mask
     passing the rest through.
     """
-    z = _KEEP.apply(pivot)
-    r = _pivot_divider(table).apply(z)
+    z = _KEEP(pivot)
+    r = _pivot_divider(table)(z)
     return skip_product(r, z, side="left", gamma=gamma)
 
 
@@ -199,8 +200,8 @@ def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> 
     _check_pivot(table, float(p[k - 1, k - 1]), where)
     with np.errstate(over="ignore", invalid="ignore"):
         z3 = _divide(table, p[k - 1 : k, k - 1 : k], gamma=-1)
-        z4 = _KEEP.apply(p[k : size - 1, k - 1 : k])
-        z6 = _PLUS_IDENTITY.apply(z4 @ z3)
+        z4 = _KEEP(p[k : size - 1, k - 1 : k])
+        z6 = _PLUS_IDENTITY(z4 @ z3)
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
         spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
         _update(p, (k + 1, size - 1, 1, size), spread, where, add=True)
@@ -213,16 +214,16 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) ->
     with np.errstate(over="ignore", invalid="ignore"):
         if t < size - 1:
             # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-            z2 = _NEGATE.apply(_KEEP.apply(q[t : t + 1, size - 1 :]))
+            z2 = _NEGATE(_KEEP(q[t : t + 1, size - 1 :]))
             # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
             spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
             _update(q, (1, size, size, size), spread, where, add=True)
         _check_pivot(table, float(q[t - 1, t - 1]), where)
 
         z6 = _divide(table, q[t - 1 : t, t - 1 : t], gamma=1)
-        z7 = _PLUS_IDENTITY.apply(z6)
+        z7 = _PLUS_IDENTITY(z6)
         scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
-        cleared = _KEEP.apply(scaled)
+        cleared = _KEEP(scaled)
         # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, which
         # _update's + 0.0 makes +0.0, or NaN if that entry is not finite.
         cleared[0, t - 1] *= 0.0

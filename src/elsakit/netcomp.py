@@ -27,15 +27,17 @@ each on the block a mask selects (a pivot entry, a column block, a row) and
 never on the whole padded state: on that block a mask's and a divider's V
 is all ones and each affine unit's C all zeros, and off it a component
 outputs its constant C for every finite input, which the module accounts
-for without evaluating it. They run on ndarrays: NetworkComponent.apply and
-skip_product are the bodies of component_forward and skip_mul.
+for without evaluating it. A module calls each, comp(a), on an ndarray; that
+runs its compiled view where _VIEWS has one, bitwise the literal head sum's
+closed form. NetworkComponent.apply, that literal sum, and skip_product are
+the bodies of component_forward and skip_mul.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -214,7 +216,9 @@ class NetworkComponent:
     component of floats alone has shape None and runs on any input.
     "identity_via_relu" computes x as relu(x) - relu(-x); "invsqr" applies
     the table's ReLU sum pointwise; "invsqr_exact" applies exact 1/x^2 with
-    the convention 0 -> 0 so masked-out entries stay finite.
+    the convention 0 -> 0 so masked-out entries stay finite. Calling a
+    component runs its view, compiled once from float heads that _VIEWS
+    names, and apply otherwise.
     """
 
     w: tuple[Param, ...]
@@ -227,6 +231,8 @@ class NetworkComponent:
     # Per head (w, v, b, c) as the arrays and floats apply combines; a unit
     # weight w or v and a zero constant c are None (see apply).
     heads: tuple = field(init=False, repr=False, compare=False)
+    # The map apply computes, in closed form, or None (see _VIEWS).
+    view: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.w)
@@ -250,8 +256,15 @@ class NetworkComponent:
         object.__setattr__(self, "shape", shapes.pop() if shapes else None)
         unit = [None if isinstance(p, float) and p == 1.0 else p for p in raw[: 2 * k]]
         c = [None if isinstance(p, float) and p == 0.0 else p for p in raw[3 * k :]]
-        heads = zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c)
-        object.__setattr__(self, "heads", tuple(heads))
+        heads = tuple(zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c))
+        object.__setattr__(self, "heads", heads)
+        # Only float heads can name a view (an array has no truth value).
+        view = None if self.shape is not None else _VIEWS.get((self.activation, heads))
+        object.__setattr__(self, "view", view)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """apply(a), bit for bit: through the component's view where it has one."""
+        return self.apply(a) if self.view is None else self.view(a)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """component_forward's body on an ndarray, without its shape check.
@@ -285,11 +298,35 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     if comp.activation == "invsqr":
         out[keep] = invsqr_eval(comp.table, a[keep])
     else:
-        # exact reciprocal square; zeros pass through as zeros
+        # exact reciprocal square; zeros pass through as zeros, and a square
+        # that underflows to 0 gives inf, without a warning
         keep = keep & (a != 0.0)
         kept = a[keep]
-        out[keep] = 1.0 / (kept * kept)
+        with np.errstate(divide="ignore"):
+            out[keep] = 1.0 / (kept * kept)
     return out
+
+
+def _exact_invsqr(a: np.ndarray) -> np.ndarray:
+    """1/(a*a) where a != 0 and 0 where a == 0: the exact divider's map."""
+    sq = a * a
+    if sq.all():  # no zero square, so no division by zero
+        return 1.0 / sq
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, sq, out=np.zeros(a.shape), where=a != 0.0)
+
+
+# Views by (activation, heads): the keep-all mask and the +1 affine unit map
+# a to a, the -1 unit to -a, and apply's head sum, which starts from +0.0,
+# turns a -0.0 into +0.0. The table divider stays literal: its ReLU sum is
+# the one approximation.
+_UNIT_HEAD = (None, None, 0.0, None)
+_VIEWS = {
+    ("identity_via_relu", (_UNIT_HEAD,)): lambda a: a + 0.0,
+    ("relu", (_UNIT_HEAD, (-1.0, -1.0, 0.0, None))): lambda a: a + 0.0,
+    ("relu", ((None, -1.0, 0.0, None), (-1.0, None, 0.0, None))): lambda a: -1.0 * a + 0.0,
+    ("invsqr_exact", (_UNIT_HEAD,)): _exact_invsqr,
+}
 
 
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:

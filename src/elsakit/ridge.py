@@ -184,9 +184,12 @@ def contraction(p: RidgeProblem) -> float:
     """max |1 - eta * eig(X^T X + lam I)|, the descent map's contraction factor.
 
     Reads the same eigvalsh spectrum of X^T X as stable_eta_for (NaN when
-    X^T X overflows). Above 1 the descent diverges along some eigendirection.
+    X^T X overflows, NaN or inf without a warning when an eigenvalue does).
+    Above 1 the descent diverges along some eigendirection.
     """
-    return float(np.max(np.abs(1.0 - p.eta * (_gram_spectrum(p.x) + p.lam))))
+    spectrum = _gram_spectrum(p.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(1.0 - p.eta * (spectrum + p.lam))))
 
 
 def predict(w: Matrix, u: Matrix) -> float:

@@ -270,6 +270,26 @@ class TestBadInputFiles:
         assert report["message"]
         assert "Traceback" not in captured.err
 
+    # Files that parse but make a run fail: the report says so, with the
+    # named field null, and nothing reaches stderr.
+    @pytest.mark.parametrize("command,flag,text,null_field", [
+        ("ridge", "--problem",
+         json.dumps({"X": [[-0.0, 1e154, 1e154]], "y": [1.0], "u": [1, 1, 1], "lambda": 0.5,
+                     "eta": "auto", "steps": 3}), "contraction"),
+    ], ids=["overflowing-contraction"])
+    def test_reported_as_failing_run_without_a_warning(self, tmp_path, capsys, command, flag,
+                                                       text, null_field):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([command, flag, str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=reject_constant)
+        assert code == 1
+        assert captured.err == ""
+        assert report["command"] == command
+        assert report["passed"] is False
+        assert report[null_field] is None
+
 
 # Any JSON value, non-finite floats and unbounded integers included.
 JSON_VALUES = st.recursive(

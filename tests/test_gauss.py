@@ -370,12 +370,13 @@ class TestLiteralOracle:
 
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
-        # Every component runs through NetworkComponent.apply and every skip
-        # through skip_product; z5 = z4 @ z3 multiplies two of their outputs.
+        # Every component runs through a call of the component (its view or
+        # apply) and every skip through skip_product; z5 = z4 @ z3 multiplies
+        # two of their outputs.
         m = 40
         full = (m + 1, m + 1)
         products, components = [], []
-        apply = netcomp.NetworkComponent.apply
+        call = netcomp.NetworkComponent.__call__
 
         def record_product(a, b, side, gamma):
             products.append((a.shape, b.shape))
@@ -383,10 +384,10 @@ class TestLiteralOracle:
 
         def record_component(comp, x):
             components.append((x.shape, comp.shape))
-            return apply(comp, x)
+            return call(comp, x)
 
         monkeypatch.setattr(gauss, "skip_product", record_product)
-        monkeypatch.setattr(netcomp.NetworkComponent, "apply", record_component)
+        monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_component)
         for mode in ("exact", "relu"):
             solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
         assert len(products) == 2 * (2 * (m - 1) + 3 * m - 1)
@@ -516,7 +517,11 @@ class TestInPlaceKernels:
 
 
 class TestDenseComponentEquivalence:
-    """Solves are bitwise equal with every component evaluated densely."""
+    """Solves are bitwise equal with every component evaluated densely.
+
+    A solve calls each component, which runs its view or apply, so the hooks
+    replace or record NetworkComponent.__call__.
+    """
 
     @pytest.mark.parametrize("mode, m", [("relu", 24), ("exact", 16)])
     def test_solution_matches_dense_components(self, monkeypatch, mode, m):
@@ -526,7 +531,7 @@ class TestDenseComponentEquivalence:
         def dense(comp, x):
             return dense_component_forward(x, comp, invsqr_eval)
 
-        monkeypatch.setattr(netcomp.NetworkComponent, "apply", dense)
+        monkeypatch.setattr(netcomp.NetworkComponent, "__call__", dense)
         x_dense, _ = solve(sys, mode=mode)
         assert np.array_equal(x_fast.array, x_dense.array)
 
@@ -536,13 +541,13 @@ class TestDenseComponentEquivalence:
         # affine unit (gain +/-1) adds zero, so a solve runs components of
         # broadcast floats alone: none stores a Matrix, and none has a shape.
         seen = []
-        apply = netcomp.NetworkComponent.apply
+        call = netcomp.NetworkComponent.__call__
 
         def record(comp, x):
             seen.append(comp)
-            return apply(comp, x)
+            return call(comp, x)
 
-        monkeypatch.setattr(netcomp.NetworkComponent, "apply", record)
+        monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record)
         solve(dd_system(np.random.default_rng(9), 5, signed=True), mode=mode)
         assert "relu" in {comp.activation for comp in seen}
         for comp in seen:

@@ -426,6 +426,23 @@ EXTREME = st.one_of(
 )
 
 
+# Components whose float heads name a compiled view, and components that
+# run apply: a table divider, a mask with a Matrix V, a gain that is not
+# +/-1 and a nonzero C.
+VIEWED = {
+    "keep": lambda: make_mask_component(None),
+    "plus_identity": lambda: make_affine_component(1.0, 0.0),
+    "negate": lambda: make_affine_component(-1.0, 0.0),
+    "exact_divider": lambda: make_divider_component(None, None),
+}
+LITERAL = {
+    "table_divider": lambda: make_divider_component(None, default_invsqr()),
+    "matrix_mask": lambda: make_mask_component(MaskSpec(BlockSpec(1, 2, 1, 2), 2, 2)),
+    "gain_2": lambda: make_affine_component(2.0, 0.0),
+    "nonzero_c": lambda: make_affine_component(1.0, 0.5),
+}
+
+
 class TestShapeFreeComponents:
     """A component of floats alone runs on any shape, bitwise the dense literal sum."""
 
@@ -451,6 +468,29 @@ class TestShapeFreeComponents:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             got = comp.apply(x)
             want = dense_component_forward(x, comp, invsqr_eval)
-        assert got.shape == want.shape
+            # Calling the component runs its view where it has one.
+            called = comp(x)
+        assert got.shape == want.shape == called.shape
         # Bytes compare the sign of zero and NaN bits too.
         assert got.tobytes() == want.tobytes()
+        assert called.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("name", VIEWED)
+    def test_linear_units_and_the_exact_divider_have_a_view(self, name):
+        comp = VIEWED[name]()
+        assert comp.view is not None
+        x = np.array([[1.5, -0.0, -2.0]])
+        assert comp(x).tobytes() == comp.apply(x).tobytes()
+
+    @pytest.mark.parametrize("name", LITERAL)
+    def test_other_components_run_apply(self, name):
+        assert LITERAL[name]().view is None
+
+    def test_exact_divider_of_an_underflowing_square_is_inf_without_a_warning(self):
+        # 1e-200 squares to 0.0; its reciprocal is inf, as the activation's.
+        comp = make_divider_component(None, None)
+        x = np.array([[1e-200, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (comp.apply(x), comp.view(x)):
+                assert got.tolist() == [[np.inf, 0.25]]
