@@ -23,13 +23,14 @@ block returns its input unchanged:
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell. The run loop executes each
 program's compiled view (:attr:`Program.compiled`): every head restricted
-to the rows and columns its weights touch, compiled once per program.
-:func:`run_pipeline` keeps only that view, once per form and (n, d). A
-step changes only the columns its last block writes, so the loop binds
-the first step block to the initial prompt once: every projection that
-reads none of those columns is evaluated once, not at every step. The
-per-step :func:`step` and the literal dense forwards in
-:mod:`elsakit.attention` stay the oracles.
+to the rows and columns its weights touch, plus the step plan, both made
+once per program. :func:`run_pipeline` keeps only that view, once per
+form and (n, d). A step changes only the columns its last block writes.
+The plan follows that through every step block: a projection reading no
+changing column is bound to the initial prompt once per run, and each
+step evaluates the rest on the columns that change only. The per-step
+:func:`step` and the literal dense forwards in :mod:`elsakit.attention`
+stay the oracles.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .attention import CompiledHead, ElsaParams, LsaParams, compile_head, compiled_forward
+from .attention import CompiledHead, ElsaParams, Index, LsaParams, _index
+from .attention import compile_head, compiled_forward
 from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, block_write, eye_block
 from .matrix import identity, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
-from .ridge import RidgeProblem, SingularSystem, finite_prefix, gd_run, predict, ridge_closed_form
+from .ridge import BadProblemFile, RidgeProblem, SingularSystem, finite_prefix, gd_run, predict
+from .ridge import ridge_closed_form
 
 
 class LayoutMismatch(ValueError):
@@ -98,12 +101,13 @@ CompiledModule = tuple[tuple[CompiledHead, ...], ...]
 
 
 class CompiledProgram(NamedTuple):
-    """A program's layout and cell with both modules compiled; the run loop needs nothing else."""
+    """A program's layout, cell, compiled modules and step plan: all the run loop needs."""
 
     layout: Layout
     step: CompiledModule
     readout: CompiledModule
     cell: tuple[int, int]
+    plan: "StepPlan"
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,9 @@ class Program:
         def compile_module(blocks: tuple[Block, ...]) -> CompiledModule:
             return tuple(tuple(compile_head(p) for p in block) for block in blocks)
 
-        modules = (compile_module(self.step), compile_module(self.readout))
-        return CompiledProgram(self.layout, *modules, self.cell)
+        step = compile_module(self.step)
+        plan = _step_plan(self.layout, step)
+        return CompiledProgram(self.layout, step, compile_module(self.readout), self.cell, plan)
 
 
 def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
@@ -158,21 +163,27 @@ def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
 
 
 def build_designed_input(p: RidgeProblem) -> PipelineState:
-    """Assemble the step-0 prompt for the designed layout."""
+    """Assemble the step-0 prompt for the designed layout.
+
+    Raises BadProblemFile when a scaled entry overflows: sqrt(eta) X,
+    sqrt(eta) y or sqrt(eta lam) is not finite.
+    """
     n, d = p.n, p.d
     layout = DesignedLayout(n=n, d=d)
     s = layout.s
     sqrt_eta = math.sqrt(p.eta)
     sqrt_eta_lam = math.sqrt(p.eta) * math.sqrt(p.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (scale(transpose(p.x), sqrt_eta), scale(transpose(p.y), sqrt_eta),
+                  scale(identity(d), sqrt_eta_lam))
+    if not all(np.all(np.isfinite(m.array)) for m in scaled):
+        raise BadProblemFile("the designed prompt is not finite: sqrt(eta) X, sqrt(eta) y "
+                             "or sqrt(eta lambda) overflows")
     h = zeros(d + 1, s)
-    h = block_write(h, BlockSpec(1, d, 1, n), scale(transpose(p.x), sqrt_eta))
-    h = block_write(h, BlockSpec(d + 1, d + 1, n + 1, 2 * n), scale(transpose(p.y), sqrt_eta))
+    h = block_write(h, BlockSpec(1, d, 1, n), scaled[0])
+    h = block_write(h, BlockSpec(d + 1, d + 1, n + 1, 2 * n), scaled[1])
     h = block_write(h, BlockSpec(d + 1, d + 1, 2 * n + 1, 2 * n + 1), Matrix([[1.0]]))
-    h = block_write(
-        h,
-        BlockSpec(1, d, 2 * n + 2, 2 * n + d + 1),
-        scale(identity(d), sqrt_eta_lam),
-    )
+    h = block_write(h, BlockSpec(1, d, 2 * n + 2, 2 * n + d + 1), scaled[2])
     h = block_write(h, BlockSpec(1, d, 2 * n + d + 2, 2 * n + d + 2), p.u)
     h = block_write(h, BlockSpec(1, d, s, s), p.w0)
     return PipelineState(h=h, layout=layout)
@@ -362,60 +373,164 @@ def extract_w(state: PipelineState) -> Matrix:
     return block_read(state.h, BlockSpec(1, d, state.layout.w_col, state.layout.w_col))
 
 
-class _BoundHead(NamedTuple):
-    """A head of the first step block bound to the initial prompt.
+class _Slot(NamedTuple):
+    """One distinct projection of a step block as its heads read it: (x[:, rows] w + b)[:, k].
 
-    t1, t2 and t3 hold t1[:, k1], t2 and t3[:, k3] of a projection that
-    reads no written column, or None for one evaluated each step; const
-    holds the whole term when all three are bound.
+    The value is transposed for a head's t1. A varying slot's rows are
+    positions in the block's narrow input, a bound slot's are columns of the
+    whole block input; rows and k are None where they would keep every
+    column.
     """
 
-    head: CompiledHead
-    t1: Optional[np.ndarray]
-    t2: Optional[np.ndarray]
-    t3: Optional[np.ndarray]
-    const: Optional[np.ndarray]
+    rows: Optional[Index]
+    w: np.ndarray
+    b: Optional[np.ndarray]
+    k: Optional[Index]
+    transposed: bool
 
-    def term(self, h: np.ndarray) -> np.ndarray:
-        """The head's output columns C2 on the prompt h, as compiled_forward computes them."""
-        if self.const is not None:
-            return self.const
-        c = self.head
-        t1 = c.p1.apply(h)[:, c.k1] if self.t1 is None else self.t1
-        t2 = c.p2.apply(h) if self.t2 is None else self.t2
-        t3 = c.p3.apply(h)[:, c.k3] if self.t3 is None else self.t3
-        return t3 @ (t1.T @ t2)
+    def value(self, x: np.ndarray) -> np.ndarray:
+        t = (x if self.rows is None else x[:, self.rows]) @ self.w
+        t = t if self.b is None else t + self.b
+        t = t if self.k is None else t[:, self.k]
+        return t.T if self.transposed else t
 
 
-def _bind(prog: CompiledProgram, state: PipelineState) -> tuple[_BoundHead, ...]:
-    """The first step block with every projection that reads no written column evaluated.
+class _PlanBlock(NamedTuple):
+    """One step block split into the projections and columns that vary and those that do not."""
 
-    The step module's output is nonzero only in the columns its last block
-    writes, so its skip connection leaves every other column of the prompt
-    as it was: those columns, and every projection reading only them, are
-    the same at every step.
+    writes: tuple[Index, ...]  # per head, the output columns C2 it writes
+    slots: tuple[_Slot, ...]
+    reads: tuple[tuple[int, int, int], ...]  # per head, the slots of its t1^T, t2 and t3
+    varying: tuple[int, ...]  # the slots evaluated at every step
+    cols: Index  # A: the output columns the block's accumulator holds
+    fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
+    adds: tuple[tuple[int, Index, Optional[Index]], ...]  # (head, at, sel) in head order
+
+
+class StepPlan(NamedTuple):
+    """The step module as the run loop executes it; see :func:`_step_plan`."""
+
+    cols: Index  # S: the prompt columns the loop's state holds
+    w: int  # the coefficient column's position in S
+    blocks: tuple[_PlanBlock, ...]
+
+
+def _mask(width: int, *indexes: Index) -> np.ndarray:
+    m = np.zeros(width, dtype=bool)
+    for ix in indexes:
+        m[ix] = True
+    return m
+
+
+def _whole(ix: Optional[Index], size: int) -> Optional[Index]:
+    """None for an index that keeps all size positions in order, else ix."""
+    return None if isinstance(ix, slice) and ix == slice(0, size) else ix
+
+
+def _narrow(rows: Index, source: np.ndarray, width: int) -> Optional[Index]:
+    """The columns rows as positions in the sorted columns source, which hold them all.
+
+    An index array stays one: indexing with it gathers a copy in the same
+    memory order as on the full input, and a product's rounding follows
+    that order.
     """
-    if state.layout != prog.layout:
-        raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
-    h = state.h.array
-    first = prog.step[0]
-    for c in first:
-        rows, width = c.input_shape
-        if h.shape[1] != width or rows not in (None, h.shape[0]):
-            raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
-    written = np.zeros(h.shape[1], dtype=bool)
-    for c in prog.step[-1]:
-        written[c.p2.cols] = True
-    # Every step after the first reads the unwritten columns as h0 + 0.0.
-    h0 = h + 0.0
+    at = np.searchsorted(source, np.arange(width)[rows])
+    return _whole(_index(at), source.size) if isinstance(rows, slice) else at
+
+
+def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
+    """Which projections and columns of the step module change from one step to the next.
+
+    The module's output is nonzero only in the columns W its last block
+    writes, so the skip connection leaves every other prompt column as it
+    was. Within a block, a projection that reads no varying input column is
+    bound, and a head whose three projections are bound is a constant term;
+    the block's varying output columns are those its other heads write, and
+    they are the next block's varying input (W for the first block).
+    Identical projections of one block share a slot. The loop's state holds
+    the prompt columns S: W, the coefficient column and whatever the first
+    block's varying projections read. Block b's accumulator holds its
+    varying columns and whatever block b+1's varying projections read; the
+    last block's holds S.
+    """
+    width = layout.shape[1]
+    if any(c.input_shape[1] != width for block in step for c in block):
+        raise DimensionMismatch(f"a step head's width differs from the layout's {width}")
+    every = np.arange(width)
+    varying_in = _mask(width, *(c.p2.cols for c in step[-1]))
+    flags, reads, outs = [], [], []
+    for block in step:
+        f = [tuple(bool(varying_in[p.rows].any()) for p in (c.p1, c.p2, c.p3)) for c in block]
+        rows = (p.rows for c, fc in zip(block, f) for p, v in zip((c.p1, c.p2, c.p3), fc) if v)
+        varying_in = _mask(width, *(c.p2.cols for c, fc in zip(block, f) if any(fc)))
+        flags.append(f)
+        reads.append(_mask(width, *rows))
+        outs.append(varying_in)
+    state = _mask(width, *(c.p2.cols for c in step[-1]), layout.w_col - 1) | reads[0]
+    held = [outs[b] | reads[b + 1] for b in range(len(step) - 1)] + [state]
+
+    blocks = []
+    for b, block in enumerate(step):
+        source, cols = every[state if b == 0 else held[b - 1]], every[held[b]]
+        slots, keys, varying, head_reads = [], {}, [], []
+        for c, fc in zip(block, flags[b]):
+            read = []
+            for (p, k, transposed), v in zip(((c.p1, c.k1, True), (c.p2, None, False),
+                                              (c.p3, c.k3, False)), fc):
+                k = _whole(k, p.w.shape[1])
+                key = (every[p.rows].tobytes(), p.w.shape, p.w.tobytes(),
+                       None if p.b is None else (p.b.shape, p.b.tobytes()),
+                       None if k is None else every[: p.w.shape[1]][k].tobytes(), transposed)
+                if key not in keys:
+                    keys[key] = len(slots)
+                    rows = _narrow(p.rows, source, width) if v else _whole(p.rows, width)
+                    slots.append(_Slot(rows, p.w, p.b, k, transposed))
+                    if v:
+                        varying.append(keys[key])
+                read.append(keys[key])
+            head_reads.append(tuple(read))
+        adds = []
+        for i, (c, fc) in enumerate(zip(block, flags[b])):
+            written = every[c.p2.cols]
+            keep = np.ones(written.size, dtype=bool) if any(fc) else outs[b][written]
+            if keep.any():
+                sel = None if any(fc) else _index(np.flatnonzero(keep))
+                adds.append((i, _whole(_index(np.searchsorted(cols, written[keep])), cols.size),
+                             sel))
+        fresh = _index(np.searchsorted(cols, every[outs[b]]))
+        blocks.append(_PlanBlock(tuple(c.p2.cols for c in block), tuple(slots), tuple(head_reads),
+                                 tuple(varying), _index(cols), fresh, tuple(adds)))
+    position = int(np.searchsorted(every[state], layout.w_col - 1))
+    return StepPlan(_index(every[state]), position, tuple(blocks))
+
+
+def _bind(plan: StepPlan, h0: np.ndarray) -> list:
+    """The plan's bound slots, constant terms and accumulator starts on the prompt h0.
+
+    Block by block, the bound slots read the block's input with only its
+    constant columns filled in: h0 for the first block, then the previous
+    block's constant heads summed in head order. Returns, per block, the
+    slot values (None where a slot varies), the varying slots, the additions
+    (at, constant term or None, t1^T, t2 and t3 slots) and the accumulator's
+    start, which is 0.0 in the varying columns.
+    """
     bound = []
-    for c in first:
-        t1, t2, t3 = (None if written[p.rows].any() else p.apply(h0) for p in (c.p1, c.p2, c.p3))
-        t1 = None if t1 is None else t1[:, c.k1]
-        t3 = None if t3 is None else t3[:, c.k3]
-        const = t3 @ (t1.T @ t2) if all(t is not None for t in (t1, t2, t3)) else None
-        bound.append(_BoundHead(c, t1, t2, t3, const))
-    return tuple(bound)
+    x = h0
+    for blk in plan.blocks:
+        values = [None if i in blk.varying else s.value(x) for i, s in enumerate(blk.slots)]
+        out = np.zeros(x.shape)
+        consts = {}
+        for i, (written, (r1, r2, r3)) in enumerate(zip(blk.writes, blk.reads)):
+            if all(values[r] is not None for r in (r1, r2, r3)):
+                consts[i] = values[r3] @ (values[r1] @ values[r2])
+                out[:, written] += consts[i]
+        start = out[:, blk.cols].copy()
+        start[:, blk.fresh] = 0.0
+        adds = [(at, None if sel is None else consts[i][:, sel], *blk.reads[i])
+                for i, at, sel in blk.adds]
+        bound.append((values, [(i, blk.slots[i]) for i in blk.varying], adds, start))
+        x = out
+    return bound
 
 
 def run_program(
@@ -424,36 +539,58 @@ def run_program(
     """Run `steps` descent steps and the readout.
 
     Returns the coefficient trace w_0..w_T, the final prompt and the
-    prediction. The loop binds the first step block to the initial prompt
-    once: a projection that reads none of the columns the step writes is
-    evaluated once, and a head whose three projections all are becomes one
-    constant term. Each step then adds the head terms in head order, runs
-    the later blocks and the skip connection on one ndarray, and equals
-    :func:`step` bit for bit; :func:`step` stays the per-step oracle. A
-    divergent run overflows silently, and its trace ends before the first
-    non-finite coefficient column.
+    prediction. The loop runs the program's step plan (:class:`StepPlan`):
+    it binds the whole step module to the initial prompt once, so every
+    projection that reads no column the step changes is evaluated once per
+    run, and a head whose three projections all are becomes one constant
+    term. Each step then evaluates only the varying projections on the
+    columns that change, adds the head terms in head order into narrow
+    accumulators, and adds the state back as the skip connection; the full
+    prompt is rebuilt once, for the readout. It equals :func:`step` bit for
+    bit, and :func:`step` stays the per-step oracle. A divergent run
+    overflows silently, and its trace ends before the first non-finite
+    coefficient column.
     """
     return _run_compiled(prog.compiled, state, steps)
 
 
 def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     """run_program's loop on a compiled view."""
-    bound = _bind(prog, state)
-    later = prog.step[1:]
-    d, wc = state.layout.d, state.layout.w_col - 1
+    if state.layout != prog.layout:
+        raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
-    ws = np.empty((steps + 1, d, 1))
-    ws[0] = h[:d, wc : wc + 1]
+    for c in (c for block in prog.step for c in block):
+        rows, width = c.input_shape
+        if h.shape[1] != width or rows not in (None, h.shape[0]):
+            raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
+    plan = prog.plan
+    first = h[:, plan.cols]
+    hs = np.empty((steps + 1, *first.shape))
+    hs[0] = first
     with np.errstate(over="ignore", invalid="ignore"):
+        # Every step after the first reads the unwritten columns as h + 0.0.
+        h0 = h + 0.0
+        bound = _bind(plan, h0)
         for t in range(1, steps + 1):
-            out = np.zeros(h.shape)
-            for b in bound:
-                out[:, b.head.p2.cols] += b.term(h)
-            for block in later:
-                out = compiled_forward(out, block)
-            h = out + h
-            ws[t] = h[:d, wc : wc + 1]
-        h_final = _run_module(PipelineState(Matrix.from_array(h), state.layout), prog, prog.readout)
+            x = hs[t - 1]
+            for values, varying, adds, start in bound:
+                for i, slot in varying:
+                    values[i] = slot.value(x)
+                # The varying columns start at 0.0, so the first term normalises -0.0 as
+                # np.zeros + term does in compiled_forward.
+                x = start.copy()
+                for at, const, r1, r2, r3 in adds:
+                    term = values[r3] @ (values[r1] @ values[r2]) if const is None else const
+                    if at is None:
+                        x += term
+                    else:
+                        x[:, at] += term
+            np.add(x, hs[t - 1], out=hs[t])
+        final = (h0 if steps else h).copy()
+        final[:, plan.cols] = hs[steps]
+        h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,
+                              prog.readout)
+    ws = hs[:, : state.layout.d, plan.w : plan.w + 1]
     return finite_prefix([Matrix.from_array(w) for w in ws]), h_final, h_final.get(*prog.cell)
 
 

@@ -97,9 +97,14 @@ def make_problem(
 
 
 def normal_equations(p: RidgeProblem) -> tuple[Matrix, Matrix]:
-    """(X^T X + lam I, X^T y): the ridge normal equations, assembled here only."""
+    """(X^T X + lam I, X^T y): the ridge normal equations, assembled here only.
+
+    An entry that overflows is inf, without a warning.
+    """
     x = p.x.array
-    return Matrix.from_array(x.T @ x + p.lam * np.eye(p.d)), Matrix.from_array(x.T @ p.y.array)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, b = x.T @ x + p.lam * np.eye(p.d), x.T @ p.y.array
+    return Matrix.from_array(f), Matrix.from_array(b)
 
 
 def ridge_closed_form(p: RidgeProblem) -> Matrix:
@@ -139,17 +144,17 @@ def finite_prefix(trace: list[Matrix]) -> list[Matrix]:
 def gd_run(p: RidgeProblem) -> list[Matrix]:
     """Apply the update p.steps times from w0; the trace holds w_0 .. w_T.
 
-    Each step computes what :func:`gd_step` does, with X^T y evaluated once.
-    A divergent eta overflows silently and the trace ends before its first
-    non-finite iterate.
+    Each step computes what :func:`gd_step` does, with -X^T y evaluated once.
+    A divergent eta, or an X^T y that overflows, overflows silently and the
+    trace ends before its first non-finite iterate.
     """
     x, eta, lam = p.x.array, p.eta, p.lam
-    xty = x.T @ p.y.array
     w = p.w0.array
     trace = [w]
     with np.errstate(over="ignore", invalid="ignore"):
+        neg_xty = -(x.T @ p.y.array)
         for _ in range(p.steps):
-            w = w - eta * (-xty + x.T @ (x @ w) + lam * w)
+            w = w - eta * (neg_xty + x.T @ (x @ w) + lam * w)
             trace.append(w)
     return finite_prefix([Matrix.from_array(w) for w in trace])
 
@@ -193,10 +198,11 @@ def contraction(p: RidgeProblem) -> float:
 
 
 def predict(w: Matrix, u: Matrix) -> float:
-    """Scalar prediction u^T w."""
+    """Scalar prediction u^T w; inf or NaN, without a warning, when it overflows."""
     if w.shape != u.shape or w.cols != 1:
         raise DimensionMismatch(f"need matching column vectors, got {w.shape}, {u.shape}")
-    return float(u.array[:, 0] @ w.array[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(u.array[:, 0] @ w.array[:, 0])
 
 
 def problem_to_json(p: RidgeProblem) -> str:
@@ -222,8 +228,9 @@ def _typed(key: str, value, kind):
 def problem_from_json(text: str) -> RidgeProblem:
     """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
 
-    Every entry of X, y, u and w0 must be a JSON number and X^T X finite.
-    Raises BadProblemFile, or SingularSystem for eta="auto" on no positive spectrum.
+    Every entry of X, y, u and w0 must be a JSON number, and X^T X and X^T y
+    finite. Raises BadProblemFile, or SingularSystem for eta="auto" on no
+    positive spectrum.
     """
     try:
         doc = json.loads(text)
@@ -240,7 +247,10 @@ def problem_from_json(text: str) -> RidgeProblem:
             eta = float(_typed("eta", eta, (int, float)))
             if np.isnan(_gram_spectrum(x)[-1]):
                 raise ValueError("the Gram matrix X^T X is not finite (it overflows)")
-        return make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)
+        p = make_problem(x, y, u, lam, eta=eta, steps=steps, w0=w0)
+        if not np.all(np.isfinite(normal_equations(p)[1].array)):
+            raise ValueError("X^T y is not finite (it overflows)")
+        return p
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadProblemFile(f"malformed ridge problem: {exc}") from exc
 

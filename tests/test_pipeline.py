@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from elsakit import pipeline
 from elsakit import (
+    BadProblemFile,
     BlockSpec,
     DesignedLayout,
     DimensionMismatch,
@@ -34,6 +35,7 @@ from elsakit import (
     gd_run,
     gd_step,
     gradient,
+    identity,
     make_problem,
     matmul,
     multihead_forward,
@@ -93,6 +95,16 @@ class TestDesignedInput:
         p = problem(rng, n=3, d=2, lam=0.0)
         h = build_designed_input(p).h.array
         assert np.all(h[:2, 7:9] == 0.0)
+
+    def test_overflowing_scaled_prompt_is_a_bad_problem(self):
+        # sqrt(eta) * y = 1e150 * -1e308 overflows; the enumerated prompt scales no data.
+        p = make_problem(identity(2), Matrix.column([-1e308, 1.0]), Matrix.column([1.0, 1.0]),
+                         0.5, eta=1e300, steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadProblemFile, match="designed prompt"):
+                build_designed_input(p)
+            assert np.all(np.isfinite(build_enumerated_input(p).h.array))
 
 
 class TestDesignedWeights:
@@ -392,6 +404,19 @@ class TestRunPipeline:
                 assert report["closed_form_prediction"] is None
                 assert report["diverged_at"] == 2
 
+    def test_overflowing_xty_runs_without_a_warning(self):
+        # X^T X is finite but X^T y overflows: the bound step terms, the oracle's X^T y and the
+        # normal equations are inf, and the trace ends at step 1.
+        p = make_problem(Matrix([[1e150, 0.0], [0.0, 1.0]]), Matrix.column([1e300, 1.0]),
+                         Matrix.column([1.0, 1.0]), 0.5, eta=1.0, steps=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in ("lsa", "elsa"):
+                run = run_pipeline(p, form)
+                assert run.report["diverged_at"] == 1
+                assert run.w_trace == [p.w0]
+                assert not math.isfinite(run.prediction)
+
 
 class TestProgramCache:
     """run_pipeline reuses one compiled view per form and shape."""
@@ -629,3 +654,107 @@ class TestCompiledProgram:
         gc.collect()
         assert head() is None
         assert compiled_weights() is None
+
+
+def selector(s: int, *entries: tuple[int, int, float]) -> Matrix:
+    """The s-by-s weight with the given 1-based (row, column, value) entries, zero elsewhere."""
+    w = np.zeros((s, s))
+    for i, j, v in entries:
+        w[i - 1, j - 1] = v
+    return Matrix.from_array(w)
+
+
+class TestStepPlan:
+    """The run loop's constness pass: which projections and columns vary from step to step."""
+
+    @staticmethod
+    def varying_reads(block):
+        """Per head, which of its t1, t2 and t3 slots are evaluated at every step."""
+        return [tuple(r in block.varying for r in reads) for reads in block.reads]
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_designed_step_evaluates_one_shared_projection(self, n, d):
+        designed = build_designed_weights(n, d)
+        for prog in (designed, wrap_designed_as_elsa(designed)):
+            plan = prog.compiled.plan
+            (block,) = plan.blocks
+            assert len(block.varying) == 1
+            assert self.varying_reads(block) == [(False, False, False), (False, True, False),
+                                                 (False, True, False)]
+            assert block.reads[1][1] == block.reads[2][1]
+            s = prog.layout.s
+            assert np.array_equal(np.arange(s)[plan.cols], [s - 1])
+            assert np.array_equal(np.arange(s)[block.cols], [s - 1])
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_enumerated_step_binds_the_contraction(self, n, d):
+        prog = build_enumerated_weights(n, d)
+        first, second = prog.compiled.plan.blocks
+        assert len(first.varying) == 1
+        assert self.varying_reads(first) == [(False, True, False), (False, True, False),
+                                             (False, False, False), (False, False, False)]
+        assert first.reads[0][1] == first.reads[1][1]
+        # The contraction's t1 reads the marker columns and its t3 is a bias: both are bound.
+        assert len(second.varying) == 1
+        assert self.varying_reads(second) == [(False, True, False)]
+        s = prog.layout.s
+        for cols in (prog.compiled.plan.cols, first.cols, second.cols):
+            assert np.array_equal(np.arange(s)[cols], [s - 1])
+
+    @staticmethod
+    def two_block_program(n, d):
+        """The designed step plus one head per block, then a second block of two heads.
+
+        1-based columns, s = 2n+d+3: X is 1..n and w is s. Block 1 keeps the designed
+        heads, which write w (head 1 is constant, heads 2 and 3 vary), and adds a constant
+        head writing column 2 and a varying head whose t2 reads the constant column 1 and w.
+        Block 2's first head varies: its t2 reads w, which constant and varying heads both
+        wrote, and column 2; its t1 and t3 read column 2. Its second head reads only
+        column 2, which only a constant head wrote, and writes u and w.
+        """
+        designed = build_designed_weights(n, d)
+        s = designed.layout.s
+        const_head = LsaParams(w1=selector(s, (1, 1, 1.0)), w2=selector(s, (3, 2, 0.5)),
+                               w3=selector(s, (4, 1, 1.0)))
+        mixed_reader = LsaParams(w1=selector(s, (2, 1, 1.0)),
+                                 w2=selector(s, (1, s, 0.01), (s, s, 0.01)),
+                                 w3=selector(s, (2, 1, 1.0)))
+        varying = LsaParams(w1=selector(s, (2, 1, 1.0)), w2=selector(s, (s, s, 0.1), (2, s, 0.5)),
+                            w3=selector(s, (2, 1, 1.0)))
+        constant = LsaParams(w1=selector(s, (2, 1, 1.0)),
+                             w2=selector(s, (2, s - 1, 1.0), (2, s, -0.25)),
+                             w3=selector(s, (2, 1, 1.0)))
+        step_blocks = ((*designed.step[0], const_head, mixed_reader), (varying, constant))
+        return Program(designed.layout, step_blocks, designed.readout, designed.cell)
+
+    def test_two_block_program_plan(self):
+        prog = self.two_block_program(4, 2)
+        s = prog.layout.s
+        plan = prog.compiled.plan
+        first, second = plan.blocks
+        # The state holds u and w, which the last block writes, and X's column 1.
+        assert np.array_equal(np.arange(s)[plan.cols], [0, s - 2, s - 1])
+        assert self.varying_reads(first) == [(False, False, False), (False, True, False),
+                                             (False, True, False), (False, False, False),
+                                             (False, True, False)]
+        # Block 1's accumulator holds w and column 2, which block 2's varying t2 reads.
+        assert np.array_equal(np.arange(s)[first.cols], [1, s - 1])
+        assert self.varying_reads(second) == [(False, True, False), (False, False, False)]
+        assert [head for head, _, sel in second.adds] == [0, 1]
+
+    @pytest.mark.parametrize("steps", [0, 1, 12])
+    def test_two_block_program_is_the_step_loop(self, steps):
+        rng = np.random.default_rng(64 + steps)
+        n, d = 4, 2
+        p = problem(rng, n, d, steps=steps, w0=rng.normal(size=(d, 1)))
+        prog = self.two_block_program(n, d)
+        h = build_designed_input(p).h.to_array()
+        h[rng.random(h.shape) < 0.3] = -0.0
+        h[0, 0] = -0.0  # an entry of X's column 1, which the state holds
+        assert np.signbit(h).any()
+        state = PipelineState(h=Matrix.from_array(h), layout=prog.layout)
+        got = run_program(prog, state, steps)
+        want = TestCompiledProgram.step_loop(prog, state, steps)
+        if steps:
+            assert got[0][-1] != run_program(build_designed_weights(n, d), state, steps)[0][-1]
+        TestCompiledProgram.assert_same_run(got, want, steps)

@@ -28,6 +28,7 @@ from elsakit import (
     stable_eta_for,
     zeros,
 )
+from elsakit.ridge import normal_equations
 from oracles import fd_gradient, random_ridge_arrays, ridge_cost
 
 
@@ -39,6 +40,12 @@ def problem_from_arrays(x, y, u, lam, eta="auto", steps=0):
 
 
 RANK_ONE_X = np.array([[1.0, 1.0], [1.0, 1.0]])
+
+
+def overflowing_xty_problem(eta=1.0, steps=2):
+    """X^T X = diag(1e300, 1) is finite, but the first entry of X^T y overflows."""
+    return make_problem(Matrix([[1e150, 0.0], [0.0, 1.0]]), Matrix.column([1e300, 1.0]),
+                        Matrix.column([1.0, 1.0]), 0.5, eta=eta, steps=steps)
 
 
 def tiny_problem(lam=1.0, eta=0.1, steps=1):
@@ -151,6 +158,15 @@ class TestGdRun:
         p = tiny_problem(steps=0)
         assert gd_run(p) == [p.w0]
 
+    def test_overflowing_xty_ends_the_trace_without_a_warning(self):
+        p = overflowing_xty_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gd_run(p) == [p.w0]
+            f, b = normal_equations(p)
+        assert np.all(np.isfinite(f.array))
+        assert b.array[0, 0] == np.inf and b.array[1, 0] == 1.0
+
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
     def test_trace_is_iterated_gd_step(self, n, d):
         rng = np.random.default_rng(7 + n)
@@ -262,6 +278,11 @@ class TestPredict:
     def test_hand_dot(self):
         assert predict(Matrix([[1.0]]), Matrix([[3.0]])) == 3.0
 
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(Matrix.column([1e300, 1e300]), Matrix.column([1e154, 1e154])) == np.inf
+
 
 class TestProblemJson:
     def test_round_trip(self):
@@ -287,6 +308,14 @@ class TestProblemJson:
             problem_from_json("{\"X\": [[1.0]]}")
         with pytest.raises(BadProblemFile):
             problem_from_json("not json")
+
+    @pytest.mark.parametrize("eta", [1.0, "auto"])
+    def test_overflowing_xty_rejected(self, eta):
+        doc = json.loads(problem_to_json(overflowing_xty_problem()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadProblemFile, match="X\\^T y"):
+                problem_from_json(json.dumps({**doc, "eta": eta}))
 
     def test_lambda_checked_before_auto_eta(self):
         # At lam = -1 the auto eta of X = I would find no positive spectrum.

@@ -18,7 +18,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   (n, d) in {(1, 1), (3, 2), (2, 3), (20, 4), (100, 8)}, lambda in
   {0, 0.5}, T = 30, every shape run twice so the cached view is reused;
 * run-program: run_program's trace, final prompt and prediction for the
-  designed, enumerated and zero-bias wrapped programs of the same problems.
+  designed, enumerated and zero-bias wrapped programs of the same problems;
+* run-program-signed: the same for every shape with -0.0 in about 30% of
+  the entries of X, y and a random w0, at lambda in {0.5, 2} with the auto
+  eta (an X of zeros has no auto eta at lambda = 0), and at lambda = 0.5
+  with the divergent explicit eta 1e12 / (lambda_max(X^T X) + lambda),
+  whose trace ends at its first non-finite step.
 """
 
 import hashlib
@@ -46,6 +51,7 @@ from elsakit import (  # noqa: E402
     run_pipeline,
     run_program,
     solve,
+    stable_eta_for,
     wrap_designed_as_elsa,
 )
 
@@ -106,8 +112,20 @@ def digest_run_pipeline(h):
             h.update(json.dumps(run.report, sort_keys=True).encode())
 
 
-def digest_run_program(h):
-    for p in ridge_problems():
+def signed_ridge_problems():
+    for n, d in RIDGE_SHAPES:
+        rng = np.random.default_rng([n, d, 7])
+        x, y, u = random_ridge_arrays(rng, n, d)
+        w0 = rng.normal(size=(d, 1))
+        for a in (x, y, w0):
+            a[rng.random(a.shape) < 0.3] = -0.0
+        x, y, u, w0 = (Matrix.from_array(a) for a in (x, y, u, w0))
+        for lam, eta in ((0.5, "auto"), (2.0, "auto"), (0.5, 1e12 * stable_eta_for(x, 0.5))):
+            yield make_problem(x, y, u, lam, eta=eta, steps=RIDGE_STEPS, w0=w0)
+
+
+def digest_run_program(h, problems=ridge_problems):
+    for p in problems():
         designed = build_designed_weights(p.n, p.d)
         programs = (
             (designed, build_designed_input(p)),
@@ -125,7 +143,9 @@ def digest_run_program(h):
 def main():
     for name, fill in (("solves", digest_solves), ("step-states", digest_step_states),
                        ("run-pipeline", digest_run_pipeline),
-                       ("run-program", digest_run_program)):
+                       ("run-program", digest_run_program),
+                       ("run-program-signed",
+                        lambda h: digest_run_program(h, signed_ridge_problems))):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
