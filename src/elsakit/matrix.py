@@ -55,6 +55,22 @@ class Matrix:
         return m
 
     @classmethod
+    def from_stack(cls, stack: np.ndarray) -> list["Matrix"]:
+        """One Matrix per leading index of a (k, rows, cols) stack (trusted internal path).
+
+        The stack is made contiguous and read-only once, and each Matrix is a
+        view of one of its rows.
+        """
+        a = np.ascontiguousarray(stack, dtype=np.float64)
+        a.setflags(write=False)
+        out = []
+        for row in a:
+            m = object.__new__(cls)
+            m._a = row
+            out.append(m)
+        return out
+
+    @classmethod
     def column(cls, values: Sequence[float] | np.ndarray) -> "Matrix":
         """Column vector from a flat (1-d) sequence."""
         a = np.asarray(values, dtype=np.float64)
@@ -180,6 +196,20 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     return Matrix.from_array(a.array @ b.array)
+
+
+def product_for(rows: int, inner: int):
+    """np.dot or np.matmul, whichever computes a rows-by-inner times inner-by-k product as @ does.
+
+    From two rows and two inner terms up, np.dot makes the BLAS gemv or gemm
+    call that @ makes, with less dispatch, and it is returned. Below that the
+    two part ways. np.dot takes a one-entry factor as a scalar: a zero
+    product can keep its minus sign, and a zero scalar is skipped, so that
+    0 * inf gives 0. It also has BLAS form a one-column by one-row product
+    where @ adds each term to 0.0, and sends a one-row factor to another
+    gemv. There np.matmul, the function behind @, is returned.
+    """
+    return np.dot if rows > 1 and inner > 1 else np.matmul
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -25,12 +25,13 @@ u^T w_T into the program's reserved cell. The run loop executes each
 program's compiled view (:attr:`Program.compiled`): every head restricted
 to the rows and columns its weights touch, plus the step plan, both made
 once per program. :func:`run_pipeline` keeps only that view, once per
-form and (n, d). A step changes only the columns its last block writes.
-The plan follows that through every step block: a projection reading no
-changing column is bound to the initial prompt once per run, and each
-step evaluates the rest on the columns that change only. The per-step
-:func:`step` and the literal dense forwards in :mod:`elsakit.attention`
-stay the oracles.
+form and (n, d), and checks a run against the problem's descent and closed
+form, computed once per problem object and shared by both forms. A step
+changes only the columns its last block writes. The plan follows that
+through every step block: a projection reading no changing column is
+bound to the initial prompt once per run, and each step evaluates the
+rest on the columns that change only. The per-step :func:`step` and the
+literal dense forwards in :mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -38,17 +39,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .attention import CompiledHead, ElsaParams, Index, LsaParams, _index
 from .attention import compile_head, compiled_forward
 from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, block_write, eye_block
-from .matrix import identity, scale, transpose, zeros
+from .matrix import identity, product_for, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
-from .ridge import BadProblemFile, RidgeProblem, SingularSystem, finite_prefix, gd_run, predict
-from .ridge import ridge_closed_form
+from .ridge import BadProblemFile, RidgeProblem, finite_prefix
 
 
 class LayoutMismatch(ValueError):
@@ -379,7 +379,7 @@ class _Slot(NamedTuple):
     The value is transposed for a head's t1. A varying slot's rows are
     positions in the block's narrow input, a bound slot's are columns of the
     whole block input; rows and k are None where they would keep every
-    column.
+    column. dot is the product x[:, rows] w, as :func:`product_for` picks it.
     """
 
     rows: Optional[Index]
@@ -387,9 +387,10 @@ class _Slot(NamedTuple):
     b: Optional[np.ndarray]
     k: Optional[Index]
     transposed: bool
+    dot: Callable
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        t = (x if self.rows is None else x[:, self.rows]) @ self.w
+        t = self.dot(x if self.rows is None else x[:, self.rows], self.w)
         t = t if self.b is None else t + self.b
         t = t if self.k is None else t[:, self.k]
         return t.T if self.transposed else t
@@ -401,6 +402,7 @@ class _PlanBlock(NamedTuple):
     writes: tuple[Index, ...]  # per head, the output columns C2 it writes
     slots: tuple[_Slot, ...]
     reads: tuple[tuple[int, int, int], ...]  # per head, the slots of its t1^T, t2 and t3
+    dots: tuple[Callable, ...]  # per head, the product of t1^T t2 and of t3 (t1^T t2)
     varying: tuple[int, ...]  # the slots evaluated at every step
     cols: Index  # A: the output columns the block's accumulator holds
     fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
@@ -453,7 +455,7 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     varying columns and whatever block b+1's varying projections read; the
     last block's holds S.
     """
-    width = layout.shape[1]
+    height, width = layout.shape
     if any(c.input_shape[1] != width for block in step for c in block):
         raise DimensionMismatch(f"a step head's width differs from the layout's {width}")
     every = np.arange(width)
@@ -472,7 +474,7 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     blocks = []
     for b, block in enumerate(step):
         source, cols = every[state if b == 0 else held[b - 1]], every[held[b]]
-        slots, keys, varying, head_reads = [], {}, [], []
+        slots, keys, varying, head_reads, dots = [], {}, [], [], []
         for c, fc in zip(block, flags[b]):
             read = []
             for (p, k, transposed), v in zip(((c.p1, c.k1, True), (c.p2, None, False),
@@ -484,11 +486,15 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                 if key not in keys:
                     keys[key] = len(slots)
                     rows = _narrow(p.rows, source, width) if v else _whole(p.rows, width)
-                    slots.append(_Slot(rows, p.w, p.b, k, transposed))
+                    dot = product_for(height, p.w.shape[0])
+                    slots.append(_Slot(rows, p.w, p.b, k, transposed, dot))
                     if v:
                         varying.append(keys[key])
                 read.append(keys[key])
             head_reads.append(tuple(read))
+            # t1^T t2 is (m, height) by (height, .) and t3 (t1^T t2) is (height, m) by (m, .),
+            # so one pick serves both.
+            dots.append(product_for(height, every[: c.p1.w.shape[1]][c.k1].size))
         adds = []
         for i, (c, fc) in enumerate(zip(block, flags[b])):
             written = every[c.p2.cols]
@@ -499,7 +505,7 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
         blocks.append(_PlanBlock(tuple(c.p2.cols for c in block), tuple(slots), tuple(head_reads),
-                                 tuple(varying), _index(cols), fresh, tuple(adds)))
+                                 tuple(dots), tuple(varying), _index(cols), fresh, tuple(adds)))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
     return StepPlan(_index(every[state]), position, tuple(blocks))
 
@@ -511,8 +517,10 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> list:
     constant columns filled in: h0 for the first block, then the previous
     block's constant heads summed in head order. Returns, per block, the
     slot values (None where a slot varies), the varying slots, the additions
-    (at, constant term or None, t1^T, t2 and t3 slots) and the accumulator's
-    start, which is 0.0 in the varying columns.
+    (at, constant term or None, t1^T, t2 and t3 slots, product) and the accumulator's
+    start, which is 0.0 in the varying columns. The constant terms that come
+    before the first varying one are added into the start here, once, in the
+    order each step would add them, and dropped from the additions.
     """
     bound = []
     x = h0
@@ -520,14 +528,20 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> list:
         values = [None if i in blk.varying else s.value(x) for i, s in enumerate(blk.slots)]
         out = np.zeros(x.shape)
         consts = {}
-        for i, (written, (r1, r2, r3)) in enumerate(zip(blk.writes, blk.reads)):
+        for i, (written, (r1, r2, r3), dot) in enumerate(zip(blk.writes, blk.reads, blk.dots)):
             if all(values[r] is not None for r in (r1, r2, r3)):
-                consts[i] = values[r3] @ (values[r1] @ values[r2])
+                consts[i] = dot(values[r3], dot(values[r1], values[r2]))
                 out[:, written] += consts[i]
         start = out[:, blk.cols].copy()
         start[:, blk.fresh] = 0.0
-        adds = [(at, None if sel is None else consts[i][:, sel], *blk.reads[i])
+        adds = [(at, None if sel is None else consts[i][:, sel], *blk.reads[i], blk.dots[i])
                 for i, at, sel in blk.adds]
+        while adds and adds[0][1] is not None:
+            at, const = adds.pop(0)[:2]
+            if at is None:
+                start += const
+            else:
+                start[:, at] += const
         bound.append((values, [(i, blk.slots[i]) for i in blk.varying], adds, start))
         x = out
     return bound
@@ -551,11 +565,12 @@ def run_program(
     overflows silently, and its trace ends before the first non-finite
     coefficient column.
     """
-    return _run_compiled(prog.compiled, state, steps)
+    ws, h_final, prediction = _run_compiled(prog.compiled, state, steps)
+    return Matrix.from_stack(ws), h_final, prediction
 
 
 def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
-    """run_program's loop on a compiled view."""
+    """run_program's loop on a compiled view; the trace is a (k, d, 1) stack of hs's w column."""
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
@@ -579,8 +594,8 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
                 # The varying columns start at 0.0, so the first term normalises -0.0 as
                 # np.zeros + term does in compiled_forward.
                 x = start.copy()
-                for at, const, r1, r2, r3 in adds:
-                    term = values[r3] @ (values[r1] @ values[r2]) if const is None else const
+                for at, const, r1, r2, r3, dot in adds:
+                    term = dot(values[r3], dot(values[r1], values[r2])) if const is None else const
                     if at is None:
                         x += term
                     else:
@@ -591,7 +606,7 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
         h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,
                               prog.readout)
     ws = hs[:, : state.layout.d, plan.w : plan.w + 1]
-    return finite_prefix([Matrix.from_array(w) for w in ws]), h_final, h_final.get(*prog.cell)
+    return finite_prefix(ws), h_final, h_final.get(*prog.cell)
 
 
 class PipelineRun(NamedTuple):
@@ -613,7 +628,9 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     The report records, per step, the infinity-norm deviation of the prompt's
     coefficient column from the plain descent recurrence (relative to
     max(1, |w_t|)), plus the closed-form prediction when the normal equations
-    are solvable. A divergent run ends its deviations at the first step t
+    are solvable. The recurrence and the closed form are computed once per
+    problem object, so the forms run on one problem share them;
+    dataclasses.replace(p, ...) makes a problem with its own. A divergent run ends its deviations at the first step t
     where either coefficient column is not finite, and reports that t as
     "diverged_at" (None when every step is finite).
     """
@@ -625,17 +642,12 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
         raise ValueError(f"unknown pipeline form {form!r}")
     trace, _, prediction = _run_compiled(_compiled_program(form, p.n, p.d), state, p.steps)
 
-    oracle_trace = gd_run(p)
-    compared = min(len(trace), len(oracle_trace))
-    wp = np.concatenate([w.array for w in trace[:compared]], axis=1)
-    wo = np.concatenate([w.array for w in oracle_trace[:compared]], axis=1)
-    per_step = (np.abs(wp - wo).max(axis=0) / np.maximum(1.0, np.abs(wo).max(axis=0))).tolist()
+    oracle = p._oracle
+    compared = min(len(trace), len(oracle.trace))
+    wp, wo = trace[:compared, :, 0], oracle.trace[:compared, :, 0]
+    per_step = (np.abs(wp - wo).max(axis=1) / np.maximum(1.0, np.abs(wo).max(axis=1))).tolist()
     diverged_at = len(per_step) if len(per_step) <= p.steps else None
-    oracle_prediction = math.nan if diverged_at is not None else predict(oracle_trace[-1], p.u)
-    try:
-        closed_form_prediction = predict(ridge_closed_form(p), p.u)
-    except SingularSystem:
-        closed_form_prediction = None
+    oracle_prediction = math.nan if diverged_at is not None else oracle.prediction
 
     report = {
         "form": kind,
@@ -646,9 +658,9 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
         "T": p.steps,
         "prediction": prediction,
         "oracle_prediction": oracle_prediction,
-        "closed_form_prediction": closed_form_prediction,
+        "closed_form_prediction": oracle.closed_form_prediction,
         "max_step_deviation": float(np.max(per_step)),
         "per_step_deviation": per_step,
         "diverged_at": diverged_at,
     }
-    return PipelineRun(prediction=prediction, w_trace=trace, report=report)
+    return PipelineRun(prediction=prediction, w_trace=Matrix.from_stack(trace), report=report)

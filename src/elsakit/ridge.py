@@ -13,11 +13,14 @@ floating-point summation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrix import DimensionMismatch, Matrix, ShapeMismatch, json_entries
+from .matrix import DimensionMismatch, Matrix, ShapeMismatch, json_entries, product_for
 
 
 class SingularSystem(ArithmeticError):
@@ -26,6 +29,14 @@ class SingularSystem(ArithmeticError):
 
 class BadProblemFile(ValueError):
     """A problem JSON file is malformed."""
+
+
+class _Oracle(NamedTuple):
+    """What a problem's pipelines are checked against, computed once per problem object."""
+
+    trace: np.ndarray  # the read-only (k, d, 1) descent stack w_0 .. w_{k-1}
+    prediction: float  # u^T w_T, NaN when the descent diverged before step T
+    closed_form_prediction: Optional[float]  # None when the normal equations are singular
 
 
 def _check_nonnegative(name: str, value: float) -> None:
@@ -72,6 +83,19 @@ class RidgeProblem:
     def d(self) -> int:
         return self.x.cols
 
+    @cached_property
+    def _oracle(self) -> _Oracle:
+        """The descent stack and both oracle predictions; dataclasses.replace starts afresh."""
+        trace = _descent(self)
+        try:
+            closed_form = predict(ridge_closed_form(self), self.u)
+        except SingularSystem:
+            closed_form = None
+        # A descent cut short has no prediction: NaN, as in a report that diverged.
+        diverged = len(trace) <= self.steps
+        prediction = math.nan if diverged else predict(Matrix.from_array(trace[-1]), self.u)
+        return _Oracle(trace, prediction, closed_form)
+
 
 def make_problem(
     x: Matrix,
@@ -111,11 +135,14 @@ def ridge_closed_form(p: RidgeProblem) -> Matrix:
     """Solve (X^T X + lam I) w = X^T y by np.linalg.solve (LAPACK gesv).
 
     Raises SingularSystem unless mu_min > eps * max(1, mu_max) * d for mu = eig(X^T X)
-    + lam, the eigvalsh spectrum eta and the contraction share, or if X^T X overflows.
+    + lam, the eigvalsh spectrum eta and the contraction share, or if X^T X or mu overflows.
     """
-    mu = _gram_spectrum(p.x) + p.lam
+    with np.errstate(over="ignore"):
+        mu = _gram_spectrum(p.x) + p.lam
     if np.isnan(mu[0]):
         raise SingularSystem("the Gram matrix X^T X is not finite (it overflows)")
+    if np.isinf(mu[-1]):
+        raise SingularSystem("X^T X + lam I is not finite (adding lam overflows)")
     tol = np.finfo(np.float64).eps * max(1.0, float(mu[-1])) * p.d
     if mu[0] <= tol:
         raise SingularSystem(f"normal equations eigenvalue {mu[0]:.3e} below tolerance {tol:.3e}")
@@ -135,28 +162,37 @@ def gd_step(p: RidgeProblem, w: Matrix) -> Matrix:
     return Matrix.from_array(w.array - p.eta * gradient(p, w).array)
 
 
-def finite_prefix(trace: list[Matrix]) -> list[Matrix]:
-    """The iterates of trace before its first non-finite one (all of it if none is)."""
-    finite = np.isfinite(np.concatenate([w.array for w in trace], axis=1)).all(axis=0)
-    return trace if finite.all() else trace[: int(np.argmin(finite))]
+def finite_prefix(ws: np.ndarray) -> np.ndarray:
+    """The leading rows of the stack ws before its first non-finite one (all of it if none is)."""
+    finite = np.isfinite(ws).all(axis=(1, 2))
+    return ws if finite.all() else ws[: int(np.argmin(finite))]
+
+
+def _descent(p: RidgeProblem) -> np.ndarray:
+    """w_0 .. w_T as a read-only (T+1, d, 1) stack, cut before its first non-finite row.
+
+    Each step computes what :func:`gd_step` does, with -X^T y evaluated once,
+    and each product is @'s, by :func:`product_for`.
+    """
+    x, eta, lam = p.x.array, p.eta, p.lam
+    xt, dot = x.T, product_for(*x.shape)
+    ws = np.empty((p.steps + 1, p.d, 1))
+    w = ws[0] = p.w0.array
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg_xty = -dot(xt, p.y.array)
+        for t in range(1, p.steps + 1):
+            w = ws[t] = w - eta * (neg_xty + dot(xt, dot(x, w)) + lam * w)
+    ws.setflags(write=False)
+    return finite_prefix(ws)
 
 
 def gd_run(p: RidgeProblem) -> list[Matrix]:
     """Apply the update p.steps times from w0; the trace holds w_0 .. w_T.
 
-    Each step computes what :func:`gd_step` does, with -X^T y evaluated once.
-    A divergent eta, or an X^T y that overflows, overflows silently and the
-    trace ends before its first non-finite iterate.
+    Recomputed on every call. A divergent eta, or an X^T y that overflows,
+    overflows silently and the trace ends before its first non-finite iterate.
     """
-    x, eta, lam = p.x.array, p.eta, p.lam
-    w = p.w0.array
-    trace = [w]
-    with np.errstate(over="ignore", invalid="ignore"):
-        neg_xty = -(x.T @ p.y.array)
-        for _ in range(p.steps):
-            w = w - eta * (neg_xty + x.T @ (x @ w) + lam * w)
-            trace.append(w)
-    return finite_prefix([Matrix.from_array(w) for w in trace])
+    return Matrix.from_stack(_descent(p))
 
 
 def _gram_spectrum(x: Matrix) -> np.ndarray:

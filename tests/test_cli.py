@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -288,7 +292,10 @@ class TestBadInputFiles:
         ("ridge", "--problem",
          json.dumps({**GOOD_PROBLEM, "u": [1e154, 1e154], "eta": 1e300, "steps": 1}),
          "prediction"),
-    ], ids=["overflowing-contraction", "overflowing-prediction"])
+        ("ridge", "--problem",
+         json.dumps({"X": [[1e154]], "y": [0.0], "u": [0.0], "lambda": 1e308, "eta": "auto",
+                     "steps": 0}), "closed_form_prediction"),
+    ], ids=["overflowing-contraction", "overflowing-prediction", "overflowing-ridge-term"])
     def test_reported_as_failing_run_without_a_warning(self, tmp_path, capsys, command, flag,
                                                        text, null_field):
         path = tmp_path / "input.json"
@@ -390,6 +397,91 @@ class TestRidgeExitCodeProperty:
             code = main(args)
         report = json.loads(buf.getvalue(), parse_constant=reject_constant)
         assert (code == 0) == (report.get("passed") is True)
+
+
+EXTREMES = (1e308, -1e308, 1e154, -1e154, 5e-324, -5e-324, 2.2e-308, -0.0)
+FUZZ_NUMBERS = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), st.sampled_from(EXTREMES))
+
+
+@st.composite
+def fuzzed_problem_docs(draw):
+    """A ridge problem document of extreme numbers, with up to two keys broken.
+
+    A broken key is missing, holds any JSON value, holds its value nested one
+    list deeper, or holds a ragged array.
+    """
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def vector(size):
+        return st.lists(FUZZ_NUMBERS, min_size=size, max_size=size)
+
+    doc = {
+        "X": draw(st.lists(vector(d), min_size=n, max_size=n)),
+        "y": draw(vector(n)),
+        "u": draw(vector(d)),
+        "lambda": draw(FUZZ_NUMBERS),
+        "eta": draw(st.just("auto") | FUZZ_NUMBERS),
+        "steps": draw(st.integers(0, 6)),
+        "w0": draw(st.just("zero") | vector(d)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        fault = draw(st.sampled_from(("missing", "any-value", "nested", "ragged")))
+        if fault == "missing":
+            del doc[key]
+        elif fault == "any-value":
+            doc[key] = draw(JSON_VALUES)
+        elif fault == "nested":
+            doc[key] = [doc[key]]
+        elif key == "X":
+            doc[key][draw(st.integers(0, n - 1))].append(1.0)
+        else:
+            doc[key] = [[1.0, 2.0], [3.0]]
+    return doc
+
+
+def descent_prediction(doc):
+    """u^T w_T of plain numpy descent on a document the parser accepted."""
+    x = np.array(doc["X"], dtype=float)
+    y, u = (np.array(doc[k], dtype=float).reshape(-1, 1) for k in ("y", "u"))
+    lam, eta, w0 = float(doc["lambda"]), doc.get("eta", "auto"), doc.get("w0", "zero")
+    if eta == "auto":
+        eta = 1.0 / (np.linalg.eigvalsh(x.T @ x)[-1] + lam)
+    w = np.zeros_like(u) if w0 == "zero" else np.array(w0, dtype=float).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        for _ in range(doc["steps"]):
+            w = w - eta * (-(x.T @ y) + x.T @ (x @ w) + lam * w)
+        return w, float(u[:, 0] @ w[:, 0])
+
+
+class TestRidgeInputFuzz:
+    """Any ridge --problem document ends in a strict report or one stderr line, with no warning."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(doc=fuzzed_problem_docs(), form=st.sampled_from(["lsa", "elsa"]))
+    def test_ridge_problem_documents(self, doc, form):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["ridge", "--form", form, "--problem", str(path)])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            return
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert (code == 0) == (report.get("passed") is True)
+        if code == 0:
+            w, want = descent_prediction(doc)
+            assert np.all(np.isfinite(w)) and math.isfinite(want)
+            u_norm = sum(abs(v) for v in doc["u"])  # Python floats: inf, without a warning
+            scale = max(1.0, abs(want), u_norm * float(np.abs(w).max()))
+            assert abs(report["prediction"] - want) <= 1e-8 * scale
+            assert abs(report["oracle_prediction"] - want) <= 1e-12 * scale
 
 
 EXIT_RULE = {

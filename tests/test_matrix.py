@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from elsakit import (
     BlockSpec,
@@ -21,6 +24,7 @@ from elsakit import (
     transpose,
     zeros,
 )
+from elsakit.matrix import product_for
 from oracles import naive_matmul
 
 
@@ -130,6 +134,62 @@ class TestMatmul:
             right = matmul(a, matmul(b, c)).array
             bound = 1e-12 * max(1.0, np.abs(right).max())
             assert np.abs(left - right).max() <= bound
+
+
+SPECIAL_ENTRIES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                   1e-200, -3e-160, 1.0, -1.0)
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(-1e300, 1e300, width=64))
+
+
+@st.composite
+def product_operand(draw, rows, cols):
+    """A rows-by-cols factor laid out as the step plan and the descent pass them to a product.
+
+    It is C-ordered, a column slice of a wider array, a gather by an index
+    array from a C- or F-ordered array, or a transposed view.
+    """
+    kind = draw(st.sampled_from(("c", "slice", "gather_c", "gather_f", "transposed")))
+    if kind == "transposed":
+        return draw(hnp.arrays(np.float64, (cols, rows), elements=ENTRIES)).T
+    wide = cols if kind == "c" else cols + draw(st.integers(1, 3))
+    base = draw(hnp.arrays(np.float64, (rows, wide), elements=ENTRIES))
+    if kind == "c":
+        return base
+    if kind == "slice":
+        lo = draw(st.integers(0, wide - cols))
+        return base[:, lo : lo + cols]
+    index = np.array(draw(st.permutations(range(wide)))[:cols], dtype=np.intp)
+    return (base if kind == "gather_c" else np.asfortranarray(base))[:, index]
+
+
+class TestProductFor:
+    """The run loop and the descent multiply through product_for, the oracles with @."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), r=st.integers(1, 6), k=st.integers(0, 6), m=st.integers(1, 4))
+    def test_matches_matmul_bytewise(self, data, r, k, m):
+        # One-entry factors, one-column by one-row products and one-row factors are where
+        # np.dot and @ part ways; product_for must route them all to @'s result.
+        a = data.draw(product_operand(r, k))
+        b = data.draw(product_operand(k, m))
+        with np.errstate(all="ignore"):
+            got, want = product_for(r, k)(a, b), a @ b
+        assert got.tobytes() == want.tobytes(), (a, b)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), r=st.sampled_from((2, 3, 5, 9, 21)),
+           k=st.sampled_from((2, 3, 4, 8, 20)), m=st.sampled_from((1, 1, 2, 4, 9)))
+    def test_np_dot_is_matmul_from_two_rows_and_terms(self, data, r, k, m):
+        # Where product_for picks np.dot, a numpy or BLAS change that parts it from @ fails here.
+        assert product_for(r, k) is np.dot
+        a = data.draw(product_operand(r, k))
+        b = data.draw(product_operand(k, m))
+        with np.errstate(all="ignore"):
+            assert np.dot(a, b).tobytes() == (a @ b).tobytes(), (a, b)
+
+    @pytest.mark.parametrize("rows,inner", [(1, 1), (3, 1), (1, 3), (4, 0)])
+    def test_other_shapes_take_matmul(self, rows, inner):
+        assert product_for(rows, inner) is np.matmul
 
 
 class TestBlocks:

@@ -1,6 +1,7 @@
 """In-context descent pipelines against the ridge oracle."""
 
 import copy
+import dataclasses
 import gc
 import json
 import math
@@ -44,6 +45,7 @@ from elsakit import (
     ridge_closed_form,
     run_pipeline,
     run_program,
+    stable_eta_for,
     step,
     transpose,
     wrap_designed_as_elsa,
@@ -416,6 +418,72 @@ class TestRunPipeline:
                 assert run.report["diverged_at"] == 1
                 assert run.w_trace == [p.w0]
                 assert not math.isfinite(run.prediction)
+
+
+class TestSharedOracle:
+    """run_pipeline computes a problem's descent and closed form once; both forms read them."""
+
+    @staticmethod
+    def signed_problems():
+        """Problems with -0.0 in X, y and w0, at the auto eta and at a divergent explicit eta."""
+        rng = np.random.default_rng(90)
+        for n, d in ((1, 1), (3, 2), (2, 3), (20, 4)):
+            x, y, u = random_ridge_arrays(rng, n, d)
+            w0 = rng.normal(size=(d, 1))
+            for a in (x, y, w0):
+                a[rng.random(a.shape) < 0.3] = -0.0
+            x, y, u, w0 = (Matrix.from_array(a) for a in (x, y, u, w0))
+            for eta in ("auto", 1e12 * stable_eta_for(x, 0.5)):
+                yield make_problem(x, y, u, 0.5, eta=eta, steps=30, w0=w0)
+
+    @staticmethod
+    def run_bytes(run):
+        return ([w.array.tobytes() for w in run.w_trace], np.float64(run.prediction).tobytes(),
+                json.dumps(run.report, sort_keys=True))
+
+    def test_forms_on_one_problem_are_runs_on_fresh_copies(self):
+        diverged = 0
+        for p in self.signed_problems():
+            shared = [run_pipeline(p, form) for form in ("lsa", "elsa")]
+            fresh = [run_pipeline(dataclasses.replace(p), form) for form in ("lsa", "elsa")]
+            assert [self.run_bytes(r) for r in shared] == [self.run_bytes(r) for r in fresh]
+            for report in (run.report for run in shared if run.report["diverged_at"] is not None):
+                diverged += 1
+                assert math.isnan(report["oracle_prediction"])
+                assert not math.isfinite(report["prediction"])
+        assert diverged == 8  # both forms of the four divergent-eta problems
+
+    def test_oracle_is_computed_once_and_read_only(self):
+        rng = np.random.default_rng(91)
+        p = problem(rng, n=5, d=3, steps=20)
+        assert "_oracle" not in vars(p)
+        lsa = run_pipeline(p, "lsa")
+        oracle = p._oracle
+        elsa = run_pipeline(p, "elsa")
+        assert p._oracle is oracle
+        assert oracle.trace.shape == (21, 3, 1)
+        assert lsa.report["oracle_prediction"] == elsa.report["oracle_prediction"]
+        assert lsa.report["closed_form_prediction"] == elsa.report["closed_form_prediction"]
+        stacks = [oracle.trace] + [w.array for run in (lsa, elsa) for w in run.w_trace]
+        for a in stacks:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        assert [w.array.tobytes() for w in gd_run(p)] == [w.tobytes() for w in oracle.trace]
+        assert dataclasses.replace(p)._oracle is not oracle
+
+    def test_replaced_steps_get_their_own_oracle(self):
+        # The CLI's --steps runs dataclasses.replace(problem, steps=...).
+        rng = np.random.default_rng(92)
+        p = problem(rng, n=6, d=2, steps=4)
+        before = run_pipeline(p, "lsa").report
+        longer = dataclasses.replace(p, steps=9)
+        report = run_pipeline(longer, "lsa").report
+        assert len(before["per_step_deviation"]) == 5
+        assert len(report["per_step_deviation"]) == 10
+        assert len(p._oracle.trace) == 5 and len(longer._oracle.trace) == 10
+        assert report["oracle_prediction"] == predict(gd_run(longer)[-1], p.u)
+        assert report["oracle_prediction"] != before["oracle_prediction"]
 
 
 class TestProgramCache:

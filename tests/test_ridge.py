@@ -28,6 +28,7 @@ from elsakit import (
     stable_eta_for,
     zeros,
 )
+from elsakit import ridge as ridge_module
 from elsakit.ridge import normal_equations
 from oracles import fd_gradient, random_ridge_arrays, ridge_cost
 
@@ -177,6 +178,34 @@ class TestGdRun:
             for _ in range(p.steps):
                 want.append(gd_step(p, want[-1]))
             assert [w.array.tobytes() for w in gd_run(p)] == [w.array.tobytes() for w in want]
+
+    def test_signed_zero_trace_is_iterated_gd_step(self):
+        # n = d = 1: every factor has one entry. Multiplied as scalars rather than as @ does,
+        # the gradient would be -0.0 and w_1 = -0.0 - 0.5 * -0.0 would turn +0.0.
+        p = make_problem(Matrix([[0.0]]), Matrix([[1.0]]), Matrix([[1.0]]), 0.0, eta=0.5,
+                         steps=2, w0=Matrix([[-0.0]]))
+        want = [p.w0]
+        for _ in range(p.steps):
+            want.append(gd_step(p, want[-1]))
+        got = gd_run(p)
+        assert [w.array.tobytes() for w in got] == [w.array.tobytes() for w in want]
+        assert np.signbit(got[-1].array[0, 0])
+
+    def test_recomputed_on_every_call(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y, u = random_ridge_arrays(rng, 6, 3)
+        p = problem_from_arrays(x, y, u, lam=0.5, eta="auto", steps=7)
+        calls = []
+        descent = ridge_module._descent
+        monkeypatch.setattr(ridge_module, "_descent", lambda q: calls.append(q) or descent(q))
+        first, second = gd_run(p), gd_run(p)
+        assert calls == [p, p]
+        assert isinstance(first, list) and all(isinstance(w, Matrix) for w in first)
+        assert [w.shape for w in first] == [(3, 1)] * 8
+        assert first == second
+        assert all(a.array.base is not b.array.base for a, b in zip(first, second))
+        assert all(not w.array.flags.writeable for w in first)
+        assert "_oracle" not in vars(p)
 
     def test_single_step_composition(self):
         p = tiny_problem(steps=1)

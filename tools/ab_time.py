@@ -1,0 +1,126 @@
+"""Time two checkouts of elsakit against each other in one process, round by round.
+
+    python3 tools/ab_time.py OLD NEW {ridge-small,ridge-wide,gauss-exact,gauss-relu}
+
+OLD and NEW are the roots of two checkouts. Both trees' src/elsakit are
+loaded into this process under distinct module names, so both run in the
+same process with the same allocator, caches and CPU speed. This cancels the
+speed shifts of up to ~2x that some machines show between processes.
+
+The tool first checks that the two trees give bitwise equal outputs (w
+traces, predictions and reports; solutions and reports) on a few requests
+and stops with exit code 1 if they do not. It then runs ROUNDS rounds. Each
+round times the same REQUESTS requests on each tree, in an order that
+alternates from round to round, and prints the process-time ratio NEW / OLD;
+below 1 means NEW is faster. The last line gives the median ratio and the
+number of rounds NEW won.
+
+The requests follow the benchmark's workloads: ridge runs run_pipeline for
+both forms on one problem (lambda = 0.5, eta auto, n=20 d=4 T=200 or n=100
+d=8 T=50), gauss runs solve on a diagonally dominant system (exact m=64 or
+relu m=24). This file imports nothing from the benchmark harness.
+"""
+
+import importlib.util
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# BLAS reads its thread count when numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROUNDS = 20
+CHECKED = 4  # requests compared bit for bit before timing
+WORKLOADS = {  # name: (kind, shape, requests per round)
+    "ridge-small": ("ridge", (20, 4, 200), 40),
+    "ridge-wide": ("ridge", (100, 8, 50), 40),
+    "gauss-exact": ("gauss", (64, "exact"), 40),
+    "gauss-relu": ("gauss", (24, "relu"), 60),
+}
+
+
+def load(root: Path, name: str):
+    """The elsakit package under root/src, imported as the module `name`."""
+    package = root / "src" / "elsakit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    if spec is None:
+        raise SystemExit(f"no elsakit package under {root}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def inputs(kind: str, shape: tuple, index: int) -> tuple:
+    rng = np.random.default_rng([7, index])
+    if kind == "ridge":
+        n, d, _ = shape
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=(d, 1)) + 0.1 * rng.normal(size=(n, 1))
+        return x, y, rng.normal(size=(d, 1))
+    m, _ = shape
+    f = rng.uniform(-1.0, 1.0, size=(m, m))
+    np.fill_diagonal(f, np.sum(np.abs(f), axis=1) - np.abs(np.diag(f)) + 1.0 + rng.uniform(size=m))
+    return f, rng.uniform(-1.0, 1.0, size=(m, 1))
+
+
+def request(lib, kind: str, shape: tuple, arrays: tuple) -> bytes:
+    """Run one request on lib; its outputs as bytes, the sign of zero included."""
+    if kind == "ridge":
+        x, y, u = (lib.Matrix(a) for a in arrays)
+        p = lib.make_problem(x, y, u, 0.5, eta="auto", steps=shape[2])
+        parts = []
+        for form in ("lsa", "elsa"):
+            run = lib.run_pipeline(p, form)
+            parts += [w.array.tobytes() for w in run.w_trace]
+            parts += [np.float64(run.prediction).tobytes(), json.dumps(run.report).encode()]
+        return b"".join(parts)
+    f, alpha = arrays
+    solution, report = lib.solve(lib.LinearSystem(f=lib.Matrix(f), alpha=lib.Matrix(alpha)),
+                                 mode=shape[1])
+    return solution.array.tobytes() + json.dumps(report).encode()
+
+
+def timed(lib, kind: str, shape: tuple, batch: list) -> float:
+    t0 = time.process_time()
+    for arrays in batch:
+        request(lib, kind, shape, arrays)
+    return time.process_time() - t0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3 or argv[2] not in WORKLOADS:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    libs = {"old": load(Path(argv[0]), "elsakit_old"), "new": load(Path(argv[1]), "elsakit_new")}
+    kind, shape, requests = WORKLOADS[argv[2]]
+    for i in range(CHECKED):
+        arrays = inputs(kind, shape, i)
+        if len({request(lib, kind, shape, arrays) for lib in libs.values()}) != 1:
+            print(f"outputs differ on request {i}; not timing", file=sys.stderr)
+            return 1
+    print(f"{argv[2]}: outputs bitwise equal on {CHECKED} requests", flush=True)
+    batch = [inputs(kind, shape, CHECKED + i) for i in range(requests)]
+    for lib in libs.values():  # warm both trees: caches, compiled programs
+        timed(lib, kind, shape, batch)
+    ratios = []
+    for r in range(ROUNDS):
+        order = ("old", "new") if r % 2 == 0 else ("new", "old")
+        t = {side: timed(libs[side], kind, shape, batch) for side in order}
+        ratios.append(t["new"] / t["old"])
+        print(f"round {r + 1:2d}: old {1e3 * t['old'] / requests:7.3f} ms  "
+              f"new {1e3 * t['new'] / requests:7.3f} ms  ratio {ratios[-1]:.3f}", flush=True)
+    wins = sum(q < 1.0 for q in ratios)
+    print(f"median ratio {statistics.median(ratios):.3f}; new faster in {wins} of {ROUNDS} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

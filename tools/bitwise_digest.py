@@ -23,7 +23,10 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   the entries of X, y and a random w0, at lambda in {0.5, 2} with the auto
   eta (an X of zeros has no auto eta at lambda = 0), and at lambda = 0.5
   with the divergent explicit eta 1e12 / (lambda_max(X^T X) + lambda),
-  whose trace ends at its first non-finite step.
+  whose trace ends at its first non-finite step;
+* run-pipeline-signed: run_pipeline's w trace, prediction and report for
+  both forms, run one after the other on the same problem object, for every
+  problem of run-program-signed, the divergent eta included.
 """
 
 import hashlib
@@ -102,8 +105,8 @@ def ridge_problems():
                                    Matrix.from_array(u), lam, steps=RIDGE_STEPS)
 
 
-def digest_run_pipeline(h):
-    for p in ridge_problems():
+def digest_run_pipeline(h, problems=ridge_problems):
+    for p in problems():
         for form in ("lsa", "elsa"):
             run = run_pipeline(p, form)
             for w in run.w_trace:
@@ -145,7 +148,9 @@ def main():
                        ("run-pipeline", digest_run_pipeline),
                        ("run-program", digest_run_program),
                        ("run-program-signed",
-                        lambda h: digest_run_program(h, signed_ridge_problems))):
+                        lambda h: digest_run_program(h, signed_ridge_problems)),
+                       ("run-pipeline-signed",
+                        lambda h: digest_run_pipeline(h, signed_ridge_problems))):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
