@@ -23,8 +23,12 @@ overflow float64 raises EliminationOverflow.
 
 Each module is one kernel that updates a writable padded ndarray in place,
 through its components' compiled views (a call of each component; apply is
-the literal oracle) and skip_product. solve runs every kernel on one copy
-of the system; a step function runs one on a copy of its state.
+the literal oracle) and skip_product. A kernel reads the pivot, and the
+fold's solved entry, as a 0-d float64 and runs the pivot's components and
+products on that scalar (skip_product takes it as a 1-by-1 matrix), with
+the same calls in the same order as on a 1-by-1 block and the same bits.
+solve runs every kernel on one copy of the system, and a step function
+runs one on a copy of its state, each under one np.errstate.
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -147,38 +151,43 @@ def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
     return make_divider_component(None, table)
 
 
-def _divide(table: Optional[PiecewiseInvSqr], pivot: np.ndarray, gamma: int) -> np.ndarray:
-    """Divide module on a 1-by-1 pivot: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
+def _divide(table: Optional[PiecewiseInvSqr], pivot: np.float64, gamma: int) -> np.float64:
+    """Divide module on the pivot entry: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
 
-    Returns gamma / x on the pivot block; the rest of the module's output is
-    zero. z is already masked to the pivot, so the divider needs no anti-mask
-    passing the rest through.
+    Returns gamma / x on the pivot, as a 0-d float64 standing for the 1-by-1
+    block; the rest of the module's output is zero. z is already masked to
+    the pivot, so the divider needs no anti-mask passing the rest through.
     """
     z = _KEEP(pivot)
     r = _pivot_divider(table)(z)
     return skip_product(r, z, side="left", gamma=gamma)
 
 
-def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, where: str) -> None:
+def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, step: str, index: int) -> None:
     if abs(value) < PIVOT_TOLERANCE:
         raise PivotBelowTolerance(
-            f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {where}"
+            f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {step} {index}"
         )
     if table is None and not math.isfinite(value * value):
-        raise SingularDetected(f"pivot {value:.3e} at {where} squares to inf in exact division")
+        raise SingularDetected(
+            f"pivot {value:.3e} at {step} {index} squares to inf in exact division"
+        )
 
 
-def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=False) -> None:
+def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: int, *,
+            add=False) -> None:
     """A module's update of block (1-based, inclusive) of p in place: value replaces it or is added.
 
-    The updated entries must be finite, else EliminationOverflow. The dense
-    product a module stands for adds +0.0 terms to each entry, so it turns
-    any -0.0 into +0.0; the final + 0.0 does the same on the block,
-    whatever sign a product gave a zero, and changes no other bit. A step
-    function adds 0.0 to its whole state once, after its kernel, as its
-    input may hold -0.0 anywhere. solve needs no such add: every pivot
-    after the first lies in a row an update has already normalised, and
-    every solution entry is written by a backward row write.
+    The updated entries must be finite, else EliminationOverflow, named after
+    step and index. The dense product a module stands for adds +0.0 terms to
+    each entry, so it turns any -0.0 into +0.0; the final + 0.0 does the
+    same on the block, whatever sign a product gave a zero, and changes no
+    other bit. A step function adds 0.0 to its whole state once, after its
+    kernel, as its input may hold -0.0 anywhere. solve needs no such add:
+    every pivot after the first lies in a row an update has already
+    normalised, and every solution entry is written by a backward row write.
+    The caller holds np.errstate(over="ignore", invalid="ignore"), so an
+    overflow is found here and not warned about.
     """
     row_lo, row_hi, col_lo, col_hi = block
     view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
@@ -188,7 +197,8 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=F
         view[...] = value
     if not np.isfinite(view).all():
         raise EliminationOverflow(
-            f"{where} overflows float64 in rows {row_lo}..{row_hi}, columns {col_lo}..{col_hi}"
+            f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, "
+            f"columns {col_lo}..{col_hi}"
         )
     view += 0.0
 
@@ -196,38 +206,38 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, where: str, *, add=F
 def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> None:
     """Forward step k on the padded state p, in place; see forward_eliminate_step."""
     size = p.shape[0]
-    where = f"forward step {k}"
-    _check_pivot(table, float(p[k - 1, k - 1]), where)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z3 = _divide(table, p[k - 1 : k, k - 1 : k], gamma=-1)
-        z4 = _KEEP(p[k : size - 1, k - 1 : k])
-        z6 = _PLUS_IDENTITY(z4 @ z3)
-        # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
-        spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
-        _update(p, (k + 1, size - 1, 1, size), spread, where, add=True)
+    pivot = p[k - 1, k - 1]
+    _check_pivot(table, float(pivot), "forward step", k)
+    z3 = _divide(table, pivot, gamma=-1)
+    z4 = _KEEP(p[k : size - 1, k - 1 : k])
+    # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
+    # affine unit's own + 0.0 gives that sign of zero.
+    z6 = _PLUS_IDENTITY(z4 * z3)
+    # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
+    spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
+    _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True)
 
 
 def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) -> None:
     """Backward step t on the padded state q, in place; see backward_substitute_step."""
     size = q.shape[0]
-    where = f"backward step {t}"
-    with np.errstate(over="ignore", invalid="ignore"):
-        if t < size - 1:
-            # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-            z2 = _NEGATE(_KEEP(q[t : t + 1, size - 1 :]))
-            # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
-            spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
-            _update(q, (1, size, size, size), spread, where, add=True)
-        _check_pivot(table, float(q[t - 1, t - 1]), where)
+    if t < size - 1:
+        # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
+        z2 = _NEGATE(_KEEP(q[t, size - 1]))
+        # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
+        spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
+        _update(q, (1, size, size, size), spread, "backward step", t, add=True)
+    pivot = q[t - 1, t - 1]
+    _check_pivot(table, float(pivot), "backward step", t)
 
-        z6 = _divide(table, q[t - 1 : t, t - 1 : t], gamma=1)
-        z7 = _PLUS_IDENTITY(z6)
-        scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
-        cleared = _KEEP(scaled)
-        # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, which
-        # _update's + 0.0 makes +0.0, or NaN if that entry is not finite.
-        cleared[0, t - 1] *= 0.0
-    _update(q, (t, t, 1, size), cleared, where)
+    z6 = _divide(table, pivot, gamma=1)
+    z7 = _PLUS_IDENTITY(z6)
+    scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
+    cleared = _KEEP(scaled)
+    # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, which
+    # _update's + 0.0 makes +0.0, or NaN if that entry is not finite.
+    cleared[0, t - 1] *= 0.0
+    _update(q, (t, t, 1, size), cleared, "backward step", t)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
@@ -248,7 +258,8 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     if state.stage[0] != "forward" or not (1 <= k <= m - 1) or state.stage[1] < k - 1:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     p = state.p.to_array()
-    _forward_module(p, k, state.table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _forward_module(p, k, state.table)
     p += 0.0
     return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
@@ -272,7 +283,8 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
     if state.stage != expected:
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
     q = state.p.to_array()
-    _backward_module(q, t, state.table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _backward_module(q, t, state.table)
     q += 0.0
     return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
@@ -299,24 +311,25 @@ def solve(
             float(state.table.interior_knots[-1]),
         )
 
-    def note_pivot(value: float, where: str) -> None:
+    def note_pivot(value: float, tag: str, index: int) -> None:
         pivots.append(value)
         if knot_range and not (knot_range[0] <= abs(value) <= knot_range[1]):
-            flags.append(f"pivot_out_of_table_range:{where}:{value!r}")
+            flags.append(f"pivot_out_of_table_range:{tag}{index}:{value!r}")
 
-    # One writable copy of the padded system; every module updates it in place.
+    # One writable copy of the padded system; every module updates it in
+    # place, and _update finds an overflow without a warning. Entries near
+    # 1e308 can overflow the residual, the dense solve or the gap; the report
+    # carries such a value instead of a warning.
     p = state.p.to_array()
-    for k in range(1, m):
-        note_pivot(float(p[k - 1, k - 1]), f"FE{k}")
-        _forward_module(p, k, state.table)
-    for t in range(m, 0, -1):
-        note_pivot(float(p[t - 1, t - 1]), f"BS{t}")
-        _backward_module(p, t, state.table)
-
-    x = Matrix.from_array(p[:m, m:].copy())
-    # Entries near 1e308 can overflow the residual, the dense solve or the
-    # gap; the report carries such a value instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m):
+            note_pivot(float(p[k - 1, k - 1]), "FE", k)
+            _forward_module(p, k, state.table)
+        for t in range(m, 0, -1):
+            note_pivot(float(p[t - 1, t - 1]), "BS", t)
+            _backward_module(p, t, state.table)
+
+        x = Matrix.from_array(p[:m, m:].copy())
         residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
         try:
             reference = np.linalg.solve(sys.f.array, sys.alpha.array)

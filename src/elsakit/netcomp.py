@@ -27,14 +27,16 @@ each on the block a mask selects (a pivot entry, a column block, a row) and
 never on the whole padded state: on that block a mask's and a divider's V
 is all ones and each affine unit's C all zeros, and off it a component
 outputs its constant C for every finite input, which the module accounts
-for without evaluating it. A module calls each, comp(a), on an ndarray; that
-runs its compiled view where _VIEWS has one, bitwise the literal head sum's
-closed form. NetworkComponent.apply, that literal sum, and skip_product are
-the bodies of component_forward and skip_mul.
+for without evaluating it. A module calls each, comp(a), on an ndarray or,
+on a pivot, a 0-d float64; that runs its compiled view where _VIEWS has
+one, bitwise the literal head sum's closed form. NetworkComponent.apply,
+that literal sum, and skip_product, which takes a 0-d operand as a 1-by-1
+matrix, are the bodies of component_forward and skip_mul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence, Union
@@ -122,7 +124,8 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
                 n = int(params["n"])
             except (KeyError, ValueError) as exc:
                 raise BadKnotSpec(f"bad geometric spec {knot_spec!r}") from exc
-            if not (0 < x1 < xmax) or n < 1:
+            # An infinite xmax would make geomspace warn before the table's check.
+            if not (0 < x1 < xmax < math.inf) or n < 1:
                 raise BadKnotSpec(f"bad geometric range in {knot_spec!r}")
             interior = np.geomspace(x1, xmax, n + 1)
         elif kind == "explicit":
@@ -165,9 +168,10 @@ def invsqr_eval(p: PiecewiseInvSqr, x):
 
     Each knot interval contributes one hard sigmoid on the positive side and
     its mirror on the negative side; no shortcut interpolation is used.
-    Accepts a scalar or an ndarray. Points are summed in blocks of
-    INVSQR_CHUNK, so memory stays flat in the number of points; each point's
-    sum is independent of the others, so the blocking changes no bit.
+    Accepts a scalar, which gives a float64 scalar, or an ndarray. Points
+    are summed in blocks of INVSQR_CHUNK, so memory stays flat in the number
+    of points; each point's sum is independent of the others, so the
+    blocking changes no bit.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
@@ -184,7 +188,7 @@ def invsqr_eval(p: PiecewiseInvSqr, x):
             - np.maximum(0.0, al * (t + lo))
         ).sum(axis=-1)
     if arr.ndim == 0:
-        return float(total[0])
+        return total[0]
     return total.reshape(arr.shape)
 
 
@@ -290,6 +294,9 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
         return _relu(a)
     if comp.activation == "identity_via_relu":
         return _relu(a) - _relu(-a)
+    if v is None and comp.activation == "invsqr":
+        # A unit V keeps every entry: the ReLU sum runs on all of a, with no mask.
+        return invsqr_eval(comp.table, a)
     # The 1/x^2 activations run only where v keeps the result (elsewhere
     # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
     # on a dense v the gather costs more than the O(1) activation it skips.
@@ -310,7 +317,9 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
 def _exact_invsqr(a: np.ndarray) -> np.ndarray:
     """1/(a*a) where a != 0 and 0 where a == 0: the exact divider's map."""
     sq = a * a
-    if sq.all():  # no zero square, so no division by zero
+    # No zero square, so no division by zero; bool tests a 0-d square in
+    # tens of nanoseconds, where .all() takes microseconds.
+    if bool(sq) if sq.ndim == 0 else sq.all():
         return 1.0 / sq
     with np.errstate(divide="ignore"):
         return np.divide(1.0, sq, out=np.zeros(a.shape), where=a != 0.0)
@@ -375,20 +384,24 @@ def make_divider_component(
     )
 
 
-def skip_product(m: np.ndarray, a: np.ndarray, side: str, gamma: int) -> np.ndarray:
+def skip_product(m: np.ndarray | np.float64, a: np.ndarray | np.float64, side: str, gamma: int):
     """Multiplication-type skip connection on ndarrays; skip_mul's body.
 
     side "left" computes gamma * (M @ A) (module output on the left),
-    side "right" computes gamma * (A @ M).
+    side "right" computes gamma * (A @ M). A 0-d operand (a float64 scalar
+    or 0-d array) stands for a 1-by-1 matrix: the product then has inner
+    dimension 1, and each entry is 0.0 + (its one term), which is what @
+    computes ([[-0.0]] @ [[1.0]] is +0.0); x + 0.0 is 0.0 + x, bit for bit.
     """
     if gamma not in (-1, 1):
         raise ValueError("gamma must be -1 or +1")
     if side == "left":
-        prod = m @ a
+        left, right = m, a
     elif side == "right":
-        prod = a @ m
+        left, right = a, m
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    prod = left * right + 0.0 if m.ndim == 0 or a.ndim == 0 else left @ right
     return prod if gamma == 1 else -1.0 * prod
 
 

@@ -30,6 +30,7 @@ from elsakit import (
     system_to_json,
 )
 from elsakit.cli import main
+from elsakit.netcomp import DEFAULT_KNOT_SPEC
 from oracles import piecewise_invsqr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -484,6 +485,97 @@ class TestRidgeInputFuzz:
             assert abs(report["oracle_prediction"] - want) <= 1e-12 * scale
 
 
+@st.composite
+def fuzzed_system_docs(draw):
+    """A linear system document of extreme numbers, with keys that may be broken.
+
+    m = 1 is a shape error; a broken key is as in fuzzed_problem_docs. So
+    that solves run and pass, half of the documents break no key, and half
+    make F diagonally dominant (an inf diagonal is a bad file).
+    """
+    m = draw(st.integers(1, 4))
+    f = draw(st.lists(st.lists(FUZZ_NUMBERS, min_size=m, max_size=m), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        for i, row in enumerate(f):
+            row[i] = 1.0 + sum(abs(v) for v in row)  # Python floats: inf, without a warning
+    doc = {"F": f, "alpha": draw(st.lists(FUZZ_NUMBERS, min_size=m, max_size=m))}
+    broken = draw(st.sets(st.sampled_from(sorted(doc)), min_size=1)) if draw(st.booleans()) else ()
+    for key in broken:
+        fault = draw(st.sampled_from(("missing", "any-value", "nested", "ragged")))
+        if fault == "missing":
+            del doc[key]
+        elif fault == "any-value":
+            doc[key] = draw(JSON_VALUES)
+        elif fault == "nested":
+            doc[key] = [doc[key]]
+        elif key == "F":
+            doc[key][draw(st.integers(0, m - 1))].append(1.0)
+        else:
+            doc[key] = [[1.0, 2.0], [3.0]]
+    return doc
+
+
+KNOT_NUMBERS = st.one_of(FUZZ_NUMBERS, st.floats(1e-3, 1e3), st.sampled_from([0, "nan", "inf"]))
+# Half of the specs are the default table. n stays small: a table's memory
+# grows with its knot count.
+FUZZED_KNOT_SPECS = st.just(DEFAULT_KNOT_SPEC) | st.one_of(
+    st.builds("geometric:x1={},xmax={},n={}".format, KNOT_NUMBERS, KNOT_NUMBERS,
+              st.integers(-1, 300) | st.sampled_from(["1.5", "", "x"])),
+    st.lists(KNOT_NUMBERS, max_size=5).map(lambda xs: "explicit:" + ",".join(map(str, xs))),
+    st.text(max_size=8),
+)
+
+
+def system_reference(doc):
+    """(|F|_inf, |alpha|_inf, x, |F x - alpha|_inf) of numpy's pivoted solve of a parsed document."""
+    f = np.array(doc["F"], dtype=float)
+    alpha = np.array(doc["alpha"], dtype=float).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        x = np.linalg.solve(f, alpha)
+        residual = float(np.max(np.abs(f @ x - alpha)))
+        return float(np.abs(f).sum(axis=1).max()), float(np.abs(alpha).max()), x, residual
+
+
+class TestGaussInputFuzz:
+    """Any gauss --system document and --knots spec ends in a strict report or one stderr line."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(doc=fuzzed_system_docs(), knots=FUZZED_KNOT_SPECS,
+           mode=st.sampled_from(["exact", "relu"]))
+    def test_gauss_system_documents(self, doc, knots, mode):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "system.json"
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                # --knots=SPEC: a spec that starts with "-" is not an option.
+                code = main(["gauss", "--mode", mode, f"--knots={knots}", "--system", str(path)])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            return
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert (code == 0) == (report.get("passed") is True)
+        if code == 0:
+            # The solution is within rel_error_vs_oracle of numpy's solve, so
+            # its residual is within |F| times that distance of numpy's.
+            f_norm, alpha_norm, x, residual = system_reference(doc)
+            m = len(doc["alpha"])
+            assert report["mode"] == mode and report["m"] == m
+            assert len(report["pivots"]) == 2 * m - 1
+            assert report["pivots"][0] == float(doc["F"][0][0])
+            rel = report["rel_error_vs_oracle"]
+            assert rel <= (1e-8 if mode == "exact" else 5e-2)
+            scale = max(1.0, float(np.abs(x).max()))
+            bound = residual + f_norm * (rel + 1e-12) * scale + 1e-12 * alpha_norm
+            got = report["residual_inf"]  # None: it overflowed
+            assert got <= bound if got is not None else not math.isfinite(bound)
+
+
 EXIT_RULE = {
     "verify_default": (["verify-lemmas"], True),
     "verify_perturb": (["verify-lemmas", "--perturb"], False),
@@ -621,7 +713,8 @@ class TestGaussCommand:
         ["--mode", "relu", "--knots", "explicit:1,nan,3"],
         ["--mode", "relu", "--knots", "explicit:1e-200,1e-100"],
         ["--mode", "exact", "--knots", "garbage"],
-    ], ids=["relu", "sweep", "relu_nan", "relu_overflow", "exact"])
+        ["--mode", "exact", "--knots", "geometric:x1=1,xmax=inf,n=1"],
+    ], ids=["relu", "sweep", "relu_nan", "relu_overflow", "exact", "infinite_xmax"])
     def test_bad_knot_spec(self, capsys, args):
         code, out = run_cli(["gauss", "--size", "4", *args], capsys)
         report = json.loads(out)

@@ -371,7 +371,7 @@ class TestLiteralOracle:
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
         # Every component runs through a call of the component (its view or
-        # apply) and every skip through skip_product; z5 = z4 @ z3 multiplies
+        # apply) and every skip through skip_product; z5 = z4 * z3 multiplies
         # two of their outputs.
         m = 40
         full = (m + 1, m + 1)

@@ -130,6 +130,32 @@ class TestSkipConnections:
         with pytest.raises(ValueError):
             skip_mul(zeros(1, 1), zeros(1, 1), side="middle", gamma=1)
 
+    @pytest.mark.parametrize("gamma", [1, -1])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("scalar", ["m", "a", "both"])
+    def test_a_0d_operand_is_the_1x1_product_bitwise(self, scalar, side, gamma):
+        # A float64 scalar s against the 1x1 @ form, over every pair of these
+        # values (0 * inf and NaN included); bytes hold the sign of zero and
+        # the NaN bits. The other operand is each value alone ("both"), or
+        # all of them as the column left of the product or the row right of it.
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 1.5, -2.0])
+        other_on_left = (scalar == "a") == (side == "left")
+        others = values if scalar == "both" else [
+            values[:, None] if other_on_left else values[None, :]]
+
+        def as_1x1(x):
+            return np.array([[x]]) if np.ndim(x) == 0 else x
+
+        for s in values:
+            for other in others:
+                m, a = (other, s) if scalar == "a" else (s, other)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = netcomp.skip_product(m, a, side, gamma)
+                    want = as_1x1(m) @ as_1x1(a) if side == "left" else as_1x1(a) @ as_1x1(m)
+                    want = want if gamma == 1 else -1.0 * want
+                assert got.shape == (() if scalar == "both" else want.shape)
+                assert got.tobytes() == want.tobytes()
+
 
 class TestBuildInvsqr:
     def test_two_point_table(self):
@@ -472,6 +498,21 @@ class TestShapeFreeComponents:
             called = comp(x)
         assert got.shape == want.shape == called.shape
         # Bytes compare the sign of zero and NaN bits too.
+        assert got.tobytes() == want.tobytes()
+        assert called.tobytes() == got.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(SHAPE_FREE)), c=EXTREME, x=EXTREME)
+    def test_a_float64_scalar_is_the_dense_sum_bitwise(self, name, c, x):
+        # The elimination runs the pivot path on 0-d float64 entries.
+        comp = SHAPE_FREE[name](c)
+        x = np.float64(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = comp.apply(x)
+            want = dense_component_forward(x, comp, invsqr_eval)
+            called = comp(x)
+        # A Python float has no shape; each result must keep one.
+        assert got.shape == want.shape == called.shape == ()
         assert got.tobytes() == want.tobytes()
         assert called.tobytes() == got.tobytes()
 

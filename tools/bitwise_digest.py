@@ -26,7 +26,11 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   whose trace ends at its first non-finite step;
 * run-pipeline-signed: run_pipeline's w trace, prediction and report for
   both forms, run one after the other on the same problem object, for every
-  problem of run-program-signed, the divergent eta included.
+  problem of run-program-signed, the divergent eta included;
+* solves-wide-pivots: solves in both modes of F = L U, m in (2, 3, 5, 9,
+  17, 24), seeds 0-4, whose pivots have both signs and magnitudes from 1e-5
+  to 1e5 (below the default table's first knot and past its cutoff), with
+  -0.0 as in step-states.
 """
 
 import hashlib
@@ -60,16 +64,33 @@ from elsakit import (  # noqa: E402
 
 SOLVE_SIZES = [("relu", m) for m in (5, 12, 24, 30)] + [("exact", m) for m in (7, 16, 30)]
 STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
+WIDE_PIVOT_SIZES = (2, 3, 5, 9, 17, 24)
 RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
+
+
+def with_negative_zeros(rng, f, alpha):
+    m = f.shape[0]
+    f[~np.eye(m, dtype=bool) & (rng.random((m, m)) < 0.2)] = -0.0
+    alpha[rng.random((m, 1)) < 0.3] = -0.0
 
 
 def dd_system(seed, m, negative_zeros=False):
     rng = np.random.default_rng([seed, m])
     f, alpha = random_dd_system(rng, m, signed=True)
     if negative_zeros:
-        f[~np.eye(m, dtype=bool) & (rng.random((m, m)) < 0.2)] = -0.0
-        alpha[rng.random((m, 1)) < 0.3] = -0.0
+        with_negative_zeros(rng, f, alpha)
+    return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
+
+
+def wide_pivot_system(seed, m):
+    """F = L U, L unit lower and U upper triangular, U's diagonal of signed 10**U(-5, 5)."""
+    rng = np.random.default_rng([seed, m, 5])
+    pivots = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-5.0, 5.0, size=m)
+    lower = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1) + np.eye(m)
+    upper = np.triu(rng.uniform(-1.0, 1.0, size=(m, m)), 1) + np.diag(pivots)
+    f, alpha = lower @ upper, rng.uniform(-1.0, 1.0, size=(m, 1))
+    with_negative_zeros(rng, f, alpha)
     return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
 
 
@@ -79,6 +100,15 @@ def digest_solves(h):
             x, report = solve(dd_system(seed, m), mode=mode)
             h.update(x.array.tobytes())
             h.update(json.dumps(report, sort_keys=True).encode())
+
+
+def digest_wide_pivot_solves(h):
+    for seed in range(5):
+        for m in WIDE_PIVOT_SIZES:
+            for mode in ("exact", "relu"):
+                x, report = solve(wide_pivot_system(seed, m), mode=mode)
+                h.update(x.array.tobytes())
+                h.update(json.dumps(report, sort_keys=True).encode())
 
 
 def digest_step_states(h):
@@ -150,7 +180,8 @@ def main():
                        ("run-program-signed",
                         lambda h: digest_run_program(h, signed_ridge_problems)),
                        ("run-pipeline-signed",
-                        lambda h: digest_run_pipeline(h, signed_ridge_problems))):
+                        lambda h: digest_run_pipeline(h, signed_ridge_problems)),
+                       ("solves-wide-pivots", digest_wide_pivot_solves)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
