@@ -285,9 +285,14 @@ def cmd_gauss(args: argparse.Namespace) -> dict:
 def cmd_invsqr(args: argparse.Namespace) -> str:
     table = netcomp.build_invsqr(args.knots)
     span = 2.0 * table.cutoff
+    # The grid's width, 2 * span, must be finite for linspace's step.
+    if not math.isfinite(2.0 * span):
+        raise netcomp.BadKnotSpec(
+            f"samples over +-2 * cutoff = +-{span!r} do not fit in float64")
     xs = np.linspace(-span, span, args.samples)
     sig = netcomp.invsqr_eval(table, xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Past |x| = 1.3e154, x * x overflows to inf, whose reciprocal 0 is 1/x^2 rounded.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         truth = np.where(xs != 0.0, 1.0 / (xs * xs), np.inf)
         abs_err = np.abs(sig - truth)
         rel_err = np.where(truth != 0.0, abs_err / truth, np.nan)

@@ -14,7 +14,9 @@ Division is approximated by sigma_invsqr, a piecewise-linear even function
 built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
 1/x^2 at every table knot, holds the first value flat on [-x_1, x_1], and
 decays to zero beyond the final cutoff knot. Multiplying by x recovers an
-approximation of 1/x.
+approximation of 1/x. invsqr_eval runs the sum's four ReLU terms as one
+ufunc each over the table's stacked knots, for a 0-d pivot and a large
+array alike; a table has at most MAX_KNOTS intervals.
 
 A divider keeps one entry of its input through a 0/1 output weight V, so
 a component evaluates the two 1/x^2 activations only where V is nonzero
@@ -97,6 +99,20 @@ class PiecewiseInvSqr:
         slopes.setflags(write=False)
         return slopes
 
+    @cached_property
+    def knot_stack(self) -> np.ndarray:
+        """The knots [hi, lo, -hi, -lo] of invsqr_eval's four ReLU terms, shape (4, 1, intervals)."""
+        hi, lo = self.knots[1:], self.knots[:-1]
+        stack = np.stack([hi, lo, -hi, -lo])[:, None, :]
+        stack.setflags(write=False)
+        return stack
+
+
+# The most intervals between f-matched knots a table may have. A block of
+# invsqr_eval holds 4 * INVSQR_CHUNK floats per interval (2 KiB), 8 MiB at
+# the cap; the gauss sweep's finest table has 256.
+MAX_KNOTS = 4096
+
 
 def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
     """Build a knot table from a spec string or an explicit knot sequence.
@@ -109,8 +125,10 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
     * any sequence of floats (same meaning as explicit).
 
     The zero-valued cutoff knot is appended one ratio step past the last
-    f-matched knot.
+    f-matched knot. A spec of more than MAX_KNOTS intervals is rejected
+    before anything is allocated for it.
     """
+    too_many = f"more than MAX_KNOTS = {MAX_KNOTS} knot intervals"
     if isinstance(knot_spec, str):
         kind, _, body = knot_spec.partition(":")
         if kind == "geometric":
@@ -127,8 +145,13 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
             # An infinite xmax would make geomspace warn before the table's check.
             if not (0 < x1 < xmax < math.inf) or n < 1:
                 raise BadKnotSpec(f"bad geometric range in {knot_spec!r}")
+            if n > MAX_KNOTS:
+                raise BadKnotSpec(f"geometric n={n} asks for {too_many}")
             interior = np.geomspace(x1, xmax, n + 1)
         elif kind == "explicit":
+            # Each comma separates two knots, so the commas count the intervals.
+            if body.count(",") > MAX_KNOTS:
+                raise BadKnotSpec(f"explicit spec with {too_many}")
             try:
                 interior = np.array([float(v) for v in body.split(",")], dtype=np.float64)
             except ValueError as exc:
@@ -136,6 +159,8 @@ def build_invsqr(knot_spec: Union[str, Sequence[float]]) -> PiecewiseInvSqr:
         else:
             raise BadKnotSpec(f"unknown knot spec kind {kind!r}")
     else:
+        if len(knot_spec) > MAX_KNOTS + 1:
+            raise BadKnotSpec(f"knot sequence with {too_many}")
         interior = np.asarray(list(knot_spec), dtype=np.float64)
 
     if interior.size < 2:
@@ -158,35 +183,41 @@ def default_invsqr() -> PiecewiseInvSqr:
     return build_invsqr(DEFAULT_KNOT_SPEC)
 
 
-# Points per block in invsqr_eval. It bounds the (points, intervals)
-# temporaries; at 129 intervals each block temporary (264 KiB) fits in L2.
-INVSQR_CHUNK = 256
+# Points per block in invsqr_eval. A block's stacked temporary holds
+# 4 * INVSQR_CHUNK * intervals floats: 264 KiB at the default table's 129
+# intervals, which fits in L2.
+INVSQR_CHUNK = 64
 
 
 def invsqr_eval(p: PiecewiseInvSqr, x):
     """Evaluate sigma_invsqr(x) as the literal sum of paired ReLU terms.
 
     Each knot interval contributes one hard sigmoid on the positive side and
-    its mirror on the negative side; no shortcut interpolation is used.
+    its mirror on the negative side; no shortcut interpolation is used. The
+    four ReLU terms of a point run as one ufunc each on the stacked knots
+    K = [hi, lo, -hi, -lo] (t - (-h) is t + h bit for bit), are combined
+    as ((r0 - r1) + r2) - r3 and summed over the intervals, row by row.
     Accepts a scalar, which gives a float64 scalar, or an ndarray. Points
     are summed in blocks of INVSQR_CHUNK, so memory stays flat in the number
     of points; each point's sum is independent of the others, so the
     blocking changes no bit.
     """
     arr = np.asarray(x, dtype=np.float64)
-    flat = arr.reshape(-1)
-    total = np.empty(flat.shape)
-    lo = p.knots[:-1]
-    hi = p.knots[1:]
+    flat = arr.reshape(-1, 1)
+    total = np.empty(flat.shape[0])
+    stack = p.knot_stack
     al = p.slopes
-    for start in range(0, flat.size, INVSQR_CHUNK):
-        t = flat[start : start + INVSQR_CHUNK, None]
-        total[start : start + INVSQR_CHUNK] = (
-            np.maximum(0.0, al * (t - hi))
-            - np.maximum(0.0, al * (t - lo))
-            + np.maximum(0.0, al * (t + hi))
-            - np.maximum(0.0, al * (t + lo))
-        ).sum(axis=-1)
+    for start in range(0, flat.shape[0], INVSQR_CHUNK):
+        stop = start + INVSQR_CHUNK
+        # In place on one (4, points, intervals) temporary, operands in the sum's order.
+        r = flat[start:stop] - stack
+        np.multiply(al, r, out=r)
+        np.maximum(0.0, r, out=r)
+        acc = r[0]
+        np.subtract(acc, r[1], out=acc)
+        np.add(acc, r[2], out=acc)
+        np.subtract(acc, r[3], out=acc)
+        acc.sum(axis=-1, out=total[start:stop])
     if arr.ndim == 0:
         return total[0]
     return total.reshape(arr.shape)

@@ -4,7 +4,9 @@ Nothing here imports from the package's computational paths: products are
 naive triple loops, the move operation is a literal copy loop, the division
 approximator oracle is np.interp on the knot table, the component oracle
 applies the activation to every entry before weighting, and the elimination
-shadow updates rows with plain scalar arithmetic. There are two exceptions,
+shadow updates rows with plain scalar arithmetic. literal_invsqr_sum writes
+the paired-ReLU sum of 1/x^2 out term by term over all points at once, the
+form the stacked, blocked invsqr_eval must match bitwise. There are two exceptions,
 both chaining package components as the literal construction that a fast
 path must match: literal_run_module runs the dense attention forwards the
 compiled pipeline heads are checked against, and literal_forward_step /
@@ -67,6 +69,27 @@ def piecewise_invsqr(knots: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """
     ax = np.abs(np.asarray(x, dtype=np.float64))
     return np.interp(ax, knots, values, left=values[0], right=0.0)
+
+
+def literal_invsqr_sum(table, x):
+    """The paired-ReLU sum of sigma_invsqr, its four terms one by one, in one block.
+
+    Per interval [lo, hi] with slope al: relu(al (x - hi)) - relu(al (x - lo))
+    + relu(al (x + hi)) - relu(al (x + lo)), summed over the intervals. A
+    scalar gives a float64 scalar, an ndarray an array of its shape.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    t = arr.reshape(-1)[:, None]
+    al, lo, hi = table.slopes, table.knots[:-1], table.knots[1:]
+    total = (
+        np.maximum(0.0, al * (t - hi))
+        - np.maximum(0.0, al * (t - lo))
+        + np.maximum(0.0, al * (t + hi))
+        - np.maximum(0.0, al * (t + lo))
+    ).sum(axis=-1)
+    if arr.ndim == 0:
+        return total[0]
+    return total.reshape(arr.shape)
 
 
 def exact_invsqr(a: np.ndarray) -> np.ndarray:

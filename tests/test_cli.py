@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -30,10 +31,17 @@ from elsakit import (
     system_to_json,
 )
 from elsakit.cli import main
-from elsakit.netcomp import DEFAULT_KNOT_SPEC
+from elsakit.netcomp import DEFAULT_KNOT_SPEC, MAX_KNOTS
 from oracles import piecewise_invsqr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """os.environ with src on PYTHONPATH, for a fresh elsakit process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, capsys):
@@ -168,11 +176,9 @@ class TestRidgeCommand:
                "eta": 0.1, "steps": 5}
         path = tmp_path / "divergent.json"
         path.write_text(json.dumps(doc))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "elsakit.cli", "ridge", "--problem", str(path),
-             "--form", form], env=env, capture_output=True, text=True, timeout=60,
+             "--form", form], env=src_env(), capture_output=True, text=True, timeout=60,
         )
         report = json.loads(result.stdout, parse_constant=reject_constant)
         assert result.returncode == 1
@@ -516,11 +522,12 @@ def fuzzed_system_docs(draw):
 
 
 KNOT_NUMBERS = st.one_of(FUZZ_NUMBERS, st.floats(1e-3, 1e3), st.sampled_from([0, "nan", "inf"]))
-# Half of the specs are the default table. n stays small: a table's memory
-# grows with its knot count.
+# Half of the specs are the default table. n runs up to and past MAX_KNOTS,
+# which build_invsqr rejects before it allocates a knot.
 FUZZED_KNOT_SPECS = st.just(DEFAULT_KNOT_SPEC) | st.one_of(
     st.builds("geometric:x1={},xmax={},n={}".format, KNOT_NUMBERS, KNOT_NUMBERS,
-              st.integers(-1, 300) | st.sampled_from(["1.5", "", "x"])),
+              st.integers(-1, MAX_KNOTS + 1)
+              | st.sampled_from([MAX_KNOTS, MAX_KNOTS + 1, 10**9, "1.5", "", "x"])),
     st.lists(KNOT_NUMBERS, max_size=5).map(lambda xs: "explicit:" + ",".join(map(str, xs))),
     st.text(max_size=8),
 )
@@ -667,11 +674,9 @@ class TestGaussCommand:
         # A fresh process turns no warning into an error, so one would reach stderr.
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({"F": [[1, 1e300], [1e300, 1]], "alpha": [1, 1]}))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "elsakit.cli", "gauss", "--system", str(path),
-             "--mode", "relu"], env=env, capture_output=True, text=True, timeout=60,
+             "--mode", "relu"], env=src_env(), capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 1
         assert result.stderr == ""
@@ -740,6 +745,25 @@ class TestGaussCommand:
         assert size in report["message"]
 
 
+class TestKnotCountCap:
+    @pytest.mark.parametrize("command", ["gauss", "invsqr"])
+    @pytest.mark.parametrize("n", [MAX_KNOTS + 1, 10**9], ids=["cap_plus_one", "billion"])
+    def test_knot_count_over_the_cap(self, capsys, command, n):
+        # Rejected before a knot is allocated: geomspace at n = 1e9 would ask for 8 GB.
+        tracemalloc.start()
+        try:
+            code, out = run_cli([command, f"--knots=geometric:x1=1e-2,xmax=1e2,n={n}"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert report == {"command": command, "error": "BadKnotSpec",
+                          "message": report["message"]}
+        assert "MAX_KNOTS" in report["message"]
+        assert peak < 8 * 2**20
+
+
 class TestInvsqrCommand:
     def test_table_matches_piecewise_oracle(self, capsys):
         code, out = run_cli(
@@ -792,6 +816,34 @@ class TestInvsqrCommand:
         code, out = run_cli(["invsqr", "--knots", knots], capsys)
         assert code == 1
         assert json.loads(out)["error"] == "BadKnotSpec"
+
+
+    @pytest.mark.parametrize("knots", ["explicit:1,1e154", "explicit:1,9e153"],
+                             ids=["two_cutoffs_overflow", "grid_width_overflows"])
+    def test_sample_range_past_float64(self, knots):
+        # Cutoffs 1e308 and 8.1e307: the +-2 * cutoff grid's width is not finite.
+        # A fresh process under -W error turns a numpy warning into a traceback.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "elsakit.cli", "invsqr", "--knots", knots,
+             "--samples", "3"], env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+        report = json.loads(result.stdout, parse_constant=reject_constant)
+        assert report["error"] == "BadKnotSpec"
+
+    def test_squares_that_overflow_print_no_warning(self):
+        # Samples reach 2e306, whose square overflows to inf: 1/x^2 is 0.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "elsakit.cli", "invsqr", "--knots",
+             "explicit:1,1e153", "--samples", "3"], env=src_env(), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        rows = [line.split(",") for line in result.stdout.strip().splitlines()[1:]]
+        assert [(float(r[0]), float(r[2])) for r in rows] == [(-2e306, 0.0), (0.0, math.inf),
+                                                                (2e306, 0.0)]
 
 
 class TestOutOfRangeOptions:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from elsakit import netcomp
 from elsakit import (
     BadKnotSpec,
+    DEFAULT_KNOT_SPEC,
     BlockSpec,
     MaskSpec,
     Matrix,
@@ -32,7 +33,7 @@ from elsakit import (
     skip_mul,
     zeros,
 )
-from oracles import dense_component_forward, piecewise_invsqr
+from oracles import dense_component_forward, literal_invsqr_sum, piecewise_invsqr
 
 
 def rand(rng, m, n):
@@ -195,6 +196,34 @@ class TestBuildInvsqr:
             with pytest.raises(BadKnotSpec, match="finite"):
                 build_invsqr(interior)
 
+    @pytest.mark.parametrize("kind", ["geometric", "explicit", "sequence"])
+    def test_knot_count_is_capped(self, kind):
+        cap = netcomp.MAX_KNOTS
+
+        def spec(intervals):
+            if kind == "geometric":
+                return f"geometric:x1=1,xmax=2,n={intervals}"
+            knots = [1.0 + i for i in range(intervals + 1)]
+            return "explicit:" + ",".join(map(str, knots)) if kind == "explicit" else knots
+
+        assert build_invsqr(spec(cap)).slopes.size == cap + 1  # the cutoff adds one
+        with pytest.raises(BadKnotSpec, match="MAX_KNOTS"):
+            build_invsqr(spec(cap + 1))
+
+    @pytest.mark.parametrize("spec", [
+        "geometric:x1=1,xmax=2,n=1000000000",
+        "explicit:" + "1," * 10**5 + "2",  # parsing it would take ~4 MiB
+    ], ids=["geometric", "explicit"])
+    def test_huge_specs_fail_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadKnotSpec, match="MAX_KNOTS"):
+                build_invsqr(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_table_itself_checks_finiteness(self):
         with pytest.raises(BadKnotSpec, match="finite"):
             netcomp.PiecewiseInvSqr(knots=np.array([1.0, np.nan, 3.0]),
@@ -260,14 +289,7 @@ class TestInvsqrEval:
         rng = np.random.default_rng(13)
         t = default_invsqr()
         xs = rng.normal(scale=50.0, size=3 * netcomp.INVSQR_CHUNK + 5)
-        t_col = xs[:, None]
-        al, lo, hi = t.slopes, t.knots[:-1], t.knots[1:]
-        one_block = (
-            np.maximum(0.0, al * (t_col - hi))
-            - np.maximum(0.0, al * (t_col - lo))
-            + np.maximum(0.0, al * (t_col + hi))
-            - np.maximum(0.0, al * (t_col + lo))
-        ).sum(axis=-1)
+        one_block = literal_invsqr_sum(t, xs)
         assert np.array_equal(invsqr_eval(t, xs), one_block)
         grid = xs[:-5].reshape(3, -1)
         assert np.array_equal(invsqr_eval(t, grid), one_block[:-5].reshape(3, -1))
@@ -282,6 +304,69 @@ class TestInvsqrEval:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+INVSQR_TABLES = {
+    "n1": "geometric:x1=1e-2,xmax=1e2,n=1",
+    "n128": DEFAULT_KNOT_SPEC,
+    "n300": "geometric:x1=1e-2,xmax=1e2,n=300",
+    "explicit_1_2": "explicit:1,2",
+}
+EXTREME_POINTS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 1e300,
+                  np.finfo(np.float64).max, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-3, 0.37, -1e5]
+
+
+def literal_points(table, size, seed=0):
+    """size points: the extremes, knots and their negatives, then seeded draws over many scales."""
+    rng = np.random.default_rng(seed)
+    draws = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-6.0, 6.0, size=size)
+    return np.concatenate([EXTREME_POINTS, table.knots, -table.knots, draws])[:size]
+
+
+class TestStackedSumIsLiteral:
+    """invsqr_eval's stacked, blocked sum is the four-term literal sum, byte for byte."""
+
+    @pytest.mark.parametrize("spec", INVSQR_TABLES.values(), ids=INVSQR_TABLES)
+    def test_knot_stack_is_read_only(self, spec):
+        t = build_invsqr(spec)
+        hi, lo = t.knots[1:], t.knots[:-1]
+        assert t.knot_stack.shape == (4, 1, hi.size)
+        assert t.knot_stack.tobytes() == np.stack([hi, lo, -hi, -lo]).tobytes()
+        assert t.knot_stack is t.knot_stack and not t.knot_stack.flags.writeable
+
+    @pytest.mark.parametrize("spec", INVSQR_TABLES.values(), ids=INVSQR_TABLES)
+    def test_scalars(self, spec):
+        t = build_invsqr(spec)
+        with np.errstate(all="ignore"):
+            for v in literal_points(t, 400):
+                want = literal_invsqr_sum(t, np.float64(v))
+                for x in (np.float64(v), np.array(v), float(v)):
+                    got = invsqr_eval(t, x)
+                    assert type(got) is np.float64
+                    assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(INVSQR_TABLES)), x=st.floats(allow_nan=True))
+    def test_any_float(self, name, x):
+        t = build_invsqr(INVSQR_TABLES[name])
+        with np.errstate(all="ignore"):
+            got, want = invsqr_eval(t, x), literal_invsqr_sum(t, x)
+        assert type(got) is np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", INVSQR_TABLES.values(), ids=INVSQR_TABLES)
+    def test_arrays_across_block_edges(self, spec):
+        t = build_invsqr(spec)
+        chunk = netcomp.INVSQR_CHUNK
+        points = literal_points(t, 3 * chunk + 5, seed=1)
+        with np.errstate(all="ignore"):
+            for size in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+                got = invsqr_eval(t, points[:size])
+                assert got.shape == (size,)
+                assert got.tobytes() == literal_invsqr_sum(t, points[:size]).tobytes()
+            grid = points[: 3 * chunk].reshape(6, -1).T  # 2-D and not contiguous
+            got = invsqr_eval(t, grid)
+            assert got.shape == grid.shape
+            assert got.tobytes() == literal_invsqr_sum(t, grid).tobytes()
 
 
 class TestApproxReciprocal:

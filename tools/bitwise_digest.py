@@ -30,7 +30,13 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
 * solves-wide-pivots: solves in both modes of F = L U, m in (2, 3, 5, 9,
   17, 24), seeds 0-4, whose pivots have both signs and magnitudes from 1e-5
   to 1e5 (below the default table's first knot and past its cutoff), with
-  -0.0 as in step-states.
+  -0.0 as in step-states;
+* invsqr-extreme: invsqr_eval on the tables of INVSQR_SPECS, for each a
+  pool of 3,013 points (+-0, +-inf, NaN, +-1e308, subnormals, every knot
+  and its neighbouring floats, then seeded draws over many scales): each
+  point as a float64 scalar, a 0-d array and a Python float, with the
+  result's type name; then prefixes of the pool of INVSQR_SIZES points, a
+  2-D grid and its transpose.
 """
 
 import hashlib
@@ -45,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import random_dd_system, random_ridge_arrays  # noqa: E402
 
 from elsakit import (  # noqa: E402
+    DEFAULT_KNOT_SPEC,
     LinearSystem,
     Matrix,
     backward_substitute_step,
@@ -52,8 +59,10 @@ from elsakit import (  # noqa: E402
     build_designed_weights,
     build_enumerated_input,
     build_enumerated_weights,
+    build_invsqr,
     embed_system,
     forward_eliminate_step,
+    invsqr_eval,
     make_problem,
     run_pipeline,
     run_program,
@@ -67,6 +76,10 @@ STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
 WIDE_PIVOT_SIZES = (2, 3, 5, 9, 17, 24)
 RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
+INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
+                "geometric:x1=1e-2,xmax=1e2,n=300", "explicit:1,2")
+# Fixed sizes that straddle 64- and 256-point blocks.
+INVSQR_SIZES = (0, 1, 2, 63, 64, 65, 197, 255, 256, 257, 773, 3013)
 
 
 def with_negative_zeros(rng, f, alpha):
@@ -173,6 +186,41 @@ def digest_run_program(h, problems=ridge_problems):
             h.update(np.float64(prediction).tobytes())
 
 
+def invsqr_points(table, seed):
+    """3,013 points: extremes, every knot and its neighbours, then seeded draws."""
+    tiny = np.finfo(np.float64).tiny
+    extremes = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308,
+                np.finfo(np.float64).max, 5e-324, -5e-324, tiny, -tiny, tiny / 3, 1e-300]
+    knots = table.knots
+    near = np.concatenate([knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf),
+                           0.5 * (knots[:-1] + knots[1:])])
+    rng = np.random.default_rng([seed, 21])
+    fill = 3013 - len(extremes) - 2 * near.size
+    draws = rng.choice([-1.0, 1.0], size=fill) * 10.0 ** rng.uniform(-6.0, 6.0, size=fill)
+    points = np.concatenate([extremes, near, -near, draws])[:3013]
+    rng.shuffle(points[len(extremes):])
+    return points
+
+
+def digest_invsqr_extreme(h):
+    with np.errstate(all="ignore"):
+        for seed, spec in enumerate(INVSQR_SPECS):
+            table = build_invsqr(spec)
+            points = invsqr_points(table, seed)
+            for v in points:
+                for x in (v, np.array(v), float(v)):
+                    out = invsqr_eval(table, x)
+                    h.update(type(out).__name__.encode())
+                    h.update(np.asarray(out).tobytes())
+            for size in INVSQR_SIZES:
+                h.update(invsqr_eval(table, points[:size]).tobytes())
+            grid = points[:3012].reshape(12, 251)
+            for x in (grid, grid.T):
+                out = invsqr_eval(table, x)
+                h.update(repr(out.shape).encode())
+                h.update(out.tobytes())
+
+
 def main():
     for name, fill in (("solves", digest_solves), ("step-states", digest_step_states),
                        ("run-pipeline", digest_run_pipeline),
@@ -181,7 +229,8 @@ def main():
                         lambda h: digest_run_program(h, signed_ridge_problems)),
                        ("run-pipeline-signed",
                         lambda h: digest_run_pipeline(h, signed_ridge_problems)),
-                       ("solves-wide-pivots", digest_wide_pivot_solves)):
+                       ("solves-wide-pivots", digest_wide_pivot_solves),
+                       ("invsqr-extreme", digest_invsqr_extreme)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
