@@ -218,6 +218,8 @@ def invsqr_eval(p: PiecewiseInvSqr, x):
         np.add(acc, r[2], out=acc)
         np.subtract(acc, r[3], out=acc)
         acc.sum(axis=-1, out=total[start:stop])
+        # Release this block before the next one is allocated, so one block is live at a time.
+        del r, acc
     if arr.ndim == 0:
         return total[0]
     return total.reshape(arr.shape)

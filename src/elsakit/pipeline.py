@@ -30,8 +30,14 @@ form, computed once per problem object and shared by both forms. A step
 changes only the columns its last block writes. The plan follows that
 through every step block: a projection reading no changing column is
 bound to the initial prompt once per run, and each step evaluates the
-rest on the columns that change only. The per-step :func:`step` and the
-literal dense forwards in :mod:`elsakit.attention` stay the oracles.
+rest on the columns that change only. Each bound block becomes one
+kernel, made once per run: straight-line code over the block's bound
+arrays that maps its narrow input to its accumulator, with the products,
+order and parenthesisation of the per-step forward. A unit slot, a
+projection that copies its one input column with weight 1, is that input
+itself, since no input of the loop holds -0.0: step 1 reads a contiguous
+copy of the prompt plus 0.0. The per-step :func:`step` and the literal
+dense forwards in :mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -510,19 +516,93 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     return StepPlan(_index(every[state]), position, tuple(blocks))
 
 
-def _bind(plan: StepPlan, h0: np.ndarray) -> list:
-    """The plan's bound slots, constant terms and accumulator starts on the prompt h0.
+def _unit(slot: _Slot) -> bool:
+    """A slot that is its narrow input: weight [[1.0]], no bias and no k, on every row."""
+    return (slot.rows is None and slot.b is None and slot.k is None
+            and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
+
+
+def _kernel(blk: _PlanBlock, values: list, adds: list, start: np.ndarray) -> Callable:
+    """One step of a bound block as straight-line code: its narrow input x to its accumulator.
+
+    values, adds and start are :func:`_bind`'s for blk. The kernel runs the
+    varying slots, then the additions, with the products, order and
+    parenthesisation of :meth:`_Slot.value` and :func:`compiled_forward`. A
+    unit slot (:func:`_unit`) computes x @ [[1.0]], which is x + 0.0; no
+    input the run loop passes holds -0.0, so the slot is x itself. When the
+    first addition covers every column, the accumulator is start + term,
+    the same sum as a copy of start followed by +=. The bound arrays and
+    products are the kernel's closure cells; np.dot is bound without its
+    __array_function__ dispatch, which no plain ndarray needs.
+    """
+    cells, slots, operands = {"start": start}, [], {}
+
+    def cell(value) -> str:
+        """The name the kernel reads value by: a product by its own name, an array as a<n>."""
+        if callable(value):
+            # np.dot without its __array_function__ dispatch: every operand is a plain ndarray.
+            name, value = value.__name__, getattr(value, "_implementation", value)
+        else:
+            name = f"a{len(cells)}"
+        cells[name] = value
+        return name
+
+    for i in blk.varying:
+        slot = blk.slots[i]
+        if _unit(slot):
+            operands[i] = "x.T" if slot.transposed else "x"
+            continue
+        t = "x" if slot.rows is None else f"x[:, {cell(slot.rows)}]"
+        t = f"{cell(slot.dot)}({t}, {cell(slot.w)})"
+        t = t if slot.b is None else f"({t} + {cell(slot.b)})"
+        t = t if slot.k is None else f"{t}[:, {cell(slot.k)}]"
+        slots.append(f"v{i} = {t}{'.T' if slot.transposed else ''}")
+        operands[i] = f"v{i}"
+
+    def operand(r: int) -> str:
+        if r not in operands:
+            operands[r] = cell(values[r])
+        return operands[r]
+
+    first, terms = "acc = start", []
+    for j, (at, const, r1, r2, r3, dot) in enumerate(adds):
+        if const is None:
+            f = cell(dot)
+            term = f"{f}({operand(r3)}, {f}({operand(r1)}, {operand(r2)}))"
+        else:
+            term = cell(const)
+        if j == 0 and at is None:
+            first = f"acc = start + {term}"
+            continue
+        if j == 0:
+            first = "acc = start.copy()"
+        terms.append(f"acc{'' if at is None else f'[:, {cell(at)}]'} += {term}")
+    body = "".join(f"        {line}\n" for line in (*slots, first, *terms, "return acc"))
+    return _compile(f"def bind({', '.join(cells)}):\n    def kernel(x):\n{body}"
+                    "    return kernel\n")(**cells)
+
+
+@lru_cache(maxsize=64)
+def _compile(source: str) -> Callable:
+    """The kernel factory bind that source defines; one compilation per distinct source."""
+    scope = {}
+    exec(source, scope)
+    return scope["bind"]
+
+
+def _bind(plan: StepPlan, h0: np.ndarray) -> list[Callable]:
+    """The plan's step blocks bound to the prompt h0: one :func:`_kernel` per block.
 
     Block by block, the bound slots read the block's input with only its
     constant columns filled in: h0 for the first block, then the previous
-    block's constant heads summed in head order. Returns, per block, the
-    slot values (None where a slot varies), the varying slots, the additions
-    (at, constant term or None, t1^T, t2 and t3 slots, product) and the accumulator's
-    start, which is 0.0 in the varying columns. The constant terms that come
-    before the first varying one are added into the start here, once, in the
-    order each step would add them, and dropped from the additions.
+    block's constant heads summed in head order. Each block's additions are
+    (at, constant term or None, t1^T, t2 and t3 slots, product), and its
+    accumulator starts at 0.0 in the varying columns. The constant terms
+    that come before the first varying one are added into the start here,
+    once, in the order each step would add them, and dropped from the
+    additions.
     """
-    bound = []
+    kernels = []
     x = h0
     for blk in plan.blocks:
         values = [None if i in blk.varying else s.value(x) for i, s in enumerate(blk.slots)]
@@ -542,9 +622,9 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> list:
                 start += const
             else:
                 start[:, at] += const
-        bound.append((values, [(i, blk.slots[i]) for i in blk.varying], adds, start))
+        kernels.append(_kernel(blk, values, adds, start))
         x = out
-    return bound
+    return kernels
 
 
 def run_program(
@@ -557,20 +637,30 @@ def run_program(
     it binds the whole step module to the initial prompt once, so every
     projection that reads no column the step changes is evaluated once per
     run, and a head whose three projections all are becomes one constant
-    term. Each step then evaluates only the varying projections on the
-    columns that change, adds the head terms in head order into narrow
-    accumulators, and adds the state back as the skip connection; the full
-    prompt is rebuilt once, for the readout. It equals :func:`step` bit for
-    bit, and :func:`step` stays the per-step oracle. A divergent run
-    overflows silently, and its trace ends before the first non-finite
-    coefficient column.
+    term. Each bound block is one kernel, straight-line code made once per
+    run (:func:`_kernel`). Each step then runs the kernels in block order:
+    a kernel evaluates only the varying projections on the columns that
+    change, taking a unit slot as its input, and adds the head terms in
+    head order into a narrow accumulator; the step adds the state back as
+    the skip connection. Step 1 reads a contiguous copy of the prompt
+    plus 0.0, while the trace keeps the prompt's own w0. The full prompt
+    is rebuilt once, for the readout. It equals :func:`step` bit for bit,
+    and :func:`step` stays the per-step oracle. A divergent run overflows
+    silently, and its trace ends before the first non-finite coefficient
+    column.
     """
     ws, h_final, prediction = _run_compiled(prog.compiled, state, steps)
     return Matrix.from_stack(ws), h_final, prediction
 
 
 def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
-    """run_program's loop on a compiled view; the trace is a (k, d, 1) stack of hs's w column."""
+    """run_program's loop on a compiled view; the trace is a (k, d, 1) stack of hs's w column.
+
+    hs[t] holds step t's state columns: hs[0] the prompt's own, and hs[t]
+    the last kernel's accumulator plus hs[t - 1]. Step 1's kernels read
+    h0 = h + 0.0 instead, in a contiguous copy, so every kernel input is a
+    C-ordered array free of -0.0, as a unit slot needs.
+    """
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
@@ -585,22 +675,15 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     with np.errstate(over="ignore", invalid="ignore"):
         # Every step after the first reads the unwritten columns as h + 0.0.
         h0 = h + 0.0
-        bound = _bind(plan, h0)
-        for t in range(1, steps + 1):
-            x = hs[t - 1]
-            for values, varying, adds, start in bound:
-                for i, slot in varying:
-                    values[i] = slot.value(x)
-                # The varying columns start at 0.0, so the first term normalises -0.0 as
-                # np.zeros + term does in compiled_forward.
-                x = start.copy()
-                for at, const, r1, r2, r3, dot in adds:
-                    term = dot(values[r3], dot(values[r1], values[r2])) if const is None else const
-                    if at is None:
-                        x += term
-                    else:
-                        x[:, at] += term
-            np.add(x, hs[t - 1], out=hs[t])
+        kernels = _bind(plan, h0)
+        # A strided view of h0 would change np.dot's last bit, so step 1 reads a copy laid out
+        # as hs[t] is. An accumulator holds no -0.0: its sums start from +0.0 (np.zeros or
+        # the fresh columns), so acc + hs[t - 1] holds none either.
+        x = np.ascontiguousarray(h0[:, plan.cols])
+        for prev, out in zip(hs, hs[1:]):
+            for kernel in kernels:
+                x = kernel(x)
+            x = np.add(x, prev, out=out)
         final = (h0 if steps else h).copy()
         final[:, plan.cols] = hs[steps]
         h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,
@@ -630,9 +713,10 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     max(1, |w_t|)), plus the closed-form prediction when the normal equations
     are solvable. The recurrence and the closed form are computed once per
     problem object, so the forms run on one problem share them;
-    dataclasses.replace(p, ...) makes a problem with its own. A divergent run ends its deviations at the first step t
-    where either coefficient column is not finite, and reports that t as
-    "diverged_at" (None when every step is finite).
+    dataclasses.replace(p, ...) makes a problem with its own. A divergent
+    run ends its deviations at the first step t where either coefficient
+    column is not finite, and reports that t as "diverged_at" (None when
+    every step is finite).
     """
     if form == "lsa":
         kind, state = "designed", build_designed_input(p)

@@ -12,6 +12,10 @@ path must match: literal_run_module runs the dense attention forwards the
 compiled pipeline heads are checked against, and literal_forward_step /
 literal_backward_step run every elimination module densely over the whole
 padded state, which the block-evaluated steps are checked against bitwise.
+
+The file also builds the ridge step programs beyond the three builders that
+the pipeline tests and tools/bitwise_digest.py run: two_block_program and
+reader_program.
 """
 
 from dataclasses import replace
@@ -20,10 +24,15 @@ import numpy as np
 
 from elsakit import (
     BlockSpec,
+    LsaParams,
     MaskSpec,
+    Matrix,
+    Program,
     add,
     block_write,
+    build_designed_weights,
     component_forward,
+    eye_block,
     identity,
     make_affine_component,
     make_divider_component,
@@ -258,3 +267,54 @@ def random_ridge_arrays(rng: np.random.Generator, n: int, d: int,
     y = x @ w_true + noise * rng.normal(size=(n, 1))
     u = rng.normal(size=(d, 1))
     return x, y, u
+
+
+def selector(s: int, *entries: tuple[int, int, float]) -> Matrix:
+    """The s-by-s weight with the given 1-based (row, column, value) entries, zero elsewhere."""
+    w = np.zeros((s, s))
+    for i, j, v in entries:
+        w[i - 1, j - 1] = v
+    return Matrix.from_array(w)
+
+
+def two_block_program(n: int, d: int) -> Program:
+    """The designed step plus one head per block, then a second block of two heads.
+
+    1-based columns, s = 2n+d+3: X is 1..n and w is s. Block 1 keeps the designed
+    heads, which write w (head 1 is constant, heads 2 and 3 vary), and adds a constant
+    head writing column 2 and a varying head whose t2 reads the constant column 1 and w.
+    Block 2's first head varies: its t2 reads w, which constant and varying heads both
+    wrote, and column 2; its t1 and t3 read column 2. Its second head reads only
+    column 2, which only a constant head wrote, and writes u and w.
+    """
+    designed = build_designed_weights(n, d)
+    s = designed.layout.s
+    const_head = LsaParams(w1=selector(s, (1, 1, 1.0)), w2=selector(s, (3, 2, 0.5)),
+                           w3=selector(s, (4, 1, 1.0)))
+    mixed_reader = LsaParams(w1=selector(s, (2, 1, 1.0)),
+                             w2=selector(s, (1, s, 0.01), (s, s, 0.01)),
+                             w3=selector(s, (2, 1, 1.0)))
+    varying = LsaParams(w1=selector(s, (2, 1, 1.0)), w2=selector(s, (s, s, 0.1), (2, s, 0.5)),
+                        w3=selector(s, (2, 1, 1.0)))
+    constant = LsaParams(w1=selector(s, (2, 1, 1.0)),
+                         w2=selector(s, (2, s - 1, 1.0), (2, s, -0.25)),
+                         w3=selector(s, (2, 1, 1.0)))
+    step_blocks = ((*designed.step[0], const_head, mixed_reader), (varying, constant))
+    return Program(designed.layout, step_blocks, designed.readout, designed.cell)
+
+
+def reader_program(n: int, d: int, reader: str) -> Program:
+    """The designed program with a fourth step head whose `reader` projection reads w.
+
+    The extra head adds t3 (t1^T t2) to the w column s, with t1 = t3 = H[:, 1] and
+    t2 = -0.1 H[:, 1], except that the reader projection ("w1" or "w3") takes the
+    w column H[:, s].
+    """
+    designed = build_designed_weights(n, d)
+    s = designed.layout.s
+    x_col = eye_block(s, s, BlockSpec(1, 1, 1, 1))
+    weights = {"w1": x_col, "w3": x_col, reader: eye_block(s, s, BlockSpec(s, s, 1, 1))}
+    w2 = eye_block(s, s, BlockSpec(1, 1, s, s), -0.1)
+    head = LsaParams(w1=weights["w1"], w2=w2, w3=weights["w3"])
+    step_block = (*designed.step[0], head)
+    return Program(designed.layout, (step_block,), designed.readout, designed.cell)

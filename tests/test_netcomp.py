@@ -305,6 +305,20 @@ class TestInvsqrEval:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_one_block_is_live_at_a_time(self):
+        # A block of INVSQR_CHUNK = 64 points on 4,097 intervals is 4 * 64 * 4097 * 8 B, about
+        # 8 MiB; 1,001 points make 16 blocks, and holding two at once would peak at 16 MiB.
+        t = build_invsqr(f"geometric:x1=1e-2,xmax=1e2,n={netcomp.MAX_KNOTS}")
+        _ = t.knot_stack, t.slopes  # the table's own arrays, made before tracing starts
+        xs = np.linspace(-2.0 * t.cutoff, 2.0 * t.cutoff, 1001)
+        tracemalloc.start()
+        try:
+            invsqr_eval(t, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 INVSQR_TABLES = {
     "n1": "geometric:x1=1e-2,xmax=1e2,n=1",

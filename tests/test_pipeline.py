@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from elsakit import pipeline
 from elsakit import (
     BadProblemFile,
-    BlockSpec,
     DesignedLayout,
     DimensionMismatch,
     EnumeratedLayout,
     LayoutMismatch,
-    LsaParams,
     Matrix,
     PipelineState,
     Program,
@@ -32,7 +30,6 @@ from elsakit import (
     build_enumerated_weights,
     elsa_forward,
     extract_w,
-    eye_block,
     gd_run,
     gd_step,
     gradient,
@@ -51,7 +48,7 @@ from elsakit import (
     wrap_designed_as_elsa,
     zeros,
 )
-from oracles import literal_run_module, random_ridge_arrays
+from oracles import literal_run_module, random_ridge_arrays, reader_program, two_block_program
 
 
 def problem(rng, n, d, lam=0.5, eta="auto", steps=5, w0=None):
@@ -661,22 +658,30 @@ class TestCompiledProgram:
 
     def test_negative_zeros_keep_their_sign(self):
         rng = np.random.default_rng(61)
-        p = problem(rng, n=5, d=3, steps=8, w0=rng.normal(size=(3, 1)))
-        for name, (prog, state) in self.programs(p).items():
-            h = state.h.to_array()
-            unwritten = h[:, : prog.layout.w_col - 1]
-            unwritten[unwritten == 0.0] = -0.0
-            unwritten[0, :2] = -0.0  # two entries of X
-            unwritten[-1, prog.layout.w_col - 2] = -0.0  # an entry of u or the scratch column
-            h[0, prog.layout.w_col - 1] = -0.0  # and one of w0
-            assert np.signbit(h).any(), name
-            state = PipelineState(h=Matrix.from_array(h), layout=state.layout)
-            got = run_program(prog, state, p.steps)
-            want = self.step_loop(prog, state, p.steps)
-            assert np.array_equal(np.signbit(got[1].array), np.signbit(want[1].array)), name
-            for w, want_w in zip(got[0], want[0]):
-                assert np.array_equal(np.signbit(w.array), np.signbit(want_w.array)), name
-            self.assert_same_run(got, want, name)
+        n, d = 5, 3
+        for w0 in (rng.normal(size=(d, 1)), np.full((d, 1), -0.0)):
+            p = problem(rng, n, d, steps=8, w0=w0)
+            programs = self.programs(p)
+            designed_input = build_designed_input(p)
+            programs["two-block"] = (two_block_program(n, d), designed_input)
+            for reader in ("w1", "w3"):
+                programs[reader] = (reader_program(n, d, reader), designed_input)
+            for name, (prog, state) in programs.items():
+                h = state.h.to_array()
+                unwritten = h[:, : prog.layout.w_col - 1]
+                unwritten[unwritten == 0.0] = -0.0
+                unwritten[0, :2] = -0.0  # two entries of X
+                unwritten[:d, 0] = -0.0  # X's column 1, which the two-block state holds
+                unwritten[-1, prog.layout.w_col - 2] = -0.0  # an entry of u or the scratch column
+                h[0, prog.layout.w_col - 1] = -0.0  # and one of w0
+                assert np.signbit(h).any(), name
+                state = PipelineState(h=Matrix.from_array(h), layout=state.layout)
+                got = run_program(prog, state, p.steps)
+                want = self.step_loop(prog, state, p.steps)
+                assert np.array_equal(np.signbit(got[1].array), np.signbit(want[1].array)), name
+                for w, want_w in zip(got[0], want[0]):
+                    assert np.array_equal(np.signbit(w.array), np.signbit(want_w.array)), name
+                self.assert_same_run(got, want, name)
 
     def test_foreign_state_is_refused(self):
         rng = np.random.default_rng(62)
@@ -695,19 +700,10 @@ class TestCompiledProgram:
         rng = np.random.default_rng(63)
         n, d = 4, 2
         p = problem(rng, n, d, steps=12, w0=rng.normal(size=(d, 1)))
-        designed = build_designed_weights(n, d)
-        s = designed.layout.s
-        # The extra head adds t3 (t1^T t2) to the w column s, with t1 = t3 = H[:, 1] and
-        # t2 = -0.1 H[:, 1], except that the reader projection takes the w column H[:, s].
-        x_col = eye_block(s, s, BlockSpec(1, 1, 1, 1))
-        weights = {"w1": x_col, "w3": x_col, reader: eye_block(s, s, BlockSpec(s, s, 1, 1))}
-        w2 = eye_block(s, s, BlockSpec(1, 1, s, s), -0.1)
-        head = LsaParams(w1=weights["w1"], w2=w2, w3=weights["w3"])
-        step_block = (*designed.step[0], head)
-        prog = Program(designed.layout, (step_block,), designed.readout, designed.cell)
+        prog = reader_program(n, d, reader)
         state = build_designed_input(p)
         got = run_program(prog, state, p.steps)
-        assert got[0][-1] != run_program(designed, state, p.steps)[0][-1]
+        assert got[0][-1] != run_program(build_designed_weights(n, d), state, p.steps)[0][-1]
         self.assert_same_run(got, self.step_loop(prog, state, p.steps), reader)
 
     def test_compiled_view_dies_with_program(self):
@@ -722,14 +718,6 @@ class TestCompiledProgram:
         gc.collect()
         assert head() is None
         assert compiled_weights() is None
-
-
-def selector(s: int, *entries: tuple[int, int, float]) -> Matrix:
-    """The s-by-s weight with the given 1-based (row, column, value) entries, zero elsewhere."""
-    w = np.zeros((s, s))
-    for i, j, v in entries:
-        w[i - 1, j - 1] = v
-    return Matrix.from_array(w)
 
 
 class TestStepPlan:
@@ -755,6 +743,16 @@ class TestStepPlan:
             assert np.array_equal(np.arange(s)[block.cols], [s - 1])
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_builders_compile_their_unit_slots_away(self, n, d):
+        p = problem(np.random.default_rng(70 + n), n, d)
+        for name, (prog, state) in TestCompiledProgram.programs(p).items():
+            plan = prog.compiled.plan
+            assert all(pipeline._unit(b.slots[i]) for b in plan.blocks for i in b.varying), name
+            for kernel in pipeline._bind(plan, state.h.array + 0.0):
+                # The kernel evaluates no slot: its only locals are its input and accumulator.
+                assert kernel.__code__.co_varnames == ("x", "acc"), name
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
     def test_enumerated_step_binds_the_contraction(self, n, d):
         prog = build_enumerated_weights(n, d)
         first, second = prog.compiled.plan.blocks
@@ -769,34 +767,8 @@ class TestStepPlan:
         for cols in (prog.compiled.plan.cols, first.cols, second.cols):
             assert np.array_equal(np.arange(s)[cols], [s - 1])
 
-    @staticmethod
-    def two_block_program(n, d):
-        """The designed step plus one head per block, then a second block of two heads.
-
-        1-based columns, s = 2n+d+3: X is 1..n and w is s. Block 1 keeps the designed
-        heads, which write w (head 1 is constant, heads 2 and 3 vary), and adds a constant
-        head writing column 2 and a varying head whose t2 reads the constant column 1 and w.
-        Block 2's first head varies: its t2 reads w, which constant and varying heads both
-        wrote, and column 2; its t1 and t3 read column 2. Its second head reads only
-        column 2, which only a constant head wrote, and writes u and w.
-        """
-        designed = build_designed_weights(n, d)
-        s = designed.layout.s
-        const_head = LsaParams(w1=selector(s, (1, 1, 1.0)), w2=selector(s, (3, 2, 0.5)),
-                               w3=selector(s, (4, 1, 1.0)))
-        mixed_reader = LsaParams(w1=selector(s, (2, 1, 1.0)),
-                                 w2=selector(s, (1, s, 0.01), (s, s, 0.01)),
-                                 w3=selector(s, (2, 1, 1.0)))
-        varying = LsaParams(w1=selector(s, (2, 1, 1.0)), w2=selector(s, (s, s, 0.1), (2, s, 0.5)),
-                            w3=selector(s, (2, 1, 1.0)))
-        constant = LsaParams(w1=selector(s, (2, 1, 1.0)),
-                             w2=selector(s, (2, s - 1, 1.0), (2, s, -0.25)),
-                             w3=selector(s, (2, 1, 1.0)))
-        step_blocks = ((*designed.step[0], const_head, mixed_reader), (varying, constant))
-        return Program(designed.layout, step_blocks, designed.readout, designed.cell)
-
     def test_two_block_program_plan(self):
-        prog = self.two_block_program(4, 2)
+        prog = two_block_program(4, 2)
         s = prog.layout.s
         plan = prog.compiled.plan
         first, second = plan.blocks
@@ -809,13 +781,17 @@ class TestStepPlan:
         assert np.array_equal(np.arange(s)[first.cols], [1, s - 1])
         assert self.varying_reads(second) == [(False, True, False), (False, False, False)]
         assert [head for head, _, sel in second.adds] == [0, 1]
+        # Each block's varying t2 slots read columns with weights other than [[1.0]], so each
+        # kernel evaluates them into locals of its own.
+        kernels = pipeline._bind(plan, np.ones(prog.layout.shape))
+        assert [len(k.__code__.co_varnames) for k in kernels] == [4, 3]
 
     @pytest.mark.parametrize("steps", [0, 1, 12])
     def test_two_block_program_is_the_step_loop(self, steps):
         rng = np.random.default_rng(64 + steps)
         n, d = 4, 2
         p = problem(rng, n, d, steps=steps, w0=rng.normal(size=(d, 1)))
-        prog = self.two_block_program(n, d)
+        prog = two_block_program(n, d)
         h = build_designed_input(p).h.to_array()
         h[rng.random(h.shape) < 0.3] = -0.0
         h[0, 0] = -0.0  # an entry of X's column 1, which the state holds

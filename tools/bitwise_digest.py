@@ -27,6 +27,11 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
 * run-pipeline-signed: run_pipeline's w trace, prediction and report for
   both forms, run one after the other on the same problem object, for every
   problem of run-program-signed, the divergent eta included;
+* run-program-plans: run_program's trace, final prompt and prediction for
+  the step programs beyond the three builders in tests/oracles.py: the
+  two-block program and the w1 and w3 written-column readers, on the
+  designed prompts of the run-program problems and then of the
+  run-program-signed ones;
 * solves-wide-pivots: solves in both modes of F = L U, m in (2, 3, 5, 9,
   17, 24), seeds 0-4, whose pivots have both signs and magnitudes from 1e-5
   to 1e5 (below the default table's first knot and past its cutoff), with
@@ -48,7 +53,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from oracles import random_dd_system, random_ridge_arrays  # noqa: E402
+from oracles import (  # noqa: E402
+    random_dd_system,
+    random_ridge_arrays,
+    reader_program,
+    two_block_program,
+)
 
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
@@ -186,6 +196,18 @@ def digest_run_program(h, problems=ridge_problems):
             h.update(np.float64(prediction).tobytes())
 
 
+def digest_run_program_plans(h):
+    for problems in (ridge_problems, signed_ridge_problems):
+        for p in problems():
+            for prog in (two_block_program(p.n, p.d), reader_program(p.n, p.d, "w1"),
+                         reader_program(p.n, p.d, "w3")):
+                trace, final, prediction = run_program(prog, build_designed_input(p), p.steps)
+                for w in trace:
+                    h.update(w.array.tobytes())
+                h.update(final.array.tobytes())
+                h.update(np.float64(prediction).tobytes())
+
+
 def invsqr_points(table, seed):
     """3,013 points: extremes, every knot and its neighbours, then seeded draws."""
     tiny = np.finfo(np.float64).tiny
@@ -229,6 +251,7 @@ def main():
                         lambda h: digest_run_program(h, signed_ridge_problems)),
                        ("run-pipeline-signed",
                         lambda h: digest_run_pipeline(h, signed_ridge_problems)),
+                       ("run-program-plans", digest_run_program_plans),
                        ("solves-wide-pivots", digest_wide_pivot_solves),
                        ("invsqr-extreme", digest_invsqr_extreme)):
         h = hashlib.sha256()
