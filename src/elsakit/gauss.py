@@ -30,6 +30,13 @@ the same calls in the same order as on a 1-by-1 block and the same bits.
 solve runs every kernel on one copy of the system, and a step function
 runs one on a copy of its state, each under one np.errstate.
 
+solve divides each pivot once. The backward divide module reuses the forward
+sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
+eliminated: later forward steps write only the rows below, the fold only
+column m+1, and the row scale comes after the divide. Only pivot m, which
+no forward step divides, runs the divider in the backward sweep. A step
+function divides on its own.
+
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
 approximation in the whole pipeline.
@@ -151,16 +158,20 @@ def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
     return make_divider_component(None, table)
 
 
-def _divide(table: Optional[PiecewiseInvSqr], pivot: np.float64, gamma: int) -> np.float64:
+def _divide(table: Optional[PiecewiseInvSqr], pivot: np.float64, gamma: int,
+            r: Optional[np.float64] = None) -> tuple[np.float64, np.float64]:
     """Divide module on the pivot entry: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
 
     Returns gamma / x on the pivot, as a 0-d float64 standing for the 1-by-1
-    block; the rest of the module's output is zero. z is already masked to
-    the pivot, so the divider needs no anti-mask passing the rest through.
+    block (the rest of the module's output is zero), and r. z is already
+    masked to the pivot, so the divider needs no anti-mask passing the rest
+    through. Given r, the divider's output on the same pivot bits, the
+    divider does not run.
     """
     z = _KEEP(pivot)
-    r = _pivot_divider(table)(z)
-    return skip_product(r, z, side="left", gamma=gamma)
+    if r is None:
+        r = _pivot_divider(table)(z)
+    return skip_product(r, z, side="left", gamma=gamma), r
 
 
 def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, step: str, index: int) -> None:
@@ -195,7 +206,9 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
         view += value
     else:
         view[...] = value
-    if not np.isfinite(view).all():
+    # Any inf or NaN entry makes the sum non-finite; a sum that overflows
+    # from finite entries is decided by the entrywise test.
+    if not math.isfinite(np.add.reduce(view, axis=None)) and not np.isfinite(view).all():
         raise EliminationOverflow(
             f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, "
             f"columns {col_lo}..{col_hi}"
@@ -203,12 +216,16 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
     view += 0.0
 
 
-def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> None:
-    """Forward step k on the padded state p, in place; see forward_eliminate_step."""
+def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> np.float64:
+    """Forward step k on the padded state p, in place; see forward_eliminate_step.
+
+    Returns the divider's output 1/x^2 on the pivot x, for the backward step
+    that divides the same pivot.
+    """
     size = p.shape[0]
     pivot = p[k - 1, k - 1]
     _check_pivot(table, float(pivot), "forward step", k)
-    z3 = _divide(table, pivot, gamma=-1)
+    z3, r = _divide(table, pivot, gamma=-1)
     z4 = _KEEP(p[k : size - 1, k - 1 : k])
     # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
     # affine unit's own + 0.0 gives that sign of zero.
@@ -216,10 +233,15 @@ def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> 
     # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
     spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
     _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True)
+    return r
 
 
-def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) -> None:
-    """Backward step t on the padded state q, in place; see backward_substitute_step."""
+def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
+                     r: Optional[np.float64] = None) -> None:
+    """Backward step t on the padded state q, in place; see backward_substitute_step.
+
+    r, if given, is forward step t's divider output on this pivot (see solve).
+    """
     size = q.shape[0]
     if t < size - 1:
         # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
@@ -230,7 +252,7 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr]) ->
     pivot = q[t - 1, t - 1]
     _check_pivot(table, float(pivot), "backward step", t)
 
-    z6 = _divide(table, pivot, gamma=1)
+    z6, _ = _divide(table, pivot, gamma=1, r=r)
     z7 = _PLUS_IDENTITY(z6)
     scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
     cleared = _KEEP(scaled)
@@ -299,6 +321,10 @@ def solve(
     for pivots outside the knot table's matched range. A gap that is not
     finite, or a dense solve that fails, is None with the flag
     "reference_solve_failed".
+
+    The divider runs once per pivot, m times in all: backward step t < m
+    reuses forward step t's 1/x^2, since no module writes a diagonal entry
+    after its row is eliminated.
     """
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
@@ -322,12 +348,14 @@ def solve(
     # carries such a value instead of a warning.
     p = state.p.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
+        rs: list[Optional[np.float64]] = []  # 1/x^2 of each pivot, from the forward sweep
         for k in range(1, m):
             note_pivot(float(p[k - 1, k - 1]), "FE", k)
-            _forward_module(p, k, state.table)
+            rs.append(_forward_module(p, k, state.table))
+        rs.append(None)
         for t in range(m, 0, -1):
             note_pivot(float(p[t - 1, t - 1]), "BS", t)
-            _backward_module(p, t, state.table)
+            _backward_module(p, t, state.table, rs[t - 1])
 
         x = Matrix.from_array(p[:m, m:].copy())
         residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))

@@ -172,16 +172,30 @@ def _descent(p: RidgeProblem) -> np.ndarray:
     """w_0 .. w_T as a read-only (T+1, d, 1) stack, cut before its first non-finite row.
 
     Each step computes what :func:`gd_step` does, with -X^T y evaluated once,
-    and each product is @'s, by :func:`product_for`.
+    and each product is @'s, by :func:`product_for`, called without numpy's
+    __array_function__ dispatch. A step runs every product and sum into a
+    buffer made once, in gd_step's order and parenthesisation, and writes
+    w_t straight into the stack.
     """
     x, eta, lam = p.x.array, p.eta, p.lam
     xt, dot = x.T, product_for(*x.shape)
+    dot = getattr(dot, "_implementation", dot)
+    add, multiply, subtract = np.add, np.multiply, np.subtract
     ws = np.empty((p.steps + 1, p.d, 1))
+    xw, step, lam_w = np.empty((p.n, 1)), np.empty((p.d, 1)), np.empty((p.d, 1))
     w = ws[0] = p.w0.array
     with np.errstate(over="ignore", invalid="ignore"):
         neg_xty = -dot(xt, p.y.array)
         for t in range(1, p.steps + 1):
-            w = ws[t] = w - eta * (neg_xty + dot(xt, dot(x, w)) + lam * w)
+            # w - eta * ((neg_xty + X^T (X w)) + lam * w); each call's last
+            # argument is its output (positional: no keyword parsing per call).
+            dot(x, w, xw)
+            dot(xt, xw, step)
+            add(neg_xty, step, step)
+            multiply(lam, w, lam_w)
+            add(step, lam_w, step)
+            multiply(eta, step, step)
+            w = subtract(w, step, ws[t])
     ws.setflags(write=False)
     return finite_prefix(ws)
 

@@ -393,7 +393,9 @@ class TestLiteralOracle:
         assert len(products) == 2 * (2 * (m - 1) + 3 * m - 1)
         # No operand is the whole state, so no product has it on both sides.
         assert not [p for p in products if full in p]
-        assert len(components) == 2 * (4 * (m - 1) + 4 * m + 2 * (m - 1))
+        # Per mode: forward 4 per pivot, the fold 2, backward 3 with the forward
+        # divider output reused and 4 at pivot m, which no forward step divides.
+        assert len(components) == 2 * (5 * (m - 1) + 4 * m)
         assert not [c for c in components if full in c]
 
 
@@ -408,6 +410,39 @@ class TestOverflow:
             with pytest.raises(EliminationOverflow, match=f"^{where} overflows float64"):
                 solve(sys, mode=mode)
         assert issubclass(EliminationOverflow, gauss.SingularDetected)
+
+    @pytest.mark.parametrize("block,overflows", [
+        ([[1e308, 1e308]], False),
+        ([[-1e308], [-1e308], [1.0]], False),
+        ([[1.0, np.inf]], True),
+        ([[-np.inf, 1.0]], True),
+        ([[np.nan]], True),
+        ([[1e308, 1e308, np.nan]], True),
+    ])
+    def test_update_raises_only_on_a_non_finite_entry(self, block, overflows):
+        # The finite sum is a first test; a sum that overflows from finite
+        # entries is decided entry by entry.
+        value = np.array(block)
+        p = np.zeros((value.shape[0] + 1, value.shape[1] + 1))
+        where = (1, value.shape[0], 1, value.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if overflows:
+                    with pytest.raises(EliminationOverflow,
+                                       match="^forward step 3 overflows float64"):
+                        gauss._update(p, where, value, "forward step", 3)
+                else:
+                    gauss._update(p, where, value, "forward step", 3, add=True)
+                    assert p[: value.shape[0], : value.shape[1]].tobytes() == value.tobytes()
+
+
+def wide_pivot_system(rng, m):
+    """F = L U, L unit lower and U upper triangular, U's diagonal of signed 10**U(-5, 5)."""
+    pivots = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-5.0, 5.0, size=m)
+    lower = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1) + np.eye(m)
+    upper = np.triu(rng.uniform(-1.0, 1.0, size=(m, m)), 1) + np.diag(pivots)
+    return LinearSystem(f=Matrix(lower @ upper), alpha=Matrix(rng.uniform(-1.0, 1.0, (m, 1))))
 
 
 def with_negative_zeros(sys, rng):
@@ -504,6 +539,48 @@ class TestInPlaceKernels:
             assert not a.flags.writeable
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("kind", ["signed", "negzero", "wide"])
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 3, 9, 24])
+    def test_each_pivot_is_divided_once(self, m, mode, kind, monkeypatch):
+        # Backward step t < m reuses forward step t's 1/x^2: the pivot keeps its
+        # bits from forward step t to backward step t.
+        rng = np.random.default_rng([18, m])
+        if kind == "wide":
+            sys = wide_pivot_system(rng, m)
+        else:
+            sys = dd_system(rng, m, signed=True)
+            if kind == "negzero":
+                sys = with_negative_zeros(sys, rng)
+        divides = []
+        if mode == "relu":
+            evaluate = netcomp.invsqr_eval
+
+            def record(p, x):
+                divides.append(x)
+                return evaluate(p, x)
+
+            monkeypatch.setattr(netcomp, "invsqr_eval", record)
+        else:
+            divider, call = gauss._pivot_divider(None), netcomp.NetworkComponent.__call__
+
+            def record(comp, x):
+                if comp is divider:
+                    divides.append(x)
+                return call(comp, x)
+
+            monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record)
+        x, report = solve(sys, mode=mode)
+        monkeypatch.undo()
+        assert len(divides) == m
+        pivots = report["pivots"]
+        forward, backward = pivots[: m - 1], pivots[m - 1 :][::-1]
+        assert np.array(forward).tobytes() == np.array(backward[: m - 1]).tobytes()
+        want_x, want_pivots = step_loop(sys, mode, forward_eliminate_step,
+                                        backward_substitute_step)
+        assert x.array.tobytes() == want_x.array.tobytes()
+        assert np.array(pivots).tobytes() == np.array(want_pivots).tobytes()
 
     def test_default_relu_solves_share_one_divider(self):
         assert default_invsqr() is default_invsqr()

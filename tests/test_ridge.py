@@ -168,7 +168,7 @@ class TestGdRun:
         assert np.all(np.isfinite(f.array))
         assert b.array[0, 0] == np.inf and b.array[1, 0] == 1.0
 
-    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (3, 1), (3, 2), (20, 4), (100, 8)])
     def test_trace_is_iterated_gd_step(self, n, d):
         rng = np.random.default_rng(7 + n)
         x, y, u = random_ridge_arrays(rng, n, d)
@@ -180,16 +180,21 @@ class TestGdRun:
             assert [w.array.tobytes() for w in gd_run(p)] == [w.array.tobytes() for w in want]
 
     def test_signed_zero_trace_is_iterated_gd_step(self):
-        # n = d = 1: every factor has one entry. Multiplied as scalars rather than as @ does,
-        # the gradient would be -0.0 and w_1 = -0.0 - 0.5 * -0.0 would turn +0.0.
-        p = make_problem(Matrix([[0.0]]), Matrix([[1.0]]), Matrix([[1.0]]), 0.0, eta=0.5,
-                         steps=2, w0=Matrix([[-0.0]]))
-        want = [p.w0]
-        for _ in range(p.steps):
-            want.append(gd_step(p, want[-1]))
-        got = gd_run(p)
-        assert [w.array.tobytes() for w in got] == [w.array.tobytes() for w in want]
-        assert np.signbit(got[-1].array[0, 0])
+        # A one-entry factor (np.matmul's shapes): multiplied as scalars rather than as @
+        # does, the gradient would be -0.0 and w_1 = -0.0 - 0.5 * -0.0 would turn +0.0.
+        for n, d in ((1, 1), (1, 3), (3, 1)):
+            w0 = Matrix(np.full((d, 1), -0.0))
+            x, y, u = random_ridge_arrays(np.random.default_rng(9 + n + d), n, d)
+            zero_x = make_problem(Matrix(np.zeros((n, d))), Matrix(np.ones((n, 1))),
+                                  Matrix(np.ones((d, 1))), 0.0, eta=0.5, steps=2, w0=w0)
+            drawn_x = make_problem(Matrix(x), Matrix(y), Matrix(u), 0.5, steps=5, w0=w0)
+            for p in (zero_x, drawn_x):
+                want = [p.w0]
+                for _ in range(p.steps):
+                    want.append(gd_step(p, want[-1]))
+                got = gd_run(p)
+                assert [w.array.tobytes() for w in got] == [w.array.tobytes() for w in want]
+            assert np.signbit(gd_run(zero_x)[-1].array).all()
 
     def test_recomputed_on_every_call(self, monkeypatch):
         rng = np.random.default_rng(8)
