@@ -335,20 +335,13 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     # on a dense v the gather costs more than the O(1) activation it skips.
     out = np.zeros_like(a)
     keep = np.not_equal(1.0 if v is None else v, 0.0, out=np.empty(a.shape, dtype=bool))
-    if comp.activation == "invsqr":
-        out[keep] = invsqr_eval(comp.table, a[keep])
-    else:
-        # exact reciprocal square; zeros pass through as zeros, and a square
-        # that underflows to 0 gives inf, without a warning
-        keep = keep & (a != 0.0)
-        kept = a[keep]
-        with np.errstate(divide="ignore"):
-            out[keep] = 1.0 / (kept * kept)
+    exact = comp.activation == "invsqr_exact"
+    out[keep] = _exact_invsqr(a[keep]) if exact else invsqr_eval(comp.table, a[keep])
     return out
 
 
 def _exact_invsqr(a: np.ndarray) -> np.ndarray:
-    """1/(a*a) where a != 0 and 0 where a == 0: the exact divider's map."""
+    """The exact divider's map: 1/(a*a) where a != 0 (inf, silently, if a*a underflows), else 0."""
     sq = a * a
     # No zero square, so no division by zero; bool tests a 0-d square in
     # tens of nanoseconds, where .all() takes microseconds.

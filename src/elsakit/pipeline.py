@@ -31,13 +31,14 @@ changes only the columns its last block writes. The plan follows that
 through every step block: a projection reading no changing column is
 bound to the initial prompt once per run, and each step evaluates the
 rest on the columns that change only. Each bound block becomes one
-kernel, made once per run: straight-line code over the block's bound
-arrays that maps its narrow input to its accumulator, with the products,
-order and parenthesisation of the per-step forward. A unit slot, a
-projection that copies its one input column with weight 1, is that input
-itself, since no input of the loop holds -0.0: step 1 reads a contiguous
-copy of the prompt plus 0.0. The per-step :func:`step` and the literal
-dense forwards in :mod:`elsakit.attention` stay the oracles.
+kernel, from a factory the plan makes once per program: straight-line
+code over the block's bound arrays that maps its narrow input to its
+accumulator, with the products, order and parenthesisation of the
+per-step forward. A unit slot, a projection that copies its one input
+column with weight 1, is that input itself, since no input of the loop
+holds -0.0: step 1 reads a contiguous copy of the prompt plus 0.0. The
+per-step :func:`step` and the literal dense forwards in
+:mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -413,6 +414,7 @@ class _PlanBlock(NamedTuple):
     cols: Index  # A: the output columns the block's accumulator holds
     fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
     adds: tuple[tuple[int, Index, Optional[Index]], ...]  # (head, at, sel) in head order
+    bind: Callable  # the block's kernel factory, made by _kernel
 
 
 class StepPlan(NamedTuple):
@@ -459,11 +461,14 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     the prompt columns S: W, the coefficient column and whatever the first
     block's varying projections read. Block b's accumulator holds its
     varying columns and whatever block b+1's varying projections read; the
-    last block's holds S.
+    last block's holds S. Each block's kernel factory (:func:`_kernel`) is
+    made here, and a step head whose input shape differs from the layout's
+    raises DimensionMismatch.
     """
     height, width = layout.shape
-    if any(c.input_shape[1] != width for block in step for c in block):
-        raise DimensionMismatch(f"a step head's width differs from the layout's {width}")
+    for c in (c for block in step for c in block):
+        if c.input_shape[1] != width or c.input_shape[0] not in (None, height):
+            raise DimensionMismatch(f"step head shape {c.input_shape} != layout {layout.shape}")
     every = np.arange(width)
     varying_in = _mask(width, *(c.p2.cols for c in step[-1]))
     flags, reads, outs = [], [], []
@@ -511,7 +516,8 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
         blocks.append(_PlanBlock(tuple(c.p2.cols for c in block), tuple(slots), tuple(head_reads),
-                                 tuple(dots), tuple(varying), _index(cols), fresh, tuple(adds)))
+                                 tuple(dots), tuple(varying), _index(cols), fresh, tuple(adds),
+                                 _kernel(slots, head_reads, dots, varying, adds)))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
     return StepPlan(_index(every[state]), position, tuple(blocks))
 
@@ -522,85 +528,76 @@ def _unit(slot: _Slot) -> bool:
             and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
 
 
-def _kernel(blk: _PlanBlock, values: list, adds: list, start: np.ndarray) -> Callable:
-    """One step of a bound block as straight-line code: its narrow input x to its accumulator.
+def _kernel(slots: list[_Slot], reads: list, dots: list, varying: list, adds: list) -> Callable:
+    """A bound step block's kernel factory bind(start, values, consts), made by one exec.
 
-    values, adds and start are :func:`_bind`'s for blk. The kernel runs the
-    varying slots, then the additions, with the products, order and
+    The arguments are the block's :class:`_PlanBlock` fields; bind's are
+    what :func:`_bind` computes for a run. bind adds the constant terms
+    before the first varying one into start, in the order each step would
+    add them, and returns the kernel: straight-line code from the block's
+    narrow input x to its accumulator, with the products, order and
     parenthesisation of :meth:`_Slot.value` and :func:`compiled_forward`. A
     unit slot (:func:`_unit`) computes x @ [[1.0]], which is x + 0.0; no
-    input the run loop passes holds -0.0, so the slot is x itself. When the
-    first addition covers every column, the accumulator is start + term,
-    the same sum as a copy of start followed by +=. The bound arrays and
-    products are the kernel's closure cells; np.dot is bound without its
-    __array_function__ dispatch, which no plain ndarray needs.
+    input the run loop passes holds -0.0, so it is x itself. Any other
+    varying slot calls its :meth:`_Slot.value`. When the first remaining
+    addition covers every column, the accumulator is start + term, the same
+    sum as a copy of start followed by +=. The plan's arrays and products
+    are the factory's globals.
     """
-    cells, slots, operands = {"start": start}, [], {}
+    cells, prologue, slot_lines, operands = {}, [], [], {}
 
-    def cell(value) -> str:
-        """The name the kernel reads value by: a product by its own name, an array as a<n>."""
-        if callable(value):
-            # np.dot without its __array_function__ dispatch: every operand is a plain ndarray.
-            name, value = value.__name__, getattr(value, "_implementation", value)
-        else:
-            name = f"a{len(cells)}"
+    def cell(value, name: str = "") -> str:
+        name = name or f"a{len(cells)}"
         cells[name] = value
         return name
 
-    for i in blk.varying:
-        slot = blk.slots[i]
-        if _unit(slot):
-            operands[i] = "x.T" if slot.transposed else "x"
-            continue
-        t = "x" if slot.rows is None else f"x[:, {cell(slot.rows)}]"
-        t = f"{cell(slot.dot)}({t}, {cell(slot.w)})"
-        t = t if slot.b is None else f"({t} + {cell(slot.b)})"
-        t = t if slot.k is None else f"{t}[:, {cell(slot.k)}]"
-        slots.append(f"v{i} = {t}{'.T' if slot.transposed else ''}")
-        operands[i] = f"v{i}"
+    for i in varying:
+        if _unit(slots[i]):
+            operands[i] = "x.T" if slots[i].transposed else "x"
+        else:
+            slot_lines.append(f"v{i} = {cell(slots[i].value)}(x)")
+            operands[i] = f"v{i}"
 
     def operand(r: int) -> str:
         if r not in operands:
-            operands[r] = cell(values[r])
+            prologue.append(f"b{r} = values[{r}]")
+            operands[r] = f"b{r}"
         return operands[r]
 
-    first, terms = "acc = start", []
-    for j, (at, const, r1, r2, r3, dot) in enumerate(adds):
-        if const is None:
-            f = cell(dot)
-            term = f"{f}({operand(r3)}, {f}({operand(r1)}, {operand(r2)}))"
-        else:
-            term = cell(const)
-        if j == 0 and at is None:
-            first = f"acc = start + {term}"
+    first, terms = None, []
+    for head, at, sel in adds:
+        into = "" if at is None else f"[:, {cell(at)}]"
+        if sel is None:
+            # np.dot without its __array_function__ dispatch: every operand is a plain ndarray.
+            f = cell(getattr(dots[head], "_implementation", dots[head]), dots[head].__name__)
+            r1, r2, r3 = map(operand, reads[head])
+            term = f"{f}({r3}, {f}({r1}, {r2}))"
+        elif first is None:
+            # A constant term before the first varying one: added into start, once.
+            prologue.append(f"start{into} += consts[{head}][:, {cell(sel)}]")
             continue
-        if j == 0:
-            first = "acc = start.copy()"
-        terms.append(f"acc{'' if at is None else f'[:, {cell(at)}]'} += {term}")
-    body = "".join(f"        {line}\n" for line in (*slots, first, *terms, "return acc"))
-    return _compile(f"def bind({', '.join(cells)}):\n    def kernel(x):\n{body}"
-                    "    return kernel\n")(**cells)
-
-
-@lru_cache(maxsize=64)
-def _compile(source: str) -> Callable:
-    """The kernel factory bind that source defines; one compilation per distinct source."""
-    scope = {}
-    exec(source, scope)
-    return scope["bind"]
+        else:
+            prologue.append(f"c{head} = consts[{head}][:, {cell(sel)}]")
+            term = f"c{head}"
+        if first is None and at is None:
+            first = f"acc = start + {term}"
+        else:
+            first = first or "acc = start.copy()"
+            terms.append(f"acc{into} += {term}")
+    kernel = (*slot_lines, first or "acc = start", *terms, "return acc")
+    lines = (*prologue, "def kernel(x):", *(f"    {line}" for line in kernel), "return kernel")
+    exec("def bind(start, values, consts):\n" + "".join(f"    {line}\n" for line in lines), cells)
+    return cells.pop("bind")
 
 
 def _bind(plan: StepPlan, h0: np.ndarray) -> list[Callable]:
-    """The plan's step blocks bound to the prompt h0: one :func:`_kernel` per block.
+    """The plan's step blocks bound to the prompt h0: each block's kernel factory called once.
 
     Block by block, the bound slots read the block's input with only its
     constant columns filled in: h0 for the first block, then the previous
-    block's constant heads summed in head order. Each block's additions are
-    (at, constant term or None, t1^T, t2 and t3 slots, product), and its
-    accumulator starts at 0.0 in the varying columns. The constant terms
-    that come before the first varying one are added into the start here,
-    once, in the order each step would add them, and dropped from the
-    additions.
+    block's constant heads summed in head order. A block's accumulator
+    starts at 0.0 in the varying columns, and its factory (:func:`_kernel`)
+    adds the leading constant terms into that start.
     """
     kernels = []
     x = h0
@@ -614,15 +611,7 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> list[Callable]:
                 out[:, written] += consts[i]
         start = out[:, blk.cols].copy()
         start[:, blk.fresh] = 0.0
-        adds = [(at, None if sel is None else consts[i][:, sel], *blk.reads[i], blk.dots[i])
-                for i, at, sel in blk.adds]
-        while adds and adds[0][1] is not None:
-            at, const = adds.pop(0)[:2]
-            if at is None:
-                start += const
-            else:
-                start[:, at] += const
-        kernels.append(_kernel(blk, values, adds, start))
+        kernels.append(blk.bind(start, values, consts))
         x = out
     return kernels
 
@@ -637,17 +626,17 @@ def run_program(
     it binds the whole step module to the initial prompt once, so every
     projection that reads no column the step changes is evaluated once per
     run, and a head whose three projections all are becomes one constant
-    term. Each bound block is one kernel, straight-line code made once per
-    run (:func:`_kernel`). Each step then runs the kernels in block order:
-    a kernel evaluates only the varying projections on the columns that
-    change, taking a unit slot as its input, and adds the head terms in
-    head order into a narrow accumulator; the step adds the state back as
-    the skip connection. Step 1 reads a contiguous copy of the prompt
-    plus 0.0, while the trace keeps the prompt's own w0. The full prompt
-    is rebuilt once, for the readout. It equals :func:`step` bit for bit,
-    and :func:`step` stays the per-step oracle. A divergent run overflows
-    silently, and its trace ends before the first non-finite coefficient
-    column.
+    term. Each bound block is one kernel, straight-line code from the
+    factory the plan made once per program (:func:`_kernel`). Each step
+    then runs the kernels in block order: a kernel evaluates only the
+    varying projections on the columns that change, taking a unit slot as
+    its input, and adds the head terms in head order into a narrow
+    accumulator; the step adds the state back as the skip connection.
+    Step 1 reads a contiguous copy of the prompt plus 0.0, while the trace
+    keeps the prompt's own w0. The full prompt is rebuilt once, for the
+    readout. It equals :func:`step` bit for bit, and :func:`step` stays the
+    per-step oracle. A divergent run overflows silently, and its trace ends
+    before the first non-finite coefficient column.
     """
     ws, h_final, prediction = _run_compiled(prog.compiled, state, steps)
     return Matrix.from_stack(ws), h_final, prediction
@@ -664,10 +653,6 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
     h = state.h.array
-    for c in (c for block in prog.step for c in block):
-        rows, width = c.input_shape
-        if h.shape[1] != width or rows not in (None, h.shape[0]):
-            raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
     plan = prog.plan
     first = h[:, plan.cols]
     hs = np.empty((steps + 1, *first.shape))

@@ -694,6 +694,16 @@ class TestCompiledProgram:
         prog = Program(DesignedLayout(3, 2), wider.step, wider.readout, wider.cell)
         with pytest.raises(DimensionMismatch):
             run_program(prog, build_designed_input(p), p.steps)
+        # Heads as wide as the (3, 11) prompt, with biases of 5 rows.
+        taller = wrap_designed_as_elsa(build_designed_weights(2, 4))
+        prog = Program(DesignedLayout(3, 2), taller.step, taller.readout, taller.cell)
+        state = build_designed_input(p)
+        refused = r"\(5, 11\) != layout \(3, 11\)"
+        for steps in (0, 3):
+            with pytest.raises(DimensionMismatch, match=refused):
+                run_program(prog, state, steps)
+        with pytest.raises(DimensionMismatch, match=refused):
+            step(state, prog)
 
     @pytest.mark.parametrize("reader", ["w1", "w3"])
     def test_head_reading_the_written_column_runs_each_step(self, reader):
@@ -785,6 +795,35 @@ class TestStepPlan:
         # kernel evaluates them into locals of its own.
         kernels = pipeline._bind(plan, np.ones(prog.layout.shape))
         assert [len(k.__code__.co_varnames) for k in kernels] == [4, 3]
+
+    def test_kernels_are_made_once_per_program(self, monkeypatch):
+        made, kernel = [], pipeline._kernel
+
+        def counted(*args):
+            made.append(kernel(*args))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline, "_kernel", counted)
+        p = problem(np.random.default_rng(72), 3, 2, steps=4)
+        programs = TestCompiledProgram.programs(p)
+        programs["two-block"] = (two_block_program(p.n, p.d), build_designed_input(p))
+        for name, (prog, state) in programs.items():
+            made.clear()
+            blocks = prog.compiled.plan.blocks
+            assert made == [b.bind for b in blocks], name
+            for _ in range(3):
+                run_program(prog, state, p.steps)
+            assert len(made) == len(blocks), name
+            assert all(b.bind is f for b, f in zip(prog.compiled.plan.blocks, made)), name
+        binds = {form: [b.bind for b in pipeline._compiled_program(form, p.n, p.d).plan.blocks]
+                 for form in ("lsa", "elsa")}
+        made.clear()
+        for form in ("lsa", "elsa", "lsa", "elsa"):
+            run_pipeline(p, form)
+        assert made == []
+        for form, factories in binds.items():
+            blocks = pipeline._compiled_program(form, p.n, p.d).plan.blocks
+            assert all(b.bind is f for b, f in zip(blocks, factories)), form
 
     @pytest.mark.parametrize("steps", [0, 1, 12])
     def test_two_block_program_is_the_step_loop(self, steps):

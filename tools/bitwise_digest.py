@@ -41,7 +41,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   and its neighbouring floats, then seeded draws over many scales): each
   point as a float64 scalar, a 0-d array and a Python float, with the
   result's type name; then prefixes of the pool of INVSQR_SIZES points, a
-  2-D grid and its transpose.
+  2-D grid and its transpose;
+* masked-components: component_forward of the mask, the exact divider, the
+  default-table divider and an affine unit with a matrix C (gamma the mask
+  and gamma -2.5), under MaskSpec masks and anti-masks of several blocks,
+  on seeded grids of MASKED_SHAPES with about 30% of their entries drawn
+  from extremes (+-0, +-inf, NaN, +-1e308, +-1e+-160, subnormals).
 """
 
 import hashlib
@@ -62,7 +67,9 @@ from oracles import (  # noqa: E402
 
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
+    BlockSpec,
     LinearSystem,
+    MaskSpec,
     Matrix,
     backward_substitute_step,
     build_designed_input,
@@ -70,9 +77,14 @@ from elsakit import (  # noqa: E402
     build_enumerated_input,
     build_enumerated_weights,
     build_invsqr,
+    component_forward,
+    default_invsqr,
     embed_system,
     forward_eliminate_step,
     invsqr_eval,
+    make_affine_component,
+    make_divider_component,
+    make_mask_component,
     make_problem,
     run_pipeline,
     run_program,
@@ -90,6 +102,9 @@ INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
                 "geometric:x1=1e-2,xmax=1e2,n=300", "explicit:1,2")
 # Fixed sizes that straddle 64- and 256-point blocks.
 INVSQR_SIZES = (0, 1, 2, 63, 64, 65, 197, 255, 256, 257, 773, 3013)
+MASKED_SHAPES = ((1, 1), (1, 4), (3, 1), (2, 3), (5, 5), (7, 4), (12, 9))
+MASKED_EXTREMES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e160, -1e160,
+                   1e-160, -1e-160, 5e-324, -5e-324, np.finfo(np.float64).tiny, 1e-310)
 
 
 def with_negative_zeros(rng, f, alpha):
@@ -243,6 +258,36 @@ def digest_invsqr_extreme(h):
                 h.update(out.tobytes())
 
 
+def masked_grid(rng, shape):
+    """Signed draws over 12 decades, about 30% of them replaced by extremes."""
+    grid = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    hit = rng.random(shape) < 0.3
+    grid[hit] = rng.choice(MASKED_EXTREMES, size=int(hit.sum()))
+    return Matrix.from_array(grid)
+
+
+def digest_masked_components(h):
+    table = default_invsqr()
+    with np.errstate(all="ignore"):
+        for m, n in MASKED_SHAPES:
+            rng = np.random.default_rng([m, n, 24])
+            for _ in range(3):
+                rows = np.sort(rng.integers(1, m + 1, size=2))
+                cols = np.sort(rng.integers(1, n + 1, size=2))
+                block = BlockSpec(int(rows[0]), int(rows[1]), int(cols[0]), int(cols[1]))
+                for anti in (False, True):
+                    spec = MaskSpec(block, m, n, anti=anti)
+                    masking = make_mask_component(spec)
+                    comps = (masking, make_divider_component(spec, None),
+                             make_divider_component(spec, table),
+                             make_affine_component(masking.v[0], masked_grid(rng, (m, n))),
+                             make_affine_component(-2.5, masked_grid(rng, (m, n))))
+                    for _ in range(2):
+                        x = masked_grid(rng, (m, n))
+                        for comp in comps:
+                            h.update(component_forward(x, comp).array.tobytes())
+
+
 def main():
     for name, fill in (("solves", digest_solves), ("step-states", digest_step_states),
                        ("run-pipeline", digest_run_pipeline),
@@ -253,7 +298,8 @@ def main():
                         lambda h: digest_run_pipeline(h, signed_ridge_problems)),
                        ("run-program-plans", digest_run_program_plans),
                        ("solves-wide-pivots", digest_wide_pivot_solves),
-                       ("invsqr-extreme", digest_invsqr_extreme)):
+                       ("invsqr-extreme", digest_invsqr_extreme),
+                       ("masked-components", digest_masked_components)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
