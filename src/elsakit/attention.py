@@ -127,16 +127,20 @@ def _index(ix: np.ndarray) -> Index:
 
 
 class _Projection(NamedTuple):
-    """One projection H W + B restricted to its support."""
+    """One projection (H W + B)[:, k] restricted to its support, transposed for a head's t1."""
 
-    rows: Index  # R: rows of W[:, C] with a nonzero entry
+    rows: Optional[Index]  # R: rows of W[:, C] with a nonzero entry; None keeps every row
     cols: Index  # C: columns where W or B has a nonzero entry
     w: np.ndarray  # W[R, C]
     b: Optional[np.ndarray]  # B[:, C], or None when B is absent or all zero
+    k: Optional[Index] = None  # the positions within C a head's product reads; None keeps all
+    transposed: bool = False
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        t = h[:, self.rows] @ self.w
-        return t if self.b is None else t + self.b
+        t = (h if self.rows is None else h[:, self.rows]) @ self.w
+        t = t if self.b is None else t + self.b
+        t = t if self.k is None else t[:, self.k]
+        return t.T if self.transposed else t
 
 
 def _project(w: Matrix, b: Optional[Matrix]) -> _Projection:
@@ -156,8 +160,6 @@ class CompiledHead(NamedTuple):
     p1: _Projection
     p2: _Projection
     p3: _Projection
-    k1: Index  # positions of K = C1 & C3 within C1
-    k3: Index  # positions of K within C3
     input_shape: tuple[Optional[int], int]  # (rows or None for a plain head, width)
 
 
@@ -168,7 +170,8 @@ def compile_head(p: AnyHead) -> CompiledHead:
     the rows R_l where W_l[:, C_l] is nonzero, so t_l = H[:, R_l] W_l[R_l, C_l]
     (+ B_l[:, C_l]) is the nonzero part of H W_l + B_l. The output is nonzero
     only in the columns C2, and only the columns K = C1 & C3 of t1 and t3
-    meet. The products keep the literal forward's parenthesization, so a head
+    meet: p1 and p3 keep K's positions as their k, and p1 is transposed.
+    The products keep the literal forward's parenthesization, so a head
     whose supports are full computes exactly what the literal forward does.
     The view is exact for finite prompts: it skips the 0 * inf terms that
     turn the dense forward's output into NaN, and :class:`Matrix` keeps
@@ -180,7 +183,8 @@ def compile_head(p: AnyHead) -> CompiledHead:
     cols1, cols3 = np.arange(n)[p1.cols], np.arange(n)[p3.cols]
     _, k1, k3 = np.intersect1d(cols1, cols3, assume_unique=True, return_indices=True)
     rows = p.input_shape[0] if isinstance(p, ElsaParams) else None
-    return CompiledHead(p1, p2, p3, _index(k1), _index(k3), (rows, n))
+    p1, p3 = p1._replace(k=_index(k1), transposed=True), p3._replace(k=_index(k3))
+    return CompiledHead(p1, p2, p3, (rows, n))
 
 
 def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray:
@@ -197,7 +201,7 @@ def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray
         if h.shape[1] != width or rows not in (None, h.shape[0]):
             raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
         t1, t2, t3 = c.p1.apply(h), c.p2.apply(h), c.p3.apply(h)
-        out[:, c.p2.cols] += t3[:, c.k3] @ (t1[:, c.k1].T @ t2)
+        out[:, c.p2.cols] += t3 @ (t1 @ t2)
     return out
 
 

@@ -198,6 +198,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_array(a.array @ b.array)
 
 
+_DOT = getattr(np.dot, "_implementation", np.dot)
+
+
 def product_for(rows: int, inner: int):
     """np.dot or np.matmul, whichever computes a rows-by-inner times inner-by-k product as @ does.
 
@@ -207,9 +210,11 @@ def product_for(rows: int, inner: int):
     product can keep its minus sign, and a zero scalar is skipped, so that
     0 * inf gives 0. It also has BLAS form a one-column by one-row product
     where @ adds each term to 0.0, and sends a one-row factor to another
-    gemv. There np.matmul, the function behind @, is returned.
+    gemv. There np.matmul, the function behind @, is returned. np.dot is
+    returned as its _implementation where numpy has one: the same C function
+    without the __array_function__ dispatch, which no plain ndarray needs.
     """
-    return np.dot if rows > 1 and inner > 1 else np.matmul
+    return _DOT if rows > 1 and inner > 1 else np.matmul
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -28,17 +28,18 @@ once per program. :func:`run_pipeline` keeps only that view, once per
 form and (n, d), and checks a run against the problem's descent and closed
 form, computed once per problem object and shared by both forms. A step
 changes only the columns its last block writes. The plan follows that
-through every step block: a projection reading no changing column is
-bound to the initial prompt once per run, and each step evaluates the
-rest on the columns that change only. Each bound block becomes one
-kernel, from a factory the plan makes once per program: straight-line
-code over the block's bound arrays that maps its narrow input to its
-accumulator, with the products, order and parenthesisation of the
-per-step forward. A unit slot, a projection that copies its one input
-column with weight 1, is that input itself, since no input of the loop
-holds -0.0: step 1 reads a contiguous copy of the prompt plus 0.0. The
-per-step :func:`step` and the literal dense forwards in
-:mod:`elsakit.attention` stay the oracles.
+through every step block. Its slots are the heads' own compiled
+projections, evaluated by :meth:`elsakit.attention._Projection.apply`: one
+reading no changing column is bound to the initial prompt once per run,
+and each step evaluates the rest on the columns that change only. Each
+bound block becomes one kernel, from a factory the plan makes once per
+program: straight-line code over the block's bound arrays that maps its
+narrow input to its accumulator, with the products, order and
+parenthesisation of the per-step forward. A unit slot, a projection that
+copies its one input column with weight 1, is that input itself, since no
+input of the loop holds -0.0: step 1 reads a contiguous copy of the
+prompt plus 0.0. The per-step :func:`step` and the literal dense forwards
+in :mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .attention import CompiledHead, ElsaParams, Index, LsaParams, _index
-from .attention import compile_head, compiled_forward
+from .attention import CompiledHead, ElsaParams, EmptyHeads, Index, LsaParams, _index
+from .attention import _Projection, compile_head, compiled_forward
 from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, block_write, eye_block
 from .matrix import identity, product_for, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
@@ -138,13 +139,17 @@ class Program:
     ``step`` and ``readout`` are modules: blocks run in sequence, then the
     skip connection. A block is a tuple of heads whose forwards are summed;
     every head is nonzero. The readout leaves the prediction in ``cell``
-    (1-based row, column).
+    (1-based row, column). An empty module or block raises EmptyHeads.
     """
 
     layout: Layout
     step: tuple[Block, ...]
     readout: tuple[Block, ...]
     cell: tuple[int, int]
+
+    def __post_init__(self):
+        if not (self.step and self.readout and all(self.step) and all(self.readout)):
+            raise EmptyHeads("every module needs a block and every block a head")
 
     @cached_property
     def compiled(self) -> CompiledProgram:
@@ -380,40 +385,13 @@ def extract_w(state: PipelineState) -> Matrix:
     return block_read(state.h, BlockSpec(1, d, state.layout.w_col, state.layout.w_col))
 
 
-class _Slot(NamedTuple):
-    """One distinct projection of a step block as its heads read it: (x[:, rows] w + b)[:, k].
-
-    The value is transposed for a head's t1. A varying slot's rows are
-    positions in the block's narrow input, a bound slot's are columns of the
-    whole block input; rows and k are None where they would keep every
-    column. dot is the product x[:, rows] w, as :func:`product_for` picks it.
-    """
-
-    rows: Optional[Index]
-    w: np.ndarray
-    b: Optional[np.ndarray]
-    k: Optional[Index]
-    transposed: bool
-    dot: Callable
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        t = self.dot(x if self.rows is None else x[:, self.rows], self.w)
-        t = t if self.b is None else t + self.b
-        t = t if self.k is None else t[:, self.k]
-        return t.T if self.transposed else t
-
-
 class _PlanBlock(NamedTuple):
     """One step block split into the projections and columns that vary and those that do not."""
 
-    writes: tuple[Index, ...]  # per head, the output columns C2 it writes
-    slots: tuple[_Slot, ...]
-    reads: tuple[tuple[int, int, int], ...]  # per head, the slots of its t1^T, t2 and t3
-    dots: tuple[Callable, ...]  # per head, the product of t1^T t2 and of t3 (t1^T t2)
+    slots: tuple[_Projection, ...]  # head i's t1, t2 and t3 are slots 3i, 3i+1 and 3i+2
     varying: tuple[int, ...]  # the slots evaluated at every step
     cols: Index  # A: the output columns the block's accumulator holds
     fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
-    adds: tuple[tuple[int, Index, Optional[Index]], ...]  # (head, at, sel) in head order
     bind: Callable  # the block's kernel factory, made by _kernel
 
 
@@ -456,14 +434,17 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     was. Within a block, a projection that reads no varying input column is
     bound, and a head whose three projections are bound is a constant term;
     the block's varying output columns are those its other heads write, and
-    they are the next block's varying input (W for the first block).
-    Identical projections of one block share a slot. The loop's state holds
-    the prompt columns S: W, the coefficient column and whatever the first
-    block's varying projections read. Block b's accumulator holds its
-    varying columns and whatever block b+1's varying projections read; the
-    last block's holds S. Each block's kernel factory (:func:`_kernel`) is
-    made here, and a step head whose input shape differs from the layout's
-    raises DimensionMismatch.
+    they are the next block's varying input (W for the first block). Each
+    slot is its head's own projection, evaluated by
+    :meth:`~elsakit.attention._Projection.apply`: a varying one's rows are
+    positions in the block's narrow input, a bound one's columns of the
+    whole block input, and rows and k are None where they would keep every
+    column. The loop's state holds the prompt columns S: W, the coefficient
+    column and whatever the first block's varying projections read. Block
+    b's accumulator holds its varying columns and whatever block b+1's
+    varying projections read; the last block's holds S. Each block's kernel
+    factory (:func:`_kernel`) is made here, and a step head whose input
+    shape differs from the layout's raises DimensionMismatch.
     """
     height, width = layout.shape
     for c in (c for block in step for c in block):
@@ -485,27 +466,16 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     blocks = []
     for b, block in enumerate(step):
         source, cols = every[state if b == 0 else held[b - 1]], every[held[b]]
-        slots, keys, varying, head_reads, dots = [], {}, [], [], []
+        slots, varying, dots = [], [], []
         for c, fc in zip(block, flags[b]):
-            read = []
-            for (p, k, transposed), v in zip(((c.p1, c.k1, True), (c.p2, None, False),
-                                              (c.p3, c.k3, False)), fc):
-                k = _whole(k, p.w.shape[1])
-                key = (every[p.rows].tobytes(), p.w.shape, p.w.tobytes(),
-                       None if p.b is None else (p.b.shape, p.b.tobytes()),
-                       None if k is None else every[: p.w.shape[1]][k].tobytes(), transposed)
-                if key not in keys:
-                    keys[key] = len(slots)
-                    rows = _narrow(p.rows, source, width) if v else _whole(p.rows, width)
-                    dot = product_for(height, p.w.shape[0])
-                    slots.append(_Slot(rows, p.w, p.b, k, transposed, dot))
-                    if v:
-                        varying.append(keys[key])
-                read.append(keys[key])
-            head_reads.append(tuple(read))
+            for p, v in zip((c.p1, c.p2, c.p3), fc):
+                if v:
+                    varying.append(len(slots))
+                rows = _narrow(p.rows, source, width) if v else _whole(p.rows, width)
+                slots.append(p._replace(rows=rows, k=_whole(p.k, p.w.shape[1])))
             # t1^T t2 is (m, height) by (height, .) and t3 (t1^T t2) is (height, m) by (m, .),
             # so one pick serves both.
-            dots.append(product_for(height, every[: c.p1.w.shape[1]][c.k1].size))
+            dots.append(product_for(height, every[: c.p1.w.shape[1]][c.p1.k].size))
         adds = []
         for i, (c, fc) in enumerate(zip(block, flags[b])):
             written = every[c.p2.cols]
@@ -515,34 +485,36 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                 adds.append((i, _whole(_index(np.searchsorted(cols, written[keep])), cols.size),
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
-        blocks.append(_PlanBlock(tuple(c.p2.cols for c in block), tuple(slots), tuple(head_reads),
-                                 tuple(dots), tuple(varying), _index(cols), fresh, tuple(adds),
-                                 _kernel(slots, head_reads, dots, varying, adds)))
+        blocks.append(_PlanBlock(tuple(slots), tuple(varying), _index(cols), fresh,
+                                 _kernel(slots, dots, varying, adds)))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
     return StepPlan(_index(every[state]), position, tuple(blocks))
 
 
-def _unit(slot: _Slot) -> bool:
+def _unit(slot: _Projection) -> bool:
     """A slot that is its narrow input: weight [[1.0]], no bias and no k, on every row."""
     return (slot.rows is None and slot.b is None and slot.k is None
             and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
 
 
-def _kernel(slots: list[_Slot], reads: list, dots: list, varying: list, adds: list) -> Callable:
+def _kernel(slots: list[_Projection], dots: list, varying: list, adds: list) -> Callable:
     """A bound step block's kernel factory bind(start, values, consts), made by one exec.
 
-    The arguments are the block's :class:`_PlanBlock` fields; bind's are
-    what :func:`_bind` computes for a run. bind adds the constant terms
-    before the first varying one into start, in the order each step would
-    add them, and returns the kernel: straight-line code from the block's
-    narrow input x to its accumulator, with the products, order and
-    parenthesisation of :meth:`_Slot.value` and :func:`compiled_forward`. A
-    unit slot (:func:`_unit`) computes x @ [[1.0]], which is x + 0.0; no
-    input the run loop passes holds -0.0, so it is x itself. Any other
-    varying slot calls its :meth:`_Slot.value`. When the first remaining
-    addition covers every column, the accumulator is start + term, the same
-    sum as a copy of start followed by +=. The plan's arrays and products
-    are the factory's globals.
+    slots and varying are the block's :class:`_PlanBlock` fields; per head,
+    dots holds the product of its t1^T t2 and t3 (t1^T t2), and adds its
+    (head, at, sel) in head order: the accumulator columns its term lands
+    in and, for a constant head, which of its columns vary. bind's
+    arguments are what :func:`_bind` computes for a run. bind adds the
+    constant terms before the first varying one into start, in the order
+    each step would add them, and returns the kernel: straight-line code
+    from the block's narrow input x to its accumulator, with the products,
+    order and parenthesisation of :meth:`~elsakit.attention._Projection.apply`
+    and :func:`compiled_forward`. A unit slot (:func:`_unit`) computes
+    x @ [[1.0]], which is x + 0.0; no input the run loop passes holds -0.0,
+    so it is x itself. Any other varying slot calls its apply. When the
+    first remaining addition covers every column, the accumulator is
+    start + term, the same sum as a copy of start followed by +=. The plan's
+    arrays and products are the factory's globals.
     """
     cells, prologue, slot_lines, operands = {}, [], [], {}
 
@@ -555,7 +527,7 @@ def _kernel(slots: list[_Slot], reads: list, dots: list, varying: list, adds: li
         if _unit(slots[i]):
             operands[i] = "x.T" if slots[i].transposed else "x"
         else:
-            slot_lines.append(f"v{i} = {cell(slots[i].value)}(x)")
+            slot_lines.append(f"v{i} = {cell(slots[i].apply)}(x)")
             operands[i] = f"v{i}"
 
     def operand(r: int) -> str:
@@ -568,9 +540,8 @@ def _kernel(slots: list[_Slot], reads: list, dots: list, varying: list, adds: li
     for head, at, sel in adds:
         into = "" if at is None else f"[:, {cell(at)}]"
         if sel is None:
-            # np.dot without its __array_function__ dispatch: every operand is a plain ndarray.
-            f = cell(getattr(dots[head], "_implementation", dots[head]), dots[head].__name__)
-            r1, r2, r3 = map(operand, reads[head])
+            f = cell(dots[head], dots[head].__name__)
+            r1, r2, r3 = map(operand, range(3 * head, 3 * head + 3))
             term = f"{f}({r3}, {f}({r1}, {r2}))"
         elif first is None:
             # A constant term before the first varying one: added into start, once.
@@ -594,21 +565,24 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> list[Callable]:
     """The plan's step blocks bound to the prompt h0: each block's kernel factory called once.
 
     Block by block, the bound slots read the block's input with only its
-    constant columns filled in: h0 for the first block, then the previous
-    block's constant heads summed in head order. A block's accumulator
-    starts at 0.0 in the varying columns, and its factory (:func:`_kernel`)
-    adds the leading constant terms into that start.
+    constant columns filled in, by :meth:`~elsakit.attention._Projection.apply`:
+    h0 for the first block, then the previous block's constant heads summed
+    in head order, each t3 @ (t1 @ t2) as in :func:`compiled_forward`. A
+    block's accumulator starts at 0.0 in the varying columns, and its
+    factory (:func:`_kernel`) adds the leading constant terms into that
+    start.
     """
     kernels = []
     x = h0
     for blk in plan.blocks:
-        values = [None if i in blk.varying else s.value(x) for i, s in enumerate(blk.slots)]
+        values = [None if i in blk.varying else s.apply(x) for i, s in enumerate(blk.slots)]
         out = np.zeros(x.shape)
         consts = {}
-        for i, (written, (r1, r2, r3), dot) in enumerate(zip(blk.writes, blk.reads, blk.dots)):
-            if all(values[r] is not None for r in (r1, r2, r3)):
-                consts[i] = dot(values[r3], dot(values[r1], values[r2]))
-                out[:, written] += consts[i]
+        for i in range(len(values) // 3):
+            t1, t2, t3 = values[3 * i : 3 * i + 3]
+            if t1 is not None and t2 is not None and t3 is not None:
+                consts[i] = t3 @ (t1 @ t2)
+                out[:, blk.slots[3 * i + 1].cols] += consts[i]
         start = out[:, blk.cols].copy()
         start[:, blk.fresh] = 0.0
         kernels.append(blk.bind(start, values, consts))

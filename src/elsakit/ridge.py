@@ -179,7 +179,6 @@ def _descent(p: RidgeProblem) -> np.ndarray:
     """
     x, eta, lam = p.x.array, p.eta, p.lam
     xt, dot = x.T, product_for(*x.shape)
-    dot = getattr(dot, "_implementation", dot)
     add, multiply, subtract = np.add, np.multiply, np.subtract
     ws = np.empty((p.steps + 1, p.d, 1))
     xw, step, lam_w = np.empty((p.n, 1)), np.empty((p.d, 1)), np.empty((p.d, 1))

@@ -18,6 +18,7 @@ from elsakit import (
     BadProblemFile,
     DesignedLayout,
     DimensionMismatch,
+    EmptyHeads,
     EnumeratedLayout,
     LayoutMismatch,
     Matrix,
@@ -571,7 +572,8 @@ class TestStructuralInvariants:
                         assert same_index(pa.rows, pb.rows) and same_index(pa.cols, pb.cols)
                         assert np.array_equal(pa.w, pb.w)
                         assert pa.b is None and pb.b is None
-                    assert same_index(a.k1, b.k1) and same_index(a.k3, b.k3)
+                        assert pa.transposed == pb.transposed
+                    assert same_index(a.p1.k, b.p1.k) and same_index(a.p3.k, b.p3.k)
                     assert a.input_shape[1] == b.input_shape[1]
         rng = np.random.default_rng(50 + n)
         p = problem(rng, n, d, steps=20, w0=rng.normal(size=(d, 1)))
@@ -705,6 +707,16 @@ class TestCompiledProgram:
         with pytest.raises(DimensionMismatch, match=refused):
             step(state, prog)
 
+    def test_empty_modules_and_blocks_are_refused(self):
+        designed = build_designed_weights(3, 2)
+        layout, step_module, readout_module, cell = (designed.layout, designed.step,
+                                                     designed.readout, designed.cell)
+        # An empty step module, step block, readout module and readout block.
+        for modules in (((), readout_module), (((),), readout_module), (step_module, ()),
+                        (step_module, ((),))):
+            with pytest.raises(EmptyHeads):
+                Program(layout, *modules, cell)
+
     @pytest.mark.parametrize("reader", ["w1", "w3"])
     def test_head_reading_the_written_column_runs_each_step(self, reader):
         rng = np.random.default_rng(63)
@@ -735,8 +747,9 @@ class TestStepPlan:
 
     @staticmethod
     def varying_reads(block):
-        """Per head, which of its t1, t2 and t3 slots are evaluated at every step."""
-        return [tuple(r in block.varying for r in reads) for reads in block.reads]
+        """Per head i, which of its t1, t2 and t3 slots (3i, 3i+1 and 3i+2) vary at every step."""
+        heads = range(len(block.slots) // 3)
+        return [tuple(r in block.varying for r in range(3 * i, 3 * i + 3)) for i in heads]
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
     def test_designed_step_evaluates_one_shared_projection(self, n, d):
@@ -744,10 +757,10 @@ class TestStepPlan:
         for prog in (designed, wrap_designed_as_elsa(designed)):
             plan = prog.compiled.plan
             (block,) = plan.blocks
-            assert len(block.varying) == 1
             assert self.varying_reads(block) == [(False, False, False), (False, True, False),
                                                  (False, True, False)]
-            assert block.reads[1][1] == block.reads[2][1]
+            # Heads 2 and 3 read w through unit slots, so the kernel reads both as its input.
+            assert all(pipeline._unit(block.slots[i]) for i in block.varying)
             s = prog.layout.s
             assert np.array_equal(np.arange(s)[plan.cols], [s - 1])
             assert np.array_equal(np.arange(s)[block.cols], [s - 1])
@@ -762,14 +775,25 @@ class TestStepPlan:
                 # The kernel evaluates no slot: its only locals are its input and accumulator.
                 assert kernel.__code__.co_varnames == ("x", "acc"), name
 
+    def test_slots_are_the_heads_own_projections(self):
+        p = problem(np.random.default_rng(73), 3, 2)
+        programs = {name: prog for name, (prog, _) in TestCompiledProgram.programs(p).items()}
+        programs["two-block"] = two_block_program(p.n, p.d)
+        for name, prog in programs.items():
+            for block, plan_block in zip(prog.compiled.step, prog.compiled.plan.blocks):
+                projections = [q for c in block for q in (c.p1, c.p2, c.p3)]
+                assert len(plan_block.slots) == len(projections), name
+                for slot, q in zip(plan_block.slots, projections):
+                    # The compiled arrays themselves, not copies.
+                    assert slot.w is q.w and slot.b is q.b and slot.cols is q.cols, name
+                    assert slot.transposed == q.transposed, name
+
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
     def test_enumerated_step_binds_the_contraction(self, n, d):
         prog = build_enumerated_weights(n, d)
         first, second = prog.compiled.plan.blocks
-        assert len(first.varying) == 1
         assert self.varying_reads(first) == [(False, True, False), (False, True, False),
                                              (False, False, False), (False, False, False)]
-        assert first.reads[0][1] == first.reads[1][1]
         # The contraction's t1 reads the marker columns and its t3 is a bias: both are bound.
         assert len(second.varying) == 1
         assert self.varying_reads(second) == [(False, True, False)]
@@ -790,11 +814,12 @@ class TestStepPlan:
         # Block 1's accumulator holds w and column 2, which block 2's varying t2 reads.
         assert np.array_equal(np.arange(s)[first.cols], [1, s - 1])
         assert self.varying_reads(second) == [(False, True, False), (False, False, False)]
-        assert [head for head, _, sel in second.adds] == [0, 1]
         # Each block's varying t2 slots read columns with weights other than [[1.0]], so each
-        # kernel evaluates them into locals of its own.
+        # kernel evaluates them into locals of its own, one per head.
         kernels = pipeline._bind(plan, np.ones(prog.layout.shape))
-        assert [len(k.__code__.co_varnames) for k in kernels] == [4, 3]
+        assert [len(k.__code__.co_varnames) for k in kernels] == [5, 3]
+        # Block 2's constant head writes w, which varies, so each step adds its term.
+        assert "c1" in kernels[1].__code__.co_freevars
 
     def test_kernels_are_made_once_per_program(self, monkeypatch):
         made, kernel = [], pipeline._kernel

@@ -32,6 +32,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   two-block program and the w1 and w3 written-column readers, on the
   designed prompts of the run-program problems and then of the
   run-program-signed ones;
+* compiled-forward: compiled_forward on every step and readout block of
+  the designed, enumerated and zero-bias wrapped programs and of the
+  two-block and w1 and w3 reader programs, then step() and readout() on
+  the whole prompt, for every (n, d) of run-pipeline, each on three seeded
+  normal prompts of the layout's shape, scaled by 10**U(-3, 3), with -0.0
+  in about 30% of their entries;
 * solves-wide-pivots: solves in both modes of F = L U, m in (2, 3, 5, 9,
   17, 24), seeds 0-4, whose pivots have both signs and magnitudes from 1e-5
   to 1e5 (below the default table's first knot and past its cutoff), with
@@ -71,12 +77,14 @@ from elsakit import (  # noqa: E402
     LinearSystem,
     MaskSpec,
     Matrix,
+    PipelineState,
     backward_substitute_step,
     build_designed_input,
     build_designed_weights,
     build_enumerated_input,
     build_enumerated_weights,
     build_invsqr,
+    compiled_forward,
     component_forward,
     default_invsqr,
     embed_system,
@@ -86,10 +94,12 @@ from elsakit import (  # noqa: E402
     make_divider_component,
     make_mask_component,
     make_problem,
+    readout,
     run_pipeline,
     run_program,
     solve,
     stable_eta_for,
+    step,
     wrap_designed_as_elsa,
 )
 
@@ -223,6 +233,26 @@ def digest_run_program_plans(h):
                 h.update(np.float64(prediction).tobytes())
 
 
+def digest_compiled_forward(h):
+    for n, d in RIDGE_SHAPES:
+        designed = build_designed_weights(n, d)
+        programs = (designed, build_enumerated_weights(n, d), wrap_designed_as_elsa(designed),
+                    two_block_program(n, d), reader_program(n, d, "w1"),
+                    reader_program(n, d, "w3"))
+        for i, prog in enumerate(programs):
+            rng = np.random.default_rng([n, d, i, 25])
+            for _ in range(3):
+                x = rng.normal(size=prog.layout.shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+                x[rng.random(x.shape) < 0.3] = -0.0
+                for block in prog.compiled.step + prog.compiled.readout:
+                    h.update(compiled_forward(x, block).tobytes())
+                state = PipelineState(Matrix.from_array(x), prog.layout)
+                h.update(step(state, prog).h.array.tobytes())
+                final, prediction = readout(state, prog)
+                h.update(final.array.tobytes())
+                h.update(np.float64(prediction).tobytes())
+
+
 def invsqr_points(table, seed):
     """3,013 points: extremes, every knot and its neighbours, then seeded draws."""
     tiny = np.finfo(np.float64).tiny
@@ -297,6 +327,7 @@ def main():
                        ("run-pipeline-signed",
                         lambda h: digest_run_pipeline(h, signed_ridge_problems)),
                        ("run-program-plans", digest_run_program_plans),
+                       ("compiled-forward", digest_compiled_forward),
                        ("solves-wide-pivots", digest_wide_pivot_solves),
                        ("invsqr-extreme", digest_invsqr_extreme),
                        ("masked-components", digest_masked_components)):
