@@ -21,14 +21,16 @@ module over the whole padded state, sign of zero included; the tests keep
 that dense evaluation as the reference. A module whose updated entries
 overflow float64 raises EliminationOverflow.
 
-Each module is one kernel that updates a writable padded ndarray in place,
-through its components' compiled views (a call of each component; apply is
-the literal oracle) and skip_product. A kernel reads the pivot, and the
-fold's solved entry, as a 0-d float64 and runs the pivot's components and
-products on that scalar (skip_product takes it as a 1-by-1 matrix), with
-the same calls in the same order as on a 1-by-1 block and the same bits.
-solve runs every kernel on one copy of the system, and a step function
-runs one on a copy of its state, each under one np.errstate.
+Each module is one straight-line kernel that updates a writable padded
+ndarray in place: the compiled view of its components. It reads the pivot,
+and the fold's solved entry, as a 0-d float64 and writes out, on that
+scalar, each mask's and affine unit's view and each skip product of two
+1-by-1 operands, in the dense module's order and with its bits. The divider
+is the one component a kernel calls, and its three products with an array
+operand (the forward spread, the fold, the row scale) run through
+skip_product. The dense modules in the tests are the oracle. solve runs
+every kernel on one copy of the system, and a step function runs one on a
+copy of its state, each under one np.errstate.
 
 solve divides each pivot once. The backward divide module reuses the forward
 sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
@@ -57,9 +59,7 @@ from .netcomp import (
     NetworkComponent,
     PiecewiseInvSqr,
     default_invsqr,
-    make_affine_component,
     make_divider_component,
-    make_mask_component,
     skip_product,
 )
 from .ridge import RidgeProblem, normal_equations, predict
@@ -142,36 +142,10 @@ def embed_system(
     return EliminationState(p=p, stage=("forward", 0), table=table)
 
 
-# Each mask keeps all of the block it runs on (the pivot, the column below
-# it, the fold's solved entry), and the backward anti-mask all of row t but
-# the pivot (see _backward_module). Each affine unit's constant reads 0
-# there: the fold entry (t+1, m+1) and the column below a pivot lie off the
-# diagonal of I, and z7's constant is I with the pivot entry zeroed.
-_KEEP = make_mask_component(None)
-_NEGATE = make_affine_component(-1.0, 0.0)
-_PLUS_IDENTITY = make_affine_component(1.0, 0.0)
-
-
 @lru_cache(maxsize=8)
 def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
     """The divider on a pivot, once per knot table (None: exact division)."""
     return make_divider_component(None, table)
-
-
-def _divide(table: Optional[PiecewiseInvSqr], pivot: np.float64, gamma: int,
-            r: Optional[np.float64] = None) -> tuple[np.float64, np.float64]:
-    """Divide module on the pivot entry: mask it (z), 1/z^2 by the divider (r), gamma * (r @ z).
-
-    Returns gamma / x on the pivot, as a 0-d float64 standing for the 1-by-1
-    block (the rest of the module's output is zero), and r. z is already
-    masked to the pivot, so the divider needs no anti-mask passing the rest
-    through. Given r, the divider's output on the same pivot bits, the
-    divider does not run.
-    """
-    z = _KEEP(pivot)
-    if r is None:
-        r = _pivot_divider(table)(z)
-    return skip_product(r, z, side="left", gamma=gamma), r
 
 
 def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, step: str, index: int) -> None:
@@ -190,15 +164,15 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
     """A module's update of block (1-based, inclusive) of p in place: value replaces it or is added.
 
     The updated entries must be finite, else EliminationOverflow, named after
-    step and index. The dense product a module stands for adds +0.0 terms to
-    each entry, so it turns any -0.0 into +0.0; the final + 0.0 does the
-    same on the block, whatever sign a product gave a zero, and changes no
-    other bit. A step function adds 0.0 to its whole state once, after its
-    kernel, as its input may hold -0.0 anywhere. solve needs no such add:
-    every pivot after the first lies in a row an update has already
-    normalised, and every solution entry is written by a backward row write.
-    The caller holds np.errstate(over="ignore", invalid="ignore"), so an
-    overflow is found here and not warned about.
+    step and index. value must hold no -0.0; then neither does its sum with
+    the block (x + y is -0.0 only if x and y both are), so the block holds
+    none, as the dense product's +0.0 terms leave it. A step function adds
+    0.0 to its whole state once, after its kernel, as its input may hold
+    -0.0 anywhere. solve needs no such add: every pivot after the first lies
+    in a row an update has already written, and every solution entry is
+    written by a backward row write. The caller holds
+    np.errstate(over="ignore", invalid="ignore"), so an overflow is found
+    here and not warned about.
     """
     row_lo, row_hi, col_lo, col_hi = block
     view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
@@ -213,23 +187,38 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
             f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, "
             f"columns {col_lo}..{col_hi}"
         )
-    view += 0.0
+
+
+# The kernels below write each component's compiled view out at its place
+# (netcomp._VIEWS): the keep-all mask and the +1 affine unit are a + 0.0, the
+# -1 unit is -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit). Each
+# mask keeps all of the block it runs on (the pivot, the column below it, the
+# fold's solved entry), and the backward anti-mask all of row t but the
+# pivot. Each affine unit's constant reads 0 there: the fold entry
+# (t+1, m+1) and the column below a pivot lie off the diagonal of I, and
+# z7's constant is I with the pivot entry zeroed. A skip_product on two 0-d
+# operands is written out too, as gamma * (r * z + 0.0). The divider, the one
+# approximation, runs as its component, once per pivot (see solve); every
+# product with an array operand runs through skip_product.
 
 
 def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> np.float64:
     """Forward step k on the padded state p, in place; see forward_eliminate_step.
 
-    Returns the divider's output 1/x^2 on the pivot x, for the backward step
-    that divides the same pivot.
+    Returns the divider's output r = 1/x^2 on the pivot x, for the backward
+    step that divides the same pivot. The mask on the column below the pivot
+    is dropped: (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products
+    differ at most in the sign of a zero, which the + 0.0 clears.
     """
     size = p.shape[0]
     pivot = p[k - 1, k - 1]
     _check_pivot(table, float(pivot), "forward step", k)
-    z3, r = _divide(table, pivot, gamma=-1)
-    z4 = _KEEP(p[k : size - 1, k - 1 : k])
+    z = pivot + 0.0  # mask
+    r = _pivot_divider(table)(z)
+    z3 = -1.0 * (r * z + 0.0)  # skip product, gamma -1
     # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
-    # affine unit's own + 0.0 gives that sign of zero.
-    z6 = _PLUS_IDENTITY(z4 * z3)
+    # affine unit's + 0.0 gives that sign of zero.
+    z6 = p[k : size - 1, k - 1 : k] * z3 + 0.0
     # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
     spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
     _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True)
@@ -241,25 +230,28 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
     """Backward step t on the padded state q, in place; see backward_substitute_step.
 
     r, if given, is forward step t's divider output on this pivot (see solve).
+    The mask on the scaled row is dropped: skip_product's z7 * row + 0.0
+    holds no -0.0. The anti-mask's 0 weight at the pivot can give -0.0, and
+    its + 0.0 is kept there alone.
     """
     size = q.shape[0]
     if t < size - 1:
         # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-        z2 = _NEGATE(_KEEP(q[t, size - 1]))
+        z2 = -1.0 * (q[t, size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
         # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
         spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
         _update(q, (1, size, size, size), spread, "backward step", t, add=True)
     pivot = q[t - 1, t - 1]
     _check_pivot(table, float(pivot), "backward step", t)
-
-    z6, _ = _divide(table, pivot, gamma=1, r=r)
-    z7 = _PLUS_IDENTITY(z6)
+    z = pivot + 0.0  # mask
+    if r is None:
+        r = _pivot_divider(table)(z)
+    z7 = (r * z + 0.0) + 0.0  # skip product, gamma 1, then the +1 affine unit
     scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
-    cleared = _KEEP(scaled)
-    # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, which
-    # _update's + 0.0 makes +0.0, or NaN if that entry is not finite.
-    cleared[0, t - 1] *= 0.0
-    _update(q, (t, t, 1, size), cleared, "backward step", t)
+    # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
+    # 0.0, or NaN if that entry is not finite.
+    scaled[0, t - 1] = scaled[0, t - 1] * 0.0 + 0.0
+    _update(q, (t, t, 1, size), scaled, "backward step", t)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:

@@ -370,9 +370,9 @@ class TestLiteralOracle:
 
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
-        # Every component runs through a call of the component (its view or
-        # apply) and every skip through skip_product; z5 = z4 * z3 multiplies
-        # two of their outputs.
+        # Every skip with an array operand runs through skip_product; the
+        # divider runs as its component, and the other components' views and
+        # the 0-d skips on the pivot are written out in the kernels.
         m = 40
         full = (m + 1, m + 1)
         products, components = [], []
@@ -383,19 +383,21 @@ class TestLiteralOracle:
             return netcomp.skip_product(a, b, side, gamma)
 
         def record_component(comp, x):
-            components.append((x.shape, comp.shape))
+            components.append((x.shape, comp.shape, comp))
             return call(comp, x)
 
         monkeypatch.setattr(gauss, "skip_product", record_product)
         monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_component)
         for mode in ("exact", "relu"):
             solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
-        assert len(products) == 2 * (2 * (m - 1) + 3 * m - 1)
+        # Per mode: the forward spread m-1 times, the fold m-1 and the row scale m.
+        assert len(products) == 2 * (3 * m - 2)
         # No operand is the whole state, so no product has it on both sides.
         assert not [p for p in products if full in p]
-        # Per mode: forward 4 per pivot, the fold 2, backward 3 with the forward
-        # divider output reused and 4 at pivot m, which no forward step divides.
-        assert len(components) == 2 * (5 * (m - 1) + 4 * m)
+        # Per mode: the divider once per pivot, the forward output reused.
+        assert len(components) == 2 * m
+        dividers = [gauss._pivot_divider(None)] * m + [gauss._pivot_divider(default_invsqr())] * m
+        assert [c[2] for c in components] == dividers
         assert not [c for c in components if full in c]
 
 
@@ -455,6 +457,10 @@ def with_negative_zeros(sys, rng):
     return LinearSystem(f=Matrix(f), alpha=Matrix(alpha))
 
 
+def holds_negative_zero(a):
+    return bool(np.any(np.signbit(a) & (a == 0.0)))
+
+
 def step_loop(sys, mode, forward, backward):
     """(solution, pivots) of a solve taken one step function at a time."""
     state = embed_system(sys, mode=mode)
@@ -473,7 +479,7 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negzero"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])
-    @pytest.mark.parametrize("m", [2, 3, 5, 9, 24])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 24, 64])
     def test_solve_is_the_step_loop_and_the_literal_steps(self, m, mode, negative_zeros):
         rng = np.random.default_rng([15, m])
         sys = dd_system(rng, m, signed=True)
@@ -582,6 +588,44 @@ class TestInPlaceKernels:
         assert x.array.tobytes() == want_x.array.tobytes()
         assert np.array(pivots).tobytes() == np.array(want_pivots).tobytes()
 
+    @pytest.mark.parametrize("kind", ["negzero", "wide"])
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 9, 64])
+    def test_kernels_write_no_negative_zero(self, m, mode, kind, monkeypatch):
+        # The kernels add no + 0.0 after an update: x + y is -0.0 only if both
+        # are, and a skip_product result (an @ from +0.0, or a 0-d product plus
+        # 0.0) holds none. The backward row's pivot entry, 0 times the scaled
+        # entry, is the one -0.0 a kernel makes, and it adds 0.0 there.
+        rng = np.random.default_rng([19, m])
+        sys = wide_pivot_system(rng, m) if kind == "wide" else dd_system(rng, m, signed=True)
+        sys = with_negative_zeros(sys, rng)
+        update, forward, backward = gauss._update, gauss._forward_module, gauss._backward_module
+        values = []
+
+        def record_update(p, block, value, *args, **kwargs):
+            values.append(holds_negative_zero(value))
+            update(p, block, value, *args, **kwargs)
+
+        def record_forward(p, k, table):
+            r = forward(p, k, table)
+            assert not holds_negative_zero(p[k:m]), f"rows below pivot {k}"
+            return r
+
+        def record_backward(q, t, table, r=None):
+            backward(q, t, table, r)
+            # Column m+1 is rewritten by the fold, which runs for t < m.
+            assert not holds_negative_zero(q[t - 1]), f"row {t}"
+            assert t == m or not holds_negative_zero(q[:, m]), f"column m+1 at {t}"
+
+        monkeypatch.setattr(gauss, "_update", record_update)
+        monkeypatch.setattr(gauss, "_forward_module", record_forward)
+        monkeypatch.setattr(gauss, "_backward_module", record_backward)
+        x, _ = solve(sys, mode=mode)
+        monkeypatch.undo()
+        assert values == [False] * (3 * m - 2)
+        want_x, _ = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        assert x.array.tobytes() == want_x.array.tobytes()
+
     def test_default_relu_solves_share_one_divider(self):
         assert default_invsqr() is default_invsqr()
         sys = dd_system(np.random.default_rng(17), 4)
@@ -617,6 +661,7 @@ class TestDenseComponentEquivalence:
         # On its block every mask and divider keeps all entries and every
         # affine unit (gain +/-1) adds zero, so a solve runs components of
         # broadcast floats alone: none stores a Matrix, and none has a shape.
+        # The one it calls is the divider, once per pivot.
         seen = []
         call = netcomp.NetworkComponent.__call__
 
@@ -626,7 +671,7 @@ class TestDenseComponentEquivalence:
 
         monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record)
         solve(dd_system(np.random.default_rng(9), 5, signed=True), mode=mode)
-        assert "relu" in {comp.activation for comp in seen}
+        assert seen == [gauss._pivot_divider(default_invsqr() if mode == "relu" else None)] * 5
         for comp in seen:
             params = comp.w + comp.v + comp.b + comp.c
             assert not [p for p in params if isinstance(p, Matrix)]

@@ -52,7 +52,15 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   default-table divider and an affine unit with a matrix C (gamma the mask
   and gamma -2.5), under MaskSpec masks and anti-masks of several blocks,
   on seeded grids of MASKED_SHAPES with about 30% of their entries drawn
-  from extremes (+-0, +-inf, NaN, +-1e308, +-1e+-160, subnormals).
+  from extremes (+-0, +-inf, NaN, +-1e308, +-1e+-160, subnormals);
+* solve-errors: the systems that solve refuses, both modes, each as written
+  and again with every zero entry of F and alpha made -0.0: the OVERFLOWS
+  systems of tests/test_gauss.py, zero pivots, pivots below tolerance after
+  elimination and pivots whose square overflows, at forward and backward
+  steps. For each, solve's exception class and message (or its solution and
+  report, where relu division solves it) and the input bytes after it; then
+  the step loop's failing step, exception class and message, and the bytes
+  of the state that step was given.
 """
 
 import hashlib
@@ -70,6 +78,7 @@ from oracles import (  # noqa: E402
     reader_program,
     two_block_program,
 )
+from test_gauss import OVERFLOWS  # noqa: E402
 
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
@@ -78,6 +87,7 @@ from elsakit import (  # noqa: E402
     MaskSpec,
     Matrix,
     PipelineState,
+    SingularDetected,
     backward_substitute_step,
     build_designed_input,
     build_designed_weights,
@@ -140,6 +150,60 @@ def wide_pivot_system(seed, m):
     f, alpha = lower @ upper, rng.uniform(-1.0, 1.0, size=(m, 1))
     with_negative_zeros(rng, f, alpha)
     return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
+
+
+# Systems that solve refuses, as (F, alpha): a zero pivot at the first and the
+# last step, a pivot below tolerance after elimination at a forward and a
+# backward step, and a pivot whose square overflows at each end (exact mode;
+# relu division solves them).
+REFUSED = {
+    "zero_first": ([[0.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
+    "zero_last": ([[1.0, -2.0], [0.0, 0.0]], [1.0, 1.0]),
+    "tiny_forward": ([[1.0, 2.0, 0.0], [1.0, 2.0 + 1e-12, 1.0], [0.0, 1.0, 1.0]],
+                     [1.0, 0.0, 1.0]),
+    "tiny_backward": ([[1.0, 2.0], [1.0, 2.0 + 1e-11]], [0.0, 1.0]),
+    "huge_first": ([[1e160, 0.0], [0.0, 1.0]], [1e160, 1.0]),
+    "huge_last": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e160]], [1.0, 0.0, 1.0]),
+}
+
+
+def refused_systems():
+    systems = [(f, alpha) for f, alpha, _ in OVERFLOWS.values()] + list(REFUSED.values())
+    for rows, column in systems:
+        for signed in (False, True):
+            f, alpha = np.array(rows, dtype=float), np.array(column, dtype=float)[:, None]
+            if signed:
+                f[f == 0.0] = -0.0
+                alpha[alpha == 0.0] = -0.0
+            yield LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
+
+
+def digest_error(h, exc):
+    h.update(f"{type(exc).__name__}: {exc}".encode())
+
+
+def digest_solve_errors(h):
+    for system in refused_systems():
+        for mode in ("exact", "relu"):
+            try:
+                x, report = solve(system, mode=mode)
+                h.update(x.array.tobytes())
+                h.update(json.dumps(report, sort_keys=True).encode())
+            except SingularDetected as exc:
+                digest_error(h, exc)
+            h.update(system.f.array.tobytes())
+            h.update(system.alpha.array.tobytes())
+            state = embed_system(system, mode=mode)
+            steps = [(forward_eliminate_step, k) for k in range(1, system.m)]
+            steps += [(backward_substitute_step, t) for t in range(system.m, 0, -1)]
+            for run, i in steps:
+                try:
+                    state = run(state, i)
+                except SingularDetected as exc:
+                    h.update(f"{run.__name__} {i}".encode())
+                    digest_error(h, exc)
+                    break
+            h.update(state.p.array.tobytes())
 
 
 def digest_solves(h):
@@ -330,7 +394,8 @@ def main():
                        ("compiled-forward", digest_compiled_forward),
                        ("solves-wide-pivots", digest_wide_pivot_solves),
                        ("invsqr-extreme", digest_invsqr_extreme),
-                       ("masked-components", digest_masked_components)):
+                       ("masked-components", digest_masked_components),
+                       ("solve-errors", digest_solve_errors)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
