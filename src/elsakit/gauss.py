@@ -26,11 +26,18 @@ ndarray in place: the compiled view of its components. It reads the pivot,
 and the fold's solved entry, as a 0-d float64 and writes out, on that
 scalar, each mask's and affine unit's view and each skip product of two
 1-by-1 operands, in the dense module's order and with its bits. The divider
-is the one component a kernel calls, and its three products with an array
-operand (the forward spread, the fold, the row scale) run through
-skip_product. The dense modules in the tests are the oracle. solve runs
-every kernel on one copy of the system, and a step function runs one on a
-copy of its state, each under one np.errstate.
+is the one component a kernel calls. Of its three products with an array
+operand, the forward spread, a column times a row, is a broadcast multiply,
+and the fold and the row scale run through skip_product. The dense modules
+in the tests are the oracle. A step function runs one kernel on a copy of
+its state under np.errstate and checks its update for overflow.
+
+solve runs every kernel on one copy of the system under one np.errstate,
+unchecked, and then checks the finished state once. An update is made in
+place from the entries it replaces, so an inf or NaN stays non-finite to
+the end: a state that ends finite had no overflowing module. If it ends
+non-finite, or a pivot is refused, solve replays the sweep on a fresh copy
+with every module checked, which raises the error a step function names.
 
 solve divides each pivot once. The backward divide module reuses the forward
 sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
@@ -159,20 +166,27 @@ def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, step: str, inde
         )
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite."""
+    # Any inf or NaN entry makes the sum non-finite; a sum that overflows
+    # from finite entries is decided by the entrywise test.
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
+
+
 def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: int, *,
-            add=False) -> None:
+            add=False, check=True) -> None:
     """A module's update of block (1-based, inclusive) of p in place: value replaces it or is added.
 
-    The updated entries must be finite, else EliminationOverflow, named after
-    step and index. value must hold no -0.0; then neither does its sum with
-    the block (x + y is -0.0 only if x and y both are), so the block holds
-    none, as the dense product's +0.0 terms leave it. A step function adds
-    0.0 to its whole state once, after its kernel, as its input may hold
-    -0.0 anywhere. solve needs no such add: every pivot after the first lies
-    in a row an update has already written, and every solution entry is
-    written by a backward row write. The caller holds
-    np.errstate(over="ignore", invalid="ignore"), so an overflow is found
-    here and not warned about.
+    With check, the updated entries must be finite, else EliminationOverflow,
+    named after step and index; solve runs unchecked and checks its state
+    once (see solve). In solve the block after the update holds no -0.0, as
+    the dense product's +0.0 terms leave it. A replacing value holds none.
+    An added value may hold -0.0 (the forward spread) only where the block
+    holds none: x + y is -0.0 only if x and y both are, so view + s is then
+    view + (s + 0.0), the dense sum. A step function's input may
+    hold -0.0 anywhere, so it adds 0.0 to its whole state once, after its
+    kernel. The caller holds np.errstate(over="ignore", invalid="ignore"),
+    so an overflow is found, here or by solve, and not warned about.
     """
     row_lo, row_hi, col_lo, col_hi = block
     view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
@@ -180,9 +194,7 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
         view += value
     else:
         view[...] = value
-    # Any inf or NaN entry makes the sum non-finite; a sum that overflows
-    # from finite entries is decided by the entrywise test.
-    if not math.isfinite(np.add.reduce(view, axis=None)) and not np.isfinite(view).all():
+    if check and not _finite(view):
         raise EliminationOverflow(
             f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, "
             f"columns {col_lo}..{col_hi}"
@@ -198,17 +210,29 @@ def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: in
 # (t+1, m+1) and the column below a pivot lie off the diagonal of I, and
 # z7's constant is I with the pivot entry zeroed. A skip_product on two 0-d
 # operands is written out too, as gamma * (r * z + 0.0). The divider, the one
-# approximation, runs as its component, once per pivot (see solve); every
-# product with an array operand runs through skip_product.
+# approximation, runs as its component, once per pivot (see solve). Each
+# kernel passes check to _update: the replay that names an overflow runs the
+# same bodies as the unchecked pass.
 
 
-def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> np.float64:
+def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr], *,
+                    check: bool) -> np.float64:
     """Forward step k on the padded state p, in place; see forward_eliminate_step.
 
     Returns the divider's output r = 1/x^2 on the pivot x, for the backward
     step that divides the same pivot. The mask on the column below the pivot
     is dropped: (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products
     differ at most in the sign of a zero, which the + 0.0 clears.
+
+    The spread z6 @ row has inner dimension 1, and is computed as the
+    broadcast z6 * row: one multiply per entry, where @ adds each to 0.0.
+    The two differ only in a zero's sign: a product that is a zero with a
+    minus sign (an underflow, or a zero factor) stays -0.0, where @ gives
+    +0.0. Added to rows k+1..m, which hold no -0.0, both give the same
+    bits (see _update). solve adds 0.0 to rows
+    2..m before its sweep for this, which changes no bit: (a + 0.0) + b is
+    a + (b + 0.0), and the column below the pivot is read as c * z3 + 0.0.
+    A step function's trailing + 0.0 clears any -0.0 the sum leaves.
     """
     size = p.shape[0]
     pivot = p[k - 1, k - 1]
@@ -220,13 +244,13 @@ def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr]) -> 
     # affine unit's + 0.0 gives that sign of zero.
     z6 = p[k : size - 1, k - 1 : k] * z3 + 0.0
     # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
-    spread = skip_product(z6, p[k - 1 : k], side="left", gamma=1)
-    _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True)
+    spread = z6 * p[k - 1 : k]
+    _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True, check=check)
     return r
 
 
 def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
-                     r: Optional[np.float64] = None) -> None:
+                     r: Optional[np.float64] = None, *, check: bool) -> None:
     """Backward step t on the padded state q, in place; see backward_substitute_step.
 
     r, if given, is forward step t's divider output on this pivot (see solve).
@@ -240,7 +264,7 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
         z2 = -1.0 * (q[t, size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
         # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
         spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
-        _update(q, (1, size, size, size), spread, "backward step", t, add=True)
+        _update(q, (1, size, size, size), spread, "backward step", t, add=True, check=check)
     pivot = q[t - 1, t - 1]
     _check_pivot(table, float(pivot), "backward step", t)
     z = pivot + 0.0  # mask
@@ -251,7 +275,7 @@ def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
     # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
     # 0.0, or NaN if that entry is not finite.
     scaled[0, t - 1] = scaled[0, t - 1] * 0.0 + 0.0
-    _update(q, (t, t, 1, size), scaled, "backward step", t)
+    _update(q, (t, t, 1, size), scaled, "backward step", t, check=check)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
@@ -273,7 +297,7 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     p = state.p.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        _forward_module(p, k, state.table)
+        _forward_module(p, k, state.table, check=True)
     p += 0.0
     return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
@@ -298,7 +322,7 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
     q = state.p.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        _backward_module(q, t, state.table)
+        _backward_module(q, t, state.table, check=True)
     q += 0.0
     return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
@@ -316,12 +340,12 @@ def solve(
 
     The divider runs once per pivot, m times in all: backward step t < m
     reuses forward step t's 1/x^2, since no module writes a diagonal entry
-    after its row is eliminated.
+    after its row is eliminated. The modules run unchecked, and the final
+    state is checked once for inf and NaN; only a solve that fails runs
+    them again, checked, to name its error.
     """
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
-    pivots: list[float] = []
-    flags: list[str] = []
     knot_range = None
     if state.table is not None:
         knot_range = (
@@ -329,25 +353,41 @@ def solve(
             float(state.table.interior_knots[-1]),
         )
 
-    def note_pivot(value: float, tag: str, index: int) -> None:
-        pivots.append(value)
-        if knot_range and not (knot_range[0] <= abs(value) <= knot_range[1]):
-            flags.append(f"pivot_out_of_table_range:{tag}{index}:{value!r}")
+    def sweep(check: bool) -> tuple[np.ndarray, list[float], list[str]]:
+        """Every module on one writable copy of the padded system, in place."""
+        p = state.p.to_array()
+        p[1:m] += 0.0  # rows 2..m free of -0.0; see _forward_module
+        pivots: list[float] = []
+        flags: list[str] = []
 
-    # One writable copy of the padded system; every module updates it in
-    # place, and _update finds an overflow without a warning. Entries near
-    # 1e308 can overflow the residual, the dense solve or the gap; the report
-    # carries such a value instead of a warning.
-    p = state.p.to_array()
-    with np.errstate(over="ignore", invalid="ignore"):
+        def note_pivot(value: float, tag: str, index: int) -> None:
+            pivots.append(value)
+            if knot_range and not (knot_range[0] <= abs(value) <= knot_range[1]):
+                flags.append(f"pivot_out_of_table_range:{tag}{index}:{value!r}")
+
         rs: list[Optional[np.float64]] = []  # 1/x^2 of each pivot, from the forward sweep
         for k in range(1, m):
             note_pivot(float(p[k - 1, k - 1]), "FE", k)
-            rs.append(_forward_module(p, k, state.table))
+            rs.append(_forward_module(p, k, state.table, check=check))
         rs.append(None)
         for t in range(m, 0, -1):
             note_pivot(float(p[t - 1, t - 1]), "BS", t)
-            _backward_module(p, t, state.table, rs[t - 1])
+            _backward_module(p, t, state.table, rs[t - 1], check=check)
+        return p, pivots, flags
+
+    # A non-finite entry never becomes finite again, and up to its failure
+    # the unchecked pass computes the checked pass's bits, so the replay
+    # raises at the first module that overflowed or at the refused pivot.
+    # Entries near 1e308 can overflow the residual, the dense solve or the
+    # gap; the report carries such a value instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            p, pivots, flags = sweep(check=False)
+            failed = not _finite(p)
+        except SingularDetected:
+            failed = True
+        if failed:
+            p, pivots, flags = sweep(check=True)
 
         x = Matrix.from_array(p[:m, m:].copy())
         residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))

@@ -89,6 +89,53 @@ OVERFLOWS = {
     "row_scale": ([[0.02, 0.0], [0.0, 1.0]], [1e307, 1.0], "backward step 1"),
 }
 
+# Systems that solve refuses, as (F, alpha): a zero pivot at the first and the
+# last step, a pivot below tolerance after elimination at a forward and a
+# backward step, and a pivot whose square overflows at each end (exact mode;
+# relu division solves them).
+REFUSED = {
+    "zero_first": ([[0.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
+    "zero_last": ([[1.0, -2.0], [0.0, 0.0]], [1.0, 1.0]),
+    "tiny_forward": ([[1.0, 2.0, 0.0], [1.0, 2.0 + 1e-12, 1.0], [0.0, 1.0, 1.0]],
+                     [1.0, 0.0, 1.0]),
+    "tiny_backward": ([[1.0, 2.0], [1.0, 2.0 + 1e-11]], [0.0, 1.0]),
+    "huge_first": ([[1e160, 0.0], [0.0, 1.0]], [1e160, 1.0]),
+    "huge_last": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e160]], [1.0, 0.0, 1.0]),
+}
+# Forward step 1 adds -1e-200 * 1e-200, which the spread gives as -0.0, to
+# the -0.0 at (2, 2); the dense step leaves +0.0 there, and solve refuses that.
+NEGATIVE_ZERO_PIVOT = ([[1.0, 1e-200, 0.0], [1e-200, -0.0, 1.0], [0.0, 1.0, 1.0]],
+                       [1.0, 1.0, 1.0])
+
+
+def record_kernels(monkeypatch):
+    """Wrap both kernels; each call appends (kernel, index, check, error, finite after).
+
+    error is the message of the SingularDetected the call raised, or None.
+    """
+    calls = []
+    for kind in ("forward", "backward"):
+        name = f"_{kind}_module"
+
+        def run(p, i, *args, check, _kernel=getattr(gauss, name), _kind=kind):
+            error = None
+            try:
+                return _kernel(p, i, *args, check=check)
+            except gauss.SingularDetected as exc:
+                error = str(exc)
+                raise
+            finally:
+                calls.append((_kind, i, check, error, bool(np.isfinite(p).all())))
+
+        monkeypatch.setattr(gauss, name, run)
+    return calls
+
+
+def sweep_calls(m, check):
+    """The (kernel, index, check) of each module of a solve, in order."""
+    calls = [("forward", k, check) for k in range(1, m)]
+    return calls + [("backward", t, check) for t in range(m, 0, -1)]
+
 
 class TestEmbed:
     def test_layout(self):
@@ -370,28 +417,38 @@ class TestLiteralOracle:
 
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
-        # Every skip with an array operand runs through skip_product; the
-        # divider runs as its component, and the other components' views and
-        # the 0-d skips on the pivot are written out in the kernels.
+        # Every skip with an array operand runs through skip_product, but the
+        # forward spread, a column times a row, is a broadcast multiply, seen
+        # here as the value its _update adds; the divider runs as its
+        # component, and the other components' views and the 0-d skips on the
+        # pivot are written out in the kernels.
         m = 40
         full = (m + 1, m + 1)
-        products, components = [], []
-        call = netcomp.NetworkComponent.__call__
+        products, spreads, components = [], [], []
+        call, update = netcomp.NetworkComponent.__call__, gauss._update
 
         def record_product(a, b, side, gamma):
             products.append((a.shape, b.shape))
             return netcomp.skip_product(a, b, side, gamma)
+
+        def record_update(p, block, value, step, *args, **kwargs):
+            if step == "forward step":
+                spreads.append(value.shape)
+            update(p, block, value, step, *args, **kwargs)
 
         def record_component(comp, x):
             components.append((x.shape, comp.shape, comp))
             return call(comp, x)
 
         monkeypatch.setattr(gauss, "skip_product", record_product)
+        monkeypatch.setattr(gauss, "_update", record_update)
         monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_component)
         for mode in ("exact", "relu"):
             solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
-        # Per mode: the forward spread m-1 times, the fold m-1 and the row scale m.
-        assert len(products) == 2 * (3 * m - 2)
+        # Per mode: the fold m-1 times and the row scale m.
+        assert len(products) == 2 * ((m - 1) + m)
+        # Per mode: forward step k spreads over rows k+1..m, (m-k)x1 times 1x(m+1).
+        assert spreads == 2 * [(m - k, m + 1) for k in range(1, m)]
         # No operand is the whole state, so no product has it on both sides.
         assert not [p for p in products if full in p]
         # Per mode: the divider once per pivot, the forward output reused.
@@ -439,6 +496,63 @@ class TestOverflow:
                     assert p[: value.shape[0], : value.shape[1]].tobytes() == value.tobytes()
 
 
+class TestCheckedReplay:
+    """solve checks its finished state once and replays a failed sweep checked."""
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_a_finite_solve_runs_each_kernel_once_unchecked(self, mode, monkeypatch):
+        m = 9
+        calls = record_kernels(monkeypatch)
+        solve(dd_system(np.random.default_rng([21, m]), m, signed=True), mode=mode)
+        assert [c[:3] for c in calls] == sweep_calls(m, False)
+        assert [c[3:] for c in calls] == [(None, True)] * (2 * m - 1)
+
+    def test_an_overflowed_pivot_stops_the_unchecked_pass(self, monkeypatch):
+        # pivot_2x2: forward step 1 makes pivot 2 -inf, which the backward
+        # pivot check refuses; the replay names forward step 1.
+        f, alpha, where = OVERFLOWS["pivot_2x2"]
+        calls = record_kernels(monkeypatch)
+        with pytest.raises(EliminationOverflow, match=f"^{where} overflows float64"):
+            solve(LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha)), mode="exact")
+        assert calls[0] == ("forward", 1, False, None, False)
+        assert calls[1][:3] == ("backward", 2, False)
+        assert calls[1][3].startswith("pivot -inf at backward step 2 squares to inf")
+        assert calls[2][:3] == ("forward", 1, True)
+        assert calls[2][3].startswith(f"{where} overflows float64")
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("name", ["right_hand_side", "fold"])
+    def test_a_non_finite_state_is_replayed_checked(self, name, mode, monkeypatch):
+        f, alpha, where = OVERFLOWS[name]
+        m = len(f)
+        calls = record_kernels(monkeypatch)
+        with pytest.raises(EliminationOverflow, match=f"^{where} overflows float64"):
+            solve(LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha)), mode=mode)
+        unchecked, replay = calls[: 2 * m - 1], calls[2 * m - 1 :]
+        assert [c[:3] for c in unchecked] == sweep_calls(m, False)
+        assert [c[3] for c in unchecked] == [None] * (2 * m - 1)
+        assert not unchecked[-1][4]
+        assert [c[:3] for c in replay] == sweep_calls(m, True)[: len(replay)]
+        assert replay[-1][3].startswith(f"{where} overflows float64")
+
+    @pytest.mark.parametrize("name, mode", [
+        (name, mode) for name in [*REFUSED, "negative_zero_pivot"] for mode in ("exact", "relu")
+        if mode == "exact" or not name.startswith("huge")])
+    def test_a_refused_pivot_is_named_as_the_step_loop_names_it(self, name, mode):
+        f, alpha = REFUSED.get(name, NEGATIVE_ZERO_PIVOT)
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        with pytest.raises(gauss.SingularDetected) as stepped:
+            step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gauss.SingularDetected) as solved:
+                solve(sys, mode=mode)
+        assert type(solved.value) is type(stepped.value)
+        assert str(solved.value) == str(stepped.value)
+        assert "-0.000e" not in str(solved.value)
+
+
 def wide_pivot_system(rng, m):
     """F = L U, L unit lower and U upper triangular, U's diagonal of signed 10**U(-5, 5)."""
     pivots = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-5.0, 5.0, size=m)
@@ -454,6 +568,20 @@ def with_negative_zeros(sys, rng):
     f[~np.eye(m, dtype=bool) & (rng.random((m, m)) < 0.2)] = -0.0
     alpha[rng.random((m, 1)) < 0.3] = -0.0
     f[0, 1] = alpha[-1, 0] = -0.0
+    return LinearSystem(f=Matrix(f), alpha=Matrix(alpha))
+
+
+def underflow_system(rng, m):
+    """A signed dominant system, off-diagonal entries scaled by 10**U(-200, -150).
+
+    A product of two off-diagonal entries underflows. About 30% of the
+    off-diagonal and alpha entries of rows 2..m are -0.0.
+    """
+    f, alpha = random_dd_system(rng, m, signed=True)
+    off = ~np.eye(m, dtype=bool)
+    f[off] *= 10.0 ** rng.uniform(-200.0, -150.0, size=m * m - m)
+    f[1:][off[1:] & (rng.random((m - 1, m)) < 0.3)] = -0.0
+    alpha[1:][rng.random((m - 1, 1)) < 0.3] = -0.0
     return LinearSystem(f=Matrix(f), alpha=Matrix(alpha))
 
 
@@ -477,14 +605,19 @@ def step_loop(sys, mode, forward, backward):
 class TestInPlaceKernels:
     """solve runs the modules in place on one buffer; the steps and the dense steps agree."""
 
-    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negzero"])
+    @pytest.mark.parametrize("kind", ["plain", "negzero", "underflow"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     @pytest.mark.parametrize("m", [2, 3, 5, 9, 24, 64])
-    def test_solve_is_the_step_loop_and_the_literal_steps(self, m, mode, negative_zeros):
+    def test_solve_is_the_step_loop_and_the_literal_steps(self, m, mode, kind):
+        # In "underflow", forward spreads hold -0.0 where @ gives +0.0 (see
+        # test_kernels_write_no_negative_zero), and solve keeps the dense bits.
         rng = np.random.default_rng([15, m])
-        sys = dd_system(rng, m, signed=True)
-        if negative_zeros:
-            sys = with_negative_zeros(sys, rng)
+        if kind == "underflow":
+            sys = underflow_system(rng, m)
+        else:
+            sys = dd_system(rng, m, signed=True)
+            if kind == "negzero":
+                sys = with_negative_zeros(sys, rng)
         assert_states_match_literal(sys, mode)
         x, report = solve(sys, mode=mode)
         for forward, backward in ((forward_eliminate_step, backward_substitute_step),
@@ -588,31 +721,43 @@ class TestInPlaceKernels:
         assert x.array.tobytes() == want_x.array.tobytes()
         assert np.array(pivots).tobytes() == np.array(want_pivots).tobytes()
 
-    @pytest.mark.parametrize("kind", ["negzero", "wide"])
+    @pytest.mark.parametrize("kind", ["negzero", "wide", "underflow"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])
-    @pytest.mark.parametrize("m", [2, 9, 64])
+    @pytest.mark.parametrize("m", [2, 3, 9, 64])
     def test_kernels_write_no_negative_zero(self, m, mode, kind, monkeypatch):
         # The kernels add no + 0.0 after an update: x + y is -0.0 only if both
-        # are, and a skip_product result (an @ from +0.0, or a 0-d product plus
-        # 0.0) holds none. The backward row's pivot entry, 0 times the scaled
+        # are. A skip_product result (an @ from +0.0, or a 0-d product plus
+        # 0.0) holds no -0.0; the forward spread, a broadcast multiply, holds
+        # one where a product is negative and zero, and it is added to rows
+        # that hold none. The backward row's pivot entry, 0 times the scaled
         # entry, is the one -0.0 a kernel makes, and it adds 0.0 there.
         rng = np.random.default_rng([19, m])
-        sys = wide_pivot_system(rng, m) if kind == "wide" else dd_system(rng, m, signed=True)
-        sys = with_negative_zeros(sys, rng)
+        if kind == "underflow":
+            sys = underflow_system(rng, m)
+        else:
+            sys = wide_pivot_system(rng, m) if kind == "wide" else dd_system(rng, m, signed=True)
+            sys = with_negative_zeros(sys, rng)
         update, forward, backward = gauss._update, gauss._forward_module, gauss._backward_module
-        values = []
+        values, underflows = [], []
 
-        def record_update(p, block, value, *args, **kwargs):
-            values.append(holds_negative_zero(value))
-            update(p, block, value, *args, **kwargs)
+        def record_update(p, block, value, step, *args, **kwargs):
+            values.append((step, holds_negative_zero(value)))
+            if step == "forward step":
+                # A -0.0 from a nonzero entry below pivot k times a nonzero
+                # entry of row k is a negative product that underflowed, where
+                # @ gives +0.0.
+                k = block[0] - 1
+                nonzero = (p[k:m, k - 1 : k] != 0.0) & (p[k - 1 : k] != 0.0)
+                underflows.append(bool(np.any(nonzero & (value == 0.0) & np.signbit(value))))
+            update(p, block, value, step, *args, **kwargs)
 
-        def record_forward(p, k, table):
-            r = forward(p, k, table)
+        def record_forward(p, k, table, *, check):
+            r = forward(p, k, table, check=check)
             assert not holds_negative_zero(p[k:m]), f"rows below pivot {k}"
             return r
 
-        def record_backward(q, t, table, r=None):
-            backward(q, t, table, r)
+        def record_backward(q, t, table, r=None, *, check):
+            backward(q, t, table, r, check=check)
             # Column m+1 is rewritten by the fold, which runs for t < m.
             assert not holds_negative_zero(q[t - 1]), f"row {t}"
             assert t == m or not holds_negative_zero(q[:, m]), f"column m+1 at {t}"
@@ -622,7 +767,10 @@ class TestInPlaceKernels:
         monkeypatch.setattr(gauss, "_backward_module", record_backward)
         x, _ = solve(sys, mode=mode)
         monkeypatch.undo()
-        assert values == [False] * (3 * m - 2)
+        assert len(values) == 3 * m - 2
+        assert not [step for step, negative in values if negative and step != "forward step"]
+        # At m = 2 only one product of the spread pairs two off-diagonal entries.
+        assert any(underflows) or kind != "underflow" or m == 2
         want_x, _ = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
         assert x.array.tobytes() == want_x.array.tobytes()
 
@@ -638,10 +786,13 @@ class TestInPlaceKernels:
 
 
 class TestDenseComponentEquivalence:
-    """Solves are bitwise equal with every component evaluated densely.
+    """Solves are bitwise equal with the divider evaluated densely.
 
-    A solve calls each component, which runs its view or apply, so the hooks
-    replace or record NetworkComponent.__call__.
+    The divider is the one component a solve calls, once per pivot, so the
+    hooks replace or record NetworkComponent.__call__ on it alone. The
+    kernels write the other components' views out; TestLiteralOracle and
+    test_solve_is_the_step_loop_and_the_literal_steps check those against
+    the dense modules.
     """
 
     @pytest.mark.parametrize("mode, m", [("relu", 24), ("exact", 16)])

@@ -55,12 +55,19 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   from extremes (+-0, +-inf, NaN, +-1e308, +-1e+-160, subnormals);
 * solve-errors: the systems that solve refuses, both modes, each as written
   and again with every zero entry of F and alpha made -0.0: the OVERFLOWS
-  systems of tests/test_gauss.py, zero pivots, pivots below tolerance after
-  elimination and pivots whose square overflows, at forward and backward
-  steps. For each, solve's exception class and message (or its solution and
+  and REFUSED systems of tests/test_gauss.py (zero pivots, pivots below
+  tolerance after elimination and pivots whose square overflows, at forward
+  and backward steps). For each, solve's exception class and message (or its solution and
   report, where relu division solves it) and the input bytes after it; then
   the step loop's failing step, exception class and message, and the bytes
-  of the state that step was given.
+  of the state that step was given;
+* solves-underflow: signed dominant systems whose off-diagonal entries are
+  scaled by 10**U(-200, -150), with -0.0 in about 30% of the off-diagonal
+  and alpha entries of rows 2..m (underflow_system in tests/test_gauss.py),
+  m in (3, 9, 64), seeds 0-3, both modes: each solution and report, then
+  every state of the step loop; last, solve's exception class and message
+  in both modes on NEGATIVE_ZERO_PIVOT of tests/test_gauss.py,
+  whose second pivot is -0.0 plus an underflowed negative product.
 """
 
 import hashlib
@@ -78,7 +85,7 @@ from oracles import (  # noqa: E402
     reader_program,
     two_block_program,
 )
-from test_gauss import OVERFLOWS  # noqa: E402
+from test_gauss import NEGATIVE_ZERO_PIVOT, OVERFLOWS, REFUSED, underflow_system  # noqa: E402
 
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
@@ -116,6 +123,7 @@ from elsakit import (  # noqa: E402
 SOLVE_SIZES = [("relu", m) for m in (5, 12, 24, 30)] + [("exact", m) for m in (7, 16, 30)]
 STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
 WIDE_PIVOT_SIZES = (2, 3, 5, 9, 17, 24)
+UNDERFLOW_SIZES = (3, 9, 64)
 RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
 INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
@@ -150,21 +158,6 @@ def wide_pivot_system(seed, m):
     f, alpha = lower @ upper, rng.uniform(-1.0, 1.0, size=(m, 1))
     with_negative_zeros(rng, f, alpha)
     return LinearSystem(f=Matrix.from_array(f), alpha=Matrix.from_array(alpha))
-
-
-# Systems that solve refuses, as (F, alpha): a zero pivot at the first and the
-# last step, a pivot below tolerance after elimination at a forward and a
-# backward step, and a pivot whose square overflows at each end (exact mode;
-# relu division solves them).
-REFUSED = {
-    "zero_first": ([[0.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
-    "zero_last": ([[1.0, -2.0], [0.0, 0.0]], [1.0, 1.0]),
-    "tiny_forward": ([[1.0, 2.0, 0.0], [1.0, 2.0 + 1e-12, 1.0], [0.0, 1.0, 1.0]],
-                     [1.0, 0.0, 1.0]),
-    "tiny_backward": ([[1.0, 2.0], [1.0, 2.0 + 1e-11]], [0.0, 1.0]),
-    "huge_first": ([[1e160, 0.0], [0.0, 1.0]], [1e160, 1.0]),
-    "huge_last": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e160]], [1.0, 0.0, 1.0]),
-}
 
 
 def refused_systems():
@@ -223,18 +216,41 @@ def digest_wide_pivot_solves(h):
                 h.update(json.dumps(report, sort_keys=True).encode())
 
 
+def digest_step_loop(h, system, mode):
+    state = embed_system(system, mode=mode)
+    for k in range(1, system.m):
+        state = forward_eliminate_step(state, k)
+        h.update(state.p.array.tobytes())
+    for t in range(system.m, 0, -1):
+        state = backward_substitute_step(state, t)
+        h.update(state.p.array.tobytes())
+
+
+def digest_underflow_solves(h):
+    for seed in range(4):
+        for m in UNDERFLOW_SIZES:
+            system = underflow_system(np.random.default_rng([seed, m, 27]), m)
+            for mode in ("exact", "relu"):
+                x, report = solve(system, mode=mode)
+                h.update(x.array.tobytes())
+                h.update(json.dumps(report, sort_keys=True).encode())
+                digest_step_loop(h, system, mode)
+    f, alpha = NEGATIVE_ZERO_PIVOT
+    system = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+    for mode in ("exact", "relu"):
+        try:
+            solve(system, mode=mode)
+        except SingularDetected as exc:
+            digest_error(h, exc)
+
+
 def digest_step_states(h):
     for m in STEP_SIZES:
         for mode in ("exact", "relu"):
             for negative_zeros in (False, True):
-                state = embed_system(dd_system(100 + m, m, negative_zeros), mode=mode)
-                h.update(state.p.array.tobytes())
-                for k in range(1, m):
-                    state = forward_eliminate_step(state, k)
-                    h.update(state.p.array.tobytes())
-                for t in range(m, 0, -1):
-                    state = backward_substitute_step(state, t)
-                    h.update(state.p.array.tobytes())
+                system = dd_system(100 + m, m, negative_zeros)
+                h.update(embed_system(system, mode=mode).p.array.tobytes())
+                digest_step_loop(h, system, mode)
 
 
 def ridge_problems():
@@ -395,7 +411,8 @@ def main():
                        ("solves-wide-pivots", digest_wide_pivot_solves),
                        ("invsqr-extreme", digest_invsqr_extreme),
                        ("masked-components", digest_masked_components),
-                       ("solve-errors", digest_solve_errors)):
+                       ("solve-errors", digest_solve_errors),
+                       ("solves-underflow", digest_underflow_solves)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
