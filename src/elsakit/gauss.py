@@ -21,23 +21,26 @@ module over the whole padded state, sign of zero included; the tests keep
 that dense evaluation as the reference. A module whose updated entries
 overflow float64 raises EliminationOverflow.
 
-Each module is one straight-line kernel that updates a writable padded
-ndarray in place: the compiled view of its components. It reads the pivot,
-and the fold's solved entry, as a 0-d float64 and writes out, on that
-scalar, each mask's and affine unit's view and each skip product of two
-1-by-1 operands, in the dense module's order and with its bits. The divider
-is the one component a kernel calls. Of its three products with an array
-operand, the forward spread, a column times a row, is a broadcast multiply,
-and the fold and the row scale run through skip_product. The dense modules
-in the tests are the oracle. A step function runs one kernel on a copy of
-its state under np.errstate and checks its update for overflow.
+Each sweep is one kernel that updates a writable padded ndarray in place,
+one loop over its modules with each module's body written out once: the
+compiled view of its components. A module reads the pivot, and the fold's
+solved entry, as a 0-d float64 and writes out, on that scalar, each mask's
+and affine unit's view and each skip product of two 1-by-1 operands, in the
+dense module's order and with its bits. The divider is the one component a
+kernel calls. Its three products with an array operand are broadcast
+multiplies: the forward spread, a column times a row, and the fold and the
+row scale, a column or row times a 0-d operand plus 0.0. The dense modules
+in the tests are the oracle. A step function runs the same kernel over one
+index, on a copy of its state under np.errstate, with every update checked
+for overflow.
 
-solve runs every kernel on one copy of the system under one np.errstate,
+solve runs both kernels on one copy of the system under one np.errstate,
 unchecked, and then checks the finished state once. An update is made in
 place from the entries it replaces, so an inf or NaN stays non-finite to
 the end: a state that ends finite had no overflowing module. If it ends
-non-finite, or a pivot is refused, solve replays the sweep on a fresh copy
-with every module checked, which raises the error a step function names.
+non-finite, or a pivot is refused, solve replays both sweeps on a fresh
+copy with every module checked, which raises the error a step function
+names.
 
 solve divides each pivot once. The backward divide module reuses the forward
 sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
@@ -61,13 +64,12 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import BlockSpec, Matrix, ShapeMismatch, block_write, json_entries, zeros
+from .matrix import Matrix, ShapeMismatch, json_entries
 from .netcomp import (
     NetworkComponent,
     PiecewiseInvSqr,
     default_invsqr,
     make_divider_component,
-    skip_product,
 )
 from .ridge import RidgeProblem, normal_equations, predict
 
@@ -143,10 +145,10 @@ def embed_system(
     elif table is not None:
         raise ValueError("exact division takes no knot table")
     m = sys.m
-    p = zeros(m + 1, m + 1)
-    p = block_write(p, BlockSpec(1, m, 1, m), sys.f)
-    p = block_write(p, BlockSpec(1, m, m + 1, m + 1), sys.alpha)
-    return EliminationState(p=p, stage=("forward", 0), table=table)
+    p = np.zeros((m + 1, m + 1))
+    p[:m, :m] = sys.f.array
+    p[:m, m:] = sys.alpha.array
+    return EliminationState(p=Matrix.from_array(p), stage=("forward", 0), table=table)
 
 
 @lru_cache(maxsize=8)
@@ -155,15 +157,21 @@ def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
     return make_divider_component(None, table)
 
 
-def _check_pivot(table: Optional[PiecewiseInvSqr], value: float, step: str, index: int) -> None:
+def _refused(value: float, step: str, index: int) -> SingularDetected:
+    """The error for a pivot the check refuses: below tolerance, or its square overflows."""
     if abs(value) < PIVOT_TOLERANCE:
-        raise PivotBelowTolerance(
+        return PivotBelowTolerance(
             f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {step} {index}"
         )
-    if table is None and not math.isfinite(value * value):
-        raise SingularDetected(
-            f"pivot {value:.3e} at {step} {index} squares to inf in exact division"
-        )
+    return SingularDetected(f"pivot {value:.3e} at {step} {index} squares to inf in exact division")
+
+
+def _overflow(step: str, index: int, block: tuple) -> EliminationOverflow:
+    """The error for a module whose update of block (1-based, inclusive) is not finite."""
+    row_lo, row_hi, col_lo, col_hi = block
+    return EliminationOverflow(
+        f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, columns {col_lo}..{col_hi}"
+    )
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -173,109 +181,115 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
-def _update(p: np.ndarray, block: tuple, value: np.ndarray, step: str, index: int, *,
-            add=False, check=True) -> None:
-    """A module's update of block (1-based, inclusive) of p in place: value replaces it or is added.
-
-    With check, the updated entries must be finite, else EliminationOverflow,
-    named after step and index; solve runs unchecked and checks its state
-    once (see solve). In solve the block after the update holds no -0.0, as
-    the dense product's +0.0 terms leave it. A replacing value holds none.
-    An added value may hold -0.0 (the forward spread) only where the block
-    holds none: x + y is -0.0 only if x and y both are, so view + s is then
-    view + (s + 0.0), the dense sum. A step function's input may
-    hold -0.0 anywhere, so it adds 0.0 to its whole state once, after its
-    kernel. The caller holds np.errstate(over="ignore", invalid="ignore"),
-    so an overflow is found, here or by solve, and not warned about.
-    """
-    row_lo, row_hi, col_lo, col_hi = block
-    view = p[row_lo - 1 : row_hi, col_lo - 1 : col_hi]
-    if add:
-        view += value
-    else:
-        view[...] = value
-    if check and not _finite(view):
-        raise EliminationOverflow(
-            f"{step} {index} overflows float64 in rows {row_lo}..{row_hi}, "
-            f"columns {col_lo}..{col_hi}"
-        )
-
-
-# The kernels below write each component's compiled view out at its place
-# (netcomp._VIEWS): the keep-all mask and the +1 affine unit are a + 0.0, the
-# -1 unit is -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit). Each
-# mask keeps all of the block it runs on (the pivot, the column below it, the
-# fold's solved entry), and the backward anti-mask all of row t but the
-# pivot. Each affine unit's constant reads 0 there: the fold entry
+# The sweep kernels write each component's compiled view (netcomp._VIEWS)
+# out at its place: the keep-all mask and the +1 affine unit are a + 0.0,
+# the -1 unit is -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit).
+# Each mask keeps all of the block it runs on (the pivot, the column below
+# it, the fold's solved entry), and the backward anti-mask all of row t but
+# the pivot. Each affine unit's constant reads 0 there: the fold entry
 # (t+1, m+1) and the column below a pivot lie off the diagonal of I, and
-# z7's constant is I with the pivot entry zeroed. A skip_product on two 0-d
-# operands is written out too, as gamma * (r * z + 0.0). The divider, the one
-# approximation, runs as its component, once per pivot (see solve). Each
-# kernel passes check to _update: the replay that names an overflow runs the
-# same bodies as the unchecked pass.
+# z7's constant is I with the pivot entry zeroed. Each skip product is
+# skip_product's body: gamma * (r * z + 0.0) on two 0-d operands, and the
+# broadcast product plus 0.0 with one (the fold's xi, the row scale's z7),
+# which is what @ computes at inner dimension 1. The divider, the one
+# approximation, runs as its component, once per pivot (see solve). With
+# check, each update must be finite, else EliminationOverflow names its
+# module. The caller holds np.errstate(over="ignore", invalid="ignore"), so
+# an overflow is found, here or by solve, and not warned about.
+#
+# No update leaves -0.0 in solve's state: x + y is -0.0 only if x and y
+# both are, a product plus 0.0 never is, and the forward spread is added to
+# rows that hold none (see _forward_sweep). The anti-mask's 0 times the
+# scaled pivot gets its + 0.0 in place. A step function's input may hold
+# -0.0 anywhere, so it adds 0.0 to its whole state once, after its kernel.
 
 
-def _forward_module(p: np.ndarray, k: int, table: Optional[PiecewiseInvSqr], *,
-                    check: bool) -> np.float64:
-    """Forward step k on the padded state p, in place; see forward_eliminate_step.
+def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
+                   check: bool) -> tuple[list[float], list[np.float64]]:
+    """Forward steps ks, in order, on the padded state p, in place; see forward_eliminate_step.
 
-    Returns the divider's output r = 1/x^2 on the pivot x, for the backward
-    step that divides the same pivot. The mask on the column below the pivot
-    is dropped: (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products
-    differ at most in the sign of a zero, which the + 0.0 clears.
+    Returns each step's pivot, as a float, and the divider's output
+    r = 1/x^2 on that pivot x, for the backward step that divides the same
+    pivot. The mask on the column below the pivot is dropped:
+    (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
+    most in the sign of a zero, which the + 0.0 clears.
 
     The spread z6 @ row has inner dimension 1, and is computed as the
     broadcast z6 * row: one multiply per entry, where @ adds each to 0.0.
     The two differ only in a zero's sign: a product that is a zero with a
     minus sign (an underflow, or a zero factor) stays -0.0, where @ gives
     +0.0. Added to rows k+1..m, which hold no -0.0, both give the same
-    bits (see _update). solve adds 0.0 to rows
-    2..m before its sweep for this, which changes no bit: (a + 0.0) + b is
-    a + (b + 0.0), and the column below the pivot is read as c * z3 + 0.0.
-    A step function's trailing + 0.0 clears any -0.0 the sum leaves.
+    bits. solve adds 0.0 to rows 2..m before its sweep for this, which
+    changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
+    the pivot is read as c * z3 + 0.0. A step function's trailing + 0.0
+    clears any -0.0 the sum leaves.
     """
     size = p.shape[0]
-    pivot = p[k - 1, k - 1]
-    _check_pivot(table, float(pivot), "forward step", k)
-    z = pivot + 0.0  # mask
-    r = _pivot_divider(table)(z)
-    z3 = -1.0 * (r * z + 0.0)  # skip product, gamma -1
-    # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
-    # affine unit's + 0.0 gives that sign of zero.
-    z6 = p[k : size - 1, k - 1 : k] * z3 + 0.0
-    # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
-    spread = z6 * p[k - 1 : k]
-    _update(p, (k + 1, size - 1, 1, size), spread, "forward step", k, add=True, check=check)
-    return r
+    exact = table is None
+    divide = _pivot_divider(table)
+    pivots, rs = [], []
+    for k in ks:
+        pivot = p[k - 1, k - 1]
+        value = float(pivot)
+        pivots.append(value)
+        if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
+            raise _refused(value, "forward step", k)
+        z = pivot + 0.0  # mask
+        r = divide(z)
+        rs.append(r)
+        z3 = -1.0 * (r * z + 0.0)  # skip product, gamma -1
+        # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
+        # affine unit's + 0.0 gives that sign of zero.
+        z6 = p[k : size - 1, k - 1] * z3 + 0.0
+        # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
+        rows = p[k : size - 1]
+        rows += z6[:, None] * p[k - 1]
+        if check and not _finite(rows):
+            raise _overflow("forward step", k, (k + 1, size - 1, 1, size))
+    return pivots, rs
 
 
-def _backward_module(q: np.ndarray, t: int, table: Optional[PiecewiseInvSqr],
-                     r: Optional[np.float64] = None, *, check: bool) -> None:
-    """Backward step t on the padded state q, in place; see backward_substitute_step.
+def _backward_sweep(q: np.ndarray, ts, table: Optional[PiecewiseInvSqr], rs, *,
+                    check: bool) -> list[float]:
+    """Backward steps ts, in order, on the padded state q, in place; see backward_substitute_step.
 
-    r, if given, is forward step t's divider output on this pivot (see solve).
-    The mask on the scaled row is dropped: skip_product's z7 * row + 0.0
+    Returns each step's pivot, as a float. rs[t - 1], where rs has it, is
+    forward step t's divider output on pivot t (see solve); any other pivot
+    is divided here. The mask on the scaled row is dropped: z7 * row + 0.0
     holds no -0.0. The anti-mask's 0 weight at the pivot can give -0.0, and
-    its + 0.0 is kept there alone.
+    its + 0.0 is kept there alone. The row is scaled in place: each entry
+    is read once, by its own product.
     """
     size = q.shape[0]
-    if t < size - 1:
-        # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-        z2 = -1.0 * (q[t, size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
-        # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
-        spread = skip_product(z2, q[:, t : t + 1], side="right", gamma=1)
-        _update(q, (1, size, size, size), spread, "backward step", t, add=True, check=check)
-    pivot = q[t - 1, t - 1]
-    _check_pivot(table, float(pivot), "backward step", t)
-    z = pivot + 0.0  # mask
-    if r is None:
-        r = _pivot_divider(table)(z)
-    z7 = (r * z + 0.0) + 0.0  # skip product, gamma 1, then the +1 affine unit
-    scaled = skip_product(z7, q[t - 1 : t], side="left", gamma=1)
-    # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
-    # 0.0, or NaN if that entry is not finite.
-    scaled[0, t - 1] = scaled[0, t - 1] * 0.0 + 0.0
-    _update(q, (t, t, 1, size), scaled, "backward step", t, check=check)
+    exact = table is None
+    divide = _pivot_divider(table)
+    column = q[:, size - 1]
+    pivots: list[float] = []
+    for t in ts:
+        if t < size - 1:
+            # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
+            z2 = -1.0 * (q[t, size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
+            # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
+            column += q[:, t] * z2 + 0.0
+            if check and not _finite(column):
+                raise _overflow("backward step", t, (1, size, size, size))
+        pivot = q[t - 1, t - 1]
+        value = float(pivot)
+        pivots.append(value)
+        if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
+            raise _refused(value, "backward step", t)
+        z = pivot + 0.0  # mask
+        r = rs[t - 1] if t <= len(rs) else divide(z)
+        z7 = (r * z + 0.0) + 0.0  # skip product, gamma 1, then the +1 affine unit
+        row = q[t - 1]
+        np.multiply(z7, row, out=row)
+        row += 0.0
+        # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
+        # 0.0, or NaN if that entry is not finite.
+        row[t - 1] = row[t - 1] * 0.0 + 0.0
+        if check and not _finite(row):
+            raise _overflow("backward step", t, (t, t, 1, size))
+    return pivots
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
@@ -297,7 +311,7 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
     p = state.p.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        _forward_module(p, k, state.table, check=True)
+        _forward_sweep(p, (k,), state.table, check=True)
     p += 0.0
     return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
@@ -322,7 +336,7 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
     q = state.p.to_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        _backward_module(q, t, state.table, check=True)
+        _backward_sweep(q, (t,), state.table, (), check=True)
     q += 0.0
     return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
@@ -346,34 +360,14 @@ def solve(
     """
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
-    knot_range = None
-    if state.table is not None:
-        knot_range = (
-            float(state.table.interior_knots[0]),
-            float(state.table.interior_knots[-1]),
-        )
 
-    def sweep(check: bool) -> tuple[np.ndarray, list[float], list[str]]:
-        """Every module on one writable copy of the padded system, in place."""
+    def sweep(check: bool) -> tuple[np.ndarray, list[float]]:
+        """Both sweep kernels on one writable copy of the padded system, in place."""
         p = state.p.to_array()
-        p[1:m] += 0.0  # rows 2..m free of -0.0; see _forward_module
-        pivots: list[float] = []
-        flags: list[str] = []
-
-        def note_pivot(value: float, tag: str, index: int) -> None:
-            pivots.append(value)
-            if knot_range and not (knot_range[0] <= abs(value) <= knot_range[1]):
-                flags.append(f"pivot_out_of_table_range:{tag}{index}:{value!r}")
-
-        rs: list[Optional[np.float64]] = []  # 1/x^2 of each pivot, from the forward sweep
-        for k in range(1, m):
-            note_pivot(float(p[k - 1, k - 1]), "FE", k)
-            rs.append(_forward_module(p, k, state.table, check=check))
-        rs.append(None)
-        for t in range(m, 0, -1):
-            note_pivot(float(p[t - 1, t - 1]), "BS", t)
-            _backward_module(p, t, state.table, rs[t - 1], check=check)
-        return p, pivots, flags
+        p[1:m] += 0.0  # rows 2..m free of -0.0; see _forward_sweep
+        pivots, rs = _forward_sweep(p, range(1, m), state.table, check=check)
+        pivots += _backward_sweep(p, range(m, 0, -1), state.table, rs, check=check)
+        return p, pivots
 
     # A non-finite entry never becomes finite again, and up to its failure
     # the unchecked pass computes the checked pass's bits, so the replay
@@ -382,12 +376,12 @@ def solve(
     # gap; the report carries such a value instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            p, pivots, flags = sweep(check=False)
+            p, pivots = sweep(check=False)
             failed = not _finite(p)
         except SingularDetected:
             failed = True
         if failed:
-            p, pivots, flags = sweep(check=True)
+            p, pivots = sweep(check=True)
 
         x = Matrix.from_array(p[:m, m:].copy())
         residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
@@ -398,6 +392,12 @@ def solve(
             )
         except np.linalg.LinAlgError:
             rel_error = math.nan
+    flags = []
+    if state.table is not None:
+        lo, hi = float(state.table.interior_knots[0]), float(state.table.interior_knots[-1])
+        tags = [f"FE{k}" for k in range(1, m)] + [f"BS{t}" for t in range(m, 0, -1)]
+        flags = [f"pivot_out_of_table_range:{tag}:{value!r}"
+                 for tag, value in zip(tags, pivots) if not lo <= abs(value) <= hi]
     if not math.isfinite(rel_error):
         rel_error = None
         flags.append("reference_solve_failed")

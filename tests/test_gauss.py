@@ -109,23 +109,29 @@ NEGATIVE_ZERO_PIVOT = ([[1.0, 1e-200, 0.0], [1e-200, -0.0, 1.0], [0.0, 1.0, 1.0]
 
 
 def record_kernels(monkeypatch):
-    """Wrap both kernels; each call appends (kernel, index, check, error, finite after).
+    """Run both sweep kernels one index at a time; each index appends
+    (kernel, index, check, error, finite after).
 
-    error is the message of the SingularDetected the call raised, or None.
+    error is the message of the SingularDetected the index raised, or None.
     """
     calls = []
     for kind in ("forward", "backward"):
-        name = f"_{kind}_module"
+        name = f"_{kind}_sweep"
 
-        def run(p, i, *args, check, _kernel=getattr(gauss, name), _kind=kind):
-            error = None
-            try:
-                return _kernel(p, i, *args, check=check)
-            except gauss.SingularDetected as exc:
-                error = str(exc)
-                raise
-            finally:
-                calls.append((_kind, i, check, error, bool(np.isfinite(p).all())))
+        def run(p, indices, *args, check, _kernel=getattr(gauss, name), _kind=kind):
+            outputs = []
+            for i in indices:
+                error = None
+                try:
+                    outputs.append(_kernel(p, (i,), *args, check=check))
+                except gauss.SingularDetected as exc:
+                    error = str(exc)
+                    raise
+                finally:
+                    calls.append((_kind, i, check, error, bool(np.isfinite(p).all())))
+            if _kind == "forward":  # (pivots, rs) per index
+                return tuple(sum(lists, []) for lists in zip(*outputs))
+            return sum(outputs, [])
 
         monkeypatch.setattr(gauss, name, run)
     return calls
@@ -417,40 +423,46 @@ class TestLiteralOracle:
 
     def test_no_product_or_component_spans_the_state(self, monkeypatch):
         # The dense path multiplied (m+1)x(m+1) matrices three times per module.
-        # Every skip with an array operand runs through skip_product, but the
-        # forward spread, a column times a row, is a broadcast multiply, seen
-        # here as the value its _update adds; the divider runs as its
-        # component, and the other components' views and the 0-d skips on the
+        # The kernels write each module's products out on its blocks: the
+        # forward spread on the rows below the pivot, the fold on column m+1
+        # and the row scale on row t, seen here as the blocks a checked kernel,
+        # run one index at a time, tests for overflow. The divider runs as its
+        # component; the other components' views and the 0-d skips on the
         # pivot are written out in the kernels.
         m = 40
         full = (m + 1, m + 1)
-        products, spreads, components = [], [], []
-        call, update = netcomp.NetworkComponent.__call__, gauss._update
+        blocks, components = [], []
+        call, finite = netcomp.NetworkComponent.__call__, gauss._finite
 
-        def record_product(a, b, side, gamma):
-            products.append((a.shape, b.shape))
-            return netcomp.skip_product(a, b, side, gamma)
-
-        def record_update(p, block, value, step, *args, **kwargs):
-            if step == "forward step":
-                spreads.append(value.shape)
-            update(p, block, value, step, *args, **kwargs)
+        def record_block(a):
+            blocks.append(a.shape)
+            return finite(a)
 
         def record_component(comp, x):
             components.append((x.shape, comp.shape, comp))
             return call(comp, x)
 
-        monkeypatch.setattr(gauss, "skip_product", record_product)
-        monkeypatch.setattr(gauss, "_update", record_update)
+        systems = {mode: dd_system(np.random.default_rng(15), m, signed=True)
+                   for mode in ("exact", "relu")}
         monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_component)
-        for mode in ("exact", "relu"):
-            solve(dd_system(np.random.default_rng(15), m, signed=True), mode=mode)
-        # Per mode: the fold m-1 times and the row scale m.
-        assert len(products) == 2 * ((m - 1) + m)
+        for mode, sys in systems.items():
+            solve(sys, mode=mode)
+        monkeypatch.undo()
+        monkeypatch.setattr(gauss, "_finite", record_block)
+        for mode, sys in systems.items():
+            state = embed_system(sys, mode=mode)
+            p, rs = state.p.to_array(), []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, m):
+                    rs += gauss._forward_sweep(p, (k,), state.table, check=True)[1]
+                for t in range(m, 0, -1):
+                    gauss._backward_sweep(p, (t,), state.table, rs, check=True)
+        # Per mode: the fold m-1 times and the row scale m, each on m+1 entries.
+        assert blocks.count((m + 1,)) == 2 * ((m - 1) + m)
         # Per mode: forward step k spreads over rows k+1..m, (m-k)x1 times 1x(m+1).
-        assert spreads == 2 * [(m - k, m + 1) for k in range(1, m)]
-        # No operand is the whole state, so no product has it on both sides.
-        assert not [p for p in products if full in p]
+        assert [b for b in blocks if len(b) == 2] == 2 * [(m - k, m + 1) for k in range(1, m)]
+        # No module writes the whole state.
+        assert full not in blocks
         # Per mode: the divider once per pivot, the forward output reused.
         assert len(components) == 2 * m
         dividers = [gauss._pivot_divider(None)] * m + [gauss._pivot_divider(default_invsqr())] * m
@@ -480,20 +492,25 @@ class TestOverflow:
     ])
     def test_update_raises_only_on_a_non_finite_entry(self, block, overflows):
         # The finite sum is a first test; a sum that overflows from finite
-        # entries is decided entry by entry.
+        # entries is decided entry by entry. Column 3 is zero below the pivot,
+        # so forward step 3 adds a spread of +0.0 to rows 4.., and the entries
+        # its check sees are block's and zeros.
         value = np.array(block)
-        p = np.zeros((value.shape[0] + 1, value.shape[1] + 1))
-        where = (1, value.shape[0], 1, value.shape[1])
+        rows, cols = value.shape
+        size = 4 + max(rows, cols)
+        p = np.zeros((size, size))
+        p[2, 2] = 1.0
+        p[3 : 3 + rows, 3 : 3 + cols] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 if overflows:
                     with pytest.raises(EliminationOverflow,
                                        match="^forward step 3 overflows float64"):
-                        gauss._update(p, where, value, "forward step", 3)
+                        gauss._forward_sweep(p, (3,), None, check=True)
                 else:
-                    gauss._update(p, where, value, "forward step", 3, add=True)
-                    assert p[: value.shape[0], : value.shape[1]].tobytes() == value.tobytes()
+                    gauss._forward_sweep(p, (3,), None, check=True)
+                    assert p[3 : 3 + rows, 3 : 3 + cols].tobytes() == value.tobytes()
 
 
 class TestCheckedReplay:
@@ -724,55 +741,118 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("kind", ["negzero", "wide", "underflow"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     @pytest.mark.parametrize("m", [2, 3, 9, 64])
-    def test_kernels_write_no_negative_zero(self, m, mode, kind, monkeypatch):
+    def test_kernels_write_no_negative_zero(self, m, mode, kind):
         # The kernels add no + 0.0 after an update: x + y is -0.0 only if both
-        # are. A skip_product result (an @ from +0.0, or a 0-d product plus
-        # 0.0) holds no -0.0; the forward spread, a broadcast multiply, holds
-        # one where a product is negative and zero, and it is added to rows
-        # that hold none. The backward row's pivot entry, 0 times the scaled
-        # entry, is the one -0.0 a kernel makes, and it adds 0.0 there.
+        # are. A fold or row scale (a product plus 0.0) holds no -0.0; the
+        # forward spread, a broadcast multiply, holds one where a product is
+        # negative and zero, and it is added to rows that hold none. The
+        # backward row's pivot entry, 0 times the scaled entry, is the one
+        # -0.0 a kernel makes, and it adds 0.0 there. The kernels run one
+        # index at a time on solve's state; -0.0 + v is v, bit for bit, so a
+        # module run on a copy that holds -0.0 on its block, but on the
+        # entries it reads, leaves there the value it adds.
         rng = np.random.default_rng([19, m])
         if kind == "underflow":
             sys = underflow_system(rng, m)
         else:
             sys = wide_pivot_system(rng, m) if kind == "wide" else dd_system(rng, m, signed=True)
             sys = with_negative_zeros(sys, rng)
-        update, forward, backward = gauss._update, gauss._forward_module, gauss._backward_module
+        state = embed_system(sys, mode=mode)
+        p, rs = state.p.to_array(), []
+        p[1:m] += 0.0  # as solve does
         values, underflows = [], []
-
-        def record_update(p, block, value, step, *args, **kwargs):
-            values.append((step, holds_negative_zero(value)))
-            if step == "forward step":
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, m):
+                # The spread on rows k+1..m, but in column k, which z6 reads.
+                probe = p.copy()
+                probe[k:m, np.arange(m + 1) != k - 1] = -0.0
+                gauss._forward_sweep(probe, (k,), state.table, check=False)
+                spread = np.delete(probe[k:m], k - 1, axis=1)
+                values.append(("forward step", holds_negative_zero(spread)))
                 # A -0.0 from a nonzero entry below pivot k times a nonzero
                 # entry of row k is a negative product that underflowed, where
                 # @ gives +0.0.
-                k = block[0] - 1
-                nonzero = (p[k:m, k - 1 : k] != 0.0) & (p[k - 1 : k] != 0.0)
-                underflows.append(bool(np.any(nonzero & (value == 0.0) & np.signbit(value))))
-            update(p, block, value, step, *args, **kwargs)
-
-        def record_forward(p, k, table, *, check):
-            r = forward(p, k, table, check=check)
-            assert not holds_negative_zero(p[k:m]), f"rows below pivot {k}"
-            return r
-
-        def record_backward(q, t, table, r=None, *, check):
-            backward(q, t, table, r, check=check)
-            # Column m+1 is rewritten by the fold, which runs for t < m.
-            assert not holds_negative_zero(q[t - 1]), f"row {t}"
-            assert t == m or not holds_negative_zero(q[:, m]), f"column m+1 at {t}"
-
-        monkeypatch.setattr(gauss, "_update", record_update)
-        monkeypatch.setattr(gauss, "_forward_module", record_forward)
-        monkeypatch.setattr(gauss, "_backward_module", record_backward)
+                nonzero = np.delete((p[k:m, k - 1 : k] != 0.0) & (p[k - 1 : k] != 0.0),
+                                    k - 1, axis=1)
+                underflows.append(bool(np.any(nonzero & (spread == 0.0) & np.signbit(spread))))
+                rs += gauss._forward_sweep(p, (k,), state.table, check=False)[1]
+                assert not holds_negative_zero(p[k:m]), f"rows below pivot {k}"
+            for t in range(m, 0, -1):
+                if t < m:
+                    # The fold on column m+1, but in row t+1, which holds the
+                    # xi it reads, and in row t, which the row scale rewrites.
+                    probe = p.copy()
+                    added = ~np.isin(np.arange(m + 1), (t - 1, t))
+                    probe[added, m] = -0.0
+                    gauss._backward_sweep(probe, (t,), state.table, rs, check=False)
+                    values.append(("backward step", holds_negative_zero(probe[added, m])))
+                gauss._backward_sweep(p, (t,), state.table, rs, check=False)
+                values.append(("backward step", holds_negative_zero(p[t - 1])))  # the scaled row
+                # Column m+1 is rewritten by the fold, which runs for t < m.
+                assert not holds_negative_zero(p[t - 1]), f"row {t}"
+                assert t == m or not holds_negative_zero(p[:, m]), f"column m+1 at {t}"
         x, _ = solve(sys, mode=mode)
-        monkeypatch.undo()
+        assert p[:m, m:].tobytes() == x.array.tobytes()
         assert len(values) == 3 * m - 2
         assert not [step for step, negative in values if negative and step != "forward step"]
         # At m = 2 only one product of the spread pairs two off-diagonal entries.
         assert any(underflows) or kind != "underflow" or m == 2
         want_x, _ = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
         assert x.array.tobytes() == want_x.array.tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_one_kernel_per_sweep(self, mode, monkeypatch):
+        # A solve runs each sweep kernel once over all its indices, unchecked,
+        # and a failing one replays both checked; a step function runs the
+        # same kernel over its one index. No module calls skip_product: each
+        # writes its products out. The divider runs once per pivot in a solve
+        # pass, and once per step in the step loop, where each step divides.
+        m = 9
+        sys = dd_system(np.random.default_rng([22, m]), m, signed=True)
+        f, alpha, _ = OVERFLOWS["fold"]  # overflows at backward step 1
+        failing = LinearSystem(f=Matrix(f), alpha=Matrix.column(alpha))
+        calls, products, divides = [], [], []
+        for kind in ("forward", "backward"):
+            name = f"_{kind}_sweep"
+
+            def run(p, indices, *args, check, _kernel=getattr(gauss, name), _kind=kind):
+                calls.append((_kind, tuple(indices), check))
+                return _kernel(p, indices, *args, check=check)
+
+            monkeypatch.setattr(gauss, name, run)
+        product, call = netcomp.skip_product, netcomp.NetworkComponent.__call__
+        divider = gauss._pivot_divider(default_invsqr() if mode == "relu" else None)
+
+        def record_product(*args, **kwargs):
+            products.append(args)
+            return product(*args, **kwargs)
+
+        def record_call(comp, x):
+            if comp is divider:
+                divides.append(x)
+            return call(comp, x)
+
+        monkeypatch.setattr(netcomp, "skip_product", record_product)
+        monkeypatch.setattr(gauss, "skip_product", record_product, raising=False)
+        monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_call)
+        solve(sys, mode=mode)
+        assert calls == [("forward", tuple(range(1, m)), False),
+                         ("backward", tuple(range(m, 0, -1)), False)]
+        assert len(divides) == m
+        calls.clear()
+        divides.clear()
+        with pytest.raises(EliminationOverflow, match="^backward step 1 overflows float64"):
+            solve(failing, mode=mode)
+        assert calls == [("forward", (1,), False), ("backward", (2, 1), False),
+                         ("forward", (1,), True), ("backward", (2, 1), True)]
+        assert len(divides) == 2 * 2
+        calls.clear()
+        divides.clear()
+        step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        assert calls == ([("forward", (k,), True) for k in range(1, m)]
+                         + [("backward", (t,), True) for t in range(m, 0, -1)])
+        assert len(divides) == 2 * m - 1
+        assert products == []
 
     def test_default_relu_solves_share_one_divider(self):
         assert default_invsqr() is default_invsqr()

@@ -67,7 +67,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   m in (3, 9, 64), seeds 0-3, both modes: each solution and report, then
   every state of the step loop; last, solve's exception class and message
   in both modes on NEGATIVE_ZERO_PIVOT of tests/test_gauss.py,
-  whose second pivot is -0.0 plus an underflowed negative product.
+  whose second pivot is -0.0 plus an underflowed negative product;
+* solves-bench-sizes: solves at the benchmark's sizes and beyond, exact m
+  in (64, 100) and relu m in (24, 64), seeds 0-2, each of four systems:
+  signed dominant as in solves, the same with -0.0 as in step-states, F = L U
+  as in solves-wide-pivots and underflow_system; the solution bytes and then
+  the report of each.
 """
 
 import hashlib
@@ -124,6 +129,7 @@ SOLVE_SIZES = [("relu", m) for m in (5, 12, 24, 30)] + [("exact", m) for m in (7
 STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
 WIDE_PIVOT_SIZES = (2, 3, 5, 9, 17, 24)
 UNDERFLOW_SIZES = (3, 9, 64)
+BENCH_SIZES = [("exact", m) for m in (64, 100)] + [("relu", m) for m in (24, 64)]
 RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
 INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
@@ -212,6 +218,18 @@ def digest_wide_pivot_solves(h):
         for m in WIDE_PIVOT_SIZES:
             for mode in ("exact", "relu"):
                 x, report = solve(wide_pivot_system(seed, m), mode=mode)
+                h.update(x.array.tobytes())
+                h.update(json.dumps(report, sort_keys=True).encode())
+
+
+def digest_bench_size_solves(h):
+    for seed in range(3):
+        for mode, m in BENCH_SIZES:
+            systems = (dd_system(seed, m), dd_system(seed, m, negative_zeros=True),
+                       wide_pivot_system(seed, m),
+                       underflow_system(np.random.default_rng([seed, m, 64]), m))
+            for system in systems:
+                x, report = solve(system, mode=mode)
                 h.update(x.array.tobytes())
                 h.update(json.dumps(report, sort_keys=True).encode())
 
@@ -412,7 +430,8 @@ def main():
                        ("invsqr-extreme", digest_invsqr_extreme),
                        ("masked-components", digest_masked_components),
                        ("solve-errors", digest_solve_errors),
-                       ("solves-underflow", digest_underflow_solves)):
+                       ("solves-underflow", digest_underflow_solves),
+                       ("solves-bench-sizes", digest_bench_size_solves)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
