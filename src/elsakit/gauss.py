@@ -223,6 +223,12 @@ def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
     changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
     the pivot is read as c * z3 + 0.0. A step function's trailing + 0.0
     clears any -0.0 the sum leaves.
+
+    The multiplier column z6 is c * z3, without the +1 affine unit's + 0.0.
+    The two differ only where c * z3 is -0.0, and there each spread entry
+    is a zero of either sign (or the NaN of 0 * inf either way), so the sum
+    differs at most in the sign of a zero, which solve's rows, free of -0.0,
+    and a step function's trailing + 0.0 clear as above.
     """
     size = p.shape[0]
     exact = table is None
@@ -239,8 +245,8 @@ def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
         rs.append(r)
         z3 = -1.0 * (r * z + 0.0)  # skip product, gamma -1
         # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
-        # affine unit's + 0.0 gives that sign of zero.
-        z6 = p[k : size - 1, k - 1] * z3 + 0.0
+        # affine unit's + 0.0 would give that sign of zero, which the spread drops.
+        z6 = p[k : size - 1, k - 1] * z3
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
         rows = p[k : size - 1]
         rows += z6[:, None] * p[k - 1]

@@ -31,15 +31,18 @@ changes only the columns its last block writes. The plan follows that
 through every step block. Its slots are the heads' own compiled
 projections, evaluated by :meth:`elsakit.attention._Projection.apply`: one
 reading no changing column is bound to the initial prompt once per run,
-and each step evaluates the rest on the columns that change only. Each
-bound block becomes one kernel, from a factory the plan makes once per
-program: straight-line code over the block's bound arrays that maps its
-narrow input to its accumulator, with the products, order and
-parenthesisation of the per-step forward. A unit slot, a projection that
-copies its one input column with weight 1, is that input itself, since no
-input of the loop holds -0.0: step 1 reads a contiguous copy of the
-prompt plus 0.0. The per-step :func:`step` and the literal dense forwards
-in :mod:`elsakit.attention` stay the oracles.
+and each step evaluates the rest on the columns that change only. The
+bound plan is one generated function, from a factory the plan makes once
+per program: the whole step loop as straight-line code over the blocks'
+bound arrays and buffers allocated once per run, with the products, order
+and parenthesisation of the per-step forward. A unit slot, a projection
+that copies its one input column with weight 1, is that input itself,
+since no block input holds -0.0: step 1 reads a contiguous copy of the
+prompt plus 0.0. Two rewrites keep every bit (see :func:`_factory`): the
+skip adds the step's input rather than the state, and a last block whose
+start is all +0.0 starts from its first varying term. The per-step
+:func:`step` and the literal dense forwards in :mod:`elsakit.attention`
+stay the oracles.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ import numpy as np
 
 from .attention import CompiledHead, ElsaParams, EmptyHeads, Index, LsaParams, _index
 from .attention import _Projection, compile_head, compiled_forward
-from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, block_write, eye_block
-from .matrix import identity, product_for, scale, transpose, zeros
+from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, eye_block
+from .matrix import product_for, scale, transpose, zeros
 from .maskmove import MskMovSpec, mskmov_selectors
 from .ridge import BadProblemFile, RidgeProblem, finite_prefix
 
@@ -175,30 +178,26 @@ def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
 
 
 def build_designed_input(p: RidgeProblem) -> PipelineState:
-    """Assemble the step-0 prompt for the designed layout.
+    """Assemble the step-0 prompt for the designed layout, every block written into one array.
 
     Raises BadProblemFile when a scaled entry overflows: sqrt(eta) X,
     sqrt(eta) y or sqrt(eta lam) is not finite.
     """
     n, d = p.n, p.d
     layout = DesignedLayout(n=n, d=d)
-    s = layout.s
-    sqrt_eta = math.sqrt(p.eta)
-    sqrt_eta_lam = math.sqrt(p.eta) * math.sqrt(p.lam)
+    h = np.zeros(layout.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = (scale(transpose(p.x), sqrt_eta), scale(transpose(p.y), sqrt_eta),
-                  scale(identity(d), sqrt_eta_lam))
-    if not all(np.all(np.isfinite(m.array)) for m in scaled):
+        sqrt_eta = math.sqrt(p.eta)
+        h[:d, :n] = sqrt_eta * p.x.array.T
+        h[d, n : 2 * n] = sqrt_eta * p.y.array[:, 0]
+        h[d, 2 * n] = 1.0
+        h[:d, 2 * n + 1 : 2 * n + d + 1] = (sqrt_eta * math.sqrt(p.lam)) * np.eye(d)
+    if not np.isfinite(h[:, : 2 * n + d + 1]).all():
         raise BadProblemFile("the designed prompt is not finite: sqrt(eta) X, sqrt(eta) y "
                              "or sqrt(eta lambda) overflows")
-    h = zeros(d + 1, s)
-    h = block_write(h, BlockSpec(1, d, 1, n), scaled[0])
-    h = block_write(h, BlockSpec(d + 1, d + 1, n + 1, 2 * n), scaled[1])
-    h = block_write(h, BlockSpec(d + 1, d + 1, 2 * n + 1, 2 * n + 1), Matrix([[1.0]]))
-    h = block_write(h, BlockSpec(1, d, 2 * n + 2, 2 * n + d + 1), scaled[2])
-    h = block_write(h, BlockSpec(1, d, 2 * n + d + 2, 2 * n + d + 2), p.u)
-    h = block_write(h, BlockSpec(1, d, s, s), p.w0)
-    return PipelineState(h=h, layout=layout)
+    h[:d, 2 * n + d + 1] = p.u.array[:, 0]
+    h[:d, layout.s - 1] = p.w0.array[:, 0]
+    return PipelineState(h=Matrix.from_array(h), layout=layout)
 
 
 def build_designed_weights(n: int, d: int) -> Program:
@@ -247,21 +246,18 @@ def build_designed_weights(n: int, d: int) -> Program:
 
 
 def build_enumerated_input(p: RidgeProblem) -> PipelineState:
-    """Assemble the step-0 prompt for the enumerated layout."""
+    """Assemble the step-0 prompt for the enumerated layout, every block written into one array."""
     n, d = p.n, p.d
     layout = EnumeratedLayout(n=n, d=d)
-    s = layout.s
-    h = zeros(d, s)
-    h = block_write(h, BlockSpec(1, d, 1, n), transpose(p.x))
+    h = np.zeros(layout.shape)
+    h[:, :n] = p.x.array.T
     # Padded target block: y fills the last row, the d-1 rows above stay zero.
-    h = block_write(h, BlockSpec(d, d, n + 1, 2 * n), transpose(p.y))
-    h = block_write(h, BlockSpec(1, d, 2 * n + 1, 2 * n + d), scale(identity(d), p.lam))
-    h = block_write(
-        h, BlockSpec(1, d, 2 * n + d + 1, 2 * n + 2 * d), scale(identity(d), math.sqrt(p.eta))
-    )
-    h = block_write(h, BlockSpec(1, d, 2 * n + 2 * d + 1, 2 * n + 2 * d + 1), p.u)
-    h = block_write(h, BlockSpec(1, d, s, s), p.w0)
-    return PipelineState(h=h, layout=layout)
+    h[d - 1, n : 2 * n] = p.y.array[:, 0]
+    h[:, 2 * n : 2 * n + d] = p.lam * np.eye(d)
+    h[:, 2 * n + d : 2 * n + 2 * d] = math.sqrt(p.eta) * np.eye(d)
+    h[:, 2 * n + 2 * d] = p.u.array[:, 0]
+    h[:, layout.s - 1] = p.w0.array[:, 0]
+    return PipelineState(h=Matrix.from_array(h), layout=layout)
 
 
 def build_enumerated_weights(n: int, d: int) -> Program:
@@ -392,7 +388,6 @@ class _PlanBlock(NamedTuple):
     varying: tuple[int, ...]  # the slots evaluated at every step
     cols: Index  # A: the output columns the block's accumulator holds
     fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
-    bind: Callable  # the block's kernel factory, made by _kernel
 
 
 class StepPlan(NamedTuple):
@@ -401,6 +396,7 @@ class StepPlan(NamedTuple):
     cols: Index  # S: the prompt columns the loop's state holds
     w: int  # the coefficient column's position in S
     blocks: tuple[_PlanBlock, ...]
+    bind: Callable  # the run factory, made by _factory
 
 
 def _mask(width: int, *indexes: Index) -> np.ndarray:
@@ -442,9 +438,9 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     column. The loop's state holds the prompt columns S: W, the coefficient
     column and whatever the first block's varying projections read. Block
     b's accumulator holds its varying columns and whatever block b+1's
-    varying projections read; the last block's holds S. Each block's kernel
-    factory (:func:`_kernel`) is made here, and a step head whose input
-    shape differs from the layout's raises DimensionMismatch.
+    varying projections read; the last block's holds S. The run factory
+    (:func:`_factory`) is made here, once, and a step head whose input shape
+    differs from the layout's raises DimensionMismatch.
     """
     height, width = layout.shape
     for c in (c for block in step for c in block):
@@ -463,10 +459,10 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
     state = _mask(width, *(c.p2.cols for c in step[-1]), layout.w_col - 1) | reads[0]
     held = [outs[b] | reads[b + 1] for b in range(len(step) - 1)] + [state]
 
-    blocks = []
+    blocks, code = [], []
     for b, block in enumerate(step):
         source, cols = every[state if b == 0 else held[b - 1]], every[held[b]]
-        slots, varying, dots = [], [], []
+        slots, varying, heads = [], [], []
         for c, fc in zip(block, flags[b]):
             for p, v in zip((c.p1, c.p2, c.p3), fc):
                 if v:
@@ -475,7 +471,8 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                 slots.append(p._replace(rows=rows, k=_whole(p.k, p.w.shape[1])))
             # t1^T t2 is (m, height) by (height, .) and t3 (t1^T t2) is (height, m) by (m, .),
             # so one pick serves both.
-            dots.append(product_for(height, every[: c.p1.w.shape[1]][c.p1.k].size))
+            m = every[: c.p1.w.shape[1]][c.p1.k].size
+            heads.append((product_for(height, m), (m, c.p2.w.shape[1])))
         adds = []
         for i, (c, fc) in enumerate(zip(block, flags[b])):
             written = every[c.p2.cols]
@@ -485,10 +482,13 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                 adds.append((i, _whole(_index(np.searchsorted(cols, written[keep])), cols.size),
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
-        blocks.append(_PlanBlock(tuple(slots), tuple(varying), _index(cols), fresh,
-                                 _kernel(slots, dots, varying, adds)))
+        blocks.append(_PlanBlock(tuple(slots), tuple(varying), _index(cols), fresh))
+        # The last block's start is all +0.0 when every accumulator column is fresh and no
+        # constant term comes before its first varying one.
+        zero = b == len(step) - 1 and bool(outs[b][cols].all()) and adds[0][2] is None
+        code.append((slots, varying, heads, adds, (height, cols.size), zero))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
-    return StepPlan(_index(every[state]), position, tuple(blocks))
+    return StepPlan(_index(every[state]), position, tuple(blocks), _factory(code))
 
 
 def _unit(slot: _Projection) -> bool:
@@ -497,97 +497,130 @@ def _unit(slot: _Projection) -> bool:
             and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
 
 
-def _kernel(slots: list[_Projection], dots: list, varying: list, adds: list) -> Callable:
-    """A bound step block's kernel factory bind(start, values, consts), made by one exec.
+def _factory(code: list) -> Callable:
+    """The plan's run factory bind(starts, values, consts), made by one exec.
 
-    slots and varying are the block's :class:`_PlanBlock` fields; per head,
-    dots holds the product of its t1^T t2 and t3 (t1^T t2), and adds its
-    (head, at, sel) in head order: the accumulator columns its term lands
-    in and, for a constant head, which of its columns vary. bind's
-    arguments are what :func:`_bind` computes for a run. bind adds the
-    constant terms before the first varying one into start, in the order
-    each step would add them, and returns the kernel: straight-line code
-    from the block's narrow input x to its accumulator, with the products,
-    order and parenthesisation of :meth:`~elsakit.attention._Projection.apply`
-    and :func:`compiled_forward`. A unit slot (:func:`_unit`) computes
-    x @ [[1.0]], which is x + 0.0; no input the run loop passes holds -0.0,
-    so it is x itself. Any other varying slot calls its apply. When the
-    first remaining addition covers every column, the accumulator is
-    start + term, the same sum as a copy of start followed by +=. The plan's
-    arrays and products are the factory's globals.
+    code holds, per step block, its :class:`_PlanBlock` slots and varying
+    slots; per head, the product of its t1^T t2 and t3 (t1^T t2) and the
+    shape of t1^T t2; its (head, at, sel) additions in head order, the
+    accumulator columns each term lands in and, for a constant head, which
+    of its columns vary; its accumulator's shape; and whether its start is
+    all +0.0. bind's arguments are what :func:`_bind` computes for a run,
+    one entry per block. bind adds each block's constant terms before its
+    first varying one into its start, in the order each step would add
+    them, allocates every product and accumulator buffer once, and returns
+    run(x, hs). run's body is the whole step loop, one pass per out in
+    hs[1:], written out as straight-line code with the products, order and
+    parenthesisation of :meth:`~elsakit.attention._Projection.apply` and
+    :func:`compiled_forward`: each product is dot(a, b, buffer), each sum
+    add(acc, term, acc), and the skip x = add(acc, x, out), so that out
+    becomes the next step's input. Block b reads block b-1's accumulator.
+
+    A unit slot (:func:`_unit`) computes x @ [[1.0]], which is x + 0.0; no
+    block input holds -0.0 (an accumulator's sums start from +0.0, except
+    as below), so it is x itself. Any other varying slot calls its apply. When the first varying term covers every column, the
+    accumulator is start + term, the same sum as a copy of start followed by
+    an in-place add. Two rewrites of the per-step :func:`step` are exact:
+
+    * The skip adds the step's input x, where :func:`step` adds the state
+      hs[t-1]. For t >= 2 x is hs[t-1]. At t = 1 x is h + 0.0, and
+      (a + 0.0) + b is a + (b + 0.0) bit for bit: both differ from a + b
+      only when a and b are -0.0, and then both are +0.0.
+    * A last block whose start is all +0.0 drops start +: its accumulator
+      starts at the first varying term. Adding +0.0 changes only a -0.0
+      into +0.0, so its sum can differ from start + ... only in the sign of
+      a zero, and adding x, which holds no -0.0 (h + 0.0, then sums with
+      it), clears that. No block reads that accumulator.
+
+    The plan's arrays and products are the factory's globals.
     """
-    cells, prologue, slot_lines, operands = {}, [], [], {}
+    cells = {"add": np.add, "copyto": np.copyto, "empty": np.empty}
+    prologue, body = [], []
 
     def cell(value, name: str = "") -> str:
         name = name or f"a{len(cells)}"
         cells[name] = value
         return name
 
-    for i in varying:
-        if _unit(slots[i]):
-            operands[i] = "x.T" if slots[i].transposed else "x"
-        else:
-            slot_lines.append(f"v{i} = {cell(slots[i].apply)}(x)")
-            operands[i] = f"v{i}"
+    for b, (slots, varying, heads, adds, shape, zero) in enumerate(code):
+        source, acc, operands = "x" if b == 0 else f"acc{b - 1}", f"acc{b}", {}
+        terms = any(sel is None for _, _, sel in adds)
+        prologue += [f"s{b} = starts[{b}]", f"{acc} = empty({shape})" if terms else f"{acc} = s{b}"]
+        for i in varying:
+            if _unit(slots[i]):
+                operands[i] = f"{source}.T" if slots[i].transposed else source
+            else:
+                body.append(f"v{b}_{i} = {cell(slots[i].apply)}({source})")
+                operands[i] = f"v{b}_{i}"
 
-    def operand(r: int) -> str:
-        if r not in operands:
-            prologue.append(f"b{r} = values[{r}]")
-            operands[r] = f"b{r}"
-        return operands[r]
+        def operand(r: int) -> str:
+            if r not in operands:
+                prologue.append(f"b{b}_{r} = values[{b}][{r}]")
+                operands[r] = f"b{b}_{r}"
+            return operands[r]
 
-    first, terms = None, []
-    for head, at, sel in adds:
-        into = "" if at is None else f"[:, {cell(at)}]"
-        if sel is None:
-            f = cell(dots[head], dots[head].__name__)
-            r1, r2, r3 = map(operand, range(3 * head, 3 * head + 3))
-            term = f"{f}({r3}, {f}({r1}, {r2}))"
-        elif first is None:
-            # A constant term before the first varying one: added into start, once.
-            prologue.append(f"start{into} += consts[{head}][:, {cell(sel)}]")
-            continue
-        else:
-            prologue.append(f"c{head} = consts[{head}][:, {cell(sel)}]")
-            term = f"c{head}"
-        if first is None and at is None:
-            first = f"acc = start + {term}"
-        else:
-            first = first or "acc = start.copy()"
-            terms.append(f"acc{into} += {term}")
-    kernel = (*slot_lines, first or "acc = start", *terms, "return acc")
-    lines = (*prologue, "def kernel(x):", *(f"    {line}" for line in kernel), "return kernel")
-    exec("def bind(start, values, consts):\n" + "".join(f"    {line}\n" for line in lines), cells)
+        first = False
+        for head, at, sel in adds:
+            into = "" if at is None else f"[:, {cell(at)}]"
+            if sel is not None:
+                term = f"consts[{b}][{head}][:, {cell(sel)}]"
+                if not first:
+                    # A constant term before the first varying one: added into start, once.
+                    prologue.append(f"s{b}{into} += {term}")
+                    continue
+                prologue.append(f"c{b}_{head} = {term}")
+                term = f"c{b}_{head}"
+            else:
+                f, (r1, r2, r3) = heads[head][0], map(operand, range(3 * head, 3 * head + 3))
+                f, mid, term = cell(f, f.__name__), f"m{b}_{head}", f"t{b}_{head}"
+                prologue.append(f"{mid} = empty({heads[head][1]})")
+                body.append(f"{f}({r1}, {r2}, {mid})")
+                if not first and at is None:
+                    body.append(f"{f}({r3}, {mid}, {acc})")
+                    body += [] if zero else [f"add(s{b}, {acc}, {acc})"]
+                    first = True
+                    continue
+                prologue.append(f"{term} = empty({(shape[0], heads[head][1][1])})")
+                body.append(f"{f}({r3}, {mid}, {term})")
+            if not first:
+                body.append(f"copyto({acc}, s{b})")
+                first = True
+            body.append(f"{acc}{into} += {term}" if into else f"add({acc}, {term}, {acc})")
+    body.append(f"x = add(acc{len(code) - 1}, x, out)")
+    lines = (*prologue, "def run(x, hs):", "    for out in hs[1:]:",
+             *(f"        {line}" for line in body), "return run")
+    exec("def bind(starts, values, consts):\n" + "".join(f"    {line}\n" for line in lines),
+         cells)
     return cells.pop("bind")
 
 
-def _bind(plan: StepPlan, h0: np.ndarray) -> list[Callable]:
-    """The plan's step blocks bound to the prompt h0: each block's kernel factory called once.
+def _bind(plan: StepPlan, h0: np.ndarray) -> Callable:
+    """The plan bound to the prompt h0: its run factory called once, for one run.
 
     Block by block, the bound slots read the block's input with only its
     constant columns filled in, by :meth:`~elsakit.attention._Projection.apply`:
     h0 for the first block, then the previous block's constant heads summed
     in head order, each t3 @ (t1 @ t2) as in :func:`compiled_forward`. A
-    block's accumulator starts at 0.0 in the varying columns, and its
-    factory (:func:`_kernel`) adds the leading constant terms into that
-    start.
+    block's accumulator starts at 0.0 in the varying columns, and the
+    factory (:func:`_factory`) adds the leading constant terms into that
+    start. Returns run(x, hs), the step loop.
     """
-    kernels = []
+    starts, values, consts = [], [], []
     x = h0
     for blk in plan.blocks:
-        values = [None if i in blk.varying else s.apply(x) for i, s in enumerate(blk.slots)]
+        values.append([None if i in blk.varying else s.apply(x) for i, s in enumerate(blk.slots)])
         out = np.zeros(x.shape)
-        consts = {}
-        for i in range(len(values) // 3):
-            t1, t2, t3 = values[3 * i : 3 * i + 3]
+        consts.append({})
+        for i in range(len(blk.slots) // 3):
+            t1, t2, t3 = values[-1][3 * i : 3 * i + 3]
             if t1 is not None and t2 is not None and t3 is not None:
-                consts[i] = t3 @ (t1 @ t2)
-                out[:, blk.slots[3 * i + 1].cols] += consts[i]
+                consts[-1][i] = t3 @ (t1 @ t2)
+                out[:, blk.slots[3 * i + 1].cols] += consts[-1][i]
         start = out[:, blk.cols].copy()
         start[:, blk.fresh] = 0.0
-        kernels.append(blk.bind(start, values, consts))
+        starts.append(start)
         x = out
-    return kernels
+    return plan.bind(starts, values, consts)
 
 
 def run_program(
@@ -600,15 +633,16 @@ def run_program(
     it binds the whole step module to the initial prompt once, so every
     projection that reads no column the step changes is evaluated once per
     run, and a head whose three projections all are becomes one constant
-    term. Each bound block is one kernel, straight-line code from the
-    factory the plan made once per program (:func:`_kernel`). Each step
-    then runs the kernels in block order: a kernel evaluates only the
-    varying projections on the columns that change, taking a unit slot as
-    its input, and adds the head terms in head order into a narrow
-    accumulator; the step adds the state back as the skip connection.
-    Step 1 reads a contiguous copy of the prompt plus 0.0, while the trace
-    keeps the prompt's own w0. The full prompt is rebuilt once, for the
-    readout. It equals :func:`step` bit for bit, and :func:`step` stays the
+    term. The bound plan is one generated function, from the factory the
+    plan made once per program (:func:`_factory`), whose body is the whole
+    step loop over buffers allocated once per run: each step evaluates only
+    the varying projections on the columns that change, taking a unit slot
+    as its input, adds the head terms in head order into each block's
+    narrow accumulator, and adds the step's input back as the skip
+    connection. Step 1 reads a contiguous copy of the prompt plus 0.0, while
+    the trace keeps the prompt's own w0. The full prompt is rebuilt once,
+    for the readout. It equals :func:`step` bit for bit (the factory's
+    docstring gives the two exact rewrites), and :func:`step` stays the
     per-step oracle. A divergent run overflows silently, and its trace ends
     before the first non-finite coefficient column.
     """
@@ -620,9 +654,10 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     """run_program's loop on a compiled view; the trace is a (k, d, 1) stack of hs's w column.
 
     hs[t] holds step t's state columns: hs[0] the prompt's own, and hs[t]
-    the last kernel's accumulator plus hs[t - 1]. Step 1's kernels read
-    h0 = h + 0.0 instead, in a contiguous copy, so every kernel input is a
-    C-ordered array free of -0.0, as a unit slot needs.
+    for t >= 1 the last block's accumulator plus step t's input, which the
+    bound plan's run writes in place. Step 1 reads h0 = h + 0.0 instead of
+    hs[0], in a contiguous copy, so every block input is a C-ordered array
+    free of -0.0, as a unit slot needs.
     """
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
@@ -634,15 +669,9 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     with np.errstate(over="ignore", invalid="ignore"):
         # Every step after the first reads the unwritten columns as h + 0.0.
         h0 = h + 0.0
-        kernels = _bind(plan, h0)
         # A strided view of h0 would change np.dot's last bit, so step 1 reads a copy laid out
-        # as hs[t] is. An accumulator holds no -0.0: its sums start from +0.0 (np.zeros or
-        # the fresh columns), so acc + hs[t - 1] holds none either.
-        x = np.ascontiguousarray(h0[:, plan.cols])
-        for prev, out in zip(hs, hs[1:]):
-            for kernel in kernels:
-                x = kernel(x)
-            x = np.add(x, prev, out=out)
+        # as hs[t] is.
+        _bind(plan, h0)(np.ascontiguousarray(h0[:, plan.cols]), hs)
         final = (h0 if steps else h).copy()
         final[:, plan.cols] = hs[steps]
         h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,

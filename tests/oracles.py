@@ -15,14 +15,20 @@ padded state, which the block-evaluated steps are checked against bitwise.
 
 The file also builds the ridge step programs beyond the three builders that
 the pipeline tests and tools/bitwise_digest.py run: two_block_program and
-reader_program.
+reader_program; the zero-feature problems both run through them
+(zero_feature_arrays); and the ridge prompts as the pipeline first
+assembled them, one block_write per block (block_write_designed_prompt,
+block_write_enumerated_prompt), the reference the one-array builders must
+match byte for byte.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from elsakit import (
+    BadProblemFile,
     BlockSpec,
     LsaParams,
     MaskSpec,
@@ -39,7 +45,9 @@ from elsakit import (
     make_mask_component,
     matmul,
     multihead_forward,
+    scale,
     skip_mul,
+    transpose,
     zeros,
 )
 
@@ -267,6 +275,54 @@ def random_ridge_arrays(rng: np.random.Generator, n: int, d: int,
     y = x @ w_true + noise * rng.normal(size=(n, 1))
     u = rng.normal(size=(d, 1))
     return x, y, u
+
+
+def zero_feature_arrays(rng: np.random.Generator, n: int, d: int):
+    """x, y, u and w0 whose first feature, and last one when d > 2, is a zero column of X.
+
+    The zero columns hold signed zeros and w0 is -0.0, so the first step's
+    gradient terms for those features are signed zeros.
+    """
+    x, y, u = random_ridge_arrays(rng, n, d)
+    zero = [0] + ([d - 1] if d > 2 else [])
+    x[:, zero] = rng.choice([0.0, -0.0], size=(n, len(zero)))
+    return x, y, u, np.full((d, 1), -0.0)
+
+
+def block_write_designed_prompt(p) -> Matrix:
+    """The designed prompt of the ridge problem p, one block_write per block."""
+    n, d = p.n, p.d
+    s = 2 * n + d + 3
+    sqrt_eta = math.sqrt(p.eta)
+    sqrt_eta_lam = math.sqrt(p.eta) * math.sqrt(p.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (scale(transpose(p.x), sqrt_eta), scale(transpose(p.y), sqrt_eta),
+                  scale(identity(d), sqrt_eta_lam))
+    if not all(np.all(np.isfinite(m.array)) for m in scaled):
+        raise BadProblemFile("the designed prompt is not finite: sqrt(eta) X, sqrt(eta) y "
+                             "or sqrt(eta lambda) overflows")
+    h = zeros(d + 1, s)
+    h = block_write(h, BlockSpec(1, d, 1, n), scaled[0])
+    h = block_write(h, BlockSpec(d + 1, d + 1, n + 1, 2 * n), scaled[1])
+    h = block_write(h, BlockSpec(d + 1, d + 1, 2 * n + 1, 2 * n + 1), Matrix([[1.0]]))
+    h = block_write(h, BlockSpec(1, d, 2 * n + 2, 2 * n + d + 1), scaled[2])
+    h = block_write(h, BlockSpec(1, d, 2 * n + d + 2, 2 * n + d + 2), p.u)
+    return block_write(h, BlockSpec(1, d, s, s), p.w0)
+
+
+def block_write_enumerated_prompt(p) -> Matrix:
+    """The enumerated prompt of the ridge problem p, one block_write per block."""
+    n, d = p.n, p.d
+    s = 2 * n + 2 * d + 3
+    h = zeros(d, s)
+    h = block_write(h, BlockSpec(1, d, 1, n), transpose(p.x))
+    h = block_write(h, BlockSpec(d, d, n + 1, 2 * n), transpose(p.y))
+    h = block_write(h, BlockSpec(1, d, 2 * n + 1, 2 * n + d), scale(identity(d), p.lam))
+    h = block_write(
+        h, BlockSpec(1, d, 2 * n + d + 1, 2 * n + 2 * d), scale(identity(d), math.sqrt(p.eta))
+    )
+    h = block_write(h, BlockSpec(1, d, 2 * n + 2 * d + 1, 2 * n + 2 * d + 1), p.u)
+    return block_write(h, BlockSpec(1, d, s, s), p.w0)
 
 
 def selector(s: int, *entries: tuple[int, int, float]) -> Matrix:

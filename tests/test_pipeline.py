@@ -29,6 +29,7 @@ from elsakit import (
     build_designed_weights,
     build_enumerated_input,
     build_enumerated_weights,
+    compiled_forward,
     elsa_forward,
     extract_w,
     gd_run,
@@ -49,7 +50,15 @@ from elsakit import (
     wrap_designed_as_elsa,
     zeros,
 )
-from oracles import literal_run_module, random_ridge_arrays, reader_program, two_block_program
+from oracles import (
+    block_write_designed_prompt,
+    block_write_enumerated_prompt,
+    literal_run_module,
+    random_ridge_arrays,
+    reader_program,
+    two_block_program,
+    zero_feature_arrays,
+)
 
 
 def problem(rng, n, d, lam=0.5, eta="auto", steps=5, w0=None):
@@ -105,6 +114,46 @@ class TestDesignedInput:
             with pytest.raises(BadProblemFile, match="designed prompt"):
                 build_designed_input(p)
             assert np.all(np.isfinite(build_enumerated_input(p).h.array))
+
+
+class TestPromptAssembly:
+    """The builders write every block into one array; the block_write prompts are the reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_prompts_are_the_block_write_prompts(self, n, d):
+        rng = np.random.default_rng([n, d, 76])
+        # eta = 0 scales X and y to signed zeros; lam = 0 makes the ridge block 0 * I.
+        for lam, eta in ((0.0, "auto"), (0.5, "auto"), (2.0, 0.0), (0.5, 1e-3)):
+            x, y, u = random_ridge_arrays(rng, n, d)
+            w0 = rng.normal(size=(d, 1))
+            for a in (x, y, u, w0):
+                a[rng.random(a.shape) < 0.3] = -0.0
+            x, y, u, w0 = (Matrix.from_array(a) for a in (x, y, u, w0))
+            p = make_problem(x, y, u, lam, eta=eta, steps=1, w0=w0)
+            for build, reference in ((build_designed_input, block_write_designed_prompt),
+                                     (build_enumerated_input, block_write_enumerated_prompt)):
+                got = build(p).h.array
+                assert got.tobytes() == reference(p).array.tobytes(), (build.__name__, lam, eta)
+                assert got.flags.c_contiguous and not got.flags.writeable
+
+    def test_overflow_keeps_its_message(self):
+        one = Matrix.column([1.0, 1.0])
+        cases = (
+            (identity(2), Matrix.column([-1e308, 1.0]), 0.5, 1e300),  # sqrt(eta) y
+            (Matrix([[1.0, -1e308], [0.0, 1.0]]), one, 0.0, 1e300),  # sqrt(eta) X
+        )
+        for x, y, lam, eta in cases:
+            p = make_problem(x, y, one, lam, eta=eta, steps=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BadProblemFile) as got:
+                    build_designed_input(p)
+                with pytest.raises(BadProblemFile) as want:
+                    block_write_designed_prompt(p)
+                assert str(got.value) == str(want.value)
+                assert (build_enumerated_input(p).h.array.tobytes()
+                        == block_write_enumerated_prompt(p).array.tobytes())
 
 
 class TestDesignedWeights:
@@ -685,6 +734,35 @@ class TestCompiledProgram:
                     assert np.array_equal(np.signbit(w.array), np.signbit(want_w.array)), name
                 self.assert_same_run(got, want, name)
 
+    @pytest.mark.parametrize("steps", [0, 1, 2, 12])
+    def test_zero_features_keep_the_step_loop_bits(self, steps):
+        for n, d in ((1, 1), (3, 2), (2, 3), (20, 4)):
+            x, y, u, w0 = (Matrix.from_array(a) for a in
+                           zero_feature_arrays(np.random.default_rng([n, d, 75]), n, d))
+            for lam in (0.5, 0.0) if d > 1 else (0.5,):
+                p = make_problem(x, y, u, lam, steps=steps, w0=w0)
+                programs = self.programs(p)
+                designed_input = build_designed_input(p)
+                programs["two-block"] = (two_block_program(n, d), designed_input)
+                for reader in ("w1", "w3"):
+                    programs[reader] = (reader_program(n, d, reader), designed_input)
+                for name, (prog, state) in programs.items():
+                    h = state.h.array
+                    held = h[:, prog.compiled.plan.cols]
+                    assert np.signbit(held[held == 0.0]).any(), name
+                    # The last block's terms of step 1 hold signed zeros: a zero feature's rows.
+                    out = h
+                    for block in prog.compiled.step[:-1]:
+                        out = compiled_forward(out, block)
+                    terms = [c.p3.apply(out) @ (c.p1.apply(out) @ c.p2.apply(out))
+                             for c in prog.compiled.step[-1]]
+                    assert any((t == 0.0).any() for t in terms), name
+                    got = run_program(prog, state, steps)
+                    want = self.step_loop(prog, state, steps)
+                    for w, want_w in zip(got[0], want[0]):
+                        assert np.array_equal(np.signbit(w.array), np.signbit(want_w.array)), name
+                    self.assert_same_run(got, want, name)
+
     def test_foreign_state_is_refused(self):
         rng = np.random.default_rng(62)
         p = problem(rng, n=3, d=2, steps=2)
@@ -771,9 +849,12 @@ class TestStepPlan:
         for name, (prog, state) in TestCompiledProgram.programs(p).items():
             plan = prog.compiled.plan
             assert all(pipeline._unit(b.slots[i]) for b in plan.blocks for i in b.varying), name
-            for kernel in pipeline._bind(plan, state.h.array + 0.0):
-                # The kernel evaluates no slot: its only locals are its input and accumulator.
-                assert kernel.__code__.co_varnames == ("x", "acc"), name
+            run = pipeline._bind(plan, state.h.array + 0.0)
+            # The run evaluates no slot: its only locals are its input, the trace and the step's
+            # row of it, and no apply is among its globals.
+            assert run.__code__.co_varnames == ("x", "hs", "out"), name
+            assert not any(getattr(g, "__name__", "") == "apply"
+                           for g in run.__globals__.values()), name
 
     def test_slots_are_the_heads_own_projections(self):
         p = problem(np.random.default_rng(73), 3, 2)
@@ -814,41 +895,51 @@ class TestStepPlan:
         # Block 1's accumulator holds w and column 2, which block 2's varying t2 reads.
         assert np.array_equal(np.arange(s)[first.cols], [1, s - 1])
         assert self.varying_reads(second) == [(False, True, False), (False, False, False)]
-        # Each block's varying t2 slots read columns with weights other than [[1.0]], so each
-        # kernel evaluates them into locals of its own, one per head.
-        kernels = pipeline._bind(plan, np.ones(prog.layout.shape))
-        assert [len(k.__code__.co_varnames) for k in kernels] == [5, 3]
+        # Each block's varying t2 slots read columns with weights other than [[1.0]], so the
+        # run evaluates them into locals of its own, one per head: v<block>_<slot>.
+        run = pipeline._bind(plan, np.ones(prog.layout.shape))
+        assert run.__code__.co_varnames == ("x", "hs", "out", "v0_4", "v0_7", "v0_13", "v1_1")
         # Block 2's constant head writes w, which varies, so each step adds its term.
-        assert "c1" in kernels[1].__code__.co_freevars
+        assert "c1_1" in run.__code__.co_freevars
 
     def test_kernels_are_made_once_per_program(self, monkeypatch):
-        made, kernel = [], pipeline._kernel
+        made, factory = [], pipeline._factory
 
         def counted(*args):
-            made.append(kernel(*args))
+            made.append(factory(*args))
             return made[-1]
 
-        monkeypatch.setattr(pipeline, "_kernel", counted)
+        monkeypatch.setattr(pipeline, "_factory", counted)
         p = problem(np.random.default_rng(72), 3, 2, steps=4)
         programs = TestCompiledProgram.programs(p)
         programs["two-block"] = (two_block_program(p.n, p.d), build_designed_input(p))
         for name, (prog, state) in programs.items():
             made.clear()
-            blocks = prog.compiled.plan.blocks
-            assert made == [b.bind for b in blocks], name
+            assert made == [prog.compiled.plan.bind], name
             for _ in range(3):
                 run_program(prog, state, p.steps)
-            assert len(made) == len(blocks), name
-            assert all(b.bind is f for b, f in zip(prog.compiled.plan.blocks, made)), name
-        binds = {form: [b.bind for b in pipeline._compiled_program(form, p.n, p.d).plan.blocks]
+            assert made == [prog.compiled.plan.bind], name
+        binds = {form: pipeline._compiled_program(form, p.n, p.d).plan.bind
                  for form in ("lsa", "elsa")}
         made.clear()
         for form in ("lsa", "elsa", "lsa", "elsa"):
             run_pipeline(p, form)
         assert made == []
-        for form, factories in binds.items():
-            blocks = pipeline._compiled_program(form, p.n, p.d).plan.blocks
-            assert all(b.bind is f for b, f in zip(blocks, factories)), form
+        for form, bind in binds.items():
+            assert pipeline._compiled_program(form, p.n, p.d).plan.bind is bind, form
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4)])
+    def test_the_zero_start_is_dropped_in_the_contraction_only(self, n, d):
+        p = problem(np.random.default_rng(74), n, d)
+        programs = TestCompiledProgram.programs(p)
+        programs["two-block"] = (two_block_program(n, d), build_designed_input(p))
+        # The run reads block b's start s<b> unless the plan dropped it.
+        read = {"designed": ["s0"], "wrapped": ["s0"], "enumerated": ["s0"],
+                "two-block": ["s0", "s1"]}
+        for name, (prog, state) in programs.items():
+            run = pipeline._bind(prog.compiled.plan, state.h.array + 0.0)
+            starts = [v for v in run.__code__.co_freevars if v.startswith("s")]
+            assert sorted(starts) == read[name], name
 
     @pytest.mark.parametrize("steps", [0, 1, 12])
     def test_two_block_program_is_the_step_loop(self, steps):

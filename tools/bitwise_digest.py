@@ -72,7 +72,15 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   in (64, 100) and relu m in (24, 64), seeds 0-2, each of four systems:
   signed dominant as in solves, the same with -0.0 as in step-states, F = L U
   as in solves-wide-pivots and underflow_system; the solution bytes and then
-  the report of each.
+  the report of each;
+* run-program-zeros: run_program's trace, final prompt and prediction for
+  the designed, enumerated and zero-bias wrapped programs and the
+  two-block and w1 and w3 reader programs, at T in (0, 1, 2, 12), on the
+  prompts of zero_feature_arrays in tests/oracles.py: for every (n, d) of
+  run-pipeline, an X whose first feature (and last, when d > 2) is a column
+  of signed zeros, and w0 = -0.0, at lambda 0.5 and, when X has a nonzero
+  feature, at lambda 0; so the state columns hold -0.0 and the last step
+  block's terms are signed zeros.
 """
 
 import hashlib
@@ -89,6 +97,7 @@ from oracles import (  # noqa: E402
     random_ridge_arrays,
     reader_program,
     two_block_program,
+    zero_feature_arrays,
 )
 from test_gauss import NEGATIVE_ZERO_PIVOT, OVERFLOWS, REFUSED, underflow_system  # noqa: E402
 
@@ -319,6 +328,33 @@ def digest_run_program(h, problems=ridge_problems):
             h.update(np.float64(prediction).tobytes())
 
 
+ZERO_FEATURE_STEPS = (0, 1, 2, 12)
+
+
+def zero_feature_problems():
+    for n, d in RIDGE_SHAPES:
+        x, y, u, w0 = (Matrix.from_array(a) for a in
+                       zero_feature_arrays(np.random.default_rng([n, d, 29]), n, d))
+        for lam in (0.5, 0.0) if d > 1 else (0.5,):
+            for steps in ZERO_FEATURE_STEPS:
+                yield make_problem(x, y, u, lam, steps=steps, w0=w0)
+
+
+def digest_run_program_zeros(h):
+    for p in zero_feature_problems():
+        designed = build_designed_weights(p.n, p.d)
+        programs = ((build_enumerated_weights(p.n, p.d), build_enumerated_input(p)),
+                    *((prog, build_designed_input(p)) for prog in (
+                        designed, wrap_designed_as_elsa(designed), two_block_program(p.n, p.d),
+                        reader_program(p.n, p.d, "w1"), reader_program(p.n, p.d, "w3"))))
+        for prog, state in programs:
+            trace, final, prediction = run_program(prog, state, p.steps)
+            for w in trace:
+                h.update(w.array.tobytes())
+            h.update(final.array.tobytes())
+            h.update(np.float64(prediction).tobytes())
+
+
 def digest_run_program_plans(h):
     for problems in (ridge_problems, signed_ridge_problems):
         for p in problems():
@@ -431,7 +467,8 @@ def main():
                        ("masked-components", digest_masked_components),
                        ("solve-errors", digest_solve_errors),
                        ("solves-underflow", digest_underflow_solves),
-                       ("solves-bench-sizes", digest_bench_size_solves)):
+                       ("solves-bench-sizes", digest_bench_size_solves),
+                       ("run-program-zeros", digest_run_program_zeros)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
