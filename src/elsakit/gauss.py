@@ -27,12 +27,13 @@ compiled view of its components. A module reads the pivot, and the fold's
 solved entry, as a 0-d float64 and writes out, on that scalar, each mask's
 and affine unit's view and each skip product of two 1-by-1 operands, in the
 dense module's order and with its bits. The divider is the one component a
-kernel calls. Its three products with an array operand are broadcast
-multiplies: the forward spread, a column times a row, and the fold and the
-row scale, a column or row times a 0-d operand plus 0.0. The dense modules
-in the tests are the oracle. A step function runs the same kernel over one
-index, on a copy of its state under np.errstate, with every update checked
-for overflow.
+kernel calls. Of its three products with an array operand, the forward
+spread, a column times a row, is one BLAS call, matrix.outer_product, for
+every row count; the fold and the row scale, a column or row times a 0-d
+operand plus 0.0, are broadcast multiplies. The dense modules in the tests
+are the oracle. A step function runs the same kernel over one index, on a
+copy of its state under np.errstate, with every update checked for
+overflow.
 
 solve runs both kernels on one copy of the system under one np.errstate,
 unchecked, and then checks the finished state once. An update is made in
@@ -64,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix import Matrix, ShapeMismatch, json_entries
+from .matrix import Matrix, ShapeMismatch, json_entries, outer_product
 from .netcomp import (
     NetworkComponent,
     PiecewiseInvSqr,
@@ -214,21 +215,35 @@ def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
     (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
     most in the sign of a zero, which the + 0.0 clears.
 
-    The spread z6 @ row has inner dimension 1, and is computed as the
-    broadcast z6 * row: one multiply per entry, where @ adds each to 0.0.
-    The two differ only in a zero's sign: a product that is a zero with a
-    minus sign (an underflow, or a zero factor) stays -0.0, where @ gives
-    +0.0. Added to rows k+1..m, which hold no -0.0, both give the same
-    bits. solve adds 0.0 to rows 2..m before its sweep for this, which
+    The spread z6 @ row has inner dimension 1, and is computed as
+    matrix.outer_product(z6, row), np.dot's BLAS outer product, for every
+    k: one product per entry, where @ adds each to 0.0. It parts from @ in
+    two ways, and neither reaches the state, so no row count takes another
+    path.
+
+    Signs of zero. Each entry is the product rounded once, so it differs
+    from @'s only in a zero's sign: a negative product that underflows
+    stays -0.0, where @ gives +0.0. Added to rows k+1..m, which hold no
+    -0.0, both give the same bits, as x + y is -0.0 only if x and y both
+    are. solve adds 0.0 to rows 2..m before its sweep for this, which
     changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
     the pivot is read as c * z3 + 0.0. A step function's trailing + 0.0
     clears any -0.0 the sum leaves.
 
+    The skipped zero. With one row, at k = m - 1, np.dot takes z6 as a
+    scalar and skips it where it is zero: 0 * inf gives 0 where @ gives
+    NaN. That changes a bit only where pivot row m - 1 already holds an inf
+    or NaN, which stays non-finite to the end. In the unchecked pass the
+    state then still ends non-finite, and solve replays it. In a checked
+    pass that entry came from an earlier checked update, which raised
+    first, or from the input, which Matrix refuses.
+
     The multiplier column z6 is c * z3, without the +1 affine unit's + 0.0.
     The two differ only where c * z3 is -0.0, and there each spread entry
-    is a zero of either sign (or the NaN of 0 * inf either way), so the sum
-    differs at most in the sign of a zero, which solve's rows, free of -0.0,
-    and a step function's trailing + 0.0 clear as above.
+    is a zero of either sign (or, from two rows up, the NaN of 0 * inf
+    either way; with one row, both zeros are skipped), so the sum differs
+    at most in the sign of a zero, which solve's rows, free of -0.0, and a
+    step function's trailing + 0.0 clear as above.
     """
     size = p.shape[0]
     exact = table is None
@@ -249,7 +264,7 @@ def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
         z6 = p[k : size - 1, k - 1] * z3
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
         rows = p[k : size - 1]
-        rows += z6[:, None] * p[k - 1]
+        rows += outer_product(z6[:, None], p[k - 1 : k])
         if check and not _finite(rows):
             raise _overflow("forward step", k, (k + 1, size - 1, 1, size))
     return pivots, rs

@@ -217,6 +217,24 @@ def product_for(rows: int, inner: int):
     return _DOT if rows > 1 and inner > 1 else np.matmul
 
 
+outer_product = _DOT
+"""np.dot, without dispatch as in product_for, on an r-by-1 column and a 1-by-c row.
+
+It makes one BLAS call where a broadcast column * row makes one inner
+loop per row, and it is not @: @ adds each product to 0.0. What it
+computes differs from the broadcast multiply as follows.
+
+From two rows up, every entry is the product a * b rounded once, and it
+can differ from the multiply only in the sign of a zero: 0 * -0.0 gives
++0.0 here and -0.0 there, while a negative product that underflows keeps
+its -0.0 in both. NaN and inf land in the same places, 0 * inf is NaN.
+
+With one row, the column is taken as a scalar, and a zero scalar is
+skipped: the result is +0.0 everywhere, also against an inf or a NaN,
+where the multiply gives NaN. A nonzero scalar behaves as from two rows.
+"""
+
+
 def transpose(a: Matrix) -> Matrix:
     return Matrix.from_array(a.array.T.copy())
 

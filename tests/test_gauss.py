@@ -102,8 +102,9 @@ REFUSED = {
     "huge_first": ([[1e160, 0.0], [0.0, 1.0]], [1e160, 1.0]),
     "huge_last": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e160]], [1.0, 0.0, 1.0]),
 }
-# Forward step 1 adds -1e-200 * 1e-200, which the spread gives as -0.0, to
-# the -0.0 at (2, 2); the dense step leaves +0.0 there, and solve refuses that.
+# Forward step 1 adds -1e-200 * 1e-200, which the spread's outer product
+# keeps as -0.0, to the -0.0 at (2, 2); the dense step leaves +0.0 there, and
+# solve refuses that.
 NEGATIVE_ZERO_PIVOT = ([[1.0, 1e-200, 0.0], [1e-200, -0.0, 1.0], [0.0, 1.0, 1.0]],
                        [1.0, 1.0, 1.0])
 
@@ -553,6 +554,28 @@ class TestCheckedReplay:
         assert [c[:3] for c in replay] == sweep_calls(m, True)[: len(replay)]
         assert replay[-1][3].startswith(f"{where} overflows float64")
 
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_a_skipped_zero_multiplier_still_replays(self, mode, monkeypatch):
+        # Forward step 1 puts -inf at (3, 4), in pivot row m - 1; the last,
+        # one-row spread multiplies that row by -0.0, which np.dot skips, so
+        # row m stays finite where a multiply would put NaN at (4, 4). Row 3
+        # stays non-finite, and the replay names forward step 1.
+        f = [[1.0, 0.0, 0.0, 1e300], [0.0, 1.0, 0.0, 0.0], [1e300, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0]]
+        sys = LinearSystem(f=Matrix(f), alpha=Matrix.column([1.0] * 4))
+        state = embed_system(sys, mode=mode)
+        p = state.p.to_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            gauss._forward_sweep(p, range(1, 4), state.table, check=False)
+        assert p[2, 3] == -np.inf and p[3, 2] == 0.0
+        assert np.isfinite(p[3]).all()
+        calls = record_kernels(monkeypatch)
+        with pytest.raises(EliminationOverflow) as raised:
+            solve(sys, mode=mode)
+        assert str(raised.value) == "forward step 1 overflows float64 in rows 2..4, columns 1..5"
+        assert [c[:3] for c in calls[:3]] == sweep_calls(4, False)[:3]
+        assert calls[-1][:4] == ("forward", 1, True, str(raised.value))
+
     @pytest.mark.parametrize("name, mode", [
         (name, mode) for name in [*REFUSED, "negative_zero_pivot"] for mode in ("exact", "relu")
         if mode == "exact" or not name.startswith("huge")])
@@ -602,6 +625,27 @@ def underflow_system(rng, m):
     return LinearSystem(f=Matrix(f), alpha=Matrix(alpha))
 
 
+def zero_multiplier_systems(rng, m):
+    """A signed dominant system with zeros below its diagonal, then the same with -0.0.
+
+    About 40% of the entries below the diagonal are zero, and with
+    probability 1/2 all of row m's are, so that every spread onto row m,
+    the one-row spread of the last forward step among them, has a zero
+    multiplier. The second system holds -0.0 at those zeros and in about
+    30% of alpha's entries.
+    """
+    f, alpha = random_dd_system(rng, m, signed=True)
+    zero = np.tril(rng.random((m, m)) < 0.4, -1)
+    if rng.random() < 0.5:
+        zero[m - 1, : m - 1] = True
+    f[zero] = 0.0
+    signed_f, signed_alpha = f.copy(), alpha.copy()
+    signed_f[zero] = -0.0
+    signed_alpha[rng.random((m, 1)) < 0.3] = -0.0
+    return (LinearSystem(f=Matrix(f), alpha=Matrix(alpha)),
+            LinearSystem(f=Matrix(signed_f), alpha=Matrix(signed_alpha)))
+
+
 def holds_negative_zero(a):
     return bool(np.any(np.signbit(a) & (a == 0.0)))
 
@@ -622,15 +666,19 @@ def step_loop(sys, mode, forward, backward):
 class TestInPlaceKernels:
     """solve runs the modules in place on one buffer; the steps and the dense steps agree."""
 
-    @pytest.mark.parametrize("kind", ["plain", "negzero", "underflow"])
+    @pytest.mark.parametrize("kind", ["plain", "negzero", "underflow", "zeros", "signed-zeros"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     @pytest.mark.parametrize("m", [2, 3, 5, 9, 24, 64])
     def test_solve_is_the_step_loop_and_the_literal_steps(self, m, mode, kind):
         # In "underflow", forward spreads hold -0.0 where @ gives +0.0 (see
         # test_kernels_write_no_negative_zero), and solve keeps the dense bits.
+        # In "zeros" and "signed-zeros", multiplier columns hold +-0.0, and
+        # the last, one-row spread can multiply by zero, which np.dot skips.
         rng = np.random.default_rng([15, m])
         if kind == "underflow":
             sys = underflow_system(rng, m)
+        elif kind.endswith("zeros"):
+            sys = zero_multiplier_systems(rng, m)[kind == "signed-zeros"]
         else:
             sys = dd_system(rng, m, signed=True)
             if kind == "negzero":
@@ -744,8 +792,8 @@ class TestInPlaceKernels:
     def test_kernels_write_no_negative_zero(self, m, mode, kind):
         # The kernels add no + 0.0 after an update: x + y is -0.0 only if both
         # are. A fold or row scale (a product plus 0.0) holds no -0.0; the
-        # forward spread, a broadcast multiply, holds one where a product is
-        # negative and zero, and it is added to rows that hold none. The
+        # forward spread, np.dot's outer product, holds one where a negative
+        # product underflows, and it is added to rows that hold none. The
         # backward row's pivot entry, 0 times the scaled entry, is the one
         # -0.0 a kernel makes, and it adds 0.0 there. The kernels run one
         # index at a time on solve's state; -0.0 + v is v, bit for bit, so a

@@ -24,7 +24,7 @@ from elsakit import (
     transpose,
     zeros,
 )
-from elsakit.matrix import product_for
+from elsakit.matrix import outer_product, product_for
 from oracles import naive_matmul
 
 
@@ -191,6 +191,66 @@ class TestProductFor:
     @pytest.mark.parametrize("rows,inner", [(1, 1), (3, 1), (1, 3), (4, 0)])
     def test_other_shapes_take_matmul(self, rows, inner):
         assert product_for(rows, inner) is np.matmul
+
+
+# Extremes for outer_product's operands: signed zeros, subnormals, factors of
+# 1e-200 and 1e-170 whose products underflow, overflow, inf and NaN.
+OUTER_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200,
+                  1e-170, -1e-170, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+def outer_operand(rng, shape):
+    """Signed draws over 12 decades, about 40% of them replaced by extremes."""
+    a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    hit = rng.random(shape) < 0.4
+    a[hit] = rng.choice(OUTER_EXTREMES, size=int(hit.sum()))
+    return a
+
+
+def outer_grid():
+    """(column, row) pairs: rows 1-70, each with columns 2, 130 and two seeded counts between."""
+    for rows in range(1, 71):
+        rng = np.random.default_rng([rows, 30])
+        for cols in (2, 130, *rng.integers(3, 130, size=2)):
+            yield outer_operand(rng, (rows, 1)), outer_operand(rng, (1, int(cols)))
+
+
+class TestOuterProduct:
+    """The forward spread's contract: outer_product against the broadcast multiply."""
+
+    def test_is_np_dot_without_dispatch(self):
+        assert outer_product is getattr(np.dot, "_implementation", np.dot)
+
+    def test_matches_the_multiply_but_for_the_sign_of_a_zero(self):
+        # Each entry is a * b rounded once, NaN and inf included; where both
+        # results are zeros, only the sign may differ. A one-row column with
+        # a zero entry is the one case left out (test_one_row_skips_a_zero).
+        signs, underflows = 0, 0
+        with np.errstate(all="ignore"):
+            for a, b in outer_grid():
+                if a.shape[0] == 1 and a[0, 0] == 0.0:
+                    continue
+                got, want = outer_product(a, b), a * b
+                zeros = (got == 0.0) & (want == 0.0)
+                same = got.view(np.uint64) == want.view(np.uint64)
+                assert (same | zeros).all(), (a, b)
+                signs += int((zeros & ~same).sum())
+                negative = np.signbit(a) & ~np.signbit(b) & (a != 0.0) & (b != 0.0)
+                underflows += int((negative & (got == 0.0) & np.signbit(got)).sum())
+        # The grid holds zeros of both signs and negative products that underflow.
+        assert signs > 0 and underflows > 0
+
+    def test_one_row_skips_a_zero(self):
+        # A one-row column is taken as a scalar, and a zero one is skipped:
+        # +0.0 everywhere, where the multiply gives NaN against inf or NaN.
+        with np.errstate(all="ignore"):
+            for _, b in outer_grid():
+                for zero in (0.0, -0.0):
+                    got = outer_product(np.array([[zero]]), b)
+                    assert got.tobytes() == np.zeros(b.shape).tobytes(), (zero, b)
+            b = np.array([[np.inf, -np.inf, np.nan, -0.0, 1.0]])
+            assert np.isnan(np.array([[0.0]]) * b).sum() == 3
+            assert outer_product(np.array([[-0.0]]), b).tobytes() == np.zeros((1, 5)).tobytes()
 
 
 class TestBlocks:

@@ -80,7 +80,14 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   run-pipeline, an X whose first feature (and last, when d > 2) is a column
   of signed zeros, and w0 = -0.0, at lambda 0.5 and, when X has a nonzero
   feature, at lambda 0; so the state columns hold -0.0 and the last step
-  block's terms are signed zeros.
+  block's terms are signed zeros;
+* solves-zero-multipliers: the two systems of zero_multiplier_systems in
+  tests/test_gauss.py, m in (2, 3, 9, 64), seeds 0-3, both modes: signed
+  dominant systems with +0.0 in about 40% of the entries below the
+  diagonal (all of row m's in some), so that multiplier columns hold
+  +-0.0 and some one-row spreads multiply by zero, then the same with
+  -0.0 there and in alpha; each solution and report, then every state of
+  the step loop.
 """
 
 import hashlib
@@ -99,7 +106,13 @@ from oracles import (  # noqa: E402
     two_block_program,
     zero_feature_arrays,
 )
-from test_gauss import NEGATIVE_ZERO_PIVOT, OVERFLOWS, REFUSED, underflow_system  # noqa: E402
+from test_gauss import (  # noqa: E402
+    NEGATIVE_ZERO_PIVOT,
+    OVERFLOWS,
+    REFUSED,
+    underflow_system,
+    zero_multiplier_systems,
+)
 
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
@@ -138,6 +151,7 @@ SOLVE_SIZES = [("relu", m) for m in (5, 12, 24, 30)] + [("exact", m) for m in (7
 STEP_SIZES = (2, 3, 9, 33, 64, 100, 129)
 WIDE_PIVOT_SIZES = (2, 3, 5, 9, 17, 24)
 UNDERFLOW_SIZES = (3, 9, 64)
+ZERO_MULTIPLIER_SIZES = (2, 3, 9, 64)
 BENCH_SIZES = [("exact", m) for m in (64, 100)] + [("relu", m) for m in (24, 64)]
 RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
@@ -269,6 +283,17 @@ def digest_underflow_solves(h):
             solve(system, mode=mode)
         except SingularDetected as exc:
             digest_error(h, exc)
+
+
+def digest_zero_multiplier_solves(h):
+    for seed in range(4):
+        for m in ZERO_MULTIPLIER_SIZES:
+            for system in zero_multiplier_systems(np.random.default_rng([seed, m, 30]), m):
+                for mode in ("exact", "relu"):
+                    x, report = solve(system, mode=mode)
+                    h.update(x.array.tobytes())
+                    h.update(json.dumps(report, sort_keys=True).encode())
+                    digest_step_loop(h, system, mode)
 
 
 def digest_step_states(h):
@@ -468,7 +493,8 @@ def main():
                        ("solve-errors", digest_solve_errors),
                        ("solves-underflow", digest_underflow_solves),
                        ("solves-bench-sizes", digest_bench_size_solves),
-                       ("run-program-zeros", digest_run_program_zeros)):
+                       ("run-program-zeros", digest_run_program_zeros),
+                       ("solves-zero-multipliers", digest_zero_multiplier_solves)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
