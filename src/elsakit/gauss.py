@@ -416,9 +416,12 @@ def solve(
     flags = []
     if state.table is not None:
         lo, hi = float(state.table.interior_knots[0]), float(state.table.interior_knots[-1])
-        tags = [f"FE{k}" for k in range(1, m)] + [f"BS{t}" for t in range(m, 0, -1)]
-        flags = [f"pivot_out_of_table_range:{tag}:{value!r}"
-                 for tag, value in zip(tags, pivots) if not lo <= abs(value) <= hi]
+        # pivots holds forward steps 1..m-1, then backward steps m..1; only a
+        # pivot out of range gets its step's tag.
+        for i, value in enumerate(pivots):
+            if not lo <= abs(value) <= hi:
+                tag = f"FE{i + 1}" if i < m - 1 else f"BS{2 * m - 1 - i}"
+                flags.append(f"pivot_out_of_table_range:{tag}:{value!r}")
     if not math.isfinite(rel_error):
         rel_error = None
         flags.append("reference_solve_failed")

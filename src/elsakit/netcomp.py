@@ -31,7 +31,9 @@ is all ones and each affine unit's C all zeros, and off it a component
 outputs its constant C for every finite input, which the module accounts
 for without evaluating it. A module calls each, comp(a), on an ndarray or,
 on a pivot, a 0-d float64; that runs its compiled view where _VIEWS has
-one, bitwise the literal head sum's closed form. NetworkComponent.apply,
+one, bitwise the literal head sum's closed form. The table divider's view
+runs two of the four ReLU terms on a positive pivot (the argument is in
+_table_divider_view). NetworkComponent.apply,
 that literal sum, and skip_product, which takes a 0-d operand as a 1-by-1
 matrix, are the bodies of component_forward and skip_mul.
 """
@@ -297,6 +299,8 @@ class NetworkComponent:
         object.__setattr__(self, "heads", heads)
         # Only float heads can name a view (an array has no truth value).
         view = None if self.shape is not None else _VIEWS.get((self.activation, heads))
+        if view is not None and self.activation == "invsqr":
+            view = view(self.table)
         object.__setattr__(self, "view", view)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
@@ -351,16 +355,55 @@ def _exact_invsqr(a: np.ndarray) -> np.ndarray:
         return np.divide(1.0, sq, out=np.zeros(a.shape), where=a != 0.0)
 
 
+def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
+    """The keep-all table divider's view, bound to table: apply's map, bit for bit.
+
+    A float64 scalar x > 0 (+inf included) runs two of invsqr_eval's four
+    ReLU terms per interval: r = x - [hi; lo], al * r and max(0, .) in place
+    on one (2, intervals) temporary allocated per call, then the sum of
+    r[0] - r[1] over its one contiguous row. Any other input (a zero, a
+    negative or NaN pivot, an array) runs apply's body,
+    0.0 + invsqr_eval(table, a + 0.0).
+
+    Exactness for x > 0, when every slope al is below zero. x + h is
+    positive or +inf for each knot h > 0, so al * (x + h) is negative, -0.0
+    or -inf, never NaN, and the mirror terms r2 and r3 are +0.0
+    (np.maximum(0.0, -0.0) is +0.0). r0 and r1 are the same ufuncs on the
+    same operands as invsqr_eval's, and are never -0.0, so d = r0 - r1 is
+    never -0.0 and ((d + 0.0) - 0.0) is d, a NaN's bits included. The sum
+    adds the same contiguous entries, in the same pairwise order, as
+    invsqr_eval's acc.sum(axis=-1), and is not -0.0, so apply's leading
+    0.0 + is a no-op, as is a + 0.0 on x. A slope that underflows to -0.0
+    breaks the argument (-0.0 * (x + h) is NaN where x + h overflows), so a
+    table with one has no view and its divider runs apply.
+    """
+    al = table.slopes
+    if not np.all(al < 0.0):
+        return None
+    pair = table.knot_stack[:2, 0]
+
+    def view(a):
+        if type(a) is not np.float64 or not a > 0.0:
+            return 0.0 + invsqr_eval(table, a + 0.0)
+        r = a - pair
+        np.multiply(al, r, out=r)
+        np.maximum(0.0, r, out=r)
+        return np.add.reduce(r[0] - r[1])
+
+    return view
+
+
 # Views by (activation, heads): the keep-all mask and the +1 affine unit map
 # a to a, the -1 unit to -a, and apply's head sum, which starts from +0.0,
-# turns a -0.0 into +0.0. The table divider stays literal: its ReLU sum is
-# the one approximation.
+# turns a -0.0 into +0.0. The keep-all table divider's entry makes the view
+# bound to the component's table (see _table_divider_view).
 _UNIT_HEAD = (None, None, 0.0, None)
 _VIEWS = {
     ("identity_via_relu", (_UNIT_HEAD,)): lambda a: a + 0.0,
     ("relu", (_UNIT_HEAD, (-1.0, -1.0, 0.0, None))): lambda a: a + 0.0,
     ("relu", ((None, -1.0, 0.0, None), (-1.0, None, 0.0, None))): lambda a: -1.0 * a + 0.0,
     ("invsqr_exact", (_UNIT_HEAD,)): _exact_invsqr,
+    ("invsqr", (_UNIT_HEAD,)): _table_divider_view,
 }
 
 

@@ -320,6 +320,19 @@ class TestSolve:
         _, report = solve(sys, mode="relu", table=table)
         assert any("pivot_out_of_table_range" in flag for flag in report["flags"])
 
+    def test_relu_flags_tag_each_out_of_range_pivot_by_its_step(self):
+        # The pivots are forward steps 1..m-1, then backward steps m..1.
+        m = 9
+        sys = wide_pivot_system(np.random.default_rng([31, m]), m)
+        _, report = solve(sys, mode="relu")
+        lo, hi = default_invsqr().interior_knots[[0, -1]]
+        tags = [f"FE{k}" for k in range(1, m)] + [f"BS{t}" for t in range(m, 0, -1)]
+        want = [f"pivot_out_of_table_range:{tag}:{value!r}"
+                for tag, value in zip(tags, report["pivots"]) if not lo <= abs(value) <= hi]
+        assert [flag for flag in report["flags"] if flag.startswith("pivot_")] == want
+        assert 0 < len(want) < 2 * m - 1
+        assert any(":FE" in flag for flag in want) and any(":BS" in flag for flag in want)
+
     def test_singular_raises(self):
         singular = LinearSystem(
             f=Matrix([[1.0, 2.0], [1.0, 2.0]]), alpha=Matrix([[1.0], [1.0]])
@@ -758,23 +771,15 @@ class TestInPlaceKernels:
             if kind == "negzero":
                 sys = with_negative_zeros(sys, rng)
         divides = []
-        if mode == "relu":
-            evaluate = netcomp.invsqr_eval
+        table = default_invsqr() if mode == "relu" else None
+        divider, call = gauss._pivot_divider(table), netcomp.NetworkComponent.__call__
 
-            def record(p, x):
+        def record(comp, x):
+            if comp is divider:
                 divides.append(x)
-                return evaluate(p, x)
+            return call(comp, x)
 
-            monkeypatch.setattr(netcomp, "invsqr_eval", record)
-        else:
-            divider, call = gauss._pivot_divider(None), netcomp.NetworkComponent.__call__
-
-            def record(comp, x):
-                if comp is divider:
-                    divides.append(x)
-                return call(comp, x)
-
-            monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record)
+        monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record)
         x, report = solve(sys, mode=mode)
         monkeypatch.undo()
         assert len(divides) == m

@@ -326,6 +326,8 @@ INVSQR_TABLES = {
     "n300": "geometric:x1=1e-2,xmax=1e2,n=300",
     "explicit_1_2": "explicit:1,2",
 }
+# A valid table whose last slope, -1e-308 / 1e308, underflows to -0.0.
+UNDERFLOWED_SLOPE_SPEC = "explicit:1,1e154"
 EXTREME_POINTS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 1e300,
                   np.finfo(np.float64).max, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-3, 0.37, -1e5]
 
@@ -552,16 +554,18 @@ EXTREME = st.one_of(
 
 
 # Components whose float heads name a compiled view, and components that
-# run apply: a table divider, a mask with a Matrix V, a gain that is not
-# +/-1 and a nonzero C.
+# run apply: a mask with a Matrix V, a gain that is not +/-1, a nonzero C
+# and a table divider with a slope that underflows to -0.0.
 VIEWED = {
     "keep": lambda: make_mask_component(None),
     "plus_identity": lambda: make_affine_component(1.0, 0.0),
     "negate": lambda: make_affine_component(-1.0, 0.0),
     "exact_divider": lambda: make_divider_component(None, None),
+    "table_divider": lambda: make_divider_component(None, default_invsqr()),
 }
 LITERAL = {
-    "table_divider": lambda: make_divider_component(None, default_invsqr()),
+    "underflowed_slope_divider": lambda: make_divider_component(
+        None, build_invsqr(UNDERFLOWED_SLOPE_SPEC)),
     "matrix_mask": lambda: make_mask_component(MaskSpec(BlockSpec(1, 2, 1, 2), 2, 2)),
     "gain_2": lambda: make_affine_component(2.0, 0.0),
     "nonzero_c": lambda: make_affine_component(1.0, 0.5),
@@ -614,6 +618,31 @@ class TestShapeFreeComponents:
         assert got.shape == want.shape == called.shape == ()
         assert got.tobytes() == want.tobytes()
         assert called.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        "explicit:1,2", DEFAULT_KNOT_SPEC,
+        # 300 intervals run past numpy's 128-entry pairwise block.
+        "geometric:x1=1e-2,xmax=1e2,n=300",
+        f"geometric:x1=1e-3,xmax=1e3,n={netcomp.MAX_KNOTS}",
+        UNDERFLOWED_SLOPE_SPEC,
+    ])
+    def test_a_float64_scalar_divides_as_the_dense_sum_at_every_knot(self, spec):
+        # The four-term oracle, not invsqr_eval, on the table divider's view.
+        table = build_invsqr(spec)
+        comp = make_divider_component(None, table)
+        knots, tiny = table.knots, np.finfo(np.float64).tiny
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            points = np.concatenate([
+                [0.0, np.inf, np.nan, 1e308, 5e-324, tiny / 3, tiny],
+                knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf),
+                table.cutoff * np.array([1.5, 10.0, 1e6]),  # past the cutoff
+            ])
+            for v in np.concatenate([points, -points]):
+                x = np.float64(v)
+                got = comp(x)
+                want = dense_component_forward(x, comp, literal_invsqr_sum)
+                assert type(got) is np.float64
+                assert got.tobytes() == want.tobytes(), v
 
     @pytest.mark.parametrize("name", VIEWED)
     def test_linear_units_and_the_exact_divider_have_a_view(self, name):

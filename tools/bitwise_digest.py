@@ -87,7 +87,11 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   diagonal (all of row m's in some), so that multiplier columns hold
   +-0.0 and some one-row spreads multiply by zero, then the same with
   -0.0 there and in alpha; each solution and report, then every state of
-  the step loop.
+  the step loop;
+* divider-calls: the pivot divider gauss._pivot_divider(table) called on
+  each invsqr_points point of invsqr-extreme, as a float64 scalar and as a
+  0-d array, with the result's type name, for the tables of INVSQR_SPECS
+  and then UNDERFLOWED_SLOPE_SPEC, whose last slope underflows to -0.0.
 """
 
 import hashlib
@@ -114,6 +118,7 @@ from test_gauss import (  # noqa: E402
     zero_multiplier_systems,
 )
 
+from elsakit import gauss  # noqa: E402
 from elsakit import (  # noqa: E402
     DEFAULT_KNOT_SPEC,
     BlockSpec,
@@ -157,6 +162,8 @@ RIDGE_SHAPES = ((1, 1), (3, 2), (2, 3), (20, 4), (100, 8))
 RIDGE_STEPS = 30
 INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
                 "geometric:x1=1e-2,xmax=1e2,n=300", "explicit:1,2")
+# A valid table whose last slope, -1e-308 / 1e308, underflows to -0.0.
+UNDERFLOWED_SLOPE_SPEC = "explicit:1,1e154"
 # Fixed sizes that straddle 64- and 256-point blocks.
 INVSQR_SIZES = (0, 1, 2, 63, 64, 65, 197, 255, 256, 257, 773, 3013)
 MASKED_SHAPES = ((1, 1), (1, 4), (3, 1), (2, 3), (5, 5), (7, 4), (12, 9))
@@ -447,6 +454,18 @@ def digest_invsqr_extreme(h):
                 h.update(out.tobytes())
 
 
+def digest_divider_calls(h):
+    with np.errstate(all="ignore"):
+        for seed, spec in enumerate(INVSQR_SPECS + (UNDERFLOWED_SLOPE_SPEC,)):
+            table = build_invsqr(spec)
+            divide = gauss._pivot_divider(table)
+            for v in invsqr_points(table, seed):
+                for x in (v, np.array(v)):
+                    out = divide(x)
+                    h.update(type(out).__name__.encode())
+                    h.update(np.asarray(out).tobytes())
+
+
 def masked_grid(rng, shape):
     """Signed draws over 12 decades, about 30% of them replaced by extremes."""
     grid = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
@@ -494,7 +513,8 @@ def main():
                        ("solves-underflow", digest_underflow_solves),
                        ("solves-bench-sizes", digest_bench_size_solves),
                        ("run-program-zeros", digest_run_program_zeros),
-                       ("solves-zero-multipliers", digest_zero_multiplier_solves)):
+                       ("solves-zero-multipliers", digest_zero_multiplier_solves),
+                       ("divider-calls", digest_divider_calls)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
