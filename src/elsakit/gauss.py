@@ -21,27 +21,32 @@ module over the whole padded state, sign of zero included; the tests keep
 that dense evaluation as the reference. A module whose updated entries
 overflow float64 raises EliminationOverflow.
 
-Each sweep is one kernel that updates a writable padded ndarray in place,
-one loop over its modules with each module's body written out once: the
-compiled view of its components. A module reads the pivot, and the fold's
-solved entry, as a 0-d float64 and writes out, on that scalar, each mask's
-and affine unit's view and each skip product of two 1-by-1 operands, in the
-dense module's order and with its bits. The divider is the one component a
-kernel calls. Of its three products with an array operand, the forward
-spread, a column times a row, is one BLAS call, matrix.outer_product, for
-every row count; the fold and the row scale, a column or row times a 0-d
-operand plus 0.0, are broadcast multiplies. The dense modules in the tests
-are the oracle. A step function runs the same kernel over one index, on a
-copy of its state under np.errstate, with every update checked for
-overflow.
+Each sweep is one kernel that updates the padded state of a workspace in
+place, one loop over its modules with each module's body written out once:
+the compiled view of its components. A workspace, one per system size m,
+holds the state, every view either kernel reads, per step, and its
+multiplier, spread and fold buffers, all made once. A module reads the
+pivot, and the fold's solved entry, as a Python float through a memoryview
+of the state, and runs the chain on it, each mask's and affine unit's view
+and each skip product of two 1-by-1 operands, in the dense module's order
+and with its bits. A scalar reaches an array product through a 0-d buffer,
+and each + 0.0 on an array adds a 0-d zero. The divider is the one
+component a kernel calls, on an np.float64. Of its three products with an
+array operand, the forward spread, a column times a row, is one BLAS call,
+matrix.outer_product, into the spread buffer, for every row count; the
+fold and the row scale, a column or row times a 0-d operand plus 0.0, are
+broadcast multiplies. The dense modules in the tests are the oracle.
 
-solve runs both kernels on one copy of the system under one np.errstate,
+solve takes a workspace of its size from a pool, which keeps at most one
+idle workspace per size for 8 sizes, so no two concurrent solves share one.
+It copies the padded system in, runs both kernels under one np.errstate,
 unchecked, and then checks the finished state once. An update is made in
 place from the entries it replaces, so an inf or NaN stays non-finite to
 the end: a state that ends finite had no overflowing module. If it ends
-non-finite, or a pivot is refused, solve replays both sweeps on a fresh
-copy with every module checked, which raises the error a step function
-names.
+non-finite, or a pivot is refused, solve copies the system in again and
+replays both sweeps with every module checked, which raises the error a
+step function names. A step function runs the same kernel over one index,
+checked, on a pooled workspace holding its state, and returns a new array.
 
 solve divides each pivot once. The backward divide module reuses the forward
 sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -190,7 +196,7 @@ def _finite(a: np.ndarray) -> bool:
 # the pivot. Each affine unit's constant reads 0 there: the fold entry
 # (t+1, m+1) and the column below a pivot lie off the diagonal of I, and
 # z7's constant is I with the pivot entry zeroed. Each skip product is
-# skip_product's body: gamma * (r * z + 0.0) on two 0-d operands, and the
+# skip_product's body: gamma * (r * z + 0.0) on two scalars, and the
 # broadcast product plus 0.0 with one (the fold's xi, the row scale's z7),
 # which is what @ computes at inner dimension 1. The divider, the one
 # approximation, runs as its component, once per pivot (see solve). With
@@ -204,22 +210,85 @@ def _finite(a: np.ndarray) -> bool:
 # scaled pivot gets its + 0.0 in place. A step function's input may hold
 # -0.0 anywhere, so it adds 0.0 to its whole state once, after its kernel.
 
+# The 0-d zero each + 0.0 on an array adds.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
-def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
-                   check: bool) -> tuple[list[float], list[np.float64]]:
-    """Forward steps ks, in order, on the padded state p, in place; see forward_eliminate_step.
 
-    Returns each step's pivot, as a float, and the divider's output
-    r = 1/x^2 on that pivot x, for the backward step that divides the same
-    pivot. The mask on the column below the pivot is dropped:
+class _Workspace:
+    """A padded state and the views and buffers of both sweep kernels, made once.
+
+    p is a writable C-contiguous (m+1)-by-(m+1) float64 state, which the
+    kernels update in place; flat is a 'd' memoryview of it, for reading
+    and writing one entry as a Python float; s is the 0-d buffer through
+    which a scalar reaches an array ufunc. column is column m+1, which the
+    fold adds to through the fold buffer. forward[k - 1] holds forward step
+    k's views: the column below pivot k, the multiplier buffer for it, 1-d
+    and as a column, pivot row k, the rows below it and the spread buffer
+    for them. backward[t - 1] holds backward step t's row t and the column
+    t+1 its fold reads (None at t = m, which has no fold).
+
+    A workspace holds about 2(m+1)^2 float64 (the state and the spread
+    buffer) and about 8m view objects, which take as much again at m = 64:
+    136 KB in all under tracemalloc, 34 KB at m = 24.
+    """
+
+    __slots__ = ("p", "flat", "s", "column", "fold", "forward", "backward")
+
+    def __init__(self, p: np.ndarray):
+        size = p.shape[0]
+        m = size - 1
+        multipliers = np.empty(m - 1)
+        spread = np.empty((m - 1, size))
+        self.p = p
+        self.flat = memoryview(p).cast("B").cast("d")
+        self.s = np.zeros(())
+        self.column = p[:, m]
+        self.fold = np.empty(size)
+        self.forward = [(p[k:m, k - 1], multipliers[: m - k], multipliers[: m - k][:, None],
+                         p[k - 1 : k], p[k:m], spread[: m - k]) for k in range(1, m)]
+        self.backward = [(p[t - 1], p[:, t] if t < m else None) for t in range(1, m + 1)]
+
+
+# Idle workspaces by size, at most one per size and 8 sizes, as
+# _pivot_divider's cache, under a lock: a solve takes one out, so no
+# concurrent solve can hold it, and gives it back when it ends.
+_WORKSPACES: dict[int, _Workspace] = {}
+_WORKSPACES_LOCK = threading.Lock()
+
+
+def _take(m: int) -> _Workspace:
+    """An idle workspace for m-by-m systems, or a new one; the caller must _give it back."""
+    with _WORKSPACES_LOCK:
+        w = _WORKSPACES.pop(m, None)
+    return _Workspace(np.empty((m + 1, m + 1))) if w is None else w
+
+
+def _give(w: _Workspace) -> None:
+    """Keep w as its size's idle workspace, and drop the least recently given size past 8."""
+    with _WORKSPACES_LOCK:
+        m = w.p.shape[0] - 1
+        _WORKSPACES.pop(m, None)
+        _WORKSPACES[m] = w
+        if len(_WORKSPACES) > 8:
+            del _WORKSPACES[next(iter(_WORKSPACES))]
+
+
+def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
+                   check: bool) -> tuple[list[float], list[float]]:
+    """Forward steps ks, in order, on w's state, in place; see forward_eliminate_step.
+
+    Returns each step's pivot and the divider's output r = 1/x^2 on that
+    pivot x, as floats, for the backward step that divides the same pivot.
+    The mask on the column below the pivot is dropped:
     (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
     most in the sign of a zero, which the + 0.0 clears.
 
     The spread z6 @ row has inner dimension 1, and is computed as
-    matrix.outer_product(z6, row), np.dot's BLAS outer product, for every
-    k: one product per entry, where @ adds each to 0.0. It parts from @ in
-    two ways, and neither reaches the state, so no row count takes another
-    path.
+    matrix.outer_product(z6, row, spread), np.dot's BLAS outer product
+    into the spread buffer, for every k: one product per entry, where @
+    adds each to 0.0. It parts from @ in two ways, and neither reaches the
+    state, so no row count takes another path.
 
     Signs of zero. Each entry is the product rounded once, so it differs
     from @'s only in a zero's sign: a negative product that underflows
@@ -244,73 +313,112 @@ def _forward_sweep(p: np.ndarray, ks, table: Optional[PiecewiseInvSqr], *,
     either way; with one row, both zeros are skipped), so the sum differs
     at most in the sign of a zero, which solve's rows, free of -0.0, and a
     step function's trailing + 0.0 clear as above.
+
+    The workspace's scalars and operands change no bit, in either kernel:
+    1. The chain on the pivot (the mask, z3, z7, the fold's xi and the
+       anti-mask entry) runs on Python floats. Python float + and * are the
+       IEEE binary64 operations of numpy's float64 scalar math, inf and NaN
+       included, and the chain has no division or power, so nothing in it
+       raises. The divider still gets an np.float64, so a recording or
+       dense hook on it sees a shape.
+    2. A scalar reaches an array ufunc through the 0-d buffer, and + 0.0 on
+       an array adds the 0-d _ZERO: numpy makes a scalar operand a 0-d
+       array itself, so the ufunc runs the same loop on the same bits.
+    3. outer_product with out= computes what the allocating call does, the
+       one-row case that skips a zero multiplier included (tested in
+       tests/test_matrix.py).
+    4. A 'd' memoryview read or write moves an entry's 8 bytes unchanged.
+    5. What a workspace held before cannot matter: the state is copied in
+       whole, and each module writes every buffer entry it later reads.
     """
-    size = p.shape[0]
+    add, multiply = np.add, np.multiply
+    size = w.p.shape[0]
+    flat, s, forward = w.flat, w.s, w.forward
     exact = table is None
     divide = _pivot_divider(table)
     pivots, rs = [], []
     for k in ks:
-        pivot = p[k - 1, k - 1]
-        value = float(pivot)
+        value = flat[(k - 1) * (size + 1)]
         pivots.append(value)
         if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
             raise _refused(value, "forward step", k)
-        z = pivot + 0.0  # mask
-        r = divide(z)
+        z = value + 0.0  # mask
+        r = float(divide(np.float64(z)))
         rs.append(r)
-        z3 = -1.0 * (r * z + 0.0)  # skip product, gamma -1
+        s[()] = -1.0 * (r * z + 0.0)  # z3: skip product, gamma -1
+        column, z6, z6_column, pivot_row, rows, spread = forward[k - 1]
         # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
         # affine unit's + 0.0 would give that sign of zero, which the spread drops.
-        z6 = p[k : size - 1, k - 1] * z3
+        multiply(column, s, z6)
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
-        rows = p[k : size - 1]
-        rows += outer_product(z6[:, None], p[k - 1 : k])
+        outer_product(z6_column, pivot_row, spread)
+        add(rows, spread, rows)
         if check and not _finite(rows):
             raise _overflow("forward step", k, (k + 1, size - 1, 1, size))
     return pivots, rs
 
 
-def _backward_sweep(q: np.ndarray, ts, table: Optional[PiecewiseInvSqr], rs, *,
+def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
                     check: bool) -> list[float]:
-    """Backward steps ts, in order, on the padded state q, in place; see backward_substitute_step.
+    """Backward steps ts, in order, on w's state, in place; see backward_substitute_step.
 
     Returns each step's pivot, as a float. rs[t - 1], where rs has it, is
     forward step t's divider output on pivot t (see solve); any other pivot
     is divided here. The mask on the scaled row is dropped: z7 * row + 0.0
     holds no -0.0. The anti-mask's 0 weight at the pivot can give -0.0, and
     its + 0.0 is kept there alone. The row is scaled in place: each entry
-    is read once, by its own product.
+    is read once, by its own product. Its scalars and operands are exact by
+    the argument in _forward_sweep's docstring.
     """
-    size = q.shape[0]
+    add, multiply, zero = np.add, np.multiply, _ZERO
+    size = w.p.shape[0]
+    flat, s, column, fold, backward = w.flat, w.s, w.column, w.fold, w.backward
     exact = table is None
     divide = _pivot_divider(table)
-    column = q[:, size - 1]
     pivots: list[float] = []
     for t in ts:
-        if t < size - 1:
+        row, folded = backward[t - 1]
+        if folded is not None:
             # Fold xi_{t+1} into the right-hand side: Q (I - xi e_{t+1,m+1}).
-            z2 = -1.0 * (q[t, size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
+            s[()] = -1.0 * (flat[t * size + size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
             # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
-            column += q[:, t] * z2 + 0.0
+            multiply(folded, s, fold)
+            add(fold, zero, fold)
+            add(column, fold, column)
             if check and not _finite(column):
                 raise _overflow("backward step", t, (1, size, size, size))
-        pivot = q[t - 1, t - 1]
-        value = float(pivot)
+        i = (t - 1) * (size + 1)
+        value = flat[i]
         pivots.append(value)
         if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
             raise _refused(value, "backward step", t)
-        z = pivot + 0.0  # mask
-        r = rs[t - 1] if t <= len(rs) else divide(z)
-        z7 = (r * z + 0.0) + 0.0  # skip product, gamma 1, then the +1 affine unit
-        row = q[t - 1]
-        np.multiply(z7, row, out=row)
-        row += 0.0
+        z = value + 0.0  # mask
+        r = rs[t - 1] if t <= len(rs) else float(divide(np.float64(z)))
+        s[()] = (r * z + 0.0) + 0.0  # z7: skip product, gamma 1, then the +1 affine unit
+        multiply(s, row, row)
+        add(row, zero, row)
         # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
         # 0.0, or NaN if that entry is not finite.
-        row[t - 1] = row[t - 1] * 0.0 + 0.0
+        flat[i] = flat[i] * 0.0 + 0.0
         if check and not _finite(row):
             raise _overflow("backward step", t, (t, t, 1, size))
     return pivots
+
+
+def _run_step(state: EliminationState, kernel, *args) -> np.ndarray:
+    """Run kernel(w, *args, check=True) on a pooled workspace holding state.
+
+    Returns a new array, the result plus 0.0, which clears any -0.0 (see
+    the note above _forward_sweep).
+    """
+    w = _take(state.m)
+    try:
+        np.copyto(w.p, state.p.array)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel(w, *args, check=True)
+        return np.add(w.p, _ZERO)
+    finally:
+        _give(w)
 
 
 def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
@@ -330,10 +438,7 @@ def forward_eliminate_step(state: EliminationState, k: int) -> EliminationState:
     m = state.m
     if state.stage[0] != "forward" or not (1 <= k <= m - 1) or state.stage[1] < k - 1:
         raise ValueError(f"cannot run forward step {k} from stage {state.stage}")
-    p = state.p.to_array()
-    with np.errstate(over="ignore", invalid="ignore"):
-        _forward_sweep(p, (k,), state.table, check=True)
-    p += 0.0
+    p = _run_step(state, _forward_sweep, (k,), state.table)
     return EliminationState(Matrix.from_array(p), ("forward", max(state.stage[1], k)), state.table)
 
 
@@ -355,10 +460,7 @@ def backward_substitute_step(state: EliminationState, t: int) -> EliminationStat
     expected = ("forward", m - 1) if t == m else ("backward", t + 1)
     if state.stage != expected:
         raise ValueError(f"cannot solve variable {t} from stage {state.stage}")
-    q = state.p.to_array()
-    with np.errstate(over="ignore", invalid="ignore"):
-        _backward_sweep(q, (t,), state.table, (), check=True)
-    q += 0.0
+    q = _run_step(state, _backward_sweep, (t,), state.table, ())
     return EliminationState(Matrix.from_array(q), ("backward", t), state.table)
 
 
@@ -382,13 +484,13 @@ def solve(
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
 
-    def sweep(check: bool) -> tuple[np.ndarray, list[float]]:
-        """Both sweep kernels on one writable copy of the padded system, in place."""
-        p = state.p.to_array()
-        p[1:m] += 0.0  # rows 2..m free of -0.0; see _forward_sweep
-        pivots, rs = _forward_sweep(p, range(1, m), state.table, check=check)
-        pivots += _backward_sweep(p, range(m, 0, -1), state.table, rs, check=check)
-        return p, pivots
+    def sweep(check: bool) -> list[float]:
+        """Both sweep kernels on the workspace, from a fresh copy of the padded system."""
+        np.copyto(w.p, state.p.array)
+        lower = w.p[1:m]
+        np.add(lower, _ZERO, lower)  # rows 2..m free of -0.0; see _forward_sweep
+        pivots, rs = _forward_sweep(w, range(1, m), state.table, check=check)
+        return pivots + _backward_sweep(w, range(m, 0, -1), state.table, rs, check=check)
 
     # A non-finite entry never becomes finite again, and up to its failure
     # the unchecked pass computes the checked pass's bits, so the replay
@@ -396,15 +498,18 @@ def solve(
     # Entries near 1e308 can overflow the residual, the dense solve or the
     # gap; the report carries such a value instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        w = _take(m)
         try:
-            p, pivots = sweep(check=False)
-            failed = not _finite(p)
-        except SingularDetected:
-            failed = True
-        if failed:
-            p, pivots = sweep(check=True)
-
-        x = Matrix.from_array(p[:m, m:].copy())
+            try:
+                pivots = sweep(check=False)
+                failed = not _finite(w.p)
+            except SingularDetected:
+                failed = True
+            if failed:
+                pivots = sweep(check=True)
+            x = Matrix.from_array(w.p[:m, m:].copy())
+        finally:
+            _give(w)
         residual = float(np.max(np.abs(sys.f.array @ x.array - sys.alpha.array)))
         try:
             reference = np.linalg.solve(sys.f.array, sys.alpha.array)

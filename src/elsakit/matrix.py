@@ -232,6 +232,10 @@ its -0.0 in both. NaN and inf land in the same places, 0 * inf is NaN.
 With one row, the column is taken as a scalar, and a zero scalar is
 skipped: the result is +0.0 everywhere, also against an inf or a NaN,
 where the multiply gives NaN. A nonzero scalar behaves as from two rows.
+
+outer_product(a, b, out), with out a C-contiguous r-by-c float64 array that
+shares no memory with a or b, writes every entry of out with the bits the
+allocating call returns, the skipped zero included, and returns out.
 """
 
 

@@ -1,6 +1,7 @@
 """Component-built elimination against hand values, a dense solver, and the shadow."""
 
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -108,6 +109,41 @@ REFUSED = {
 NEGATIVE_ZERO_PIVOT = ([[1.0, 1e-200, 0.0], [1e-200, -0.0, 1.0], [0.0, 1.0, 1.0]],
                        [1.0, 1.0, 1.0])
 
+REUSE_SIZES = (2, 3, 24, 64)
+
+
+def embedded(f, alpha, m):
+    """F in the last rows and columns of I_m, alpha under ones: it fails as F does, later."""
+    k = len(f)
+    big, column = np.eye(m), np.ones((m, 1))
+    big[m - k :, m - k :] = f
+    column[m - k :, 0] = alpha
+    return LinearSystem(f=Matrix.from_array(big), alpha=Matrix.from_array(column))
+
+
+def reuse_sequence():
+    """(system, mode) pairs that solve each size again after failures of that size.
+
+    Two rounds over REUSE_SIZES, both modes: a signed dominant system, then
+    REFUSED's tiny_backward (PivotBelowTolerance) and OVERFLOWS' pivot_2x2
+    (EliminationOverflow), each embedded at the same size.
+    """
+    for seed in range(2):
+        for m in REUSE_SIZES:
+            for mode in ("exact", "relu"):
+                yield dd_system(np.random.default_rng([seed, m, 32]), m, signed=True), mode
+                yield embedded(*REFUSED["tiny_backward"], m), mode
+                yield embedded(*OVERFLOWS["pivot_2x2"][:2], m), mode
+
+
+def solve_outcome(sys, mode):
+    """solve's solution bytes and JSON report, or its error's class name and message."""
+    try:
+        x, report = solve(sys, mode=mode)
+    except gauss.SingularDetected as exc:
+        return type(exc).__name__, str(exc)
+    return x.array.tobytes(), json.dumps(report, sort_keys=True)
+
 
 def record_kernels(monkeypatch):
     """Run both sweep kernels one index at a time; each index appends
@@ -119,17 +155,17 @@ def record_kernels(monkeypatch):
     for kind in ("forward", "backward"):
         name = f"_{kind}_sweep"
 
-        def run(p, indices, *args, check, _kernel=getattr(gauss, name), _kind=kind):
+        def run(w, indices, *args, check, _kernel=getattr(gauss, name), _kind=kind):
             outputs = []
             for i in indices:
                 error = None
                 try:
-                    outputs.append(_kernel(p, (i,), *args, check=check))
+                    outputs.append(_kernel(w, (i,), *args, check=check))
                 except gauss.SingularDetected as exc:
                     error = str(exc)
                     raise
                 finally:
-                    calls.append((_kind, i, check, error, bool(np.isfinite(p).all())))
+                    calls.append((_kind, i, check, error, bool(np.isfinite(w.p).all())))
             if _kind == "forward":  # (pivots, rs) per index
                 return tuple(sum(lists, []) for lists in zip(*outputs))
             return sum(outputs, [])
@@ -465,12 +501,12 @@ class TestLiteralOracle:
         monkeypatch.setattr(gauss, "_finite", record_block)
         for mode, sys in systems.items():
             state = embed_system(sys, mode=mode)
-            p, rs = state.p.to_array(), []
+            w, rs = gauss._Workspace(state.p.to_array()), []
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(1, m):
-                    rs += gauss._forward_sweep(p, (k,), state.table, check=True)[1]
+                    rs += gauss._forward_sweep(w, (k,), state.table, check=True)[1]
                 for t in range(m, 0, -1):
-                    gauss._backward_sweep(p, (t,), state.table, rs, check=True)
+                    gauss._backward_sweep(w, (t,), state.table, rs, check=True)
         # Per mode: the fold m-1 times and the row scale m, each on m+1 entries.
         assert blocks.count((m + 1,)) == 2 * ((m - 1) + m)
         # Per mode: forward step k spreads over rows k+1..m, (m-k)x1 times 1x(m+1).
@@ -521,9 +557,9 @@ class TestOverflow:
                 if overflows:
                     with pytest.raises(EliminationOverflow,
                                        match="^forward step 3 overflows float64"):
-                        gauss._forward_sweep(p, (3,), None, check=True)
+                        gauss._forward_sweep(gauss._Workspace(p), (3,), None, check=True)
                 else:
-                    gauss._forward_sweep(p, (3,), None, check=True)
+                    gauss._forward_sweep(gauss._Workspace(p), (3,), None, check=True)
                     assert p[3 : 3 + rows, 3 : 3 + cols].tobytes() == value.tobytes()
 
 
@@ -579,7 +615,7 @@ class TestCheckedReplay:
         state = embed_system(sys, mode=mode)
         p = state.p.to_array()
         with np.errstate(over="ignore", invalid="ignore"):
-            gauss._forward_sweep(p, range(1, 4), state.table, check=False)
+            gauss._forward_sweep(gauss._Workspace(p), range(1, 4), state.table, check=False)
         assert p[2, 3] == -np.inf and p[3, 2] == 0.0
         assert np.isfinite(p[3]).all()
         calls = record_kernels(monkeypatch)
@@ -813,13 +849,13 @@ class TestInPlaceKernels:
         state = embed_system(sys, mode=mode)
         p, rs = state.p.to_array(), []
         p[1:m] += 0.0  # as solve does
-        values, underflows = [], []
+        w, values, underflows = gauss._Workspace(p), [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, m):
                 # The spread on rows k+1..m, but in column k, which z6 reads.
                 probe = p.copy()
                 probe[k:m, np.arange(m + 1) != k - 1] = -0.0
-                gauss._forward_sweep(probe, (k,), state.table, check=False)
+                gauss._forward_sweep(gauss._Workspace(probe), (k,), state.table, check=False)
                 spread = np.delete(probe[k:m], k - 1, axis=1)
                 values.append(("forward step", holds_negative_zero(spread)))
                 # A -0.0 from a nonzero entry below pivot k times a nonzero
@@ -828,7 +864,7 @@ class TestInPlaceKernels:
                 nonzero = np.delete((p[k:m, k - 1 : k] != 0.0) & (p[k - 1 : k] != 0.0),
                                     k - 1, axis=1)
                 underflows.append(bool(np.any(nonzero & (spread == 0.0) & np.signbit(spread))))
-                rs += gauss._forward_sweep(p, (k,), state.table, check=False)[1]
+                rs += gauss._forward_sweep(w, (k,), state.table, check=False)[1]
                 assert not holds_negative_zero(p[k:m]), f"rows below pivot {k}"
             for t in range(m, 0, -1):
                 if t < m:
@@ -837,9 +873,10 @@ class TestInPlaceKernels:
                     probe = p.copy()
                     added = ~np.isin(np.arange(m + 1), (t - 1, t))
                     probe[added, m] = -0.0
-                    gauss._backward_sweep(probe, (t,), state.table, rs, check=False)
+                    gauss._backward_sweep(gauss._Workspace(probe), (t,), state.table, rs,
+                                          check=False)
                     values.append(("backward step", holds_negative_zero(probe[added, m])))
-                gauss._backward_sweep(p, (t,), state.table, rs, check=False)
+                gauss._backward_sweep(w, (t,), state.table, rs, check=False)
                 values.append(("backward step", holds_negative_zero(p[t - 1])))  # the scaled row
                 # Column m+1 is rewritten by the fold, which runs for t < m.
                 assert not holds_negative_zero(p[t - 1]), f"row {t}"
@@ -916,6 +953,107 @@ class TestInPlaceKernels:
         after = gauss._pivot_divider.cache_info()
         assert after.misses == before.misses
         assert after.hits > before.hits
+
+
+class TestWorkspace:
+    """solve and the step functions run on pooled per-size workspaces."""
+
+    def test_a_reused_workspace_solves_as_a_fresh_one(self, monkeypatch):
+        # Each size's workspace is taken again after failing solves of that
+        # size left a refused pivot's state, or inf and NaN, in it.
+        fresh = []
+        for sys, mode in reuse_sequence():
+            gauss._WORKSPACES.clear()
+            fresh.append(solve_outcome(sys, mode))
+        gauss._WORKSPACES.clear()
+        taken, take = [], gauss._take
+
+        def record(m):
+            taken.append(take(m))
+            return taken[-1]
+
+        monkeypatch.setattr(gauss, "_take", record)
+        assert [solve_outcome(sys, mode) for sys, mode in reuse_sequence()] == fresh
+        # One workspace per solve, its checked replay included, and one per size.
+        assert len(taken) == len(fresh)
+        assert len({id(w) for w in taken}) == len(REUSE_SIZES)
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_a_step_after_a_failed_solve(self, mode):
+        # A step function takes the pooled workspace of its size, and its
+        # state shares no memory with it.
+        m = 24
+        sys = dd_system(np.random.default_rng([2, m, 32]), m, signed=True)
+        gauss._WORKSPACES.clear()
+        want = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        with pytest.raises(EliminationOverflow):
+            solve(embedded(*OVERFLOWS["pivot_2x2"][:2], m), mode=mode)
+        workspace = gauss._WORKSPACES[m]
+        state = forward_eliminate_step(embed_system(sys, mode=mode), 1)
+        assert gauss._WORKSPACES[m] is workspace
+        assert not np.shares_memory(state.p.array, workspace.p)
+        x, pivots = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        assert x.array.tobytes() == want[0].array.tobytes()
+        assert np.array(pivots).tobytes() == np.array(want[1]).tobytes()
+
+    def test_concurrent_solves_hold_distinct_workspaces(self, monkeypatch):
+        m, count = 24, 20
+        systems = [[dd_system(np.random.default_rng([i, j, 33]), m, signed=True)
+                    for j in range(count)] for i in range(2)]
+        modes = ("exact", "relu")
+        serial = [[solve_outcome(sys, modes[j % 2]) for j, sys in enumerate(row)]
+                  for row in systems]
+        take, give = gauss._take, gauss._give
+        lock, held, clashes, most = threading.Lock(), set(), [], [0]
+        # Each solve waits, holding its workspace, for the other thread's to
+        # hold one: the threads solve in pairs, each pair at once.
+        both = threading.Barrier(2, timeout=60)
+
+        def record_take(size):
+            w = take(size)
+            with lock:
+                if id(w) in held:
+                    clashes.append(id(w))
+                held.add(id(w))
+                most[0] = max(most[0], len(held))
+            both.wait()
+            return w
+
+        def record_give(w):
+            with lock:
+                held.discard(id(w))
+            give(w)
+
+        monkeypatch.setattr(gauss, "_take", record_take)
+        monkeypatch.setattr(gauss, "_give", record_give)
+        results = [None, None]
+
+        def run(i):
+            results[i] = [solve_outcome(sys, modes[j % 2]) for j, sys in enumerate(systems[i])]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == serial
+        assert clashes == []
+        assert most[0] == 2
+
+    def test_the_pool_keeps_one_idle_workspace_per_size_and_eight_sizes(self):
+        gauss._WORKSPACES.clear()
+        sizes = list(range(2, 14))
+        for m in sizes:
+            solve(dd_system(np.random.default_rng([m, 34]), m), mode="exact")
+        assert list(gauss._WORKSPACES) == sizes[-8:]
+        for m, w in gauss._WORKSPACES.items():
+            assert isinstance(w, gauss._Workspace) and w.p.shape == (m + 1, m + 1)
+        first, second = gauss._take(5), gauss._take(5)
+        assert first is not second
+        gauss._give(first)
+        gauss._give(second)
+        assert gauss._WORKSPACES[5] is second
+        assert list(gauss._WORKSPACES) == sizes[-7:] + [5]  # size 6, the oldest, is dropped
 
 
 class TestDenseComponentEquivalence:

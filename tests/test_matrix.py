@@ -252,6 +252,26 @@ class TestOuterProduct:
             assert np.isnan(np.array([[0.0]]) * b).sum() == 3
             assert outer_product(np.array([[-0.0]]), b).tobytes() == np.zeros((1, 5)).tobytes()
 
+    def test_out_is_the_allocating_call(self):
+        # The elimination kernel writes the spread into the leading rows of a
+        # reused buffer: every entry is written, with the allocating call's
+        # bits, also where a one-row zero column is skipped. The buffer starts
+        # as a NaN with a payload, which no product makes. The column is also
+        # taken as the kernel takes it, a 1-d view with a new axis.
+        stale = np.array([0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)[0]
+        b = np.array([[np.inf, -np.inf, np.nan, -0.0, 1.0]])
+        pairs = [*outer_grid(), *((np.array([[zero]]), b) for zero in (0.0, -0.0))]
+        with np.errstate(all="ignore"):
+            for a, b in pairs:
+                want = outer_product(a, b).tobytes()
+                tail = np.full((2, b.shape[1]), stale).tobytes()
+                for column in (a, a[:, 0].copy()[:, None]):
+                    buffer = np.full((a.shape[0] + 2, b.shape[1]), stale)
+                    out = buffer[: a.shape[0]]
+                    assert outer_product(column, b, out) is out
+                    assert out.tobytes() == want, (a, b)
+                    assert buffer[a.shape[0] :].tobytes() == tail
+
 
 class TestBlocks:
     def test_row_extraction(self):

@@ -91,7 +91,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
 * divider-calls: the pivot divider gauss._pivot_divider(table) called on
   each invsqr_points point of invsqr-extreme, as a float64 scalar and as a
   0-d array, with the result's type name, for the tables of INVSQR_SPECS
-  and then UNDERFLOWED_SLOPE_SPEC, whose last slope underflows to -0.0.
+  and then UNDERFLOWED_SLOPE_SPEC, whose last slope underflows to -0.0;
+* solves-reused-workspace: reuse_sequence of tests/test_gauss.py, m in
+  (2, 3, 24, 64) interleaved over two rounds, both modes, each signed
+  dominant system followed by a PivotBelowTolerance and an
+  EliminationOverflow system embedded at the same size: each solution and
+  report, or the exception class and message (solve_outcome).
 """
 
 import hashlib
@@ -114,6 +119,8 @@ from test_gauss import (  # noqa: E402
     NEGATIVE_ZERO_PIVOT,
     OVERFLOWS,
     REFUSED,
+    reuse_sequence,
+    solve_outcome,
     underflow_system,
     zero_multiplier_systems,
 )
@@ -301,6 +308,12 @@ def digest_zero_multiplier_solves(h):
                     h.update(x.array.tobytes())
                     h.update(json.dumps(report, sort_keys=True).encode())
                     digest_step_loop(h, system, mode)
+
+
+def digest_reused_workspace(h):
+    for system, mode in reuse_sequence():
+        for part in solve_outcome(system, mode):
+            h.update(part if isinstance(part, bytes) else part.encode())
 
 
 def digest_step_states(h):
@@ -514,7 +527,8 @@ def main():
                        ("solves-bench-sizes", digest_bench_size_solves),
                        ("run-program-zeros", digest_run_program_zeros),
                        ("solves-zero-multipliers", digest_zero_multiplier_solves),
-                       ("divider-calls", digest_divider_calls)):
+                       ("divider-calls", digest_divider_calls),
+                       ("solves-reused-workspace", digest_reused_workspace)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
