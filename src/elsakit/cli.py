@@ -5,8 +5,9 @@ All randomness flows from one splittable counter-based generator seeded by
 so identical configurations produce byte-identical reports. Each command
 returns its report (invsqr returns CSV text) and main alone writes it and
 picks the exit status: 0 exactly when the report's "passed" is True (CSV
-always exits 0); 1 when a check failed or the input was bad (INPUT_ERRORS
-become {"command", "error", "message"}); 2 for a usage error or an
+always exits 0); 1 when a check failed, the input was bad or a run needs
+more memory than it can allocate (INPUT_ERRORS and MemoryError become
+{"command", "error", "message"}); 2 for a usage error or an
 unreadable or unwritable file, on stderr. JSON reports are strict: a
 non-finite value is written as null.
 """
@@ -393,8 +394,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             result = args.run(args)
-        except INPUT_ERRORS as exc:
-            result = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+        except (*INPUT_ERRORS, MemoryError) as exc:
+            # numpy's failed allocation is a private subclass of MemoryError.
+            error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            result = {"command": args.command, "error": error, "message": str(exc)}
         if isinstance(result, str):
             _emit(result, args.report)
             return 0

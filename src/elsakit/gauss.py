@@ -15,45 +15,16 @@ divider, I for the affine units), so every component runs on its block
 alone, and each multiplicative skip, whose left or right operand is I plus
 that block, is a row or column update of the state. On its block every
 component is a constant: a mask or divider keeps each entry (V = 1) and an
-affine unit adds 0 (C = 0), so the four components are shape-free and built
-once. A solve costs O(m^3) and is bitwise the dense evaluation of every
-module over the whole padded state, sign of zero included; the tests keep
-that dense evaluation as the reference. A module whose updated entries
-overflow float64 raises EliminationOverflow.
+affine unit adds 0 (C = 0), so each is a shape-free component. A solve
+costs O(m^3) and is bitwise the dense evaluation of every module over the
+whole padded state, sign of zero included; the tests keep that dense
+evaluation as the reference. A module whose updated entries overflow
+float64 raises EliminationOverflow.
 
-Each sweep is one kernel that updates the padded state of a workspace in
-place, one loop over its modules with each module's body written out once:
-the compiled view of its components. A workspace, one per system size m,
-holds the state, every view either kernel reads, per step, and its
-multiplier, spread and fold buffers, all made once. A module reads the
-pivot, and the fold's solved entry, as a Python float through a memoryview
-of the state, and runs the chain on it, each mask's and affine unit's view
-and each skip product of two 1-by-1 operands, in the dense module's order
-and with its bits. A scalar reaches an array product through a 0-d buffer,
-and each + 0.0 on an array adds a 0-d zero. The divider is the one
-component a kernel calls, on an np.float64. Of its three products with an
-array operand, the forward spread, a column times a row, is one BLAS call,
-matrix.outer_product, into the spread buffer, for every row count; the
-fold and the row scale, a column or row times a 0-d operand plus 0.0, are
-broadcast multiplies. The dense modules in the tests are the oracle.
-
-solve takes a workspace of its size from a pool, which keeps at most one
-idle workspace per size for 8 sizes, so no two concurrent solves share one.
-It copies the padded system in, runs both kernels under one np.errstate,
-unchecked, and then checks the finished state once. An update is made in
-place from the entries it replaces, so an inf or NaN stays non-finite to
-the end: a state that ends finite had no overflowing module. If it ends
-non-finite, or a pivot is refused, solve copies the system in again and
-replays both sweeps with every module checked, which raises the error a
-step function names. A step function runs the same kernel over one index,
-checked, on a pooled workspace holding its state, and returns a new array.
-
-solve divides each pivot once. The backward divide module reuses the forward
-sweep's 1/x^2 on its pivot, because the diagonal is final once its row is
-eliminated: later forward steps write only the rows below, the fold only
-column m+1, and the row scale comes after the divide. Only pivot m, which
-no forward step divides, runs the divider in the backward sweep. A step
-function divides on its own.
+Each sweep is one kernel, _forward_sweep or _backward_sweep, which updates
+the padded state of a pooled per-size workspace in place; their docstrings
+argue that each module's body is bitwise its dense module. solve checks for
+overflow once and divides each pivot once (see solve and _backward_sweep).
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -188,29 +159,7 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
-# The sweep kernels write each component's compiled view (netcomp._VIEWS)
-# out at its place: the keep-all mask and the +1 affine unit are a + 0.0,
-# the -1 unit is -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit).
-# Each mask keeps all of the block it runs on (the pivot, the column below
-# it, the fold's solved entry), and the backward anti-mask all of row t but
-# the pivot. Each affine unit's constant reads 0 there: the fold entry
-# (t+1, m+1) and the column below a pivot lie off the diagonal of I, and
-# z7's constant is I with the pivot entry zeroed. Each skip product is
-# skip_product's body: gamma * (r * z + 0.0) on two scalars, and the
-# broadcast product plus 0.0 with one (the fold's xi, the row scale's z7),
-# which is what @ computes at inner dimension 1. The divider, the one
-# approximation, runs as its component, once per pivot (see solve). With
-# check, each update must be finite, else EliminationOverflow names its
-# module. The caller holds np.errstate(over="ignore", invalid="ignore"), so
-# an overflow is found, here or by solve, and not warned about.
-#
-# No update leaves -0.0 in solve's state: x + y is -0.0 only if x and y
-# both are, a product plus 0.0 never is, and the forward spread is added to
-# rows that hold none (see _forward_sweep). The anti-mask's 0 times the
-# scaled pivot gets its + 0.0 in place. A step function's input may hold
-# -0.0 anywhere, so it adds 0.0 to its whole state once, after its kernel.
-
-# The 0-d zero each + 0.0 on an array adds.
+# The 0-d zero each + 0.0 on an array adds (see _forward_sweep).
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
@@ -280,56 +229,70 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
 
     Returns each step's pivot and the divider's output r = 1/x^2 on that
     pivot x, as floats, for the backward step that divides the same pivot.
-    The mask on the column below the pivot is dropped:
-    (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
-    most in the sign of a zero, which the + 0.0 clears.
+    With check, each update must be finite, else EliminationOverflow names
+    its module. The caller holds np.errstate(over="ignore",
+    invalid="ignore"), so an overflow is found, here or by solve, and not
+    warned about.
 
-    The spread z6 @ row has inner dimension 1, and is computed as
-    matrix.outer_product(z6, row, spread), np.dot's BLAS outer product
-    into the spread buffer, for every k: one product per entry, where @
-    adds each to 0.0. It parts from @ in two ways, and neither reaches the
-    state, so no row count takes another path.
+    Why both kernels compute their dense modules' bits:
 
-    Signs of zero. Each entry is the product rounded once, so it differs
-    from @'s only in a zero's sign: a negative product that underflows
-    stays -0.0, where @ gives +0.0. Added to rows k+1..m, which hold no
-    -0.0, both give the same bits, as x + y is -0.0 only if x and y both
-    are. solve adds 0.0 to rows 2..m before its sweep for this, which
-    changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
-    the pivot is read as c * z3 + 0.0. A step function's trailing + 0.0
-    clears any -0.0 the sum leaves.
-
-    The skipped zero. With one row, at k = m - 1, np.dot takes z6 as a
-    scalar and skips it where it is zero: 0 * inf gives 0 where @ gives
-    NaN. That changes a bit only where pivot row m - 1 already holds an inf
-    or NaN, which stays non-finite to the end. In the unchecked pass the
-    state then still ends non-finite, and solve replays it. In a checked
-    pass that entry came from an earlier checked update, which raised
-    first, or from the input, which Matrix refuses.
-
-    The multiplier column z6 is c * z3, without the +1 affine unit's + 0.0.
-    The two differ only where c * z3 is -0.0, and there each spread entry
-    is a zero of either sign (or, from two rows up, the NaN of 0 * inf
-    either way; with one row, both zeros are skipped), so the sum differs
-    at most in the sign of a zero, which solve's rows, free of -0.0, and a
-    step function's trailing + 0.0 clear as above.
-
-    The workspace's scalars and operands change no bit, in either kernel:
-    1. The chain on the pivot (the mask, z3, z7, the fold's xi and the
-       anti-mask entry) runs on Python floats. Python float + and * are the
-       IEEE binary64 operations of numpy's float64 scalar math, inf and NaN
-       included, and the chain has no division or power, so nothing in it
-       raises. The divider still gets an np.float64, so a recording or
-       dense hook on it sees a shape.
-    2. A scalar reaches an array ufunc through the 0-d buffer, and + 0.0 on
-       an array adds the 0-d _ZERO: numpy makes a scalar operand a 0-d
-       array itself, so the ufunc runs the same loop on the same bits.
-    3. outer_product with out= computes what the allocating call does, the
-       one-row case that skips a zero multiplier included (tested in
-       tests/test_matrix.py).
-    4. A 'd' memoryview read or write moves an entry's 8 bytes unchanged.
-    5. What a workspace held before cannot matter: the state is copied in
-       whole, and each module writes every buffer entry it later reads.
+    1. The components, written out. Each mask keeps all of the block it
+       runs on (the pivot, the column below it, the fold's solved entry;
+       the backward anti-mask all of row t but the pivot), and each affine
+       unit's constant reads 0 there: the fold entry (t+1, m+1) and the
+       column below a pivot lie off the diagonal of I, and z7's constant is
+       I with the pivot entry zeroed. So the mask and the +1 affine unit
+       are a + 0.0, apply's head sum from +0.0, and the -1 unit is
+       -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit). A skip
+       product has inner dimension 1, where @ adds each entry's one term to
+       0.0 ([[-0.0]] @ [[1.0]] is +0.0), and x + 0.0 is 0.0 + x: on two
+       scalars it is gamma * (r * z + 0.0), with an array operand the
+       broadcast product plus 0.0. The divider, the one approximation, is
+       the one component a kernel calls, on an np.float64, so a recording
+       or dense hook on it sees a shape.
+    2. Dropped no-ops. The mask on the column below the pivot goes:
+       (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
+       most in the sign of a zero, which the + 0.0 clears. The backward
+       kernel drops the mask on its scaled row (see _backward_sweep).
+    3. No -0.0 in solve's state. x + y is -0.0 only if x and y both are,
+       a product plus 0.0 never is, and the spread is added to rows that
+       hold none; the anti-mask's 0 times the scaled pivot gets its + 0.0
+       in place. solve adds 0.0 to rows 2..m before its sweep, which
+       changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
+       the pivot is read as c * z3 + 0.0. A step function's input may hold
+       -0.0 anywhere, so it adds 0.0 to its whole state once, after its
+       kernel.
+    4. The spread. z6 @ row has inner dimension 1, and is computed as
+       matrix.outer_product(z6, row, spread), np.dot's BLAS outer product
+       into the spread buffer, for every k: one product per entry, where @
+       adds each to 0.0. Each entry is the product rounded once, so it
+       differs from @'s only in a zero's sign (a negative product that
+       underflows stays -0.0, where @ gives +0.0), which rows free of -0.0
+       absorb, by 3. With one row, at k = m - 1, np.dot takes z6 as a
+       scalar and skips it where it is zero: 0 * inf gives 0 where @ gives
+       NaN. That changes a bit only where pivot row m - 1 already holds an
+       inf or NaN, which stays non-finite to the end. In the unchecked
+       pass the state then still ends non-finite, and solve replays it. In
+       a checked pass that entry came from an earlier checked update,
+       which raised first, or from the input, which Matrix refuses.
+    5. The multiplier column z6 is c * z3, without the +1 affine unit's
+       + 0.0. The two differ only where c * z3 is -0.0, and there each
+       spread entry is a zero of either sign (or, from two rows up, the
+       NaN of 0 * inf either way; with one row, both zeros are skipped),
+       so the sum differs at most in the sign of a zero, which 3 clears.
+    6. The workspace's scalars and operands. The chain on the pivot (the
+       mask, z3, z7, the fold's xi and the anti-mask entry) runs on Python
+       floats: their + and * are the IEEE binary64 operations of numpy's
+       float64 scalar math, inf and NaN included, and the chain has no
+       division or power, so nothing in it raises. A scalar reaches an
+       array ufunc through the 0-d buffer, and + 0.0 on an array adds the
+       0-d _ZERO: numpy makes a scalar operand a 0-d array itself, so the
+       ufunc runs the same loop on the same bits. outer_product with out=
+       computes what the allocating call does, the one-row case that skips
+       a zero multiplier included (tested in tests/test_matrix.py). A 'd'
+       memoryview read or write moves an entry's 8 bytes unchanged. What a
+       workspace held before cannot matter: the state is copied in whole,
+       and each module writes every buffer entry it later reads.
     """
     add, multiply = np.add, np.multiply
     size = w.p.shape[0]
@@ -347,8 +310,7 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
         rs.append(r)
         s[()] = -1.0 * (r * z + 0.0)  # z3: skip product, gamma -1
         column, z6, z6_column, pivot_row, rows, spread = forward[k - 1]
-        # z4 @ z3 has inner dimension 1, so each entry is 0.0 + z4 * z3; the
-        # affine unit's + 0.0 would give that sign of zero, which the spread drops.
+        # z4 @ z3, without the +1 affine unit's + 0.0 (item 5 above).
         multiply(column, s, z6)
         # z6 @ P = P + (z6 - I) @ P, and z6 - I is the column block z6 holds.
         outer_product(z6_column, pivot_row, spread)
@@ -362,13 +324,19 @@ def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
                     check: bool) -> list[float]:
     """Backward steps ts, in order, on w's state, in place; see backward_substitute_step.
 
-    Returns each step's pivot, as a float. rs[t - 1], where rs has it, is
-    forward step t's divider output on pivot t (see solve); any other pivot
-    is divided here. The mask on the scaled row is dropped: z7 * row + 0.0
-    holds no -0.0. The anti-mask's 0 weight at the pivot can give -0.0, and
-    its + 0.0 is kept there alone. The row is scaled in place: each entry
-    is read once, by its own product. Its scalars and operands are exact by
-    the argument in _forward_sweep's docstring.
+    Returns each step's pivot, as a float. Each module's body is its dense
+    module's, by the argument in _forward_sweep's docstring. The mask on
+    the scaled row is dropped: z7 * row + 0.0 holds no -0.0. The
+    anti-mask's 0 weight at the pivot can give -0.0, and its + 0.0 is kept
+    there alone. The row is scaled in place: each entry is read once, by
+    its own product.
+
+    rs[t - 1], where rs has it, is forward step t's divider output on pivot
+    t, and is used as this step's: the diagonal is final once its row is
+    eliminated, as later forward steps write only the rows below, the fold
+    only column m+1, and the row scale comes after the divide. So solve
+    divides each pivot once; any other pivot (pivot m in solve, every pivot
+    in a step function) is divided here.
     """
     add, multiply, zero = np.add, np.multiply, _ZERO
     size = w.p.shape[0]
@@ -409,7 +377,7 @@ def _run_step(state: EliminationState, kernel, *args) -> np.ndarray:
     """Run kernel(w, *args, check=True) on a pooled workspace holding state.
 
     Returns a new array, the result plus 0.0, which clears any -0.0 (see
-    the note above _forward_sweep).
+    _forward_sweep).
     """
     w = _take(state.m)
     try:
@@ -475,11 +443,16 @@ def solve(
     finite, or a dense solve that fails, is None with the flag
     "reference_solve_failed".
 
-    The divider runs once per pivot, m times in all: backward step t < m
-    reuses forward step t's 1/x^2, since no module writes a diagonal entry
-    after its row is eliminated. The modules run unchecked, and the final
-    state is checked once for inf and NaN; only a solve that fails runs
-    them again, checked, to name its error.
+    solve takes a workspace of its size from the pool, copies the padded
+    system in and runs both kernels under one np.errstate, unchecked,
+    dividing each pivot once (see _backward_sweep). It then checks the
+    finished state once for inf and NaN. An update is made in place from
+    the entries it replaces, so a non-finite entry never becomes finite
+    again, and up to its failure the unchecked pass computes the checked
+    pass's bits. So if the state ends non-finite, or a pivot is refused,
+    solve copies the system in again and replays both sweeps checked, which
+    raises a step function's error at the first module that overflowed or
+    at the refused pivot.
     """
     state = embed_system(sys, mode=mode, table=table)
     m = sys.m
@@ -492,9 +465,6 @@ def solve(
         pivots, rs = _forward_sweep(w, range(1, m), state.table, check=check)
         return pivots + _backward_sweep(w, range(m, 0, -1), state.table, rs, check=check)
 
-    # A non-finite entry never becomes finite again, and up to its failure
-    # the unchecked pass computes the checked pass's bits, so the replay
-    # raises at the first module that overflowed or at the refused pivot.
     # Entries near 1e308 can overflow the residual, the dense solve or the
     # gap; the report carries such a value instead of a warning.
     with np.errstate(over="ignore", invalid="ignore"):

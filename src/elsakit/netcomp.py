@@ -7,8 +7,9 @@ A network component maps an m-by-n matrix X to
 which is enough to express componentwise affine maps, masks and anti-masks.
 Only parameters that vary are matrices; a constant one is a float that numpy
 broadcasts with the same per-entry operation, so the result is bitwise the
-dense literal sum. The multiplicative skip connection rounds out the
-toolbox; the additive skip is the pipeline module's own out + h.
+dense literal sum, and a component of floats alone has no shape and runs on
+any input. The multiplicative skip connection rounds out the toolbox; the
+additive skip is the pipeline module's own out + h.
 
 Division is approximated by sigma_invsqr, a piecewise-linear even function
 built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
@@ -16,26 +17,11 @@ built literally as a sum of paired ReLUs (hard sigmoids) that agrees with
 decays to zero beyond the final cutoff knot. Multiplying by x recovers an
 approximation of 1/x. invsqr_eval runs the sum's four ReLU terms as one
 ufunc each over the table's stacked knots, for a 0-d pivot and a large
-array alike; a table has at most MAX_KNOTS intervals.
+array alike; a table has at most MAX_KNOTS intervals. A divider evaluates
+1/x^2 only where its V keeps an entry (see _activate).
 
-A divider keeps one entry of its input through a 0/1 output weight V, so
-a component evaluates the two 1/x^2 activations only where V is nonzero
-and writes 0 elsewhere. This is exact for finite activations: a dropped
-entry would have contributed 0 * sigma = 0.
-
-A component whose parameters are all floats has no shape and runs on any
-input. The elimination modules (elsakit.gauss) run four such components,
-each on the block a mask selects (a pivot entry, a column block, a row) and
-never on the whole padded state: on that block a mask's and a divider's V
-is all ones and each affine unit's C all zeros, and off it a component
-outputs its constant C for every finite input, which the module accounts
-for without evaluating it. A module calls each, comp(a), on an ndarray or,
-on a pivot, a 0-d float64; that runs its compiled view where _VIEWS has
-one, bitwise the literal head sum's closed form. The table divider's view
-runs two of the four ReLU terms on a positive pivot (the argument is in
-_table_divider_view). NetworkComponent.apply,
-that literal sum, and skip_product, which takes a 0-d operand as a 1-by-1
-matrix, are the bodies of component_forward and skip_mul.
+The elimination kernels in elsakit.gauss call only the divider component
+and write the others out themselves (see gauss._forward_sweep).
 """
 
 from __future__ import annotations
@@ -334,9 +320,10 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
     if v is None and comp.activation == "invsqr":
         # A unit V keeps every entry: the ReLU sum runs on all of a, with no mask.
         return invsqr_eval(comp.table, a)
-    # The 1/x^2 activations run only where v keeps the result (elsewhere
-    # v * 0 equals v * sigma for finite sigma). The ReLU units stay dense:
-    # on a dense v the gather costs more than the O(1) activation it skips.
+    # The 1/x^2 activations run only where v keeps the result, and write 0
+    # elsewhere: exact for a finite sigma, as v * 0 then equals v * sigma.
+    # The ReLU units stay dense: on a dense v the gather costs more than the
+    # O(1) activation it skips.
     out = np.zeros_like(a)
     keep = np.not_equal(1.0 if v is None else v, 0.0, out=np.empty(a.shape, dtype=bool))
     exact = comp.activation == "invsqr_exact"
@@ -393,15 +380,13 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     return view
 
 
-# Views by (activation, heads): the keep-all mask and the +1 affine unit map
-# a to a, the -1 unit to -a, and apply's head sum, which starts from +0.0,
-# turns a -0.0 into +0.0. The keep-all table divider's entry makes the view
-# bound to the component's table (see _table_divider_view).
+# Views by (activation, heads), of the keep-all dividers. The exact one is
+# its map: the a + 0.0 before it and the 0.0 + after it in apply change no
+# bit, since a * a and the map's results are never -0.0. The table
+# divider's entry makes the view bound to the component's table (see
+# _table_divider_view).
 _UNIT_HEAD = (None, None, 0.0, None)
 _VIEWS = {
-    ("identity_via_relu", (_UNIT_HEAD,)): lambda a: a + 0.0,
-    ("relu", (_UNIT_HEAD, (-1.0, -1.0, 0.0, None))): lambda a: a + 0.0,
-    ("relu", ((None, -1.0, 0.0, None), (-1.0, None, 0.0, None))): lambda a: -1.0 * a + 0.0,
     ("invsqr_exact", (_UNIT_HEAD,)): _exact_invsqr,
     ("invsqr", (_UNIT_HEAD,)): _table_divider_view,
 }
@@ -410,9 +395,7 @@ _VIEWS = {
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
     """Evaluate the component on x (shapes must match, unless the component has none).
 
-    Float parameters are broadcast. The 1/x^2 activations are evaluated only
-    where the head's v is nonzero; for a finite activation this is exact,
-    since the dropped entries would be multiplied by zero.
+    Float parameters are broadcast.
     """
     if comp.shape is not None and x.shape != comp.shape:
         raise ShapeMismatch(f"input {x.shape} != component shape {comp.shape}")
@@ -453,30 +436,18 @@ def make_divider_component(
     )
 
 
-def skip_product(m: np.ndarray | np.float64, a: np.ndarray | np.float64, side: str, gamma: int):
-    """Multiplication-type skip connection on ndarrays; skip_mul's body.
+def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
+    """Multiplication-type skip connection; the inner dimensions must agree.
 
     side "left" computes gamma * (M @ A) (module output on the left),
-    side "right" computes gamma * (A @ M). A 0-d operand (a float64 scalar
-    or 0-d array) stands for a 1-by-1 matrix: the product then has inner
-    dimension 1, and each entry is 0.0 + (its one term), which is what @
-    computes ([[-0.0]] @ [[1.0]] is +0.0); x + 0.0 is 0.0 + x, bit for bit.
+    side "right" computes gamma * (A @ M).
     """
-    if gamma not in (-1, 1):
-        raise ValueError("gamma must be -1 or +1")
-    if side == "left":
-        left, right = m, a
-    elif side == "right":
-        left, right = a, m
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    prod = left * right + 0.0 if m.ndim == 0 or a.ndim == 0 else left @ right
-    return prod if gamma == 1 else -1.0 * prod
-
-
-def skip_mul(m: Matrix, a: Matrix, side: str, gamma: int) -> Matrix:
-    """skip_product on matrices; the inner dimensions must agree."""
     left, right = (a, m) if side == "right" else (m, a)
     if left.cols != right.rows:
         raise DimensionMismatch(f"cannot multiply {left.shape} by {right.shape}")
-    return Matrix.from_array(skip_product(m.array, a.array, side, gamma))
+    if gamma not in (-1, 1):
+        raise ValueError("gamma must be -1 or +1")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    prod = left.array @ right.array
+    return Matrix.from_array(prod if gamma == 1 else -1.0 * prod)

@@ -23,26 +23,14 @@ block returns its input unchanged:
 Programs are built once and shared across iterations; the readout writes
 u^T w_T into the program's reserved cell. The run loop executes each
 program's compiled view (:attr:`Program.compiled`): every head restricted
-to the rows and columns its weights touch, plus the step plan, both made
-once per program. :func:`run_pipeline` keeps only that view, once per
-form and (n, d), and checks a run against the problem's descent and closed
-form, computed once per problem object and shared by both forms. A step
-changes only the columns its last block writes. The plan follows that
-through every step block. Its slots are the heads' own compiled
-projections, evaluated by :meth:`elsakit.attention._Projection.apply`: one
-reading no changing column is bound to the initial prompt once per run,
-and each step evaluates the rest on the columns that change only. The
-bound plan is one generated function, from a factory the plan makes once
-per program: the whole step loop as straight-line code over the blocks'
-bound arrays and buffers allocated once per run, with the products, order
-and parenthesisation of the per-step forward. A unit slot, a projection
-that copies its one input column with weight 1, is that input itself,
-since no block input holds -0.0: step 1 reads a contiguous copy of the
-prompt plus 0.0. Two rewrites keep every bit (see :func:`_factory`): the
-skip adds the step's input rather than the state, and a last block whose
-start is all +0.0 starts from its first varying term. The per-step
-:func:`step` and the literal dense forwards in :mod:`elsakit.attention`
-stay the oracles.
+to the rows and columns its weights touch, plus the step plan
+(:func:`_step_plan`), both made once per program. :func:`run_pipeline`
+keeps only that view, once per form and (n, d), and checks a run against
+the problem's descent and closed form, computed once per problem object
+and shared by both forms. The plan runs the whole step loop as one
+generated function, bitwise the per-step :func:`step` (the argument is in
+:func:`_factory`); :func:`step` and the literal dense forwards in
+:mod:`elsakit.attention` stay the oracles.
 """
 
 from __future__ import annotations
@@ -629,22 +617,11 @@ def run_program(
     """Run `steps` descent steps and the readout.
 
     Returns the coefficient trace w_0..w_T, the final prompt and the
-    prediction. The loop runs the program's step plan (:class:`StepPlan`):
-    it binds the whole step module to the initial prompt once, so every
-    projection that reads no column the step changes is evaluated once per
-    run, and a head whose three projections all are becomes one constant
-    term. The bound plan is one generated function, from the factory the
-    plan made once per program (:func:`_factory`), whose body is the whole
-    step loop over buffers allocated once per run: each step evaluates only
-    the varying projections on the columns that change, taking a unit slot
-    as its input, adds the head terms in head order into each block's
-    narrow accumulator, and adds the step's input back as the skip
-    connection. Step 1 reads a contiguous copy of the prompt plus 0.0, while
-    the trace keeps the prompt's own w0. The full prompt is rebuilt once,
-    for the readout. It equals :func:`step` bit for bit (the factory's
-    docstring gives the two exact rewrites), and :func:`step` stays the
-    per-step oracle. A divergent run overflows silently, and its trace ends
-    before the first non-finite coefficient column.
+    prediction. The loop runs the program's step plan (:class:`StepPlan`),
+    bound to the initial prompt once per run: one generated function, bit
+    for bit :func:`step`, which stays the per-step oracle (see
+    :func:`_factory`). A divergent run overflows silently, and its trace
+    ends before the first non-finite coefficient column.
     """
     ws, h_final, prediction = _run_compiled(prog.compiled, state, steps)
     return Matrix.from_stack(ws), h_final, prediction

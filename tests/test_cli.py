@@ -745,6 +745,39 @@ class TestGaussCommand:
         assert size in report["message"]
 
 
+class TestUnallocatableSizes:
+    """A size whose arrays cannot be allocated ends in a MemoryError report, not a traceback.
+
+    Each size asks for tens of PiB, past any machine's address space, so
+    the allocation fails at once.
+    """
+
+    @staticmethod
+    def assert_memory_error(code, out, command):
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert report == {"command": command, "error": "MemoryError",
+                          "message": report["message"]}
+        assert "PiB" in report["message"]
+
+    @pytest.mark.parametrize("source", ["flag", "problem"])
+    def test_ridge_steps(self, tmp_path, capsys, source):
+        steps = 10**15
+        if source == "flag":
+            args = ["ridge", "--steps", str(steps)]
+        else:
+            p = make_problem(Matrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                             Matrix([[1.0], [2.0], [3.0]]), Matrix([[2.0], [1.0]]),
+                             0.5, eta=0.1, steps=steps)
+            path = tmp_path / "problem.json"
+            path.write_text(problem_to_json(p))
+            args = ["ridge", "--problem", str(path)]
+        self.assert_memory_error(*run_cli(args, capsys), "ridge")
+
+    def test_gauss_size(self, capsys):
+        self.assert_memory_error(*run_cli(["gauss", "--size", str(10**8)], capsys), "gauss")
+
+
 class TestKnotCountCap:
     @pytest.mark.parametrize("command", ["gauss", "invsqr"])
     @pytest.mark.parametrize("n", [MAX_KNOTS + 1, 10**9], ids=["cap_plus_one", "billion"])

@@ -894,7 +894,7 @@ class TestInPlaceKernels:
     def test_one_kernel_per_sweep(self, mode, monkeypatch):
         # A solve runs each sweep kernel once over all its indices, unchecked,
         # and a failing one replays both checked; a step function runs the
-        # same kernel over its one index. No module calls skip_product: each
+        # same kernel over its one index. No module calls skip_mul: each
         # writes its products out. The divider runs once per pivot in a solve
         # pass, and once per step in the step loop, where each step divides.
         m = 9
@@ -910,7 +910,7 @@ class TestInPlaceKernels:
                 return _kernel(p, indices, *args, check=check)
 
             monkeypatch.setattr(gauss, name, run)
-        product, call = netcomp.skip_product, netcomp.NetworkComponent.__call__
+        product, call = netcomp.skip_mul, netcomp.NetworkComponent.__call__
         divider = gauss._pivot_divider(default_invsqr() if mode == "relu" else None)
 
         def record_product(*args, **kwargs):
@@ -922,8 +922,8 @@ class TestInPlaceKernels:
                 divides.append(x)
             return call(comp, x)
 
-        monkeypatch.setattr(netcomp, "skip_product", record_product)
-        monkeypatch.setattr(gauss, "skip_product", record_product, raising=False)
+        monkeypatch.setattr(netcomp, "skip_mul", record_product)
+        monkeypatch.setattr(gauss, "skip_mul", record_product, raising=False)
         monkeypatch.setattr(netcomp.NetworkComponent, "__call__", record_call)
         solve(sys, mode=mode)
         assert calls == [("forward", tuple(range(1, m)), False),

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elsakit import netcomp
+from elsakit import gauss, netcomp
 from elsakit import (
     BadKnotSpec,
     DEFAULT_KNOT_SPEC,
     BlockSpec,
+    DimensionMismatch,
     MaskSpec,
     Matrix,
     NetworkComponent,
@@ -128,21 +129,30 @@ class TestSkipConnections:
         assert z3 == Matrix([[-0.5, 0.0], [0.0, 0.0]])
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
+        # The shape is checked first, then gamma, then side.
+        with pytest.raises(DimensionMismatch, match=r"^cannot multiply \(1, 2\) by \(1, 2\)$"):
+            skip_mul(zeros(1, 2), zeros(1, 2), side="middle", gamma=3)
+        with pytest.raises(ValueError, match=r"^gamma must be -1 or \+1$"):
+            skip_mul(zeros(1, 1), zeros(1, 1), side="middle", gamma=3)
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'middle'$"):
             skip_mul(zeros(1, 1), zeros(1, 1), side="middle", gamma=1)
 
     @pytest.mark.parametrize("gamma", [1, -1])
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("scalar", ["m", "a", "both"])
     def test_a_0d_operand_is_the_1x1_product_bitwise(self, scalar, side, gamma):
-        # A float64 scalar s against the 1x1 @ form, over every pair of these
-        # values (0 * inf and NaN included); bytes hold the sign of zero and
-        # the NaN bits. The other operand is each value alone ("both"), or
-        # all of them as the column left of the product or the row right of it.
+        # The elimination kernels' forms of a product with inner dimension 1
+        # (see gauss._forward_sweep) against the 1x1 @ form, over every pair
+        # of these values (0 * inf and NaN included); bytes hold the sign of
+        # zero and the NaN bits. Two scalars ("both") run gamma * (r * z + 0.0)
+        # on Python floats. A scalar s against the other operand, all the
+        # values as the column left of the product or the row right of it,
+        # runs np.add(np.multiply(v, s), gauss._ZERO) with s a 0-d buffer.
         values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 1.5, -2.0])
         other_on_left = (scalar == "a") == (side == "left")
         others = values if scalar == "both" else [
             values[:, None] if other_on_left else values[None, :]]
+        buffer = np.zeros(())
 
         def as_1x1(x):
             return np.array([[x]]) if np.ndim(x) == 0 else x
@@ -150,9 +160,16 @@ class TestSkipConnections:
         for s in values:
             for other in others:
                 m, a = (other, s) if scalar == "a" else (s, other)
+                left, right = (m, a) if side == "left" else (a, m)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = netcomp.skip_product(m, a, side, gamma)
-                    want = as_1x1(m) @ as_1x1(a) if side == "left" else as_1x1(a) @ as_1x1(m)
+                    if scalar == "both":
+                        got = np.float64(gamma * (float(left) * float(right) + 0.0))
+                    else:
+                        buffer[()] = s
+                        operands = (left, buffer) if other_on_left else (buffer, right)
+                        got = np.add(np.multiply(*operands), gauss._ZERO)
+                        got = got if gamma == 1 else -1.0 * got
+                    want = as_1x1(left) @ as_1x1(right)
                     want = want if gamma == 1 else -1.0 * want
                 assert got.shape == (() if scalar == "both" else want.shape)
                 assert got.tobytes() == want.tobytes()
@@ -554,21 +571,30 @@ EXTREME = st.one_of(
 
 
 # Components whose float heads name a compiled view, and components that
-# run apply: a mask with a Matrix V, a gain that is not +/-1, a nonzero C
-# and a table divider with a slope that underflows to -0.0.
+# run apply: the keep-all mask and the +-1 affine units, which the
+# elimination kernels write out themselves (INLINE), a mask with a Matrix V,
+# a gain that is not +/-1, a nonzero C and a table divider with a slope that
+# underflows to -0.0.
 VIEWED = {
-    "keep": lambda: make_mask_component(None),
-    "plus_identity": lambda: make_affine_component(1.0, 0.0),
-    "negate": lambda: make_affine_component(-1.0, 0.0),
     "exact_divider": lambda: make_divider_component(None, None),
     "table_divider": lambda: make_divider_component(None, default_invsqr()),
 }
 LITERAL = {
+    "keep": lambda: make_mask_component(None),
+    "plus_identity": lambda: make_affine_component(1.0, 0.0),
+    "negate": lambda: make_affine_component(-1.0, 0.0),
     "underflowed_slope_divider": lambda: make_divider_component(
         None, build_invsqr(UNDERFLOWED_SLOPE_SPEC)),
     "matrix_mask": lambda: make_mask_component(MaskSpec(BlockSpec(1, 2, 1, 2), 2, 2)),
     "gain_2": lambda: make_affine_component(2.0, 0.0),
     "nonzero_c": lambda: make_affine_component(1.0, 0.5),
+}
+# The elimination kernels' Python-float forms of the components above that
+# have no view (see gauss._forward_sweep).
+INLINE = {
+    "keep": lambda x: x + 0.0,
+    "plus_identity": lambda x: x + 0.0,
+    "negate": lambda x: -1.0 * x + 0.0,
 }
 
 
@@ -618,6 +644,8 @@ class TestShapeFreeComponents:
         assert got.shape == want.shape == called.shape == ()
         assert got.tobytes() == want.tobytes()
         assert called.tobytes() == got.tobytes()
+        if name in INLINE:
+            assert np.float64(INLINE[name](float(x))).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("spec", [
         "explicit:1,2", DEFAULT_KNOT_SPEC,
