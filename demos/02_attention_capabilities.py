@@ -47,14 +47,14 @@ a = rng.uniform(-1, 1, size=(2, 3))
 b = rng.uniform(-1, 1, size=(3, 2))
 pack, params, blk = matmul_params_v1(2, 3, 2)
 out = elsa_forward(pack(Matrix.from_array(a), Matrix.from_array(b)), params)
-got = out.array[blk.row_lo - 1:blk.row_hi, blk.col_lo - 1:blk.col_hi]
+got = out.array[blk.index]
 print("\nstacked packing: product block error",
       np.abs(got - a @ b).max())
 
 # --- two-matrix product, block-diagonal packing [[A, 0], [0, B]] ----------------
 pack, params, blk = matmul_params_v2(2, 3, 2)
 out = elsa_forward(pack(Matrix.from_array(a), Matrix.from_array(b)), params)
-got = out.array[blk.row_lo - 1:blk.row_hi, blk.col_lo - 1:blk.col_hi]
+got = out.array[blk.index]
 print("block-diagonal packing: product block error",
       np.abs(got - a @ b).max())
 

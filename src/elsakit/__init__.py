@@ -76,6 +76,7 @@ from .pipeline import (
     DesignedLayout,
     EnumeratedLayout,
     LayoutMismatch,
+    NotDesignedProgram,
     PipelineRun,
     PipelineState,
     Program,

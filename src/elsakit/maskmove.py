@@ -140,9 +140,8 @@ def mskmov(a: Matrix, spec: MskMovSpec) -> Matrix:
 
 def mask_matrix(spec: MaskSpec) -> Matrix:
     """0/1 matrix that is 1 on the block (mask) or 1 off the block (anti-mask)."""
-    b = spec.block
     out = np.zeros((spec.m, spec.n))
-    out[b.row_lo - 1 : b.row_hi, b.col_lo - 1 : b.col_hi] = 1.0
+    out[spec.block.index] = 1.0
     if spec.anti:
         out = 1.0 - out
     return Matrix.from_array(out)

@@ -9,6 +9,7 @@ all public block operations take 1-based inclusive indices and convert to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -143,6 +144,11 @@ class BlockSpec:
     def block_cols(self) -> int:
         return self.col_hi - self.col_lo + 1
 
+    @cached_property
+    def index(self) -> tuple[slice, slice]:
+        """The 0-based (row slice, column slice) of the block, made once per spec."""
+        return slice(self.row_lo - 1, self.row_hi), slice(self.col_lo - 1, self.col_hi)
+
 
 def json_entries(key: str, value):
     """value, if every leaf of its nested lists is a JSON number; else TypeError.
@@ -173,7 +179,7 @@ def eye_block(rows: int, cols: int, block: BlockSpec, value: float = 1.0) -> Mat
         raise ShapeMismatch(f"identity block {block} is not square")
     block.check_host(rows, cols)
     out = np.zeros((rows, cols))
-    out[block.row_lo - 1 : block.row_hi, block.col_lo - 1 : block.col_hi] = value * np.eye(k)
+    out[block.index] = value * np.eye(k)
     return Matrix.from_array(out)
 
 
@@ -265,9 +271,7 @@ def hadamard(a: Matrix, b: Matrix) -> Matrix:
 def block_read(a: Matrix, s: BlockSpec) -> Matrix:
     """Copy of the submatrix a[row_lo:row_hi, col_lo:col_hi] (1-based, inclusive)."""
     s.check_host(a.rows, a.cols)
-    return Matrix.from_array(
-        a.array[s.row_lo - 1 : s.row_hi, s.col_lo - 1 : s.col_hi].copy()
-    )
+    return Matrix.from_array(a.array[s.index].copy())
 
 
 def block_write(a: Matrix, s: BlockSpec, v: Matrix) -> Matrix:
@@ -276,6 +280,6 @@ def block_write(a: Matrix, s: BlockSpec, v: Matrix) -> Matrix:
     if v.shape != (s.block_rows, s.block_cols):
         raise ShapeMismatch(f"value shape {v.shape} does not fill block {s}")
     out = a.to_array()
-    out[s.row_lo - 1 : s.row_hi, s.col_lo - 1 : s.col_hi] = v.array
+    out[s.index] = v.array
     return Matrix.from_array(out)
 

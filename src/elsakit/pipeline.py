@@ -6,15 +6,18 @@ blocks, each a tuple of heads summed on the previous block's output,
 followed by the one skip connection, which adds the module's input prompt
 back. One run loop, :func:`run_program`, executes any program. Three
 builders produce them; no block carries an all-zero padding head and no
-block returns its input unchanged:
+block returns its input unchanged. A layout declares its prompt once,
+as named regions left to right (:meth:`DesignedLayout.declare`), which
+the prompt writers fill and the builders' heads (:func:`_copy`,
+:func:`_gram`, :func:`_bias`) read:
 
-* designed: a (d+1)-by-s prompt, s = 2n+d+3, carrying sqrt(eta)-scaled
-  copies of X and y, a sqrt(eta*lam) identity, the query u, and the
-  evolving coefficient column. The step is one 3-head plain-attention
-  block and the readout 1 head; only the coefficient column changes.
-* enumerated: a d-by-s prompt, s = 2n+2d+3, listing X, a padded target
-  block, lam*I, sqrt(eta)*I, u, a scratch column for the prediction, and
-  the coefficient column, with no coupled scalings. The step is a 4-head
+* designed, d+1 rows: x (sqrt(eta) X^T), y (sqrt(eta) y^T in the last
+  row), one (a 1 in the last row), ridge (sqrt(eta lam) I), the query u
+  and the coefficients w. The step is one 3-head plain-attention block and
+  the readout 1 head; only w changes.
+* enumerated, d rows: x (X^T), y (y^T in the last row, zeros above),
+  lam (lam I), eta (sqrt(eta) I), u, z (a scratch column for the
+  prediction) and w, with no coupled scalings. The step is a 4-head
   bias-extended block followed by a 1-head contraction; the readout is
   one 1-head block.
 * zero-bias wrap: the designed program with every head bias-extended
@@ -38,15 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .attention import CompiledHead, ElsaParams, EmptyHeads, Index, LsaParams, _index
 from .attention import _Projection, compile_head, compiled_forward
 from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, eye_block
-from .matrix import product_for, scale, transpose, zeros
-from .maskmove import MskMovSpec, mskmov_selectors
+from .matrix import product_for, scale, zeros
 from .ridge import BadProblemFile, RidgeProblem, finite_prefix
 
 
@@ -54,44 +57,69 @@ class LayoutMismatch(ValueError):
     """A state was fed to a step or readout for the other layout."""
 
 
+class NotDesignedProgram(ValueError):
+    """wrap_designed_as_elsa was given a program with biases it would drop."""
+
+
 @dataclass(frozen=True)
-class DesignedLayout:
+class _Layout:
+    """A prompt of n examples of d features: the regions its class declares."""
+
     n: int
     d: int
 
     @property
-    def s(self) -> int:
-        return 2 * self.n + self.d + 3
+    def regions(self) -> Mapping[str, BlockSpec]:
+        """Each region's 1-based block, by name, left to right (read-only, shared)."""
+        return _region_table(type(self), self.n, self.d)[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.d + 1, self.s)
+        return _region_table(type(self), self.n, self.d)[0]
+
+    @property
+    def s(self) -> int:
+        return self.shape[1]
 
     @property
     def w_col(self) -> int:
-        return self.s
+        return self.regions["w"].col_lo
+
+
+@lru_cache(maxsize=64)
+def _region_table(kind: type, n: int, d: int) -> tuple[tuple[int, int], Mapping[str, BlockSpec]]:
+    """The shape and regions of the layout class kind at (n, d), columns left to right from 1.
+
+    Made once per (n, d), as is each region's 0-based BlockSpec.index, which
+    it caches: a prompt writer only looks regions up.
+    """
+    regions, col = {}, 1
+    for name, row_lo, row_hi, width in kind.declare(n, d):
+        regions[name] = BlockSpec(row_lo, row_hi, col, col + width - 1)
+        col += width
+    return (max(b.row_hi for b in regions.values()), col - 1), MappingProxyType(regions)
 
 
 @dataclass(frozen=True)
-class EnumeratedLayout:
-    n: int
-    d: int
+class DesignedLayout(_Layout):
+    @staticmethod
+    def declare(n: int, d: int) -> tuple[tuple[str, int, int, int], ...]:
+        """Each region's (name, first row, last row, width), left to right."""
+        return (("x", 1, d, n), ("y", d + 1, d + 1, n), ("one", d + 1, d + 1, 1),
+                ("ridge", 1, d, d), ("u", 1, d, 1), ("w", 1, d, 1))
 
-    @property
-    def s(self) -> int:
-        return 2 * self.n + 2 * self.d + 3
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d, self.s)
-
-    @property
-    def w_col(self) -> int:
-        return self.s
+@dataclass(frozen=True)
+class EnumeratedLayout(_Layout):
+    @staticmethod
+    def declare(n: int, d: int) -> tuple[tuple[str, int, int, int], ...]:
+        """Each region's (name, first row, last row, width), left to right."""
+        return (("x", 1, d, n), ("y", 1, d, n), ("lam", 1, d, d), ("eta", 1, d, d),
+                ("u", 1, d, 1), ("z", 1, d, 1), ("w", 1, d, 1))
 
     @property
     def z_col(self) -> int:
-        return self.s - 1
+        return self.regions["z"].col_lo
 
 
 Layout = Union[DesignedLayout, EnumeratedLayout]
@@ -154,10 +182,28 @@ class Program:
         return CompiledProgram(self.layout, step, compile_module(self.readout), self.cell, plan)
 
 
-def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
-    """(w1, w2) such that w1^T (H^T H) w2 applies the mask-and-move of spec."""
-    w, v = mskmov_selectors(spec)
-    return transpose(w), v
+# ---------------------------------------------------------------------------
+# Heads from regions
+# ---------------------------------------------------------------------------
+
+
+def _copy(layout: Layout, name: str, at: int, sign: float = 1.0) -> Matrix:
+    """The s-by-s weight W with H W = sign * H[:, name] in columns at.., zero elsewhere.
+
+    A sign of -1 leaves -0.0 in the block off its diagonal (see eye_block).
+    """
+    src, s = layout.regions[name], layout.s
+    return eye_block(s, s, BlockSpec(src.col_lo, src.col_hi, at, at + src.block_cols - 1), sign)
+
+
+def _gram(layout: Layout, a: str, b: str, at: tuple[int, int]) -> tuple[Matrix, Matrix]:
+    """(w1, w2) with (H w1)^T (H w2) = H[:, a]^T H[:, b], its first entry at the 1-based at."""
+    return _copy(layout, a, at[0]), _copy(layout, b, at[1])
+
+
+def _bias(layout: Layout, at: int, size: int, sign: float = 1.0) -> Matrix:
+    """A prompt-shaped bias: sign * I_size in rows 1..size and columns at.., zero elsewhere."""
+    return eye_block(*layout.shape, BlockSpec(1, size, at, at + size - 1), sign)
 
 
 # ---------------------------------------------------------------------------
@@ -166,66 +212,47 @@ def _moved_selectors(spec: MskMovSpec) -> tuple[Matrix, Matrix]:
 
 
 def build_designed_input(p: RidgeProblem) -> PipelineState:
-    """Assemble the step-0 prompt for the designed layout, every block written into one array.
+    """Assemble the step-0 prompt for the designed layout, every region written into one array.
 
     Raises BadProblemFile when a scaled entry overflows: sqrt(eta) X,
     sqrt(eta) y or sqrt(eta lam) is not finite.
     """
-    n, d = p.n, p.d
-    layout = DesignedLayout(n=n, d=d)
+    layout = DesignedLayout(n=p.n, d=p.d)
+    r = layout.regions
     h = np.zeros(layout.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         sqrt_eta = math.sqrt(p.eta)
-        h[:d, :n] = sqrt_eta * p.x.array.T
-        h[d, n : 2 * n] = sqrt_eta * p.y.array[:, 0]
-        h[d, 2 * n] = 1.0
-        h[:d, 2 * n + 1 : 2 * n + d + 1] = (sqrt_eta * math.sqrt(p.lam)) * np.eye(d)
-    if not np.isfinite(h[:, : 2 * n + d + 1]).all():
+        h[r["x"].index] = sqrt_eta * p.x.array.T
+        h[r["y"].index] = sqrt_eta * p.y.array.T
+        h[r["one"].index] = 1.0
+        h[r["ridge"].index] = (sqrt_eta * math.sqrt(p.lam)) * np.eye(p.d)
+    # u and w are still zero here.
+    if not np.isfinite(h).all():
         raise BadProblemFile("the designed prompt is not finite: sqrt(eta) X, sqrt(eta) y "
                              "or sqrt(eta lambda) overflows")
-    h[:d, 2 * n + d + 1] = p.u.array[:, 0]
-    h[:d, layout.s - 1] = p.w0.array[:, 0]
+    h[r["u"].index] = p.u.array
+    h[r["w"].index] = p.w0.array
     return PipelineState(h=Matrix.from_array(h), layout=layout)
 
 
 def build_designed_weights(n: int, d: int) -> Program:
     """Three step heads summing to the negated scaled gradient in the w column.
 
-    Head 1 extracts the scaled targets against the scaled design (the X^T y
-    term), head 2 the scaled fitted values against the negated design (the
-    X^T X w term), head 3 the ridge column against the negated ridge identity
-    (the lam*w term). The readout, run once after the last step, moves
-    u^T w_T into the bottom-right cell.
+    Writing a region's name for its columns of H, each head t3 (t1^T t2)
+    places a gram of two regions in w: x (y^T one) is the X^T y term,
+    -x (x^T w) the X^T X w term and -ridge (ridge^T w) the lam*w term, each
+    scaled by eta through the prompt. The readout, run once after the last
+    step, is the head one (u^T w), which puts u^T w_T in the one row's w
+    cell.
     """
     layout = DesignedLayout(n=n, d=d)
-    s = layout.s
-
-    w13 = eye_block(s, s, BlockSpec(1, n, 1, n))
-    w11, w12 = _moved_selectors(
-        MskMovSpec(i=n + 1, j=2 * n, k=2 * n + 1, l=2 * n + 1, m=s, n=s, a=-n, b=s - (2 * n + 1))
-    )
-    head1 = LsaParams(w1=w11, w2=w12, w3=w13)
-
-    w21, w22 = _moved_selectors(MskMovSpec(i=1, j=n, k=s, l=s, m=s, n=s))
-    head2 = LsaParams(w1=w21, w2=w22, w3=scale(w13, -1.0))
-
-    w31, w32 = _moved_selectors(
-        MskMovSpec(i=2 * n + 2, j=2 * n + d + 1, k=s, l=s, m=s, n=s, a=-(2 * n + 1), b=0)
-    )
-    w33 = eye_block(s, s, BlockSpec(2 * n + 2, 2 * n + d + 1, 1, d), -1.0)
-    head3 = LsaParams(w1=w31, w2=w32, w3=w33)
-
-    r1, r2 = _moved_selectors(
-        MskMovSpec(i=2 * n + d + 2, j=2 * n + d + 2, k=s, l=s, m=s, n=s, a=1, b=0)
-    )
-    r3 = eye_block(s, s, BlockSpec(2 * n + 1, 2 * n + 1, s, s))
-
-    return Program(
-        layout=layout,
-        step=((head1, head2, head3),),
-        readout=((LsaParams(w1=r1, w2=r2, w3=r3),),),
-        cell=(d + 1, s),
-    )
+    w = layout.w_col
+    x = _copy(layout, "x", 1)
+    step_block = (LsaParams(*_gram(layout, "y", "one", (1, w)), x),
+                  LsaParams(*_gram(layout, "x", "w", (1, w)), scale(x, -1.0)),
+                  LsaParams(*_gram(layout, "ridge", "w", (1, w)), _copy(layout, "ridge", 1, -1.0)))
+    read = LsaParams(*_gram(layout, "u", "w", (w, w)), _copy(layout, "one", w))
+    return Program(layout, (step_block,), ((read,),), cell=(layout.regions["one"].row_lo, w))
 
 
 # ---------------------------------------------------------------------------
@@ -234,86 +261,47 @@ def build_designed_weights(n: int, d: int) -> Program:
 
 
 def build_enumerated_input(p: RidgeProblem) -> PipelineState:
-    """Assemble the step-0 prompt for the enumerated layout, every block written into one array."""
-    n, d = p.n, p.d
-    layout = EnumeratedLayout(n=n, d=d)
+    """Assemble the step-0 prompt for the enumerated layout, every region written into one array."""
+    layout = EnumeratedLayout(n=p.n, d=p.d)
+    r = layout.regions
     h = np.zeros(layout.shape)
-    h[:, :n] = p.x.array.T
-    # Padded target block: y fills the last row, the d-1 rows above stay zero.
-    h[d - 1, n : 2 * n] = p.y.array[:, 0]
-    h[:, 2 * n : 2 * n + d] = p.lam * np.eye(d)
-    h[:, 2 * n + d : 2 * n + 2 * d] = math.sqrt(p.eta) * np.eye(d)
-    h[:, 2 * n + 2 * d] = p.u.array[:, 0]
-    h[:, layout.s - 1] = p.w0.array[:, 0]
+    h[r["x"].index] = p.x.array.T
+    # y fills the last row of its region; the rows above stay zero.
+    h[r["y"].index][-1] = p.y.array[:, 0]
+    h[r["lam"].index] = p.lam * np.eye(p.d)
+    h[r["eta"].index] = math.sqrt(p.eta) * np.eye(p.d)
+    h[r["u"].index] = p.u.array
+    h[r["w"].index] = p.w0.array
     return PipelineState(h=Matrix.from_array(h), layout=layout)
 
 
 def build_enumerated_weights(n: int, d: int) -> Program:
     """A 4-head block and a 1-head block per step, plus the readout pair.
 
-    First block, head by head: the fitted-values term, the ridge term, the
-    negated cross term from the padded target block, and a marker head
-    placing -eta*I next to the scratch columns. The second block is the one
-    head contracting the marker against the assembled gradient, leaving
-    -eta*dw in the last column. The readout is one 1-head block moving u^T w
-    into the scratch cell.
+    Writing a region's name for its columns of H and I for a bias identity,
+    the first block's heads are the fitted-values term x (x^T w), the ridge
+    term I (lam^T w), the negated cross term x (y^T (-I)), placed in the
+    last d columns so that only w is nonzero, and a marker head -I (eta^T
+    eta) placing -eta*I in the eta columns. The second block is the one
+    head I (eta^T w) contracting the marker against the assembled gradient,
+    leaving -eta*dw in w. The readout is one 1-head block moving u^T w into
+    row 1 of z.
     """
     layout = EnumeratedLayout(n=n, d=d)
-    s = layout.s
-    zs = zeros(s, s)
-    zb = zeros(d, s)
+    w, z, eta = layout.w_col, layout.z_col, layout.regions["eta"].col_lo
+    zs, zb = zeros(layout.s, layout.s), zeros(*layout.shape)
 
-    w11, w12 = _moved_selectors(MskMovSpec(i=1, j=n, k=s, l=s, m=s, n=s))
-    h1 = ElsaParams(
-        w1=w11, w2=w12, w3=eye_block(s, s, BlockSpec(1, n, 1, n)), b1=zb, b2=zb, b3=zb
-    )
+    def head(w1, w2, w3=zs, b2=zb, b3=zb) -> ElsaParams:
+        return ElsaParams(w1=w1, w2=w2, w3=w3, b1=zb, b2=b2, b3=b3)
 
-    w21, w22 = _moved_selectors(
-        MskMovSpec(i=2 * n + 1, j=2 * n + d, k=s, l=s, m=s, n=s, a=-2 * n, b=0)
-    )
-    h2 = ElsaParams(
-        w1=w21, w2=w22, w3=zs, b1=zb, b2=zb, b3=eye_block(d, s, BlockSpec(1, d, 1, d))
-    )
-
-    h3 = ElsaParams(
-        w1=eye_block(s, s, BlockSpec(n + 1, 2 * n, s - n + 1, s)),
-        w2=zs,
-        w3=eye_block(s, s, BlockSpec(1, n, s - n + 1, s)),
-        b1=zb,
-        b2=eye_block(d, s, BlockSpec(1, d, s - d + 1, s), -1.0),
-        b3=zb,
-    )
-
-    w41, w42 = _moved_selectors(
-        MskMovSpec(
-            i=2 * n + d + 1, j=2 * n + 2 * d, k=2 * n + d + 1, l=2 * n + 2 * d,
-            m=s, n=s, a=-(2 * n + d), b=0,
-        )
-    )
-    h4 = ElsaParams(
-        w1=w41, w2=w42, w3=zs, b1=zb, b2=zb,
-        b3=eye_block(d, s, BlockSpec(1, d, 1, d), -1.0),
-    )
-
-    g1, g2 = _moved_selectors(
-        MskMovSpec(i=2 * n + d + 1, j=2 * n + 2 * d, k=s, l=s, m=s, n=s, a=-(2 * n + d), b=0)
-    )
-    contract = ElsaParams(
-        w1=g1, w2=g2, w3=zs, b1=zb, b2=zb, b3=eye_block(d, s, BlockSpec(1, d, 1, d))
-    )
-    step_blocks = ((h1, h2, h3, h4), (contract,))
-
-    q1, q2 = _moved_selectors(
-        MskMovSpec(
-            i=2 * n + 2 * d + 1, j=2 * n + 2 * d + 1, k=s, l=s,
-            m=s, n=s, a=-(2 * n + 2 * d), b=-1,
-        )
-    )
-    read1 = ElsaParams(
-        w1=q1, w2=q2, w3=zs, b1=zb, b2=zb,
-        b3=eye_block(d, s, BlockSpec(1, 1, 1, 1)),
-    )
-    return Program(layout=layout, step=step_blocks, readout=((read1,),), cell=(1, layout.z_col))
+    first = (head(*_gram(layout, "x", "w", (1, w)), w3=_copy(layout, "x", 1)),
+             head(*_gram(layout, "lam", "w", (1, w)), b3=_bias(layout, 1, d)),
+             head(_copy(layout, "y", w - n + 1), zs, _copy(layout, "x", w - n + 1),
+                  b2=_bias(layout, w - d + 1, d, -1.0)),
+             head(*_gram(layout, "eta", "eta", (1, eta)), b3=_bias(layout, 1, d, -1.0)))
+    contract = head(*_gram(layout, "eta", "w", (1, w)), b3=_bias(layout, 1, d))
+    read = head(*_gram(layout, "u", "w", (1, z)), b3=_bias(layout, 1, 1))
+    return Program(layout, (first, (contract,)), ((read,),), cell=(1, z))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +314,14 @@ def wrap_designed_as_elsa(prog: Program) -> Program:
 
     Same blocks, same heads (3 in the step, 1 in the readout), same weights;
     the module's own skip connection needs no head. Running it reproduces
-    the designed pipeline trace exactly.
+    the designed pipeline trace exactly. A program on another layout, or
+    with a head that is not plain LsaParams, raises NotDesignedProgram: its
+    biases would be dropped.
     """
+    kinds = {type(p) for block in prog.step + prog.readout for p in block}
+    if not isinstance(prog.layout, DesignedLayout) or kinds != {LsaParams}:
+        raise NotDesignedProgram(f"not a plain designed program: {prog.layout}, heads "
+                                 f"{sorted(k.__name__ for k in kinds)}")
     zb = zeros(*prog.layout.shape)
 
     def wrap(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
@@ -365,8 +359,7 @@ def readout(state: PipelineState, prog: Program) -> tuple[Matrix, float]:
 
 def extract_w(state: PipelineState) -> Matrix:
     """The current coefficient column of the prompt."""
-    d = state.layout.d
-    return block_read(state.h, BlockSpec(1, d, state.layout.w_col, state.layout.w_col))
+    return block_read(state.h, state.layout.regions["w"])
 
 
 class _PlanBlock(NamedTuple):

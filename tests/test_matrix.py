@@ -286,6 +286,14 @@ class TestBlocks:
         written = block_write(a, spec, v)
         assert np.array_equal(block_read(written, spec).array, v.array)
 
+    def test_index_is_the_0_based_block(self):
+        spec = BlockSpec(2, 3, 4, 4)
+        assert spec.index == (slice(1, 3), slice(3, 4))
+        assert spec.index is spec.index  # made once per spec
+        assert spec == BlockSpec(2, 3, 4, 4) and hash(spec) == hash(BlockSpec(2, 3, 4, 4))
+        a = np.arange(20.0).reshape(4, 5)
+        assert np.array_equal(block_read(Matrix(a), spec).array, a[1:3, 3:4])
+
     def test_full_range_read(self):
         a = Matrix([[1.0, 2.0], [3.0, 4.0]])
         assert block_read(a, BlockSpec(1, 2, 1, 2)) == a

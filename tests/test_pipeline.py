@@ -22,6 +22,7 @@ from elsakit import (
     EnumeratedLayout,
     LayoutMismatch,
     Matrix,
+    NotDesignedProgram,
     PipelineState,
     Program,
     RidgeProblem,
@@ -29,6 +30,7 @@ from elsakit import (
     build_designed_weights,
     build_enumerated_input,
     build_enumerated_weights,
+    block_read,
     compiled_forward,
     elsa_forward,
     extract_w,
@@ -154,6 +156,67 @@ class TestPromptAssembly:
                 assert str(got.value) == str(want.value)
                 assert (build_enumerated_input(p).h.array.tobytes()
                         == block_write_enumerated_prompt(p).array.tobytes())
+
+
+REGION_SHAPES = [(1, 1), (3, 2), (2, 5), (20, 4)]
+
+
+class TestRegions:
+    """Each layout is its declared regions; the prompt writers fill them by name."""
+
+    @pytest.mark.parametrize("n,d", REGION_SHAPES)
+    def test_regions_tile_the_columns_in_order(self, n, d):
+        layouts = {
+            DesignedLayout(n, d): (["x", "y", "one", "ridge", "u", "w"], (d + 1, 2 * n + d + 3)),
+            EnumeratedLayout(n, d): (["x", "y", "lam", "eta", "u", "z", "w"],
+                                     (d, 2 * n + 2 * d + 3)),
+        }
+        for layout, (names, shape) in layouts.items():
+            regions = layout.regions
+            assert list(regions) == names
+            assert layout.shape == shape and layout.s == shape[1]
+            blocks = list(regions.values())
+            assert blocks[0].col_lo == 1 and blocks[-1].col_hi == layout.s
+            assert all(b.col_lo == a.col_hi + 1 for a, b in zip(blocks, blocks[1:]))
+            covered = np.zeros(layout.shape, dtype=int)
+            for b in blocks:
+                b.check_host(*layout.shape)
+                covered[b.index] += 1
+            assert covered.max() == 1 and covered.any(axis=0).all()
+            assert max(b.row_hi for b in blocks) == layout.shape[0]
+            assert layout.w_col == regions["w"].col_lo == layout.s
+        enumerated = EnumeratedLayout(n, d)
+        assert enumerated.z_col == enumerated.regions["z"].col_lo == enumerated.s - 1
+
+    def test_layouts_keep_their_fields_and_equality(self):
+        assert DesignedLayout(3, 2) == DesignedLayout(n=3, d=2) != EnumeratedLayout(3, 2)
+        assert hash(DesignedLayout(3, 2)) == hash(DesignedLayout(3, 2))
+        assert repr(EnumeratedLayout(3, 2)) == "EnumeratedLayout(n=3, d=2)"
+        assert [f.name for f in dataclasses.fields(DesignedLayout)] == ["n", "d"]
+        # One table per (n, d): a prompt writer does no per-region work.
+        assert DesignedLayout(3, 2).regions is DesignedLayout(3, 2).regions
+        assert DesignedLayout(3, 2).regions is not EnumeratedLayout(3, 2).regions
+
+    @pytest.mark.parametrize("n,d", REGION_SHAPES)
+    def test_each_region_holds_its_content(self, n, d):
+        rng = np.random.default_rng([n, d, 35])
+        p = problem(rng, n, d, w0=rng.normal(size=(d, 1)))
+        sqrt_eta = math.sqrt(p.eta)
+        state = build_designed_input(p)
+        want = {"x": sqrt_eta * p.x.array.T, "y": sqrt_eta * p.y.array.T, "one": [[1.0]],
+                "ridge": sqrt_eta * math.sqrt(p.lam) * np.eye(d), "u": p.u.array,
+                "w": p.w0.array}
+        for name, block in state.layout.regions.items():
+            assert np.array_equal(block_read(state.h, block).array, want[name]), name
+        state = build_enumerated_input(p)
+        y = np.zeros((d, n))
+        y[-1] = p.y.array[:, 0]
+        want = {"x": p.x.array.T, "y": y, "lam": p.lam * np.eye(d),
+                "eta": sqrt_eta * np.eye(d), "u": p.u.array, "z": np.zeros((d, 1)),
+                "w": p.w0.array}
+        for name, block in state.layout.regions.items():
+            assert np.array_equal(block_read(state.h, block).array, want[name]), name
+        assert extract_w(state) == p.w0
 
 
 class TestDesignedWeights:
@@ -604,6 +667,18 @@ class TestStructuralInvariants:
                     assert any(np.any(m.array) for m in vars(head).values()), name
                 # The module adds its input back itself; a block must do work.
                 assert multihead_forward(h, block) != h, name
+
+    def test_wrap_refuses_a_program_with_biases(self):
+        # Wrapping rebuilds every head with zero biases, so it takes plain designed heads only.
+        with pytest.raises(NotDesignedProgram, match="EnumeratedLayout"):
+            wrap_designed_as_elsa(build_enumerated_weights(3, 2))
+        designed = build_designed_weights(3, 2)
+        wrapped = wrap_designed_as_elsa(designed)
+        with pytest.raises(NotDesignedProgram, match="ElsaParams"):
+            wrap_designed_as_elsa(wrapped)
+        mixed = Program(designed.layout, designed.step, wrapped.readout, designed.cell)
+        with pytest.raises(NotDesignedProgram, match="ElsaParams"):
+            wrap_designed_as_elsa(mixed)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
     def test_zero_bias_wrap_is_the_designed_program(self, n, d):

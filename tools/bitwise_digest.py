@@ -96,12 +96,17 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   (2, 3, 24, 64) interleaved over two rounds, both modes, each signed
   dominant system followed by a PivotBelowTolerance and an
   EliminationOverflow system embedded at the same size: each solution and
-  report, or the exception class and message (solve_outcome).
+  report, or the exception class and message (solve_outcome);
+* programs: the designed, enumerated and zero-bias wrapped programs
+  themselves, (n, d) in PROGRAM_SHAPES: each layout's shape and the
+  prediction cell, then per module its block sizes and, head by head, the
+  head's type and each weight and bias array's shape and raw bytes.
 """
 
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +178,7 @@ INVSQR_SPECS = ("geometric:x1=1e-2,xmax=1e2,n=1", DEFAULT_KNOT_SPEC,
 UNDERFLOWED_SLOPE_SPEC = "explicit:1,1e154"
 # Fixed sizes that straddle 64- and 256-point blocks.
 INVSQR_SIZES = (0, 1, 2, 63, 64, 65, 197, 255, 256, 257, 773, 3013)
+PROGRAM_SHAPES = tuple((n, d) for n in (1, 2, 3, 7, 20, 100) for d in (1, 2, 4, 8))
 MASKED_SHAPES = ((1, 1), (1, 4), (3, 1), (2, 3), (5, 5), (7, 4), (12, 9))
 MASKED_EXTREMES = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e160, -1e160,
                    1e-160, -1e-160, 5e-324, -5e-324, np.finfo(np.float64).tiny, 1e-310)
@@ -432,6 +438,21 @@ def digest_compiled_forward(h):
                 h.update(np.float64(prediction).tobytes())
 
 
+def digest_programs(h):
+    for n, d in PROGRAM_SHAPES:
+        designed = build_designed_weights(n, d)
+        for prog in (designed, build_enumerated_weights(n, d), wrap_designed_as_elsa(designed)):
+            h.update(repr((prog.layout.shape, prog.cell)).encode())
+            for module in (prog.step, prog.readout):
+                h.update(repr([len(block) for block in module]).encode())
+                for head in (head for block in module for head in block):
+                    h.update(type(head).__name__.encode())
+                    for field in fields(head):
+                        a = getattr(head, field.name).array
+                        h.update(repr(a.shape).encode())
+                        h.update(a.tobytes())
+
+
 def invsqr_points(table, seed):
     """3,013 points: extremes, every knot and its neighbours, then seeded draws."""
     tiny = np.finfo(np.float64).tiny
@@ -528,7 +549,8 @@ def main():
                        ("run-program-zeros", digest_run_program_zeros),
                        ("solves-zero-multipliers", digest_zero_multiplier_solves),
                        ("divider-calls", digest_divider_calls),
-                       ("solves-reused-workspace", digest_reused_workspace)):
+                       ("solves-reused-workspace", digest_reused_workspace),
+                       ("programs", digest_programs)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
