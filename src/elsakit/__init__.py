@@ -14,6 +14,7 @@ from .matrix import (
     DimensionMismatch,
     IndexOutOfRange,
     Matrix,
+    MatrixStack,
     ShapeMismatch,
     add,
     block_read,

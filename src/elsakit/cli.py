@@ -36,6 +36,13 @@ INPUT_ERRORS = (ridge.BadProblemFile, ridge.SingularSystem, gauss.BadSystemFile,
 # A zero eigenvalue at lambda = 0 gives a contraction factor of 1 up to
 # rounding, the one equality case of ridge.stable_eta_for.
 CONTRACTION_SLACK = 1e-12
+# The largest sizes the parser takes, so that an array a size shapes has fewer than 2**63
+# bytes, numpy's index limit, and a size past the machine's memory ends in the MemoryError
+# report. Sides (--n, --d, --size, --max-dim) shape square arrays of up to (4 side + 3)**2
+# entries; a length (--steps, --samples) arrays of length times a row count, which fit for
+# rows of up to 1,000 entries.
+MAX_SIDE = 2**27
+MAX_LENGTH = ridge.MAX_STEPS
 
 
 def _default_seed() -> int:
@@ -309,8 +316,8 @@ def cmd_invsqr(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(kind: type, lo):
-    """argparse type: a finite kind (int or float) no smaller than lo, else a usage error."""
+def _at_least(kind: type, lo, hi=math.inf):
+    """argparse type: a finite kind (int or float) from lo to hi, else a usage error."""
 
     def parse(text: str):
         try:
@@ -319,6 +326,8 @@ def _at_least(kind: type, lo):
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not lo <= value < math.inf:  # also rejects nan
             raise argparse.ArgumentTypeError(f"must be finite and at least {lo}, got {text!r}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {text!r}")
         return value
 
     return parse
@@ -338,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-lemmas", help="run the capability property suites")
     p_verify.add_argument("--trials", type=_at_least(int, 0), default=100)
-    p_verify.add_argument("--max-dim", type=_at_least(int, 1), default=6)
+    p_verify.add_argument("--max-dim", type=_at_least(int, 1, MAX_SIDE), default=6)
     p_verify.add_argument("--seed", type=int, default=seed)
     p_verify.add_argument("--tol", type=_at_least(float, 0.0), default=1e-12)
     p_verify.add_argument("--perturb", action="store_true",
@@ -348,12 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ridge = sub.add_parser("ridge", help="run an in-context descent pipeline")
     p_ridge.add_argument("--form", choices=["lsa", "elsa"], default="lsa")
-    p_ridge.add_argument("--n", type=_at_least(int, 1), default=20)
-    p_ridge.add_argument("--d", type=_at_least(int, 1), default=4)
+    p_ridge.add_argument("--n", type=_at_least(int, 1, MAX_SIDE), default=20)
+    p_ridge.add_argument("--d", type=_at_least(int, 1, MAX_SIDE), default=4)
     p_ridge.add_argument("--lambda", dest="lam", type=_at_least(float, 0.0), default=0.5)
     p_ridge.add_argument("--eta", type=_eta, default="auto",
                          help='learning rate, a float or "auto"')
-    p_ridge.add_argument("--steps", type=_at_least(int, 0), default=None)
+    p_ridge.add_argument("--steps", type=_at_least(int, 0, MAX_LENGTH), default=None)
     p_ridge.add_argument("--seed", type=int, default=seed)
     p_ridge.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9,
                          help="pass threshold on the per-step oracle deviation")
@@ -363,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gauss = sub.add_parser("gauss", help="solve linear systems through the component pipeline")
     p_gauss.add_argument("--mode", choices=["exact", "relu"], default="exact")
-    p_gauss.add_argument("--size", type=int, default=6)
+    # A size below 2 is cmd_gauss's ShapeMismatch, not a usage error.
+    p_gauss.add_argument("--size", type=_at_least(int, -math.inf, MAX_SIDE), default=6)
     p_gauss.add_argument("--knots", default=netcomp.DEFAULT_KNOT_SPEC)
     p_gauss.add_argument("--system", default=None, help="system JSON file")
     p_gauss.add_argument("--sweep", action="store_true",
@@ -376,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invsqr", help="dump division-approximator samples as CSV")
     p_inv.add_argument("--knots", default=netcomp.DEFAULT_KNOT_SPEC)
-    p_inv.add_argument("--samples", type=_at_least(int, 0), default=1001)
+    p_inv.add_argument("--samples", type=_at_least(int, 0, MAX_LENGTH), default=1001)
     p_inv.add_argument("--report", default=None)
     p_inv.set_defaults(run=cmd_invsqr)
 

@@ -526,12 +526,15 @@ def system_to_json(sys: LinearSystem) -> str:
 
 
 def system_from_json(text: str) -> LinearSystem:
-    """Parse {"F", "alpha"}; every malformed document raises BadSystemFile."""
+    """Parse {"F", "alpha"}; every malformed document raises BadSystemFile.
+
+    So does one nested past Python's recursion limit.
+    """
     try:
         doc = json.loads(text)
         f = Matrix(json_entries("F", doc["F"]))
         return LinearSystem(f=f, alpha=Matrix.column(json_entries("alpha", doc["alpha"])))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise BadSystemFile(f"malformed linear system: {exc}") from exc
 
 

@@ -8,9 +8,9 @@ all public block operations take 1-based inclusive indices and convert to
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -59,17 +59,10 @@ class Matrix:
     def from_stack(cls, stack: np.ndarray) -> list["Matrix"]:
         """One Matrix per leading index of a (k, rows, cols) stack (trusted internal path).
 
-        The stack is made contiguous and read-only once, and each Matrix is a
-        view of one of its rows.
+        The list of :class:`MatrixStack`'s rows: each Matrix is a view of one
+        row of the stack, made contiguous and read-only once.
         """
-        a = np.ascontiguousarray(stack, dtype=np.float64)
-        a.setflags(write=False)
-        out = []
-        for row in a:
-            m = object.__new__(cls)
-            m._a = row
-            out.append(m)
-        return out
+        return list(MatrixStack(stack))
 
     @classmethod
     def column(cls, values: Sequence[float] | np.ndarray) -> "Matrix":
@@ -117,6 +110,50 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self._a.tolist()!r})"
+
+
+def _view(row: np.ndarray) -> Matrix:
+    m = object.__new__(Matrix)
+    m._a = row
+    return m
+
+
+class MatrixStack(Sequence):
+    """A read-only sequence of the Matrix rows of a (k, rows, cols) stack (trusted internal path).
+
+    The stack is made contiguous and read-only once; a row is wrapped in a
+    Matrix, a view of it, only when it is read. Indexing takes negative
+    indexes, a slice is a MatrixStack, and a stack equals any list, tuple or
+    stack of equal matrices in the same order.
+    """
+
+    __slots__ = ("_a",)
+
+    def __init__(self, stack: np.ndarray):
+        a = np.ascontiguousarray(stack, dtype=np.float64)
+        a.setflags(write=False)
+        self._a = a
+
+    def __len__(self) -> int:
+        return len(self._a)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MatrixStack(self._a[i])
+        return _view(self._a[i])
+
+    def __iter__(self):
+        return map(_view, self._a)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (MatrixStack, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"MatrixStack({self._a.tolist()!r})"
 
 
 @dataclass(frozen=True)

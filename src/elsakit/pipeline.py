@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -48,8 +48,8 @@ import numpy as np
 
 from .attention import CompiledHead, ElsaParams, EmptyHeads, Index, LsaParams, _index
 from .attention import _Projection, compile_head, compiled_forward
-from .matrix import BlockSpec, DimensionMismatch, Matrix, block_read, eye_block
-from .matrix import product_for, scale, zeros
+from .matrix import BlockSpec, DimensionMismatch, Matrix, MatrixStack, block_read
+from .matrix import eye_block, product_for, scale, zeros
 from .ridge import BadProblemFile, RidgeProblem, finite_prefix
 
 
@@ -378,6 +378,7 @@ class StepPlan(NamedTuple):
     w: int  # the coefficient column's position in S
     blocks: tuple[_PlanBlock, ...]
     bind: Callable  # the run factory, made by _factory
+    replay: Optional[Callable]  # the factory that keeps every bias identity, made on first call
 
 
 def _mask(width: int, *indexes: Index) -> np.ndarray:
@@ -453,7 +454,9 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
             # t1^T t2 is (m, height) by (height, .) and t3 (t1^T t2) is (height, m) by (m, .),
             # so one pick serves both.
             m = every[: c.p1.w.shape[1]][c.p1.k].size
-            heads.append((product_for(height, m), (m, c.p2.w.shape[1])))
+            # Only a varying head's products run each step.
+            eye = any(fc[:2]) and not fc[2] and _bias_identity(slots[-1], layout.shape)
+            heads.append((product_for(height, m), (m, c.p2.w.shape[1]), eye))
         adds = []
         for i, (c, fc) in enumerate(zip(block, flags[b])):
             written = every[c.p2.cols]
@@ -464,12 +467,14 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
         blocks.append(_PlanBlock(tuple(slots), tuple(varying), _index(cols), fresh))
-        # The last block's start is all +0.0 when every accumulator column is fresh and no
-        # constant term comes before its first varying one.
-        zero = b == len(step) - 1 and bool(outs[b][cols].all()) and adds[0][2] is None
+        # A block's start is all +0.0 when every accumulator column is fresh and no constant
+        # term comes before its first varying one.
+        zero = bool(adds) and adds[0][2] is None and bool(outs[b][cols].all())
         code.append((slots, varying, heads, adds, (height, cols.size), zero))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
-    return StepPlan(_index(every[state]), position, tuple(blocks), _factory(code))
+    eyes = any(eye for block in code for _, _, eye in block[2])
+    return StepPlan(_index(every[state]), position, tuple(blocks), _factory(code),
+                    cache(partial(_factory, code, True)) if eyes else None)
 
 
 def _unit(slot: _Projection) -> bool:
@@ -478,55 +483,87 @@ def _unit(slot: _Projection) -> bool:
             and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
 
 
-def _factory(code: list) -> Callable:
+def _bias_identity(slot: _Projection, shape: tuple[int, int]) -> bool:
+    """A bound slot that is I_height for every prompt of the shape: a bias alone, square.
+
+    A slot that reads no row is its bias plus 0.0, whatever the prompt holds.
+    """
+    if slot.w.shape[0]:
+        return False
+    t = slot.apply(np.zeros(shape))
+    return t.shape == (shape[0], shape[0]) and bool(np.array_equal(t, np.eye(shape[0])))
+
+
+def _factory(code: list, replay: bool = False) -> Callable:
     """The plan's run factory bind(starts, values, consts), made by one exec.
 
     code holds, per step block, its :class:`_PlanBlock` slots and varying
-    slots; per head, the product of its t1^T t2 and t3 (t1^T t2) and the
-    shape of t1^T t2; its (head, at, sel) additions in head order, the
-    accumulator columns each term lands in and, for a constant head, which
-    of its columns vary; its accumulator's shape; and whether its start is
-    all +0.0. bind's arguments are what :func:`_bind` computes for a run,
-    one entry per block. bind adds each block's constant terms before its
-    first varying one into its start, in the order each step would add
-    them, allocates every product and accumulator buffer once, and returns
-    run(x, hs). run's body is the whole step loop, one pass per out in
-    hs[1:], written out as straight-line code with the products, order and
-    parenthesisation of :meth:`~elsakit.attention._Projection.apply` and
-    :func:`compiled_forward`: each product is dot(a, b, buffer), each sum
-    add(acc, term, acc), and the skip x = add(acc, x, out), so that out
-    becomes the next step's input. Block b reads block b-1's accumulator.
+    slots; per head, the product of its t1^T t2 and t3 (t1^T t2), the shape
+    of t1^T t2 and whether its t3 is a bias identity (:func:`_bias_identity`);
+    its (head, at, sel) additions in head order, the accumulator columns each
+    term lands in and, for a constant head, which of its columns vary; its
+    accumulator's shape; and whether its start is all +0.0. bind's arguments
+    are what :func:`_bind` computes for a run, one entry per block. bind adds
+    each block's constant terms before its first varying one into its start,
+    in the order each step would add them, allocates every product and
+    accumulator buffer once, and returns run(x, hs). run's body is the whole
+    step loop, one pass per out in hs[1:], written out as straight-line code
+    with the products, order and parenthesisation of
+    :meth:`~elsakit.attention._Projection.apply` and :func:`compiled_forward`:
+    each product is dot(a, b, buffer), each sum add(acc, term, acc), and the
+    skip x = add(acc, x, out), so that out becomes the next step's input.
+    Block b reads block b-1's accumulator. When every accumulator holds one
+    column and every varying slot is a unit t2 (:func:`_unit`), the loop runs
+    on 1-d vectors, whose products and sums give the bits of the (rows, 1)
+    columns. Any varying slot that is not a unit calls its apply. When the
+    first varying term covers every column, the accumulator is start + term,
+    the same sum as a copy of start followed by an in-place add.
 
-    A unit slot (:func:`_unit`) computes x @ [[1.0]], which is x + 0.0; no
-    block input holds -0.0 (an accumulator's sums start from +0.0, except
-    as below), so it is x itself. Any other varying slot calls its apply. When the first varying term covers every column, the
-    accumulator is start + term, the same sum as a copy of start followed by
-    an in-place add. Two rewrites of the per-step :func:`step` are exact:
+    The rewrites of the per-step :func:`step` below replace a value v' by a
+    v that differs from it at most in the sign of zero entries. Sums and
+    products carry such a difference on only as the sign of a zero, inf and
+    NaN included (0 * inf is NaN for either zero). The skip clears it: x holds
+    no -0.0 (h + 0.0 at t = 1, then sums with x), so acc + x has the same bits
+    for either sign of a zero acc.
 
+    * A unit slot computes x @ [[1.0]], x + 0.0: it is x itself.
+    * A block whose start is all +0.0 drops start +, which only turns -0.0
+      into +0.0: its accumulator starts at the first varying term.
+    * A head whose t3 is the bias identity I contributes t1^T t2 itself,
+      with no product: for a finite v, each entry of I v is v_i plus
+      products 0 * v_j, which are zeros.
     * The skip adds the step's input x, where :func:`step` adds the state
       hs[t-1]. For t >= 2 x is hs[t-1]. At t = 1 x is h + 0.0, and
       (a + 0.0) + b is a + (b + 0.0) bit for bit: both differ from a + b
       only when a and b are -0.0, and then both are +0.0.
-    * A last block whose start is all +0.0 drops start +: its accumulator
-      starts at the first varying term. Adding +0.0 changes only a -0.0
-      into +0.0, so its sum can differ from start + ... only in the sign of
-      a zero, and adding x, which holds no -0.0 (h + 0.0, then sums with
-      it), clears that. No block reads that accumulator.
 
-    The plan's arrays and products are the factory's globals.
+    Only the third needs v finite: where v holds an inf, I v holds NaN.
+    A non-finite entry of a step reaches its state, and stays in every later
+    state through the skip, so a run whose last state is finite is bitwise
+    :func:`step`'s. Otherwise :func:`_run_compiled` replays it from its last
+    finite state with the factory made by replay=True, which keeps every
+    product with a bias identity; the plan makes that factory on its first
+    replay. The plan's arrays and products are the factory's globals.
     """
     cells = {"add": np.add, "copyto": np.copyto, "empty": np.empty}
     prologue, body = [], []
+    flat = all(shape[1] == 1 and all(i % 3 == 1 and _unit(slots[i]) for i in varying)
+               for slots, varying, _, _, shape, _ in code)
+    col = "[:, 0]" if flat else ""
 
     def cell(value, name: str = "") -> str:
         name = name or f"a{len(cells)}"
         cells[name] = value
         return name
 
+    def buffer(*shape: int) -> str:
+        return f"empty({shape[:1] if flat else shape})"
+
     for b, (slots, varying, heads, adds, shape, zero) in enumerate(code):
         source, acc, operands = "x" if b == 0 else f"acc{b - 1}", f"acc{b}", {}
         terms = any(sel is None for _, _, sel in adds)
-        prologue += [f"s{b} = starts[{b}]", f"{acc} = empty({shape})" if terms else f"{acc} = s{b}"]
+        prologue += [f"s{b} = starts[{b}]{col}", f"{acc} = {buffer(*shape)}" if terms
+                     else f"{acc} = s{b}"]
         for i in varying:
             if _unit(slots[i]):
                 operands[i] = f"{source}.T" if slots[i].transposed else source
@@ -544,7 +581,7 @@ def _factory(code: list) -> Callable:
         for head, at, sel in adds:
             into = "" if at is None else f"[:, {cell(at)}]"
             if sel is not None:
-                term = f"consts[{b}][{head}][:, {cell(sel)}]"
+                term = f"consts[{b}][{head}][:, {cell(sel)}]{col}"
                 if not first:
                     # A constant term before the first varying one: added into start, once.
                     prologue.append(f"s{b}{into} += {term}")
@@ -552,30 +589,40 @@ def _factory(code: list) -> Callable:
                 prologue.append(f"c{b}_{head} = {term}")
                 term = f"c{b}_{head}"
             else:
-                f, (r1, r2, r3) = heads[head][0], map(operand, range(3 * head, 3 * head + 3))
+                f, (m, width), eye = heads[head]
                 f, mid, term = cell(f, f.__name__), f"m{b}_{head}", f"t{b}_{head}"
-                prologue.append(f"{mid} = empty({heads[head][1]})")
-                body.append(f"{f}({r1}, {r2}, {mid})")
-                if not first and at is None:
-                    body.append(f"{f}({r3}, {mid}, {acc})")
+                eye, whole = eye and not replay, not first and at is None
+                if eye and whole:
+                    mid = acc
+                else:
+                    prologue.append(f"{mid} = {buffer(m, width)}")
+                body.append(f"{f}({operand(3 * head)}, {operand(3 * head + 1)}, {mid})")
+                if whole:
+                    if not eye:
+                        body.append(f"{f}({operand(3 * head + 2)}, {mid}, {acc})")
                     body += [] if zero else [f"add(s{b}, {acc}, {acc})"]
                     first = True
                     continue
-                prologue.append(f"{term} = empty({(shape[0], heads[head][1][1])})")
-                body.append(f"{f}({r3}, {mid}, {term})")
+                if eye:
+                    term = mid
+                else:
+                    prologue.append(f"{term} = {buffer(shape[0], width)}")
+                    body.append(f"{f}({operand(3 * head + 2)}, {mid}, {term})")
             if not first:
                 body.append(f"copyto({acc}, s{b})")
                 first = True
             body.append(f"{acc}{into} += {term}" if into else f"add({acc}, {term}, {acc})")
     body.append(f"x = add(acc{len(code) - 1}, x, out)")
-    lines = (*prologue, "def run(x, hs):", "    for out in hs[1:]:",
-             *(f"        {line}" for line in body), "return run")
+    loop = ("    x = x[:, 0]", "    for out in hs[1:, :, 0]:") if flat else (
+        "    for out in hs[1:]:",)
+    lines = (*prologue, "def run(x, hs):", *loop, *(f"        {line}" for line in body),
+             "return run")
     exec("def bind(starts, values, consts):\n" + "".join(f"    {line}\n" for line in lines),
          cells)
     return cells.pop("bind")
 
 
-def _bind(plan: StepPlan, h0: np.ndarray) -> Callable:
+def _bind(plan: StepPlan, h0: np.ndarray, factory: Optional[Callable] = None) -> Callable:
     """The plan bound to the prompt h0: its run factory called once, for one run.
 
     Block by block, the bound slots read the block's input with only its
@@ -583,8 +630,8 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> Callable:
     h0 for the first block, then the previous block's constant heads summed
     in head order, each t3 @ (t1 @ t2) as in :func:`compiled_forward`. A
     block's accumulator starts at 0.0 in the varying columns, and the
-    factory (:func:`_factory`) adds the leading constant terms into that
-    start. Returns run(x, hs), the step loop.
+    factory (:func:`_factory`; plan.bind unless given) adds the leading
+    constant terms into that start. Returns run(x, hs), the step loop.
     """
     starts, values, consts = [], [], []
     x = h0
@@ -601,7 +648,7 @@ def _bind(plan: StepPlan, h0: np.ndarray) -> Callable:
         start[:, blk.fresh] = 0.0
         starts.append(start)
         x = out
-    return plan.bind(starts, values, consts)
+    return (factory or plan.bind)(starts, values, consts)
 
 
 def run_program(
@@ -612,9 +659,10 @@ def run_program(
     Returns the coefficient trace w_0..w_T, the final prompt and the
     prediction. The loop runs the program's step plan (:class:`StepPlan`),
     bound to the initial prompt once per run: one generated function, bit
-    for bit :func:`step`, which stays the per-step oracle (see
-    :func:`_factory`). A divergent run overflows silently, and its trace
-    ends before the first non-finite coefficient column.
+    for bit :func:`step`, which stays the per-step oracle (the argument,
+    and the replay of a run that overflows, are in :func:`_factory`). A
+    divergent run overflows silently, and its trace ends before the first
+    non-finite coefficient column.
     """
     ws, h_final, prediction = _run_compiled(prog.compiled, state, steps)
     return Matrix.from_stack(ws), h_final, prediction
@@ -627,7 +675,8 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     for t >= 1 the last block's accumulator plus step t's input, which the
     bound plan's run writes in place. Step 1 reads h0 = h + 0.0 instead of
     hs[0], in a contiguous copy, so every block input is a C-ordered array
-    free of -0.0, as a unit slot needs.
+    and the skip's x is free of -0.0. A run whose last state is not finite
+    is replayed from its last finite state, as :func:`_factory` says.
     """
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
@@ -641,7 +690,11 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
         h0 = h + 0.0
         # A strided view of h0 would change np.dot's last bit, so step 1 reads a copy laid out
         # as hs[t] is.
-        _bind(plan, h0)(np.ascontiguousarray(h0[:, plan.cols]), hs)
+        x = np.ascontiguousarray(h0[:, plan.cols])
+        _bind(plan, h0)(x, hs)
+        if steps and plan.replay is not None and not np.isfinite(hs[steps]).all():
+            t = max(1, int(np.argmin(np.isfinite(hs).all(axis=(1, 2)))))
+            _bind(plan, h0, plan.replay())(hs[t - 1] if t > 1 else x, hs[t - 1 :])
         final = (h0 if steps else h).copy()
         final[:, plan.cols] = hs[steps]
         h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,
@@ -652,7 +705,7 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
 
 class PipelineRun(NamedTuple):
     prediction: float
-    w_trace: list[Matrix]
+    w_trace: MatrixStack  # read-only; each w_t is wrapped in a Matrix when it is read
     report: dict
 
 
@@ -687,8 +740,8 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
     oracle = p._oracle
     compared = min(len(trace), len(oracle.trace))
     wp, wo = trace[:compared, :, 0], oracle.trace[:compared, :, 0]
-    per_step = (np.abs(wp - wo).max(axis=1) / np.maximum(1.0, np.abs(wo).max(axis=1))).tolist()
-    diverged_at = len(per_step) if len(per_step) <= p.steps else None
+    deviation = np.abs(wp - wo).max(axis=1) / np.maximum(1.0, np.abs(wo).max(axis=1))
+    diverged_at = compared if compared <= p.steps else None
     oracle_prediction = math.nan if diverged_at is not None else oracle.prediction
 
     report = {
@@ -701,8 +754,8 @@ def run_pipeline(p: RidgeProblem, form: str) -> PipelineRun:
         "prediction": prediction,
         "oracle_prediction": oracle_prediction,
         "closed_form_prediction": oracle.closed_form_prediction,
-        "max_step_deviation": float(np.max(per_step)),
-        "per_step_deviation": per_step,
+        "max_step_deviation": float(deviation.max()),
+        "per_step_deviation": deviation.tolist(),
         "diverged_at": diverged_at,
     }
-    return PipelineRun(prediction=prediction, w_trace=Matrix.from_stack(trace), report=report)
+    return PipelineRun(prediction=prediction, w_trace=MatrixStack(trace), report=report)

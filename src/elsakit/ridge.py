@@ -23,6 +23,11 @@ import numpy as np
 from .matrix import DimensionMismatch, Matrix, ShapeMismatch, json_entries, product_for
 
 
+# The most steps a problem file may ask for: a trace of MAX_STEPS + 1 states of up to
+# 1,000 float64 entries each has fewer than 2**63 bytes, so numpy can index it.
+MAX_STEPS = 2**50
+
+
 class SingularSystem(ArithmeticError):
     """The normal-equations matrix is numerically singular."""
 
@@ -84,6 +89,11 @@ class RidgeProblem:
         return self.x.cols
 
     @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The eigvalsh spectrum of X^T X (:func:`_gram_spectrum`), computed once per problem."""
+        return _gram_spectrum(self.x)
+
+    @cached_property
     def _oracle(self) -> _Oracle:
         """The descent stack and both oracle predictions; dataclasses.replace starts afresh."""
         trace = _descent(self)
@@ -106,18 +116,26 @@ def make_problem(
     steps: int = 0,
     w0: Matrix | str = "zero",
 ) -> RidgeProblem:
-    """Build a problem, resolving eta="auto" (after checking lam) and w0="zero"."""
+    """Build a problem, resolving eta="auto" (after checking lam) and w0="zero".
+
+    The spectrum an auto eta reads is kept as the problem's own, for the closed form.
+    """
     _check_nonnegative("ridge parameter", lam)
     d = x.cols
     if isinstance(w0, str):
         if w0 != "zero":
             raise BadProblemFile(f"unknown w0 spec {w0!r}")
         w0 = Matrix.from_array(np.zeros((d, 1)))
+    spectrum = None
     if isinstance(eta, str):
         if eta != "auto":
             raise BadProblemFile(f"unknown eta spec {eta!r}")
-        eta = stable_eta_for(x, lam)
-    return RidgeProblem(x=x, y=y, u=u, lam=lam, eta=float(eta), steps=steps, w0=w0)
+        spectrum = _gram_spectrum(x)
+        eta = _stable_eta(spectrum, lam)
+    p = RidgeProblem(x=x, y=y, u=u, lam=lam, eta=float(eta), steps=steps, w0=w0)
+    if spectrum is not None:
+        vars(p)["_spectrum"] = spectrum  # the cached property's value, as it would compute it
+    return p
 
 
 def normal_equations(p: RidgeProblem) -> tuple[Matrix, Matrix]:
@@ -138,7 +156,7 @@ def ridge_closed_form(p: RidgeProblem) -> Matrix:
     + lam, the eigvalsh spectrum eta and the contraction share, or if X^T X or mu overflows.
     """
     with np.errstate(over="ignore"):
-        mu = _gram_spectrum(p.x) + p.lam
+        mu = p._spectrum + p.lam
     if np.isnan(mu[0]):
         raise SingularSystem("the Gram matrix X^T X is not finite (it overflows)")
     if np.isinf(mu[-1]):
@@ -175,17 +193,19 @@ def _descent(p: RidgeProblem) -> np.ndarray:
     and each product is @'s, by :func:`product_for`, called without numpy's
     __array_function__ dispatch. A step runs every product and sum into a
     buffer made once, in gd_step's order and parenthesisation, and writes
-    w_t straight into the stack.
+    w_t straight into the stack. It runs on 1-d vectors, which give the bits
+    of the (d, 1) columns, with lam and eta as 0-d arrays made once.
     """
-    x, eta, lam = p.x.array, p.eta, p.lam
+    x, eta, lam = p.x.array, np.array(p.eta), np.array(p.lam)
     xt, dot = x.T, product_for(*x.shape)
     add, multiply, subtract = np.add, np.multiply, np.subtract
     ws = np.empty((p.steps + 1, p.d, 1))
-    xw, step, lam_w = np.empty((p.n, 1)), np.empty((p.d, 1)), np.empty((p.d, 1))
-    w = ws[0] = p.w0.array
+    rows = ws[:, :, 0]
+    xw, step, lam_w = np.empty(p.n), np.empty(p.d), np.empty(p.d)
+    w = rows[0] = p.w0.array[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        neg_xty = -dot(xt, p.y.array)
-        for t in range(1, p.steps + 1):
+        neg_xty = -dot(xt, p.y.array[:, 0])
+        for out in rows[1:]:
             # w - eta * ((neg_xty + X^T (X w)) + lam * w); each call's last
             # argument is its output (positional: no keyword parsing per call).
             dot(x, w, xw)
@@ -194,7 +214,7 @@ def _descent(p: RidgeProblem) -> np.ndarray:
             multiply(lam, w, lam_w)
             add(step, lam_w, step)
             multiply(eta, step, step)
-            w = subtract(w, step, ws[t])
+            w = subtract(w, step, out)
     ws.setflags(write=False)
     return finite_prefix(ws)
 
@@ -225,7 +245,12 @@ def stable_eta_for(x: Matrix, lam: float) -> float:
     zero eigendirection at lam = 0. Raises ValueError when X^T X is not
     finite.
     """
-    lam_max = float(_gram_spectrum(x)[-1])
+    return _stable_eta(_gram_spectrum(x), lam)
+
+
+def _stable_eta(spectrum: np.ndarray, lam: float) -> float:
+    """stable_eta_for on the eigvalsh spectrum of X^T X."""
+    lam_max = float(spectrum[-1])
     if np.isnan(lam_max):
         raise ValueError("the Gram matrix X^T X is not finite (it overflows); eta undefined")
     denom = lam_max + lam
@@ -241,9 +266,8 @@ def contraction(p: RidgeProblem) -> float:
     X^T X overflows, NaN or inf without a warning when an eigenvalue does).
     Above 1 the descent diverges along some eigendirection.
     """
-    spectrum = _gram_spectrum(p.x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(1.0 - p.eta * (spectrum + p.lam))))
+        return float(np.max(np.abs(1.0 - p.eta * (p._spectrum + p.lam))))
 
 
 def predict(w: Matrix, u: Matrix) -> float:
@@ -277,9 +301,10 @@ def _typed(key: str, value, kind):
 def problem_from_json(text: str) -> RidgeProblem:
     """Parse {"X", "y", "u", "lambda", "eta": f|"auto", "steps", "w0": [...]|"zero"}.
 
-    Every entry of X, y, u and w0 must be a JSON number, and X^T X and X^T y
-    finite. Raises BadProblemFile, or SingularSystem for eta="auto" on no
-    positive spectrum.
+    Every entry of X, y, u and w0 must be a JSON number, X^T X and X^T y
+    finite, and steps at most MAX_STEPS. Raises BadProblemFile (a document
+    nested past Python's recursion limit too), or SingularSystem for
+    eta="auto" on no positive spectrum.
     """
     try:
         doc = json.loads(text)
@@ -288,6 +313,8 @@ def problem_from_json(text: str) -> RidgeProblem:
         u = Matrix.column(json_entries("u", doc["u"]))
         lam = float(_typed("lambda", doc["lambda"], (int, float)))
         steps = _typed("steps", doc["steps"], int)
+        if steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
         eta = doc.get("eta", "auto")
         w0 = doc.get("w0", "zero")
         if not isinstance(w0, str):
@@ -300,7 +327,7 @@ def problem_from_json(text: str) -> RidgeProblem:
         if not np.all(np.isfinite(normal_equations(p)[1].array)):
             raise ValueError("X^T y is not finite (it overflows)")
         return p
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise BadProblemFile(f"malformed ridge problem: {exc}") from exc
 
 

@@ -16,7 +16,8 @@ padded state, which the block-evaluated steps are checked against bitwise.
 The file also builds the ridge step programs beyond the three builders that
 the pipeline tests and tools/bitwise_digest.py run: two_block_program and
 reader_program; the zero-feature problems both run through them
-(zero_feature_arrays); and the ridge prompts as the pipeline first
+(zero_feature_arrays); the explicit-eta problems whose descent overflows
+(nonfinite_ridge_problems); and the ridge prompts as the pipeline first
 assembled them, one block_write per block (block_write_designed_prompt,
 block_write_enumerated_prompt), the reference the one-array builders must
 match byte for byte.
@@ -39,14 +40,17 @@ from elsakit import (
     build_designed_weights,
     component_forward,
     eye_block,
+    gd_run,
     identity,
     make_affine_component,
     make_divider_component,
     make_mask_component,
+    make_problem,
     matmul,
     multihead_forward,
     scale,
     skip_mul,
+    stable_eta_for,
     transpose,
     zeros,
 )
@@ -287,6 +291,27 @@ def zero_feature_arrays(rng: np.random.Generator, n: int, d: int):
     zero = [0] + ([d - 1] if d > 2 else [])
     x[:, zero] = rng.choice([0.0, -0.0], size=(n, len(zero)))
     return x, y, u, np.full((d, 1), -0.0)
+
+
+def nonfinite_ridge_problems(n: int, d: int):
+    """Explicit-eta ridge problems whose descent overflows, at lambda 0.5 and a random w0.
+
+    In order: eta 1e308, which overflows at step 1 (the enumerated marker
+    is -eta I); eta 1e6 / (lambda_max(X^T X) + lambda), stopped at the
+    descent's first non-finite step k, at k + 1 and at 2k, so that the
+    overflow comes at step T and mid-run; and an X scaled by 1e200 at eta
+    1e-300, whose designed prompt is finite but whose X^T X is not.
+    """
+    rng = np.random.default_rng([n, d, 36])
+    x, y, u = random_ridge_arrays(rng, n, d)
+    x, y, u, w0 = (Matrix.from_array(a) for a in (x, y, u, rng.normal(size=(d, 1))))
+    yield make_problem(x, y, u, 0.5, eta=1e308, steps=4, w0=w0)
+    eta = 1e6 * stable_eta_for(x, 0.5)
+    k = len(gd_run(make_problem(x, y, u, 0.5, eta=eta, steps=400, w0=w0)))
+    for steps in (k, k + 1, 2 * k):
+        yield make_problem(x, y, u, 0.5, eta=eta, steps=steps, w0=w0)
+    huge = Matrix.from_array(1e200 * x.array)
+    yield make_problem(huge, y, u, 0.5, eta=1e-300, steps=8, w0=w0)
 
 
 def block_write_designed_prompt(p) -> Matrix:

@@ -30,8 +30,9 @@ from elsakit import (
     system_from_json,
     system_to_json,
 )
-from elsakit.cli import main
+from elsakit.cli import MAX_LENGTH, MAX_SIDE, _build_parser, main
 from elsakit.netcomp import DEFAULT_KNOT_SPEC, MAX_KNOTS
+from elsakit.ridge import MAX_STEPS
 from oracles import piecewise_invsqr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -776,6 +777,71 @@ class TestUnallocatableSizes:
 
     def test_gauss_size(self, capsys):
         self.assert_memory_error(*run_cli(["gauss", "--size", str(10**8)], capsys), "gauss")
+
+
+class TestDeeplyNestedFiles:
+    @pytest.mark.parametrize("command,flag,error", [("ridge", "--problem", "BadProblemFile"),
+                                                    ("gauss", "--system", "BadSystemFile")])
+    def test_nesting_past_the_recursion_limit_is_a_bad_file(self, tmp_path, capsys, command,
+                                                           flag, error):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out = run_cli([command, flag, str(path)], capsys)
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert report == {"command": command, "error": error, "message": report["message"]}
+        assert "recursion" in report["message"]
+
+
+class TestSizesPastTheBounds:
+    """A size whose arrays numpy could not index is refused before anything is allocated."""
+
+    @staticmethod
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        return result
+
+    @pytest.mark.parametrize("command,flag,bound", [
+        ("ridge", "--steps", MAX_LENGTH), ("ridge", "--n", MAX_SIDE), ("ridge", "--d", MAX_SIDE),
+        ("gauss", "--size", MAX_SIDE), ("verify-lemmas", "--max-dim", MAX_SIDE),
+        ("invsqr", "--samples", MAX_LENGTH),
+    ])
+    @pytest.mark.parametrize("size", ["past", "2**63", "10**30"])
+    def test_flag_is_a_usage_error(self, capsys, command, flag, bound, size):
+        value = {"past": bound + 1, "2**63": 2**63, "10**30": 10**30}[size]
+
+        def run():
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, str(value)])
+            return exc.value.code
+
+        assert self.peak(run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at most {bound}" in captured.err
+        assert "Traceback" not in captured.err
+        # The bound itself parses.
+        assert getattr(_build_parser().parse_args([command, flag, str(bound)]),
+                       flag[2:].replace("-", "_")) == bound
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 2**63, 10**30])
+    def test_problem_file_steps_is_a_bad_problem(self, tmp_path, capsys, steps):
+        p = make_problem(Matrix([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                         Matrix([[1.0], [2.0], [3.0]]), Matrix([[2.0], [1.0]]), 0.5, eta=0.1)
+        path = tmp_path / "problem.json"
+        path.write_text(problem_to_json(p).replace('"steps": 0', f'"steps": {steps}'))
+        code, out = self.peak(lambda: run_cli(["ridge", "--problem", str(path)], capsys))
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert report == {"command": "ridge", "error": "BadProblemFile",
+                          "message": report["message"]}
+        assert f"steps must be at most {MAX_STEPS}" in report["message"]
 
 
 class TestKnotCountCap:

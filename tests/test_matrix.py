@@ -11,6 +11,7 @@ from elsakit import (
     DimensionMismatch,
     IndexOutOfRange,
     Matrix,
+    MatrixStack,
     ShapeMismatch,
     add,
     block_read,
@@ -271,6 +272,49 @@ class TestOuterProduct:
                     assert outer_product(column, b, out) is out
                     assert out.tobytes() == want, (a, b)
                     assert buffer[a.shape[0] :].tobytes() == tail
+
+
+class TestMatrixStack:
+    """The lazy sequence of a stack's rows equals the eager list from_stack makes."""
+
+    @staticmethod
+    def stack():
+        a = np.random.default_rng(9).normal(size=(5, 3, 1))
+        a[1, 0, 0] = -0.0
+        return a
+
+    def test_indexes_like_the_eager_list(self):
+        a = self.stack()
+        lazy, eager = MatrixStack(a), Matrix.from_stack(a)
+        assert len(lazy) == len(eager) == 5
+        for i in range(-5, 5):
+            assert lazy[i] == eager[i]
+            assert lazy[i].array.tobytes() == eager[i].array.tobytes()
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                lazy[i]
+        assert np.signbit(lazy[1].array[0, 0])
+
+    def test_slices_iterates_and_compares(self):
+        a = self.stack()
+        lazy, eager = MatrixStack(a), Matrix.from_stack(a)
+        for sl in (slice(None), slice(1, 4), slice(None, None, 2), slice(None, None, -1),
+                   slice(3, 1)):
+            part = lazy[sl]
+            assert isinstance(part, MatrixStack)
+            assert part == eager[sl] and eager[sl] == part
+        assert list(lazy) == eager and lazy == eager and eager == lazy
+        assert lazy == tuple(eager) and lazy == MatrixStack(a.copy())
+        assert lazy != eager[:-1] and lazy != eager[::-1] and lazy != "not a stack"
+        assert MatrixStack(a[:0]) == []
+
+    def test_arrays_are_read_only_views_of_one_array(self):
+        lazy = MatrixStack(self.stack()[:, ::-1])  # strided: made contiguous once
+        for w in lazy:
+            assert not w.array.flags.writeable
+            with pytest.raises(ValueError):
+                w.array[0, 0] = 1.0
+        assert lazy[0].array.base is lazy[4].array.base
 
 
 class TestBlocks:

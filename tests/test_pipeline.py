@@ -22,6 +22,7 @@ from elsakit import (
     EnumeratedLayout,
     LayoutMismatch,
     Matrix,
+    MatrixStack,
     NotDesignedProgram,
     PipelineState,
     Program,
@@ -56,6 +57,7 @@ from oracles import (
     block_write_designed_prompt,
     block_write_enumerated_prompt,
     literal_run_module,
+    nonfinite_ridge_problems,
     random_ridge_arrays,
     reader_program,
     two_block_program,
@@ -467,6 +469,18 @@ class TestRunPipeline:
             run = run_pipeline(p, form)
             expected = float(p.u.array[:, 0] @ w0[:, 0])
             assert abs(run.prediction - expected) <= 1e-12 * (1 + abs(expected))
+
+    def test_w_trace_is_a_lazy_read_only_stack(self):
+        rng = np.random.default_rng(31)
+        p = problem(rng, n=5, d=3, steps=6, w0=rng.normal(size=(3, 1)))
+        pairs = (("lsa", build_designed_weights, build_designed_input),
+                 ("elsa", build_enumerated_weights, build_enumerated_input))
+        for form, build, prompt in pairs:
+            trace = run_pipeline(p, form).w_trace
+            eager = run_program(build(p.n, p.d), prompt(p), p.steps)[0]
+            assert isinstance(trace, MatrixStack) and trace == eager
+            assert trace[-1] == eager[-1] and trace[2:4] == eager[2:4]
+            assert all(not w.array.flags.writeable for w in trace)
 
     def test_step_deviation_stays_tiny(self):
         rng = np.random.default_rng(28)
@@ -1004,17 +1018,56 @@ class TestStepPlan:
             assert pipeline._compiled_program(form, p.n, p.d).plan.bind is bind, form
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4)])
-    def test_the_zero_start_is_dropped_in_the_contraction_only(self, n, d):
+    def test_every_all_zero_start_is_dropped(self, n, d):
         p = problem(np.random.default_rng(74), n, d)
         programs = TestCompiledProgram.programs(p)
         programs["two-block"] = (two_block_program(n, d), build_designed_input(p))
-        # The run reads block b's start s<b> unless the plan dropped it.
-        read = {"designed": ["s0"], "wrapped": ["s0"], "enumerated": ["s0"],
+        # The run reads block b's start s<b> unless the plan dropped it: both enumerated
+        # blocks start at +0.0, and the designed one at its constant term.
+        read = {"designed": ["s0"], "wrapped": ["s0"], "enumerated": [],
                 "two-block": ["s0", "s1"]}
         for name, (prog, state) in programs.items():
             run = pipeline._bind(prog.compiled.plan, state.h.array + 0.0)
             starts = [v for v in run.__code__.co_freevars if v.startswith("s")]
             assert sorted(starts) == read[name], name
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_the_bias_identities_take_no_product(self, n, d):
+        p = problem(np.random.default_rng(76), n, d)
+        programs = TestCompiledProgram.programs(p)
+        programs["two-block"] = (two_block_program(n, d), build_designed_input(p))
+        for name, (prog, state) in programs.items():
+            plan = prog.compiled.plan
+            eyes = {f"b{b}_{i}" for b, blk in enumerate(plan.blocks)
+                    for i in range(2, len(blk.slots), 3)
+                    if pipeline._bias_identity(blk.slots[i], prog.layout.shape)}
+            run = pipeline._bind(plan, state.h.array + 0.0)
+            names = set(run.__code__.co_freevars)
+            if name == "enumerated":
+                # The ridge head's t3 and the contraction's, both I; the contraction's t1^T t2
+                # lands in the accumulator itself.
+                assert eyes == {"b0_5", "b1_2"}
+                assert plan.replay is not None
+                assert names == {"acc0", "acc1", "b0_0", "b0_2", "b0_3", "b1_0", "c0_2",
+                                 "m0_0", "m0_1"}
+                continue
+            assert eyes == set() and plan.replay is None, name
+            if name != "two-block":
+                # Seven calls a step, as before: two products per varying head, the start,
+                # the second term and the skip.
+                assert names == {"s0", "acc0", "m0_1", "b0_3", "b0_5", "m0_2", "b0_6", "b0_8",
+                                 "t0_2"}, name
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4)])
+    def test_one_column_loops_run_on_vectors(self, n, d):
+        p = problem(np.random.default_rng(77), n, d)
+        programs = TestCompiledProgram.programs(p)
+        programs["two-block"] = (two_block_program(n, d), build_designed_input(p))
+        for name, (prog, state) in programs.items():
+            run = pipeline._bind(prog.compiled.plan, state.h.array + 0.0)
+            cells = dict(zip(run.__code__.co_freevars, (c.cell_contents for c in run.__closure__)))
+            ndim = {cells[v].ndim for v in cells if v.startswith(("acc", "m", "t"))}
+            assert ndim == ({2} if name == "two-block" else {1}), name
 
     @pytest.mark.parametrize("steps", [0, 1, 12])
     def test_two_block_program_is_the_step_loop(self, steps):
@@ -1032,3 +1085,84 @@ class TestStepPlan:
         if steps:
             assert got[0][-1] != run_program(build_designed_weights(n, d), state, steps)[0][-1]
         TestCompiledProgram.assert_same_run(got, want, steps)
+
+
+class TestReplay:
+    """A run whose state goes non-finite is replayed from its last finite step (_factory)."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The replays run_program starts, each as (plan, the step it starts from)."""
+        replays, bind = [], pipeline._bind
+
+        def spy(plan, h0, factory=None):
+            run = bind(plan, h0, factory)
+            if factory is None:
+                return run
+
+            def replay(x, hs):
+                replays.append((plan, len(hs)))
+                return run(x, hs)
+
+            return replay
+
+        monkeypatch.setattr(pipeline, "_bind", spy)
+        return replays
+
+    @staticmethod
+    def programs(p):
+        programs = TestCompiledProgram.programs(p)
+        programs["two-block"] = (two_block_program(p.n, p.d), build_designed_input(p))
+        return programs
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
+    def test_a_finite_run_never_replays(self, monkeypatch, n, d):
+        replays = self.spied(monkeypatch)
+        rng = np.random.default_rng(78)
+        for lam in (0.0, 0.5):
+            p = problem(rng, n, d, lam=lam, steps=40, w0=rng.normal(size=(d, 1)))
+            for name, (prog, state) in self.programs(p).items():
+                got = run_program(prog, state, p.steps)
+                assert len(got[0]) == p.steps + 1, name
+            for form in ("lsa", "elsa"):
+                assert run_pipeline(p, form).report["diverged_at"] is None
+        assert replays == []
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (2, 3), (20, 4), (100, 8)])
+    def test_an_overflowing_run_replays_once_from_its_last_finite_step(self, monkeypatch, n, d):
+        replays = self.spied(monkeypatch)
+        for p in nonfinite_ridge_problems(n, d):
+            for name, (prog, state) in self.programs(p).items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trace, *want = TestCompiledProgram.step_loop(prog, state, p.steps)
+                # run_program's trace ends before the first non-finite w.
+                finite = [bool(np.isfinite(w.array).all()) for w in trace]
+                want = (trace[: finite.index(False) if False in finite else None], *want)
+                replays.clear()
+                got = run_program(prog, state, p.steps)
+                TestCompiledProgram.assert_same_run(got, want, name)
+                plan = prog.compiled.plan
+                if plan.replay is None:
+                    assert replays == [], name
+                    continue
+                # The step() loop's first state whose held columns are not finite.
+                h, first = state, None
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for t in range(1, p.steps + 1):
+                        h = step(h, prog)
+                        if not np.isfinite(h.h.array[:, plan.cols]).all():
+                            first = t
+                            break
+                assert first is not None, name
+                # One replay, of the steps first .. T, from the state of step first - 1.
+                assert replays == [(plan, p.steps - first + 2)], name
+
+    def test_the_replay_factory_is_made_on_first_replay(self):
+        p = next(nonfinite_ridge_problems(3, 2))
+        prog = build_enumerated_weights(p.n, p.d)
+        plan = prog.compiled.plan
+        assert plan.replay.cache_info().currsize == 0
+        run_program(prog, build_enumerated_input(p), p.steps)
+        made = plan.replay()
+        run_program(prog, build_enumerated_input(p), p.steps)
+        assert plan.replay() is made and plan.replay.cache_info().misses == 1

@@ -212,6 +212,26 @@ class TestGdRun:
         assert all(not w.array.flags.writeable for w in first)
         assert "_oracle" not in vars(p)
 
+    def test_auto_eta_and_closed_form_share_one_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        x, y, u = random_ridge_arrays(rng, 6, 3)
+        want = problem_from_arrays(x, y, u, lam=0.5, eta="auto", steps=7)
+        oracle = want._oracle
+        calls, spectrum = [], ridge_module._gram_spectrum
+        monkeypatch.setattr(ridge_module, "_gram_spectrum",
+                            lambda m: calls.append(m) or spectrum(m))
+        p = problem_from_arrays(x, y, u, lam=0.5, eta="auto", steps=7)
+        got = p._oracle
+        assert len(calls) == 1
+        assert np.float64(p.eta).tobytes() == np.float64(want.eta).tobytes()
+        assert np.float64(got.closed_form_prediction).tobytes() == np.float64(
+            oracle.closed_form_prediction).tobytes()
+        assert p._spectrum.tobytes() == spectrum(p.x).tobytes()
+        # An explicit eta reads the spectrum only where the closed form needs it.
+        calls.clear()
+        problem_from_arrays(x, y, u, lam=0.5, eta=0.01, steps=7)._oracle
+        assert len(calls) == 1
+
     def test_single_step_composition(self):
         p = tiny_problem(steps=1)
         assert gd_run(p) == [p.w0, gd_step(p, p.w0)]

@@ -8,8 +8,10 @@ same process with the same allocator, caches and CPU speed. This cancels the
 speed shifts of up to ~2x that some machines show between processes.
 
 The tool first checks that the two trees give bitwise equal outputs (w
-traces, predictions and reports; solutions and reports) on a few requests
-and stops with exit code 1 if they do not. It then runs ROUNDS rounds. Each
+traces, predictions and reports; solutions and reports) on a few requests,
+and for a ridge workload on one more whose descent overflows at its last step
+(eta 1e12 times the auto eta), its final prompts included, and stops with
+exit code 1 if they do not. It then runs ROUNDS rounds. Each
 round times the same REQUESTS requests on each tree, in an order that
 alternates from round to round, and prints the process-time ratio NEW / OLD;
 below 1 means NEW is faster. The last line gives the median ratio and the
@@ -71,16 +73,31 @@ def inputs(kind: str, shape: tuple, index: int) -> tuple:
     return f, rng.uniform(-1.0, 1.0, size=(m, 1))
 
 
-def request(lib, kind: str, shape: tuple, arrays: tuple) -> bytes:
-    """Run one request on lib; its outputs as bytes, the sign of zero included."""
+def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False) -> bytes:
+    """Run one request on lib; its outputs as bytes, the sign of zero included.
+
+    With overflow, a ridge request runs at 1e12 times the auto eta, so that it diverges, up
+    to the descent's first non-finite step, and adds each form's final prompt from run_program.
+    """
     if kind == "ridge":
         x, y, u = (lib.Matrix(a) for a in arrays)
         p = lib.make_problem(x, y, u, 0.5, eta="auto", steps=shape[2])
+        if overflow:
+            # Stop at the descent's first non-finite step, where the final prompt still shows
+            # which entries overflowed.
+            p = lib.make_problem(x, y, u, 0.5, eta=1e12 * p.eta, steps=shape[2])
+            p = lib.make_problem(x, y, u, 0.5, eta=p.eta, steps=min(p.steps, len(lib.gd_run(p))))
         parts = []
         for form in ("lsa", "elsa"):
             run = lib.run_pipeline(p, form)
             parts += [w.array.tobytes() for w in run.w_trace]
             parts += [np.float64(run.prediction).tobytes(), json.dumps(run.report).encode()]
+        if overflow:
+            # The w traces end before the first non-finite w; the final prompts hold the rest.
+            for build, prompt in ((lib.build_designed_weights, lib.build_designed_input),
+                                  (lib.build_enumerated_weights, lib.build_enumerated_input)):
+                final = lib.run_program(build(p.n, p.d), prompt(p), p.steps)[1]
+                parts.append(final.array.tobytes())
         return b"".join(parts)
     f, alpha = arrays
     solution, report = lib.solve(lib.LinearSystem(f=lib.Matrix(f), alpha=lib.Matrix(alpha)),
@@ -101,12 +118,13 @@ def main(argv: list[str]) -> int:
         return 2
     libs = {"old": load(Path(argv[0]), "elsakit_old"), "new": load(Path(argv[1]), "elsakit_new")}
     kind, shape, requests = WORKLOADS[argv[2]]
-    for i in range(CHECKED):
+    checks = [(i, False) for i in range(CHECKED)] + [(CHECKED, True)] * (kind == "ridge")
+    for i, overflow in checks:
         arrays = inputs(kind, shape, i)
-        if len({request(lib, kind, shape, arrays) for lib in libs.values()}) != 1:
+        if len({request(lib, kind, shape, arrays, overflow) for lib in libs.values()}) != 1:
             print(f"outputs differ on request {i}; not timing", file=sys.stderr)
             return 1
-    print(f"{argv[2]}: outputs bitwise equal on {CHECKED} requests", flush=True)
+    print(f"{argv[2]}: outputs bitwise equal on {len(checks)} requests", flush=True)
     batch = [inputs(kind, shape, CHECKED + i) for i in range(requests)]
     for lib in libs.values():  # warm both trees: caches, compiled programs
         timed(lib, kind, shape, batch)

@@ -100,7 +100,12 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
 * programs: the designed, enumerated and zero-bias wrapped programs
   themselves, (n, d) in PROGRAM_SHAPES: each layout's shape and the
   prediction cell, then per module its block sizes and, head by head, the
-  head's type and each weight and bias array's shape and raw bytes.
+  head's type and each weight and bias array's shape and raw bytes;
+* run-program-nonfinite: run_program's trace, final prompt and prediction
+  for the designed, enumerated, zero-bias wrapped and two-block programs,
+  for every (n, d) of run-pipeline, on nonfinite_ridge_problems in
+  tests/oracles.py: explicit-eta problems whose state overflows at step 1,
+  mid-run and at step T, and one whose X is near 1e200.
 """
 
 import hashlib
@@ -114,6 +119,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from oracles import (  # noqa: E402
+    nonfinite_ridge_problems,
     random_dd_system,
     random_ridge_arrays,
     reader_program,
@@ -418,6 +424,21 @@ def digest_run_program_plans(h):
                 h.update(np.float64(prediction).tobytes())
 
 
+def digest_run_program_nonfinite(h):
+    for n, d in RIDGE_SHAPES:
+        for p in nonfinite_ridge_problems(n, d):
+            designed = build_designed_weights(n, d)
+            programs = ((build_enumerated_weights(n, d), build_enumerated_input(p)),
+                        *((prog, build_designed_input(p)) for prog in (
+                            designed, wrap_designed_as_elsa(designed), two_block_program(n, d))))
+            for prog, state in programs:
+                trace, final, prediction = run_program(prog, state, p.steps)
+                for w in trace:
+                    h.update(w.array.tobytes())
+                h.update(final.array.tobytes())
+                h.update(np.float64(prediction).tobytes())
+
+
 def digest_compiled_forward(h):
     for n, d in RIDGE_SHAPES:
         designed = build_designed_weights(n, d)
@@ -550,7 +571,8 @@ def main():
                        ("solves-zero-multipliers", digest_zero_multiplier_solves),
                        ("divider-calls", digest_divider_calls),
                        ("solves-reused-workspace", digest_reused_workspace),
-                       ("programs", digest_programs)):
+                       ("programs", digest_programs),
+                       ("run-program-nonfinite", digest_run_program_nonfinite)):
         h = hashlib.sha256()
         fill(h)
         print(f"{h.hexdigest()}  {name}", flush=True)
