@@ -161,6 +161,7 @@ class CompiledHead(NamedTuple):
     p2: _Projection
     p3: _Projection
     input_shape: tuple[Optional[int], int]  # (rows or None for a plain head, width)
+    eye: bool  # t3 is the bias identity +I, so the head's term is t1^T t2 itself
 
 
 def compile_head(p: AnyHead) -> CompiledHead:
@@ -173,8 +174,14 @@ def compile_head(p: AnyHead) -> CompiledHead:
     meet: p1 and p3 keep K's positions as their k, and p1 is transposed.
     The products keep the literal forward's parenthesization, so a head
     whose supports are full computes exactly what the literal forward does.
-    The view is exact for finite prompts: it skips the 0 * inf terms that
-    turn the dense forward's output into NaN, and :class:`Matrix` keeps
+
+    A head whose t3 reads no prompt row and is I_rows on a zero prompt has
+    t3 = I for every prompt: its eye is set, and its term is t1^T t2 itself,
+    with no product (:func:`head_term`). For a finite v, each entry of I v
+    is v_i plus products 0 * v_j, so I v and v differ at most in the sign of
+    a zero, which adding the term into an accumulator that starts at +0.0
+    clears. The view is exact for finite prompts: it skips the 0 * inf terms
+    that turn the dense forward's output into NaN, and :class:`Matrix` keeps
     user-built prompts finite.
     """
     biases = (p.b1, p.b2, p.b3) if isinstance(p, ElsaParams) else (None, None, None)
@@ -184,7 +191,14 @@ def compile_head(p: AnyHead) -> CompiledHead:
     _, k1, k3 = np.intersect1d(cols1, cols3, assume_unique=True, return_indices=True)
     rows = p.input_shape[0] if isinstance(p, ElsaParams) else None
     p1, p3 = p1._replace(k=_index(k1), transposed=True), p3._replace(k=_index(k3))
-    return CompiledHead(p1, p2, p3, (rows, n))
+    eye = rows is not None and not p3.w.shape[0] and np.array_equal(
+        p3.apply(np.zeros((rows, n))), np.eye(rows))
+    return CompiledHead(p1, p2, p3, (rows, n), eye)
+
+
+def head_term(eye: bool, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """A compiled head's term from its projections: t3 (t1^T t2), or t1^T t2 if eye is set."""
+    return t1 @ t2 if eye else t3 @ (t1 @ t2)
 
 
 def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray:
@@ -200,8 +214,7 @@ def compiled_forward(h: np.ndarray, block: Sequence[CompiledHead]) -> np.ndarray
         rows, width = c.input_shape
         if h.shape[1] != width or rows not in (None, h.shape[0]):
             raise DimensionMismatch(f"input {h.shape} != parameter shape {c.input_shape}")
-        t1, t2, t3 = c.p1.apply(h), c.p2.apply(h), c.p3.apply(h)
-        out[:, c.p2.cols] += t3 @ (t1 @ t2)
+        out[:, c.p2.cols] += head_term(c.eye, c.p1.apply(h), c.p2.apply(h), c.p3.apply(h))
     return out
 
 

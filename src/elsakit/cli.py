@@ -207,6 +207,9 @@ def cmd_ridge(args: argparse.Namespace) -> dict:
             eta=args.eta,
             steps=args.steps if args.steps is not None else 200,
         )
+    # numpy refuses an array of 2**63 bytes or more with a ValueError, not a MemoryError.
+    if 8 * (problem.steps + 1) * (problem.d + 1) >= 2**63:
+        raise MemoryError("a trace of (steps + 1) (d + 1) float64 entries has 2**63 bytes")
     run = pipeline.run_pipeline(problem, args.form)
     report = dict(run.report)
     report["command"] = "ridge"

@@ -242,8 +242,8 @@ class NetworkComponent:
     "identity_via_relu" computes x as relu(x) - relu(-x); "invsqr" applies
     the table's ReLU sum pointwise; "invsqr_exact" applies exact 1/x^2 with
     the convention 0 -> 0 so masked-out entries stay finite. Calling a
-    component runs its view, compiled once from float heads that _VIEWS
-    names, and apply otherwise.
+    component runs its view, the closed form of apply's map that its
+    builder gives (see make_divider_component), and apply otherwise.
     """
 
     w: tuple[Param, ...]
@@ -252,12 +252,12 @@ class NetworkComponent:
     c: tuple[Param, ...]
     activation: str
     table: PiecewiseInvSqr | None = None
+    # The map apply computes, in closed form, or None.
+    view: Callable | None = field(default=None, repr=False, compare=False)
     shape: tuple[int, int] | None = field(init=False, repr=False, compare=False)
     # Per head (w, v, b, c) as the arrays and floats apply combines; a unit
     # weight w or v and a zero constant c are None (see apply).
     heads: tuple = field(init=False, repr=False, compare=False)
-    # The map apply computes, in closed form, or None (see _VIEWS).
-    view: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.w)
@@ -283,11 +283,6 @@ class NetworkComponent:
         c = [None if isinstance(p, float) and p == 0.0 else p for p in raw[3 * k :]]
         heads = tuple(zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c))
         object.__setattr__(self, "heads", heads)
-        # Only float heads can name a view (an array has no truth value).
-        view = None if self.shape is not None else _VIEWS.get((self.activation, heads))
-        if view is not None and self.activation == "invsqr":
-            view = view(self.table)
-        object.__setattr__(self, "view", view)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         """apply(a), bit for bit: through the component's view where it has one."""
@@ -380,18 +375,6 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     return view
 
 
-# Views by (activation, heads), of the keep-all dividers. The exact one is
-# its map: the a + 0.0 before it and the 0.0 + after it in apply change no
-# bit, since a * a and the map's results are never -0.0. The table
-# divider's entry makes the view bound to the component's table (see
-# _table_divider_view).
-_UNIT_HEAD = (None, None, 0.0, None)
-_VIEWS = {
-    ("invsqr_exact", (_UNIT_HEAD,)): _exact_invsqr,
-    ("invsqr", (_UNIT_HEAD,)): _table_divider_view,
-}
-
-
 def component_forward(x: Matrix, comp: NetworkComponent) -> Matrix:
     """Evaluate the component on x (shapes must match, unless the component has none).
 
@@ -429,10 +412,14 @@ def make_divider_component(
     table None means exact 1/x^2 ("invsqr_exact"); a knot table means its
     ReLU approximation ("invsqr").
     """
+    # The keep-all divider's view is its map. The exact one is _exact_invsqr: the a + 0.0
+    # before it and the 0.0 + after it in apply change no bit, since a * a and the map's
+    # results are never -0.0. The table one is bound to the table (_table_divider_view).
+    view = _exact_invsqr if table is None else _table_divider_view(table)
     return NetworkComponent(
         w=(1.0,), v=(1.0 if spec is None else mask_matrix(spec),), b=(0.0,), c=(0.0,),
         activation="invsqr_exact" if table is None else "invsqr",
-        table=table,
+        table=table, view=view if spec is None else None,
     )
 
 

@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .attention import CompiledHead, ElsaParams, EmptyHeads, Index, LsaParams, _index
-from .attention import _Projection, compile_head, compiled_forward
+from .attention import _Projection, compile_head, compiled_forward, head_term
 from .matrix import BlockSpec, DimensionMismatch, Matrix, MatrixStack, block_read
 from .matrix import eye_block, product_for, scale, zeros
 from .ridge import BadProblemFile, RidgeProblem, finite_prefix
@@ -367,6 +367,7 @@ class _PlanBlock(NamedTuple):
 
     slots: tuple[_Projection, ...]  # head i's t1, t2 and t3 are slots 3i, 3i+1 and 3i+2
     varying: tuple[int, ...]  # the slots evaluated at every step
+    eyes: tuple[bool, ...]  # per head: its t3 is the bias identity (CompiledHead.eye)
     cols: Index  # A: the output columns the block's accumulator holds
     fresh: Index  # the varying columns, as positions in A: they start each step at 0.0
 
@@ -378,7 +379,6 @@ class StepPlan(NamedTuple):
     w: int  # the coefficient column's position in S
     blocks: tuple[_PlanBlock, ...]
     bind: Callable  # the run factory, made by _factory
-    replay: Optional[Callable]  # the factory that keeps every bias identity, made on first call
 
 
 def _mask(width: int, *indexes: Index) -> np.ndarray:
@@ -454,9 +454,7 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
             # t1^T t2 is (m, height) by (height, .) and t3 (t1^T t2) is (height, m) by (m, .),
             # so one pick serves both.
             m = every[: c.p1.w.shape[1]][c.p1.k].size
-            # Only a varying head's products run each step.
-            eye = any(fc[:2]) and not fc[2] and _bias_identity(slots[-1], layout.shape)
-            heads.append((product_for(height, m), (m, c.p2.w.shape[1]), eye))
+            heads.append((product_for(height, m), (m, c.p2.w.shape[1]), c.eye))
         adds = []
         for i, (c, fc) in enumerate(zip(block, flags[b])):
             written = every[c.p2.cols]
@@ -466,15 +464,14 @@ def _step_plan(layout: Layout, step: CompiledModule) -> StepPlan:
                 adds.append((i, _whole(_index(np.searchsorted(cols, written[keep])), cols.size),
                              sel))
         fresh = _index(np.searchsorted(cols, every[outs[b]]))
-        blocks.append(_PlanBlock(tuple(slots), tuple(varying), _index(cols), fresh))
+        eyes = tuple(c.eye for c in block)
+        blocks.append(_PlanBlock(tuple(slots), tuple(varying), eyes, _index(cols), fresh))
         # A block's start is all +0.0 when every accumulator column is fresh and no constant
         # term comes before its first varying one.
         zero = bool(adds) and adds[0][2] is None and bool(outs[b][cols].all())
         code.append((slots, varying, heads, adds, (height, cols.size), zero))
     position = int(np.searchsorted(every[state], layout.w_col - 1))
-    eyes = any(eye for block in code for _, _, eye in block[2])
-    return StepPlan(_index(every[state]), position, tuple(blocks), _factory(code),
-                    cache(partial(_factory, code, True)) if eyes else None)
+    return StepPlan(_index(every[state]), position, tuple(blocks), _factory(code))
 
 
 def _unit(slot: _Projection) -> bool:
@@ -483,23 +480,12 @@ def _unit(slot: _Projection) -> bool:
             and slot.w.shape == (1, 1) and slot.w[0, 0] == 1.0)
 
 
-def _bias_identity(slot: _Projection, shape: tuple[int, int]) -> bool:
-    """A bound slot that is I_height for every prompt of the shape: a bias alone, square.
-
-    A slot that reads no row is its bias plus 0.0, whatever the prompt holds.
-    """
-    if slot.w.shape[0]:
-        return False
-    t = slot.apply(np.zeros(shape))
-    return t.shape == (shape[0], shape[0]) and bool(np.array_equal(t, np.eye(shape[0])))
-
-
-def _factory(code: list, replay: bool = False) -> Callable:
+def _factory(code: list) -> Callable:
     """The plan's run factory bind(starts, values, consts), made by one exec.
 
     code holds, per step block, its :class:`_PlanBlock` slots and varying
     slots; per head, the product of its t1^T t2 and t3 (t1^T t2), the shape
-    of t1^T t2 and whether its t3 is a bias identity (:func:`_bias_identity`);
+    of t1^T t2 and whether its t3 is the bias identity (:func:`compile_head`);
     its (head, at, sel) additions in head order, the accumulator columns each
     term lands in and, for a constant head, which of its columns vary; its
     accumulator's shape; and whether its start is all +0.0. bind's arguments
@@ -517,33 +503,27 @@ def _factory(code: list, replay: bool = False) -> Callable:
     on 1-d vectors, whose products and sums give the bits of the (rows, 1)
     columns. Any varying slot that is not a unit calls its apply. When the
     first varying term covers every column, the accumulator is start + term,
-    the same sum as a copy of start followed by an in-place add.
+    the same sum as a copy of start followed by an in-place add. A head
+    whose t3 is the bias identity adds t1^T t2 itself, as
+    :func:`compiled_forward` does (see :func:`compile_head`).
 
     The rewrites of the per-step :func:`step` below replace a value v' by a
     v that differs from it at most in the sign of zero entries. Sums and
     products carry such a difference on only as the sign of a zero, inf and
     NaN included (0 * inf is NaN for either zero). The skip clears it: x holds
     no -0.0 (h + 0.0 at t = 1, then sums with x), so acc + x has the same bits
-    for either sign of a zero acc.
+    for either sign of a zero acc, and every run, finite or not, is bitwise
+    :func:`step`'s.
 
     * A unit slot computes x @ [[1.0]], x + 0.0: it is x itself.
     * A block whose start is all +0.0 drops start +, which only turns -0.0
       into +0.0: its accumulator starts at the first varying term.
-    * A head whose t3 is the bias identity I contributes t1^T t2 itself,
-      with no product: for a finite v, each entry of I v is v_i plus
-      products 0 * v_j, which are zeros.
     * The skip adds the step's input x, where :func:`step` adds the state
       hs[t-1]. For t >= 2 x is hs[t-1]. At t = 1 x is h + 0.0, and
       (a + 0.0) + b is a + (b + 0.0) bit for bit: both differ from a + b
       only when a and b are -0.0, and then both are +0.0.
 
-    Only the third needs v finite: where v holds an inf, I v holds NaN.
-    A non-finite entry of a step reaches its state, and stays in every later
-    state through the skip, so a run whose last state is finite is bitwise
-    :func:`step`'s. Otherwise :func:`_run_compiled` replays it from its last
-    finite state with the factory made by replay=True, which keeps every
-    product with a bias identity; the plan makes that factory on its first
-    replay. The plan's arrays and products are the factory's globals.
+    The plan's arrays and products are the factory's globals.
     """
     cells = {"add": np.add, "copyto": np.copyto, "empty": np.empty}
     prologue, body = [], []
@@ -591,7 +571,7 @@ def _factory(code: list, replay: bool = False) -> Callable:
             else:
                 f, (m, width), eye = heads[head]
                 f, mid, term = cell(f, f.__name__), f"m{b}_{head}", f"t{b}_{head}"
-                eye, whole = eye and not replay, not first and at is None
+                whole = not first and at is None
                 if eye and whole:
                     mid = acc
                 else:
@@ -622,16 +602,16 @@ def _factory(code: list, replay: bool = False) -> Callable:
     return cells.pop("bind")
 
 
-def _bind(plan: StepPlan, h0: np.ndarray, factory: Optional[Callable] = None) -> Callable:
+def _bind(plan: StepPlan, h0: np.ndarray) -> Callable:
     """The plan bound to the prompt h0: its run factory called once, for one run.
 
     Block by block, the bound slots read the block's input with only its
     constant columns filled in, by :meth:`~elsakit.attention._Projection.apply`:
     h0 for the first block, then the previous block's constant heads summed
-    in head order, each t3 @ (t1 @ t2) as in :func:`compiled_forward`. A
-    block's accumulator starts at 0.0 in the varying columns, and the
-    factory (:func:`_factory`; plan.bind unless given) adds the leading
-    constant terms into that start. Returns run(x, hs), the step loop.
+    in head order, each term as in :func:`compiled_forward`. A block's
+    accumulator starts at 0.0 in the varying columns, and the factory
+    (:func:`_factory`) adds the leading constant terms into that start.
+    Returns run(x, hs), the step loop.
     """
     starts, values, consts = [], [], []
     x = h0
@@ -642,13 +622,13 @@ def _bind(plan: StepPlan, h0: np.ndarray, factory: Optional[Callable] = None) ->
         for i in range(len(blk.slots) // 3):
             t1, t2, t3 = values[-1][3 * i : 3 * i + 3]
             if t1 is not None and t2 is not None and t3 is not None:
-                consts[-1][i] = t3 @ (t1 @ t2)
+                consts[-1][i] = head_term(blk.eyes[i], t1, t2, t3)
                 out[:, blk.slots[3 * i + 1].cols] += consts[-1][i]
         start = out[:, blk.cols].copy()
         start[:, blk.fresh] = 0.0
         starts.append(start)
         x = out
-    return (factory or plan.bind)(starts, values, consts)
+    return plan.bind(starts, values, consts)
 
 
 def run_program(
@@ -659,8 +639,8 @@ def run_program(
     Returns the coefficient trace w_0..w_T, the final prompt and the
     prediction. The loop runs the program's step plan (:class:`StepPlan`),
     bound to the initial prompt once per run: one generated function, bit
-    for bit :func:`step`, which stays the per-step oracle (the argument,
-    and the replay of a run that overflows, are in :func:`_factory`). A
+    for bit :func:`step`, which stays the per-step oracle (the argument is
+    in :func:`_factory`, the bias identity's in :func:`compile_head`). A
     divergent run overflows silently, and its trace ends before the first
     non-finite coefficient column.
     """
@@ -675,8 +655,7 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
     for t >= 1 the last block's accumulator plus step t's input, which the
     bound plan's run writes in place. Step 1 reads h0 = h + 0.0 instead of
     hs[0], in a contiguous copy, so every block input is a C-ordered array
-    and the skip's x is free of -0.0. A run whose last state is not finite
-    is replayed from its last finite state, as :func:`_factory` says.
+    and the skip's x is free of -0.0, as :func:`_factory` says.
     """
     if state.layout != prog.layout:
         raise LayoutMismatch(f"state layout {state.layout} != program layout {prog.layout}")
@@ -692,9 +671,6 @@ def _run_compiled(prog: CompiledProgram, state: PipelineState, steps: int):
         # as hs[t] is.
         x = np.ascontiguousarray(h0[:, plan.cols])
         _bind(plan, h0)(x, hs)
-        if steps and plan.replay is not None and not np.isfinite(hs[steps]).all():
-            t = max(1, int(np.argmin(np.isfinite(hs).all(axis=(1, 2)))))
-            _bind(plan, h0, plan.replay())(hs[t - 1] if t > 1 else x, hs[t - 1 :])
         final = (h0 if steps else h).copy()
         final[:, plan.cols] = hs[steps]
         h_final = _run_module(PipelineState(Matrix.from_array(final), state.layout), prog,

@@ -30,7 +30,7 @@ from elsakit import (
     system_from_json,
     system_to_json,
 )
-from elsakit.cli import MAX_LENGTH, MAX_SIDE, _build_parser, main
+from elsakit.cli import INPUT_ERRORS, MAX_LENGTH, MAX_SIDE, _build_parser, main
 from elsakit.netcomp import DEFAULT_KNOT_SPEC, MAX_KNOTS
 from elsakit.ridge import MAX_STEPS
 from oracles import piecewise_invsqr
@@ -584,6 +584,94 @@ class TestGaussInputFuzz:
             assert got <= bound if got is not None else not math.isfinite(bound)
 
 
+# JSON text drawn from a grammar, so that it can hold what json.dumps never writes: numbers
+# of 5,000 digits (an integer past Python's 4,300-digit limit, a float that rounds to inf or
+# 0), the NaN and Infinity literals, and nesting past the recursion limit.
+PLAIN_TEXT = st.floats(-3.0, 3.0).map(repr) | st.integers(-3, 3).map(str)
+NUMBER_TEXT = PLAIN_TEXT | st.sampled_from([
+    "5e-324", "-2.2e-308", "1e308", "-1e308", "-0.0", "NaN", "Infinity", "-Infinity",
+    "1" + "0" * 4999, "-0." + "0" * 4998 + "1", "9" * 5000 + ".5"])
+VALUE_TEXT = st.recursive(
+    NUMBER_TEXT | st.sampled_from(["true", "false", "null", '"auto"', '"zero"', '"1"', "{}"]),
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+    max_leaves=12,
+)
+DEEP_TEXT = st.just("[" * 100_000 + "1" + "]" * 100_000)
+# Small step counts, and the large ones that are refused, or cannot be allocated, before any
+# loop runs: 2**50 + 1 and 10**30 are past MAX_STEPS, and a trace of 2**50 + 1 states needs
+# more than 2**47 bytes of address space.
+LARGE_STEPS = (MAX_STEPS + 1, 10**30, MAX_STEPS)
+STEPS_TEXT = st.integers(0, 20).map(str) | st.sampled_from(LARGE_STEPS).map(str)
+
+
+@st.composite
+def document_texts(draw, command: str) -> str:
+    """A --problem or --system document: one key may be missing, any value or deep.
+
+    Most documents hold plain numbers only and break no key, so that runs start.
+    """
+    numbers = draw(st.sampled_from([PLAIN_TEXT, PLAIN_TEXT, NUMBER_TEXT]))
+
+    def array(*shape: int) -> str:
+        if not shape:
+            return draw(numbers)
+        return "[" + ", ".join(array(*shape[1:]) for _ in range(shape[0])) + "]"
+
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if command == "ridge":
+        # lambda and eta drop any minus sign: most negative values are refused at once.
+        scalar = numbers.map(lambda text: text.lstrip("-"))
+        values = {"X": array(n, d), "y": array(n), "u": array(d), "lambda": draw(scalar),
+                  "eta": draw(st.just('"auto"') | scalar), "steps": draw(STEPS_TEXT),
+                  "w0": draw(st.just('"zero"') | st.just(array(d)))}
+    else:
+        values = {"F": array(n, n), "alpha": array(n)}
+    fault = draw(st.sampled_from(["none", "none", "missing", "any-value", "deep"]))
+    if fault != "none":
+        key = draw(st.sampled_from(sorted(values)))
+        if fault == "missing":
+            del values[key]
+        else:
+            values[key] = draw(VALUE_TEXT if fault == "any-value" else DEEP_TEXT)
+    for key in draw(st.sets(st.sampled_from(["extra", "x", "F" if command == "ridge" else "X"]),
+                            max_size=2)):
+        values[key] = draw(VALUE_TEXT)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items()) + "}"
+
+
+def error_names(classes) -> set:
+    """The names of the classes and of all their subclasses."""
+    return {name for cls in classes
+            for name in (cls.__name__, *error_names(cls.__subclasses__()))}
+
+
+class TestGeneratedFiles:
+    """Any --problem or --system document ends in a strict report, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["ridge", "gauss"])
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_documents_from_the_grammar(self, data, command):
+        text = data.draw(document_texts(command))
+        flag = {"ridge": "--problem", "gauss": "--system"}[command]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, flag, str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            return
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert (code == 0) == (report.get("passed") is True)
+        if "error" in report:
+            assert set(report) == {"command", "error", "message"}
+            assert report["error"] in error_names((*INPUT_ERRORS, MemoryError))
+
+
 EXIT_RULE = {
     "verify_default": (["verify-lemmas"], True),
     "verify_perturb": (["verify-lemmas", "--perturb"], False),
@@ -842,6 +930,28 @@ class TestSizesPastTheBounds:
         assert report == {"command": "ridge", "error": "BadProblemFile",
                           "message": report["message"]}
         assert f"steps must be at most {MAX_STEPS}" in report["message"]
+
+
+    @pytest.mark.parametrize("source", ["flag", "problem", "override"])
+    def test_a_trace_past_the_index_limit_is_a_memory_error(self, tmp_path, capsys, source):
+        # Each size is within its bound, but a trace of (2**50 + 1) * 1025 float64 entries
+        # needs 2**63 bytes or more, which numpy refuses with a ValueError.
+        args = ["ridge", "--n", "1", "--d", "1024", "--steps", str(MAX_STEPS)]
+        if source != "flag":
+            rng = np.random.default_rng(37)
+            p = make_problem(Matrix.from_array(rng.normal(size=(1, 1024))), Matrix([[1.0]]),
+                             Matrix.from_array(rng.normal(size=(1024, 1))), 0.5, eta=0.1,
+                             steps=MAX_STEPS if source == "problem" else 3)
+            path = tmp_path / "problem.json"
+            path.write_text(problem_to_json(p))
+            args = ["ridge", "--form", "elsa", "--problem", str(path)]
+            args += ["--steps", str(MAX_STEPS)] if source == "override" else []
+        code, out = run_cli(args, capsys)
+        report = json.loads(out, parse_constant=reject_constant)
+        assert code == 1
+        assert report == {"command": "ridge", "error": "MemoryError",
+                          "message": report["message"]}
+        assert "2**63 bytes" in report["message"]
 
 
 class TestKnotCountCap:

@@ -32,6 +32,7 @@ from elsakit import (
     build_enumerated_input,
     build_enumerated_weights,
     block_read,
+    compile_head,
     compiled_forward,
     elsa_forward,
     extract_w,
@@ -60,6 +61,7 @@ from oracles import (
     nonfinite_ridge_problems,
     random_ridge_arrays,
     reader_program,
+    selector,
     two_block_program,
     zero_feature_arrays,
 )
@@ -1037,21 +1039,18 @@ class TestStepPlan:
         programs = TestCompiledProgram.programs(p)
         programs["two-block"] = (two_block_program(n, d), build_designed_input(p))
         for name, (prog, state) in programs.items():
-            plan = prog.compiled.plan
-            eyes = {f"b{b}_{i}" for b, blk in enumerate(plan.blocks)
-                    for i in range(2, len(blk.slots), 3)
-                    if pipeline._bias_identity(blk.slots[i], prog.layout.shape)}
-            run = pipeline._bind(plan, state.h.array + 0.0)
+            eyes = {f"b{b}_{3 * i + 2}" for b, block in enumerate(prog.compiled.step)
+                    for i, c in enumerate(block) if c.eye}
+            run = pipeline._bind(prog.compiled.plan, state.h.array + 0.0)
             names = set(run.__code__.co_freevars)
             if name == "enumerated":
                 # The ridge head's t3 and the contraction's, both I; the contraction's t1^T t2
                 # lands in the accumulator itself.
                 assert eyes == {"b0_5", "b1_2"}
-                assert plan.replay is not None
                 assert names == {"acc0", "acc1", "b0_0", "b0_2", "b0_3", "b1_0", "c0_2",
                                  "m0_0", "m0_1"}
                 continue
-            assert eyes == set() and plan.replay is None, name
+            assert eyes == set(), name
             if name != "two-block":
                 # Seven calls a step, as before: two products per varying head, the start,
                 # the second term and the skip.
@@ -1087,82 +1086,50 @@ class TestStepPlan:
         TestCompiledProgram.assert_same_run(got, want, steps)
 
 
-class TestReplay:
-    """A run whose state goes non-finite is replayed from its last finite step (_factory)."""
+class TestBiasIdentity:
+    """compile_head marks a head whose t3 is the bias identity +I; its term skips the product."""
 
-    @staticmethod
-    def spied(monkeypatch):
-        """The replays run_program starts, each as (plan, the step it starts from)."""
-        replays, bind = [], pipeline._bind
+    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (2, 3), (20, 4)])
+    def test_the_flag_marks_exactly_the_identity_heads(self, n, d):
+        def flags(prog):
+            return [[[c.eye for c in block] for block in module]
+                    for module in (prog.compiled.step, prog.compiled.readout)]
 
-        def spy(plan, h0, factory=None):
-            run = bind(plan, h0, factory)
-            if factory is None:
-                return run
+        enumerated, designed = build_enumerated_weights(n, d), build_designed_weights(n, d)
+        # The lambda w head and the contraction, not the -I marker head; the readout's
+        # t3 is I_1 in row 1, the identity only at d = 1.
+        assert flags(enumerated) == [[[False, True, False, False], [True]], [[d == 1]]]
+        for prog in (designed, wrap_designed_as_elsa(designed)):
+            assert flags(prog) == [[[False] * 3], [[False]]]
+        # The lambda w head's bias is I, but a t3 that also reads a row is not the identity.
+        lam_head = enumerated.step[0][1]
+        head = dataclasses.replace(lam_head, w3=selector(enumerated.layout.s, (1, 1, 1.0)))
+        assert compile_head(lam_head).eye and not compile_head(head).eye
 
-            def replay(x, hs):
-                replays.append((plan, len(hs)))
-                return run(x, hs)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_the_flag_changes_no_bit_on_finite_prompts(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        prog = build_enumerated_weights(n, d)
+        h = rng.normal(size=prog.layout.shape) * 10.0 ** rng.uniform(-3, 3, prog.layout.shape)
+        h[rng.random(h.shape) < 0.3] = -0.0
+        for block in prog.compiled.step + prog.compiled.readout:
+            cleared = tuple(c._replace(eye=False) for c in block)
+            assert compiled_forward(h, block).tobytes() == compiled_forward(h, cleared).tobytes()
 
-            return replay
 
-        monkeypatch.setattr(pipeline, "_bind", spy)
-        return replays
-
-    @staticmethod
-    def programs(p):
-        programs = TestCompiledProgram.programs(p)
-        programs["two-block"] = (two_block_program(p.n, p.d), build_designed_input(p))
-        return programs
-
-    @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (20, 4), (100, 8)])
-    def test_a_finite_run_never_replays(self, monkeypatch, n, d):
-        replays = self.spied(monkeypatch)
-        rng = np.random.default_rng(78)
-        for lam in (0.0, 0.5):
-            p = problem(rng, n, d, lam=lam, steps=40, w0=rng.normal(size=(d, 1)))
-            for name, (prog, state) in self.programs(p).items():
-                got = run_program(prog, state, p.steps)
-                assert len(got[0]) == p.steps + 1, name
-            for form in ("lsa", "elsa"):
-                assert run_pipeline(p, form).report["diverged_at"] is None
-        assert replays == []
+class TestOverflowingRuns:
+    """A run whose state goes non-finite is still the step() loop, bit for bit (_factory)."""
 
     @pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (2, 3), (20, 4), (100, 8)])
-    def test_an_overflowing_run_replays_once_from_its_last_finite_step(self, monkeypatch, n, d):
-        replays = self.spied(monkeypatch)
+    def test_an_overflowing_run_is_the_step_loop(self, n, d):
         for p in nonfinite_ridge_problems(n, d):
-            for name, (prog, state) in self.programs(p).items():
+            programs = TestCompiledProgram.programs(p)
+            programs["two-block"] = (two_block_program(p.n, p.d), build_designed_input(p))
+            for name, (prog, state) in programs.items():
                 with np.errstate(over="ignore", invalid="ignore"):
                     trace, *want = TestCompiledProgram.step_loop(prog, state, p.steps)
                 # run_program's trace ends before the first non-finite w.
                 finite = [bool(np.isfinite(w.array).all()) for w in trace]
                 want = (trace[: finite.index(False) if False in finite else None], *want)
-                replays.clear()
-                got = run_program(prog, state, p.steps)
-                TestCompiledProgram.assert_same_run(got, want, name)
-                plan = prog.compiled.plan
-                if plan.replay is None:
-                    assert replays == [], name
-                    continue
-                # The step() loop's first state whose held columns are not finite.
-                h, first = state, None
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for t in range(1, p.steps + 1):
-                        h = step(h, prog)
-                        if not np.isfinite(h.h.array[:, plan.cols]).all():
-                            first = t
-                            break
-                assert first is not None, name
-                # One replay, of the steps first .. T, from the state of step first - 1.
-                assert replays == [(plan, p.steps - first + 2)], name
-
-    def test_the_replay_factory_is_made_on_first_replay(self):
-        p = next(nonfinite_ridge_problems(3, 2))
-        prog = build_enumerated_weights(p.n, p.d)
-        plan = prog.compiled.plan
-        assert plan.replay.cache_info().currsize == 0
-        run_program(prog, build_enumerated_input(p), p.steps)
-        made = plan.replay()
-        run_program(prog, build_enumerated_input(p), p.steps)
-        assert plan.replay() is made and plan.replay.cache_info().misses == 1
+                TestCompiledProgram.assert_same_run(run_program(prog, state, p.steps), want, name)

@@ -15,7 +15,8 @@ exit code 1 if they do not. It then runs ROUNDS rounds. Each
 round times the same REQUESTS requests on each tree, in an order that
 alternates from round to round, and prints the process-time ratio NEW / OLD;
 below 1 means NEW is faster. The last line gives the median ratio and the
-number of rounds NEW won.
+number of rounds NEW won. As in the benchmark, a timed request is the run
+alone: the outputs are turned into bytes only for the check.
 
 The requests follow the benchmark's workloads: ridge runs run_pipeline for
 both forms on one problem (lambda = 0.5, eta auto, n=20 d=4 T=200 or n=100
@@ -73,8 +74,8 @@ def inputs(kind: str, shape: tuple, index: int) -> tuple:
     return f, rng.uniform(-1.0, 1.0, size=(m, 1))
 
 
-def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False) -> bytes:
-    """Run one request on lib; its outputs as bytes, the sign of zero included.
+def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False) -> list:
+    """Run one request on lib; its outputs: both forms' runs, or the solution and report.
 
     With overflow, a ridge request runs at 1e12 times the auto eta, so that it diverges, up
     to the descent's first non-finite step, and adds each form's final prompt from run_program.
@@ -87,22 +88,28 @@ def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False)
             # which entries overflowed.
             p = lib.make_problem(x, y, u, 0.5, eta=1e12 * p.eta, steps=shape[2])
             p = lib.make_problem(x, y, u, 0.5, eta=p.eta, steps=min(p.steps, len(lib.gd_run(p))))
-        parts = []
-        for form in ("lsa", "elsa"):
-            run = lib.run_pipeline(p, form)
-            parts += [w.array.tobytes() for w in run.w_trace]
-            parts += [np.float64(run.prediction).tobytes(), json.dumps(run.report).encode()]
+        outputs = [lib.run_pipeline(p, form) for form in ("lsa", "elsa")]
         if overflow:
             # The w traces end before the first non-finite w; the final prompts hold the rest.
             for build, prompt in ((lib.build_designed_weights, lib.build_designed_input),
                                   (lib.build_enumerated_weights, lib.build_enumerated_input)):
-                final = lib.run_program(build(p.n, p.d), prompt(p), p.steps)[1]
-                parts.append(final.array.tobytes())
-        return b"".join(parts)
+                outputs.append(lib.run_program(build(p.n, p.d), prompt(p), p.steps)[1])
+        return outputs
     f, alpha = arrays
-    solution, report = lib.solve(lib.LinearSystem(f=lib.Matrix(f), alpha=lib.Matrix(alpha)),
-                                 mode=shape[1])
-    return solution.array.tobytes() + json.dumps(report).encode()
+    return list(lib.solve(lib.LinearSystem(f=lib.Matrix(f), alpha=lib.Matrix(alpha)),
+                          mode=shape[1]))
+
+
+def as_bytes(kind: str, outputs: list) -> bytes:
+    """A request's outputs as bytes, the sign of zero included."""
+    if kind == "gauss":
+        solution, report = outputs
+        return solution.array.tobytes() + json.dumps(report).encode()
+    parts = []
+    for run in outputs[:2]:
+        parts += [w.array.tobytes() for w in run.w_trace]
+        parts += [np.float64(run.prediction).tobytes(), json.dumps(run.report).encode()]
+    return b"".join(parts + [final.array.tobytes() for final in outputs[2:]])
 
 
 def timed(lib, kind: str, shape: tuple, batch: list) -> float:
@@ -121,7 +128,8 @@ def main(argv: list[str]) -> int:
     checks = [(i, False) for i in range(CHECKED)] + [(CHECKED, True)] * (kind == "ridge")
     for i, overflow in checks:
         arrays = inputs(kind, shape, i)
-        if len({request(lib, kind, shape, arrays, overflow) for lib in libs.values()}) != 1:
+        outputs = (request(lib, kind, shape, arrays, overflow) for lib in libs.values())
+        if len({as_bytes(kind, out) for out in outputs}) != 1:
             print(f"outputs differ on request {i}; not timing", file=sys.stderr)
             return 1
     print(f"{argv[2]}: outputs bitwise equal on {len(checks)} requests", flush=True)

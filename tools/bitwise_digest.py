@@ -105,7 +105,10 @@ sign of zero counts, and reports as json.dumps(report, sort_keys=True):
   for the designed, enumerated, zero-bias wrapped and two-block programs,
   for every (n, d) of run-pipeline, on nonfinite_ridge_problems in
   tests/oracles.py: explicit-eta problems whose state overflows at step 1,
-  mid-run and at step T, and one whose X is near 1e200.
+  mid-run and at step T, and one whose X is near 1e200. Each equals the
+  step() loop; where a state holds an inf, a head whose t3 is the bias
+  identity adds t1^T t2 itself, not I (t1^T t2) with NaN spread across it
+  (see attention.compile_head).
 """
 
 import hashlib
