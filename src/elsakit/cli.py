@@ -45,10 +45,6 @@ MAX_SIDE = 2**27
 MAX_LENGTH = ridge.MAX_STEPS
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
-
-
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
@@ -346,12 +342,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification suites and runners for attention-built matrix programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
+    # A seed is a SeedSequence entropy, so at least 0. argparse parses a string default with
+    # the flag's type, so a bad ELSA_WB_SEED is a usage error too.
+    seed = os.environ.get(ENV_SEED, "0")
+    seed_type = _at_least(int, 0)
 
     p_verify = sub.add_parser("verify-lemmas", help="run the capability property suites")
     p_verify.add_argument("--trials", type=_at_least(int, 0), default=100)
     p_verify.add_argument("--max-dim", type=_at_least(int, 1, MAX_SIDE), default=6)
-    p_verify.add_argument("--seed", type=int, default=seed)
+    p_verify.add_argument("--seed", type=seed_type, default=seed)
     p_verify.add_argument("--tol", type=_at_least(float, 0.0), default=1e-12)
     p_verify.add_argument("--perturb", action="store_true",
                           help="flip one bias entry as a negative control")
@@ -366,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ridge.add_argument("--eta", type=_eta, default="auto",
                          help='learning rate, a float or "auto"')
     p_ridge.add_argument("--steps", type=_at_least(int, 0, MAX_LENGTH), default=None)
-    p_ridge.add_argument("--seed", type=int, default=seed)
+    p_ridge.add_argument("--seed", type=seed_type, default=seed)
     p_ridge.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9,
                          help="pass threshold on the per-step oracle deviation")
     p_ridge.add_argument("--problem", default=None, help="ridge problem JSON file")
@@ -381,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gauss.add_argument("--system", default=None, help="system JSON file")
     p_gauss.add_argument("--sweep", action="store_true",
                          help="relu-mode knot refinement sweep (64/128/256)")
-    p_gauss.add_argument("--seed", type=int, default=seed)
+    p_gauss.add_argument("--seed", type=seed_type, default=seed)
     p_gauss.add_argument("--tol", type=_at_least(float, 0.0), default=None,
                          help="pass threshold on rel. error (default 1e-8 exact, 5e-2 relu)")
     p_gauss.add_argument("--report", default=None)

@@ -24,7 +24,8 @@ float64 raises EliminationOverflow.
 Each sweep is one kernel, _forward_sweep or _backward_sweep, which updates
 the padded state of a pooled per-size workspace in place; their docstrings
 argue that each module's body is bitwise its dense module. solve checks for
-overflow once and divides each pivot once (see solve and _backward_sweep).
+overflow once and checks and divides each pivot once (see solve and
+_backward_sweep).
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -253,15 +254,23 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
     2. Dropped no-ops. The mask on the column below the pivot goes:
        (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
        most in the sign of a zero, which the + 0.0 clears. The backward
-       kernel drops the mask on its scaled row (see _backward_sweep).
-    3. No -0.0 in solve's state. x + y is -0.0 only if x and y both are,
-       a product plus 0.0 never is, and the spread is added to rows that
-       hold none; the anti-mask's 0 times the scaled pivot gets its + 0.0
-       in place. solve adds 0.0 to rows 2..m before its sweep, which
-       changes no bit: (a + 0.0) + b is a + (b + 0.0), and the column below
-       the pivot is read as c * z3 + 0.0. A step function's input may hold
-       -0.0 anywhere, so it adds 0.0 to its whole state once, after its
-       kernel.
+       kernel drops the mask on its scaled row and the + 0.0 of its fold
+       and row scale (see 3).
+    3. No -0.0 in solve's state between calls. x + y is -0.0 only if x
+       and y both are, a product plus 0.0 never is, and the forward spread
+       is added to rows that hold none. solve adds 0.0 to rows 2..m before
+       its sweep, which changes no bit: (a + 0.0) + b is a + (b + 0.0), and
+       the column below the pivot is read as c * z3 + 0.0. The backward
+       kernel drops the + 0.0 of its fold and its row scale. Inside a
+       backward call, either may then leave -0.0 only on an entry whose
+       value is zero, where its module leaves +0.0. A zero's sign never
+       reaches a nonzero entry: x + (-0.0) is x and a zero times anything
+       is a zero or NaN. It never reaches a NaN's bits: 0 * inf gives the
+       default NaN for either sign. It never reaches a pivot or xi, which
+       are read through + 0.0. The call ends by adding 0.0 to the whole
+       state, which clears it and changes no other bit. A step function's
+       input may hold -0.0 anywhere, so it adds 0.0 to its whole state
+       once, after its kernel.
     4. The spread. z6 @ row has inner dimension 1, and is computed as
        matrix.outer_product(z6, row, spread), np.dot's BLAS outer product
        into the spread buffer, for every k: one product per entry, where @
@@ -325,18 +334,22 @@ def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
     """Backward steps ts, in order, on w's state, in place; see backward_substitute_step.
 
     Returns each step's pivot, as a float. Each module's body is its dense
-    module's, by the argument in _forward_sweep's docstring. The mask on
-    the scaled row is dropped: z7 * row + 0.0 holds no -0.0. The
-    anti-mask's 0 weight at the pivot can give -0.0, and its + 0.0 is kept
-    there alone. The row is scaled in place: each entry is read once, by
+    module's up to the sign of a zero, by the argument in _forward_sweep's
+    docstring. The fold and the row scale are products with no + 0.0, and
+    the mask on the scaled row is dropped: each may leave -0.0 where its
+    module leaves +0.0, on an entry whose value is zero, and the call ends
+    with one + 0.0 on the whole state, which clears every such sign (item
+    3). The anti-mask's 0 weight at the pivot can give -0.0, and its + 0.0
+    is kept there. The row is scaled in place: each entry is read once, by
     its own product.
 
     rs[t - 1], where rs has it, is forward step t's divider output on pivot
-    t, and is used as this step's: the diagonal is final once its row is
-    eliminated, as later forward steps write only the rows below, the fold
-    only column m+1, and the row scale comes after the divide. So solve
-    divides each pivot once; any other pivot (pivot m in solve, every pivot
-    in a step function) is divided here.
+    t, and is used as this step's, with no second check: the diagonal is
+    final once its row is eliminated, as later forward steps write only the
+    rows below, the fold only column m+1, and the row scale comes after the
+    divide, so the forward step checked and divided this very entry. So
+    solve checks and divides each pivot once; any other pivot (pivot m in
+    solve, every pivot in a step function) is checked and divided here.
     """
     add, multiply, zero = np.add, np.multiply, _ZERO
     size = w.p.shape[0]
@@ -351,25 +364,27 @@ def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
             s[()] = -1.0 * (flat[t * size + size - 1] + 0.0) + 0.0  # mask, then the -1 affine unit
             # Q z2 = Q + Q (z2 - I), and z2 - I is the one entry z2 holds.
             multiply(folded, s, fold)
-            add(fold, zero, fold)
             add(column, fold, column)
             if check and not _finite(column):
                 raise _overflow("backward step", t, (1, size, size, size))
         i = (t - 1) * (size + 1)
         value = flat[i]
         pivots.append(value)
-        if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
-            raise _refused(value, "backward step", t)
         z = value + 0.0  # mask
-        r = rs[t - 1] if t <= len(rs) else float(divide(np.float64(z)))
+        if t <= len(rs):
+            r = rs[t - 1]
+        elif abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
+            raise _refused(value, "backward step", t)
+        else:
+            r = float(divide(np.float64(z)))
         s[()] = (r * z + 0.0) + 0.0  # z7: skip product, gamma 1, then the +1 affine unit
         multiply(s, row, row)
-        add(row, zero, row)
         # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
         # 0.0, or NaN if that entry is not finite.
         flat[i] = flat[i] * 0.0 + 0.0
         if check and not _finite(row):
             raise _overflow("backward step", t, (t, t, 1, size))
+    add(w.p, zero, w.p)
     return pivots
 
 

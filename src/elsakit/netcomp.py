@@ -342,9 +342,9 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
 
     A float64 scalar x > 0 (+inf included) runs two of invsqr_eval's four
     ReLU terms per interval: r = x - [hi; lo], al * r and max(0, .) in place
-    on one (2, intervals) temporary allocated per call, then the sum of
-    r[0] - r[1] over its one contiguous row. Any other input (a zero, a
-    negative or NaN pivot, an array) runs apply's body,
+    on one (2, intervals) temporary allocated per call, then d = r[0] - r[1]
+    in place in row 0, and the sum of that contiguous row. Any other input
+    (a zero, a negative or NaN pivot, an array) runs apply's body,
     0.0 + invsqr_eval(table, a + 0.0).
 
     Exactness for x > 0, when every slope al is below zero. x + h is
@@ -363,14 +363,17 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     if not np.all(al < 0.0):
         return None
     pair = table.knot_stack[:2, 0]
+    add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
 
     def view(a):
         if type(a) is not np.float64 or not a > 0.0:
             return 0.0 + invsqr_eval(table, a + 0.0)
-        r = a - pair
-        np.multiply(al, r, out=r)
-        np.maximum(0.0, r, out=r)
-        return np.add.reduce(r[0] - r[1])
+        r = subtract(a, pair)
+        multiply(al, r, r)
+        maximum(0.0, r, out=r)  # np.maximum deprecates a positional out
+        d = r[0]
+        subtract(d, r[1], d)
+        return add.reduce(d)
 
     return view
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, report contents."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -672,6 +673,118 @@ class TestGeneratedFiles:
             assert report["error"] in error_names((*INPUT_ERRORS, MemoryError))
 
 
+# argv values the parser refuses, in every flag that takes a number: no digit in a junk string
+# (so no valid size hides in one), and no leading "-" (so no --help).
+JUNK_TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6).filter(
+    lambda text: not text.startswith("-") and text not in ("lsa", "elsa", "exact", "relu", "auto"))
+NON_FINITE = ("inf", "-inf", "nan")
+
+
+def numbers(valid, *refused):
+    """A numeric flag: a strategy of valid values, and the values the parser refuses."""
+    return valid.map(str), (-1, *refused, *NON_FINITE)
+
+
+def size(valid, bound):
+    """A bounded size: small valid values; -1, bound + 1, 2**63 and 10**30 are refused."""
+    return numbers(valid, bound + 1, 2**63, 10**30)
+
+
+# Large values are valid for these, and cheap: they shape no array.
+SEED = numbers(st.integers(0, 2**16) | st.sampled_from([2**63, 10**30]))
+NONNEGATIVE = numbers(st.floats(0.0, 2.0) | st.sampled_from([1e30, 2.0**63]))
+MISSING_FILE = (st.just(str(Path(__file__).resolve().parent / "no-such-dir" / "missing.json")),
+                None)
+KNOTS = (st.sampled_from([DEFAULT_KNOT_SPEC, "geometric:x1=1e-2,xmax=1e2,n=16"]) | JUNK_TEXT,
+         None)
+
+# Each subcommand's flags: (a strategy of values the parser takes, the values it refuses; None:
+# it refuses none, not even junk), or None for a flag without a value. --trials has no upper
+# bound, so its valid values stay small.
+ARGV_FLAGS = {
+    "verify-lemmas": {
+        "--trials": numbers(st.integers(0, 3)), "--max-dim": size(st.integers(1, 4), MAX_SIDE),
+        "--seed": SEED, "--tol": NONNEGATIVE, "--perturb": None,
+    },
+    "ridge": {
+        "--form": (st.sampled_from(["lsa", "elsa"]), ("",)),
+        "--n": size(st.integers(1, 4), MAX_SIDE), "--d": size(st.integers(1, 3), MAX_SIDE),
+        "--lambda": NONNEGATIVE, "--eta": (NONNEGATIVE[0] | st.just("auto"), NONNEGATIVE[1]),
+        "--steps": size(st.integers(0, 20), MAX_LENGTH),
+        "--seed": SEED, "--tol": NONNEGATIVE, "--problem": MISSING_FILE,
+    },
+    "gauss": {
+        "--mode": (st.sampled_from(["exact", "relu"]), ("",)),
+        # Any size up to the bound parses; one below 2 is cmd_gauss's ShapeMismatch.
+        "--size": (st.integers(-2, 8).map(str), (MAX_SIDE + 1, 2**63, 10**30, *NON_FINITE)),
+        "--knots": KNOTS, "--sweep": None, "--seed": SEED, "--tol": NONNEGATIVE,
+        "--system": MISSING_FILE,
+    },
+    "invsqr": {"--knots": KNOTS, "--samples": size(st.integers(0, 50), MAX_LENGTH)},
+}
+
+
+@st.composite
+def argvs(draw):
+    """(argv, whether the parser must refuse it): a subcommand and up to four of its flags.
+
+    Half the argvs give one flag a value the parser refuses, most often a listed one, so
+    each bound is met with nothing else refused; one in ten of the rest adds an unknown flag.
+    """
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)) | st.just("no-such-command"))
+    flags = ARGV_FLAGS.get(command, {})
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)
+                  if flags else st.just([]))
+    refusable = [flag for flag in chosen if flags[flag] is not None and flags[flag][1] is not None]
+    bad_flag = draw(st.sampled_from(refusable)) if refusable and draw(st.booleans()) else None
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flag == bad_flag:
+            listed = st.sampled_from([str(v) for v in flags[flag][1]])
+            argv.append(draw(st.one_of(listed, listed, listed, JUNK_TEXT)))
+        elif flags[flag] is not None:
+            argv.append(draw(flags[flag][0]))
+    if command == "verify-lemmas" and "--trials" not in argv:
+        argv += ["--trials", "2"]  # the default, 100 trials, takes ~40 ms
+    refuses = command not in ARGV_FLAGS or bad_flag is not None
+    if not refuses and draw(st.integers(0, 9)) == 0:
+        argv.append("--no-such-flag")
+        refuses = True
+    return argv, refuses
+
+
+class TestGeneratedArgv:
+    """Any argv ends in exit 0, 1 or 2 and one strict report, CSV, or a usage error on stderr."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=argvs())
+    def test_argv_from_the_flag_table(self, case):
+        argv, refuses = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+                assert code == 2
+        assert code in (0, 1, 2)
+        if code == 2 or refuses:
+            assert code == 2 and out.getvalue() == ""
+            assert "Traceback" not in err.getvalue()
+            return
+        if argv[0] == "invsqr" and code == 0:
+            rows = list(csv.reader(io.StringIO(out.getvalue())))
+            assert rows[0] == ["x", "sigma_invsqr", "inv_square", "abs_err", "rel_err"]
+            return
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert (code == 0) == (report.get("passed") is True)
+        if "error" in report:
+            assert set(report) == {"command", "error", "message"}
+            assert report["error"] in error_names((*INPUT_ERRORS, MemoryError))
+
+
 EXIT_RULE = {
     "verify_default": (["verify-lemmas"], True),
     "verify_perturb": (["verify-lemmas", "--perturb"], False),
@@ -1126,3 +1239,12 @@ class TestSeedEnvOverride:
         # explicit flag still wins
         _, out = run_cli(["verify-lemmas", "--trials", "5", "--seed", "9"], capsys)
         assert json.loads(out)["seed"] == 9
+
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_bad_env_seed_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("ELSA_WB_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["gauss"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --seed" in captured.err

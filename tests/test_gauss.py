@@ -831,15 +831,16 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     @pytest.mark.parametrize("m", [2, 3, 9, 64])
     def test_kernels_write_no_negative_zero(self, m, mode, kind):
-        # The kernels add no + 0.0 after an update: x + y is -0.0 only if both
-        # are. A fold or row scale (a product plus 0.0) holds no -0.0; the
-        # forward spread, np.dot's outer product, holds one where a negative
-        # product underflows, and it is added to rows that hold none. The
-        # backward row's pivot entry, 0 times the scaled entry, is the one
-        # -0.0 a kernel makes, and it adds 0.0 there. The kernels run one
-        # index at a time on solve's state; -0.0 + v is v, bit for bit, so a
-        # module run on a copy that holds -0.0 on its block, but on the
-        # entries it reads, leaves there the value it adds.
+        # The forward kernel adds no + 0.0 after an update: x + y is -0.0 only
+        # if both are. Its spread, np.dot's outer product, holds -0.0 where a
+        # negative product underflows, and it is added to rows that hold
+        # none. The backward kernel's fold and row scale are products with no
+        # + 0.0, which may leave -0.0 on an entry whose value is zero, and
+        # each backward call ends with one + 0.0 on the whole state, so no
+        # call leaves one. The kernels run one index at a time on solve's
+        # state; -0.0 + v is v, bit for bit, so a module run on a copy that
+        # holds -0.0 on its block, but on the entries it reads, leaves there
+        # the value it adds, with its sign cleared by the end of the call.
         rng = np.random.default_rng([19, m])
         if kind == "underflow":
             sys = underflow_system(rng, m)
@@ -889,6 +890,35 @@ class TestInPlaceKernels:
         assert any(underflows) or kind != "underflow" or m == 2
         want_x, _ = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
         assert x.array.tobytes() == want_x.array.tobytes()
+
+    @pytest.mark.parametrize("kind", ["negzero", "wide", "underflow"])
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 3, 9, 64])
+    def test_sweeps_end_in_the_step_loops_state(self, m, mode, kind):
+        # Both kernels over all their indices on one workspace, as solve runs
+        # them, end in the step loop's whole (m+1)-by-(m+1) state, not just
+        # its x: the -0.0 a backward fold or row scale leaves on a zero is
+        # cleared by the end of the call. The systems are
+        # test_kernels_write_no_negative_zero's.
+        rng = np.random.default_rng([19, m])
+        if kind == "underflow":
+            sys = underflow_system(rng, m)
+        else:
+            sys = wide_pivot_system(rng, m) if kind == "wide" else dd_system(rng, m, signed=True)
+            sys = with_negative_zeros(sys, rng)
+        state = embed_system(sys, mode=mode)
+        p = state.p.to_array()
+        p[1:m] += 0.0  # as solve does
+        w = gauss._Workspace(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rs = gauss._forward_sweep(w, range(1, m), state.table, check=False)
+            gauss._backward_sweep(w, range(m, 0, -1), state.table, rs, check=False)
+        for k in range(1, m):
+            state = forward_eliminate_step(state, k)
+        for t in range(m, 0, -1):
+            state = backward_substitute_step(state, t)
+        assert p.tobytes() == state.p.array.tobytes()
+        assert not holds_negative_zero(p)
 
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     def test_one_kernel_per_sweep(self, mode, monkeypatch):
