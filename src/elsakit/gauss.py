@@ -23,9 +23,9 @@ float64 raises EliminationOverflow.
 
 Each sweep is one kernel, _forward_sweep or _backward_sweep, which updates
 the padded state of a pooled per-size workspace in place; their docstrings
-argue that each module's body is bitwise its dense module. solve checks for
-overflow once and checks and divides each pivot once (see solve and
-_backward_sweep).
+argue that each module's body is bitwise its dense module. Both divide
+through one divide module, _divide_pivot. solve checks for overflow once and
+checks and divides each pivot once (see solve and _backward_sweep).
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -136,13 +136,23 @@ def _pivot_divider(table: Optional[PiecewiseInvSqr]) -> NetworkComponent:
     return make_divider_component(None, table)
 
 
-def _refused(value: float, step: str, index: int) -> SingularDetected:
-    """The error for a pivot the check refuses: below tolerance, or its square overflows."""
+def _divide_pivot(divide: NetworkComponent, value: float, step: str, index: int) -> float:
+    """The divide module on a pivot: check it, mask it, 1/x^2 through divide, skip to 1/x.
+
+    A pivot below PIVOT_TOLERANCE raises PivotBelowTolerance; in exact
+    division, one whose square is not finite raises SingularDetected.
+    """
     if abs(value) < PIVOT_TOLERANCE:
-        return PivotBelowTolerance(
+        raise PivotBelowTolerance(
             f"pivot {value:.3e} below tolerance {PIVOT_TOLERANCE:.1e} at {step} {index}"
         )
-    return SingularDetected(f"pivot {value:.3e} at {step} {index} squares to inf in exact division")
+    if divide.table is None and not math.isfinite(value * value):
+        raise SingularDetected(
+            f"pivot {value:.3e} at {step} {index} squares to inf in exact division"
+        )
+    z = value + 0.0  # mask
+    r = float(divide(np.float64(z)))
+    return r * z + 0.0  # skip product, gamma 1
 
 
 def _overflow(step: str, index: int, block: tuple) -> EliminationOverflow:
@@ -228,12 +238,11 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
                    check: bool) -> tuple[list[float], list[float]]:
     """Forward steps ks, in order, on w's state, in place; see forward_eliminate_step.
 
-    Returns each step's pivot and the divider's output r = 1/x^2 on that
-    pivot x, as floats, for the backward step that divides the same pivot.
-    With check, each update must be finite, else EliminationOverflow names
-    its module. The caller holds np.errstate(over="ignore",
-    invalid="ignore"), so an overflow is found, here or by solve, and not
-    warned about.
+    Returns each step's pivot x and its 1/x from _divide_pivot, as floats,
+    for the backward step that divides the same pivot. With check, each
+    update must be finite, else EliminationOverflow names its module. The
+    caller holds np.errstate(over="ignore", invalid="ignore"), so an
+    overflow is found, here or by solve, and not warned about.
 
     Why both kernels compute their dense modules' bits:
 
@@ -247,10 +256,11 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
        -1.0 * a + 0.0 (not -a, which flips a NaN's sign bit). A skip
        product has inner dimension 1, where @ adds each entry's one term to
        0.0 ([[-0.0]] @ [[1.0]] is +0.0), and x + 0.0 is 0.0 + x: on two
-       scalars it is gamma * (r * z + 0.0), with an array operand the
-       broadcast product plus 0.0. The divider, the one approximation, is
-       the one component a kernel calls, on an np.float64, so a recording
-       or dense hook on it sees a shape.
+       scalars it is q = r * z + 0.0, _divide_pivot's 1/x, so z3 is -1.0 * q
+       and z7 q + 0.0; with an array operand the broadcast product plus
+       0.0. The divider, the one approximation, is the one component a
+       kernel calls (in _divide_pivot), on an np.float64, so a recording or
+       dense hook on it sees a shape.
     2. Dropped no-ops. The mask on the column below the pivot goes:
        (c + 0.0) * z3 + 0.0 is c * z3 + 0.0, as the two products differ at
        most in the sign of a zero, which the + 0.0 clears. The backward
@@ -290,34 +300,31 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
        NaN of 0 * inf either way; with one row, both zeros are skipped),
        so the sum differs at most in the sign of a zero, which 3 clears.
     6. The workspace's scalars and operands. The chain on the pivot (the
-       mask, z3, z7, the fold's xi and the anti-mask entry) runs on Python
-       floats: their + and * are the IEEE binary64 operations of numpy's
-       float64 scalar math, inf and NaN included, and the chain has no
-       division or power, so nothing in it raises. A scalar reaches an
-       array ufunc through the 0-d buffer, and + 0.0 on an array adds the
-       0-d _ZERO: numpy makes a scalar operand a 0-d array itself, so the
-       ufunc runs the same loop on the same bits. outer_product with out=
-       computes what the allocating call does, the one-row case that skips
-       a zero multiplier included (tested in tests/test_matrix.py). A 'd'
-       memoryview read or write moves an entry's 8 bytes unchanged. What a
-       workspace held before cannot matter: the state is copied in whole,
-       and each module writes every buffer entry it later reads.
+       mask and skip product in _divide_pivot, z3, z7, the fold's xi and
+       the anti-mask entry) runs on Python floats: their + and * are the
+       IEEE binary64 operations of numpy's float64 scalar math, inf and NaN
+       included, and the chain has no division or power, so nothing in it
+       raises. A scalar reaches an array ufunc through the 0-d buffer, and
+       + 0.0 on an array adds the 0-d _ZERO: numpy makes a scalar operand a
+       0-d array itself, so the ufunc runs the same loop on the same bits.
+       outer_product with out= computes what the allocating call does, the
+       one-row case that skips a zero multiplier included (tested in
+       tests/test_matrix.py). A 'd' memoryview read or write moves an
+       entry's 8 bytes unchanged. What a workspace held before cannot
+       matter: the state is copied in whole, and each module writes every
+       buffer entry it later reads.
     """
     add, multiply = np.add, np.multiply
     size = w.p.shape[0]
     flat, s, forward = w.flat, w.s, w.forward
-    exact = table is None
     divide = _pivot_divider(table)
     pivots, rs = [], []
     for k in ks:
         value = flat[(k - 1) * (size + 1)]
         pivots.append(value)
-        if abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
-            raise _refused(value, "forward step", k)
-        z = value + 0.0  # mask
-        r = float(divide(np.float64(z)))
-        rs.append(r)
-        s[()] = -1.0 * (r * z + 0.0)  # z3: skip product, gamma -1
+        q = _divide_pivot(divide, value, "forward step", k)
+        rs.append(q)
+        s[()] = -1.0 * q  # z3: the skip product's gamma -1
         column, z6, z6_column, pivot_row, rows, spread = forward[k - 1]
         # z4 @ z3, without the +1 affine unit's + 0.0 (item 5 above).
         multiply(column, s, z6)
@@ -343,18 +350,17 @@ def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
     is kept there. The row is scaled in place: each entry is read once, by
     its own product.
 
-    rs[t - 1], where rs has it, is forward step t's divider output on pivot
-    t, and is used as this step's, with no second check: the diagonal is
-    final once its row is eliminated, as later forward steps write only the
-    rows below, the fold only column m+1, and the row scale comes after the
-    divide, so the forward step checked and divided this very entry. So
-    solve checks and divides each pivot once; any other pivot (pivot m in
-    solve, every pivot in a step function) is checked and divided here.
+    z7 is rs[t - 1] + 0.0, where rs has it, forward step t's 1/x, with no
+    second check or divide: the diagonal is final once its row is
+    eliminated, as later forward steps write only the rows below, the fold
+    only column m+1, and the row scale comes after the divide, so the
+    forward step checked and divided this very entry. Any other pivot
+    (pivot m in solve, each in a step function) goes through _divide_pivot
+    here, after the fold, so a fold that overflows raises first.
     """
     add, multiply, zero = np.add, np.multiply, _ZERO
     size = w.p.shape[0]
     flat, s, column, fold, backward = w.flat, w.s, w.column, w.fold, w.backward
-    exact = table is None
     divide = _pivot_divider(table)
     pivots: list[float] = []
     for t in ts:
@@ -370,14 +376,8 @@ def _backward_sweep(w: _Workspace, ts, table: Optional[PiecewiseInvSqr], rs, *,
         i = (t - 1) * (size + 1)
         value = flat[i]
         pivots.append(value)
-        z = value + 0.0  # mask
-        if t <= len(rs):
-            r = rs[t - 1]
-        elif abs(value) < PIVOT_TOLERANCE or exact and not math.isfinite(value * value):
-            raise _refused(value, "backward step", t)
-        else:
-            r = float(divide(np.float64(z)))
-        s[()] = (r * z + 0.0) + 0.0  # z7: skip product, gamma 1, then the +1 affine unit
+        q = rs[t - 1] if t <= len(rs) else _divide_pivot(divide, value, "backward step", t)
+        s[()] = q + 0.0  # z7: the +1 affine unit
         multiply(s, row, row)
         # The anti-mask's V is 0 at the pivot: 0 times the scaled entry, plus
         # 0.0, or NaN if that entry is not finite.

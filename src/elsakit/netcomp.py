@@ -255,8 +255,7 @@ class NetworkComponent:
     # The map apply computes, in closed form, or None.
     view: Callable | None = field(default=None, repr=False, compare=False)
     shape: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-    # Per head (w, v, b, c) as the arrays and floats apply combines; a unit
-    # weight w or v and a zero constant c are None (see apply).
+    # Per head (w, v, b, c) as the arrays and floats apply combines.
     heads: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -279,9 +278,7 @@ class NetworkComponent:
         if self.activation == "invsqr" and self.table is None:
             raise ValueError("invsqr activation needs a knot table")
         object.__setattr__(self, "shape", shapes.pop() if shapes else None)
-        unit = [None if isinstance(p, float) and p == 1.0 else p for p in raw[: 2 * k]]
-        c = [None if isinstance(p, float) and p == 0.0 else p for p in raw[3 * k :]]
-        heads = tuple(zip(unit[:k], unit[k:], raw[2 * k : 3 * k], c))
+        heads = tuple(zip(raw[:k], raw[k : 2 * k], raw[2 * k : 3 * k], raw[3 * k :]))
         object.__setattr__(self, "heads", heads)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
@@ -289,17 +286,15 @@ class NetworkComponent:
         return self.apply(a) if self.view is None else self.view(a)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """component_forward's body on an ndarray, without its shape check.
+        """component_forward's body on an ndarray, without its shape check: the head sum from +0.0.
 
-        The head sum starts from +0.0 and skips its exact no-ops: a product by
-        a unit w or v, and the addition of a zero c (acc + (h + 0.0) is acc + h,
-        as acc is never -0.0).
+        A view drops a unit w or v and a zero c bit for bit: 1.0 * x is x, NaN
+        bits included, and h + 0.0 differs from h only on -0.0, which an
+        accumulator that is never -0.0 absorbs.
         """
         acc = 0.0
         for w, v, b, c in self.heads:
-            s = _activate(self, (a if w is None else w * a) + b, v)
-            h = s if v is None else v * s
-            acc = acc + (h if c is None else h + c)
+            acc = acc + (v * _activate(self, w * a + b, v) + c)
         return acc
 
 
@@ -312,15 +307,12 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
         return _relu(a)
     if comp.activation == "identity_via_relu":
         return _relu(a) - _relu(-a)
-    if v is None and comp.activation == "invsqr":
-        # A unit V keeps every entry: the ReLU sum runs on all of a, with no mask.
-        return invsqr_eval(comp.table, a)
     # The 1/x^2 activations run only where v keeps the result, and write 0
     # elsewhere: exact for a finite sigma, as v * 0 then equals v * sigma.
     # The ReLU units stay dense: on a dense v the gather costs more than the
     # O(1) activation it skips.
     out = np.zeros_like(a)
-    keep = np.not_equal(1.0 if v is None else v, 0.0, out=np.empty(a.shape, dtype=bool))
+    keep = np.not_equal(v, 0.0, out=np.empty(a.shape, dtype=bool))
     exact = comp.activation == "invsqr_exact"
     out[keep] = _exact_invsqr(a[keep]) if exact else invsqr_eval(comp.table, a[keep])
     return out
@@ -344,8 +336,9 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     ReLU terms per interval: r = x - [hi; lo], al * r and max(0, .) in place
     on one (2, intervals) temporary allocated per call, then d = r[0] - r[1]
     in place in row 0, and the sum of that contiguous row. Any other input
-    (a zero, a negative or NaN pivot, an array) runs apply's body,
-    0.0 + invsqr_eval(table, a + 0.0).
+    (a zero, a negative or NaN pivot, an array) runs apply's map as
+    0.0 + invsqr_eval(table, a + 0.0): V = 1 keeps every entry, and the
+    unit w and v and the zero c drop out (see apply).
 
     Exactness for x > 0, when every slope al is below zero. x + h is
     positive or +inf for each knot h > 0, so al * (x + h) is negative, -0.0
@@ -415,9 +408,10 @@ def make_divider_component(
     table None means exact 1/x^2 ("invsqr_exact"); a knot table means its
     ReLU approximation ("invsqr").
     """
-    # The keep-all divider's view is its map. The exact one is _exact_invsqr: the a + 0.0
-    # before it and the 0.0 + after it in apply change no bit, since a * a and the map's
-    # results are never -0.0. The table one is bound to the table (_table_divider_view).
+    # The keep-all divider's view is its map. The exact one is _exact_invsqr: V = 1 keeps
+    # every entry, apply's unit w and v and zero c drop out (see apply), and the a + 0.0
+    # before it and the 0.0 + after it change no bit, since a * a and the map's results are
+    # never -0.0. The table one is bound to the table (_table_divider_view).
     view = _exact_invsqr if table is None else _table_divider_view(table)
     return NetworkComponent(
         w=(1.0,), v=(1.0 if spec is None else mask_matrix(spec),), b=(0.0,), c=(0.0,),

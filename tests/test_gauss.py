@@ -303,6 +303,19 @@ class TestBackwardStep:
         with pytest.raises(EliminationOverflow, match="^backward step 2 overflows float64"):
             solve(sys, mode="relu", table=table)
 
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    def test_a_fold_overflow_comes_before_a_refused_pivot(self, mode):
+        # Pivot 1 is below tolerance, and folding xi_2 = -1e300 through
+        # F[1, 2] = 1e300 overflows column m+1: the step divides after its
+        # fold, so the fold's error is the one raised.
+        table = default_invsqr() if mode == "relu" else None
+        p = Matrix([[1e-12, 1e300, 1.0], [0.0, 0.0, -1e300], [0.0, 0.0, 0.0]])
+        state = gauss.EliminationState(p, ("backward", 2), table)
+        with pytest.raises(EliminationOverflow) as raised:
+            backward_substitute_step(state, 1)
+        assert str(raised.value) == ("backward step 1 overflows float64 in rows 1..3, "
+                                     "columns 3..3")
+
 
 class TestSolve:
     def test_hand_example(self):
@@ -797,7 +810,7 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("mode", ["exact", "relu"])
     @pytest.mark.parametrize("m", [2, 3, 9, 24])
     def test_each_pivot_is_divided_once(self, m, mode, kind, monkeypatch):
-        # Backward step t < m reuses forward step t's 1/x^2: the pivot keeps its
+        # Backward step t < m reuses forward step t's 1/x: the pivot keeps its
         # bits from forward step t to backward step t.
         rng = np.random.default_rng([18, m])
         if kind == "wide":
@@ -826,6 +839,27 @@ class TestInPlaceKernels:
                                         backward_substitute_step)
         assert x.array.tobytes() == want_x.array.tobytes()
         assert np.array(pivots).tobytes() == np.array(want_pivots).tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "relu"])
+    @pytest.mark.parametrize("m", [2, 3, 9])
+    def test_both_sweeps_divide_through_one_module(self, m, mode, monkeypatch):
+        # solve divides pivots 1..m-1 in the forward sweep and only pivot m in
+        # the backward one; the step loop divides each pivot in each step.
+        sys = dd_system(np.random.default_rng([20, m]), m, signed=True)
+        calls, divide_pivot = [], gauss._divide_pivot
+
+        def record(divide, value, step, index):
+            calls.append((step, index))
+            return divide_pivot(divide, value, step, index)
+
+        monkeypatch.setattr(gauss, "_divide_pivot", record)
+        x, _ = solve(sys, mode=mode)
+        forward = [("forward step", k) for k in range(1, m)]
+        assert calls == forward + [("backward step", m)]
+        calls.clear()
+        want_x, _ = step_loop(sys, mode, forward_eliminate_step, backward_substitute_step)
+        assert calls == forward + [("backward step", t) for t in range(m, 0, -1)]
+        assert x.array.tobytes() == want_x.array.tobytes()
 
     @pytest.mark.parametrize("kind", ["negzero", "wide", "underflow"])
     @pytest.mark.parametrize("mode", ["exact", "relu"])

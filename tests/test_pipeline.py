@@ -34,6 +34,7 @@ from elsakit import (
     block_read,
     compile_head,
     compiled_forward,
+    const_params,
     elsa_forward,
     extract_w,
     gd_run,
@@ -1084,6 +1085,27 @@ class TestStepPlan:
         if steps:
             assert got[0][-1] != run_program(build_designed_weights(n, d), state, steps)[0][-1]
         TestCompiledProgram.assert_same_run(got, want, steps)
+
+    def test_a_constant_only_step_is_the_step_loop(self):
+        # One const_params head writing the w column: the plan has no varying slot, so the
+        # block's accumulator is its start, the constant term bound once, and each step
+        # adds it to x.
+        p = problem(np.random.default_rng(75), 3, 2, steps=5)
+        enumerated = build_enumerated_weights(p.n, p.d)
+        layout = enumerated.layout
+        c = np.zeros(layout.shape)
+        c[:, layout.w_col - 1] = 0.25 * np.arange(1, layout.shape[0] + 1)
+        head = const_params(Matrix.from_array(c), layout.shape)
+        prog = Program(layout, ((head,),), enumerated.readout, enumerated.cell)
+        assert all(not block.varying for block in prog.compiled.plan.blocks)
+        state = build_enumerated_input(p)
+        run = pipeline._bind(prog.compiled.plan, state.h.array + 0.0)
+        assert run.__code__.co_freevars == ("acc0",)
+        got = run_program(prog, state, p.steps)
+        want = TestCompiledProgram.step_loop(prog, state, p.steps)
+        TestCompiledProgram.assert_same_run(got, want, "constant")
+        assert np.array_equal(got[0][-1].array[:, 0],
+                              state.h.array[:, layout.w_col - 1] + p.steps * c[:, layout.w_col - 1])
 
 
 class TestBiasIdentity:
