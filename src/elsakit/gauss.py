@@ -22,10 +22,12 @@ evaluation as the reference. A module whose updated entries overflow
 float64 raises EliminationOverflow.
 
 Each sweep is one kernel, _forward_sweep or _backward_sweep, which updates
-the padded state of a pooled per-size workspace in place; their docstrings
-argue that each module's body is bitwise its dense module. Both divide
-through one divide module, _divide_pivot. solve checks for overflow once and
-checks and divides each pivot once (see solve and _backward_sweep).
+the padded state of a pooled per-size workspace in place. solve fills that
+state from F and alpha itself; a step function copies its state in. The
+kernels' docstrings argue that each module's body is bitwise its dense
+module. Both divide through one divide module, _divide_pivot. solve checks
+for overflow once and checks and divides each pivot once (see solve and
+_backward_sweep).
 
 Division mode "exact" evaluates the activation as exact 1/x^2; mode "relu"
 evaluates it through the piecewise-linear ReLU table, which is the one
@@ -109,6 +111,21 @@ class EliminationState:
         return self.p.rows - 1
 
 
+def _division_table(mode: str, table: Optional[PiecewiseInvSqr]) -> Optional[PiecewiseInvSqr]:
+    """The knot table that division in mode divides through, or None for exact division.
+
+    Mode "relu" takes table, default_invsqr() if None; mode "exact" takes no
+    table.
+    """
+    if mode == "relu":
+        return default_invsqr() if table is None else table
+    if mode != "exact":
+        raise ValueError(f"division mode must be 'exact' or 'relu', got {mode!r}")
+    if table is not None:
+        raise ValueError("exact division takes no knot table")
+    return None
+
+
 def embed_system(
     sys: LinearSystem, mode: str = "exact", table: Optional[PiecewiseInvSqr] = None
 ) -> EliminationState:
@@ -117,12 +134,7 @@ def embed_system(
     Mode "relu" divides through table (default_invsqr() if None); mode
     "exact" takes no table.
     """
-    if mode == "relu":
-        table = default_invsqr() if table is None else table
-    elif mode != "exact":
-        raise ValueError(f"division mode must be 'exact' or 'relu', got {mode!r}")
-    elif table is not None:
-        raise ValueError("exact division takes no knot table")
+    table = _division_table(mode, table)
     m = sys.m
     p = np.zeros((m + 1, m + 1))
     p[:m, :m] = sys.f.array
@@ -311,8 +323,9 @@ def _forward_sweep(w: _Workspace, ks, table: Optional[PiecewiseInvSqr], *,
        one-row case that skips a zero multiplier included (tested in
        tests/test_matrix.py). A 'd' memoryview read or write moves an
        entry's 8 bytes unchanged. What a workspace held before cannot
-       matter: the state is copied in whole, and each module writes every
-       buffer entry it later reads.
+       matter: solve fills the whole state, F, alpha and a +0.0 padded row,
+       a step function copies its state in whole, and each module writes
+       every buffer entry it later reads.
     """
     add, multiply = np.add, np.multiply
     size = w.p.shape[0]
@@ -458,27 +471,30 @@ def solve(
     finite, or a dense solve that fails, is None with the flag
     "reference_solve_failed".
 
-    solve takes a workspace of its size from the pool, copies the padded
-    system in and runs both kernels under one np.errstate, unchecked,
-    dividing each pivot once (see _backward_sweep). It then checks the
-    finished state once for inf and NaN. An update is made in place from
-    the entries it replaces, so a non-finite entry never becomes finite
-    again, and up to its failure the unchecked pass computes the checked
-    pass's bits. So if the state ends non-finite, or a pivot is refused,
-    solve copies the system in again and replays both sweeps checked, which
-    raises a step function's error at the first module that overflowed or
-    at the refused pivot.
+    solve takes a workspace of its size from the pool, fills its state from
+    F and alpha, with a +0.0 padded row, and runs both kernels under one
+    np.errstate, unchecked, dividing each pivot once (see _backward_sweep).
+    It then checks the finished state once for inf and NaN. An update is
+    made in place from the entries it replaces, so a non-finite entry never
+    becomes finite again, and up to its failure the unchecked pass computes
+    the checked pass's bits. So if the state ends non-finite, or a pivot is
+    refused, solve fills the state in again and replays both sweeps
+    checked, which raises a step function's error at the first module that
+    overflowed or at the refused pivot.
     """
-    state = embed_system(sys, mode=mode, table=table)
+    table = _division_table(mode, table)
     m = sys.m
 
     def sweep(check: bool) -> list[float]:
-        """Both sweep kernels on the workspace, from a fresh copy of the padded system."""
-        np.copyto(w.p, state.p.array)
-        lower = w.p[1:m]
+        """Both sweep kernels on the workspace, from the padded system filled in afresh."""
+        p = w.p
+        p[:m, :m] = sys.f.array
+        p[:m, m:] = sys.alpha.array
+        p[m] = 0.0  # the padded row, which a failed solve's fold may have left non-finite
+        lower = p[1:m]
         np.add(lower, _ZERO, lower)  # rows 2..m free of -0.0; see _forward_sweep
-        pivots, rs = _forward_sweep(w, range(1, m), state.table, check=check)
-        return pivots + _backward_sweep(w, range(m, 0, -1), state.table, rs, check=check)
+        pivots, rs = _forward_sweep(w, range(1, m), table, check=check)
+        return pivots + _backward_sweep(w, range(m, 0, -1), table, rs, check=check)
 
     # Entries near 1e308 can overflow the residual, the dense solve or the
     # gap; the report carries such a value instead of a warning.
@@ -504,8 +520,8 @@ def solve(
         except np.linalg.LinAlgError:
             rel_error = math.nan
     flags = []
-    if state.table is not None:
-        lo, hi = float(state.table.interior_knots[0]), float(state.table.interior_knots[-1])
+    if table is not None:
+        lo, hi = float(table.interior_knots[0]), float(table.interior_knots[-1])
         # pivots holds forward steps 1..m-1, then backward steps m..1; only a
         # pivot out of range gets its step's tag.
         for i, value in enumerate(pivots):

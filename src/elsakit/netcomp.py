@@ -319,23 +319,30 @@ def _activate(comp: NetworkComponent, a: np.ndarray, v) -> np.ndarray:
 
 
 def _exact_invsqr(a: np.ndarray) -> np.ndarray:
-    """The exact divider's map: 1/(a*a) where a != 0 (inf, silently, if a*a underflows), else 0."""
+    """The exact divider's map: 1/(a*a) where a != 0 (inf, silently, if a*a underflows), else 0.
+
+    A 0-d input gives a float64 scalar, as apply's ufuncs do.
+    """
     sq = a * a
     # No zero square, so no division by zero; bool tests a 0-d square in
     # tens of nanoseconds, where .all() takes microseconds.
     if bool(sq) if sq.ndim == 0 else sq.all():
         return 1.0 / sq
     with np.errstate(divide="ignore"):
-        return np.divide(1.0, sq, out=np.zeros(a.shape), where=a != 0.0)
+        out = np.divide(1.0, sq, out=np.zeros(a.shape), where=a != 0.0)
+    return out if out.ndim else out[()]
 
 
 def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     """The keep-all table divider's view, bound to table: apply's map, bit for bit.
 
     A float64 scalar x > 0 (+inf included) runs two of invsqr_eval's four
-    ReLU terms per interval: r = x - [hi; lo], al * r and max(0, .) in place
-    on one (2, intervals) temporary allocated per call, then d = r[0] - r[1]
-    in place in row 0, and the sum of that contiguous row. Any other input
+    ReLU terms per interval: r = x - [hi; lo], then slopes * r and
+    max(zero, .) in place on one (2, intervals) temporary allocated per
+    call, then d = r[0] - r[1] in place in row 0, and the sum of that
+    contiguous row. slopes is al stacked twice, shape (2, intervals), and
+    zero a 0-d +0.0, both read-only and made once per table, so no ufunc
+    broadcasts al over r or converts a Python 0.0 per call. Any other input
     (a zero, a negative or NaN pivot, an array) runs apply's map as
     0.0 + invsqr_eval(table, a + 0.0): V = 1 keeps every entry, and the
     unit w and v and the zero c drop out (see apply).
@@ -344,26 +351,32 @@ def _table_divider_view(table: PiecewiseInvSqr) -> Callable | None:
     positive or +inf for each knot h > 0, so al * (x + h) is negative, -0.0
     or -inf, never NaN, and the mirror terms r2 and r3 are +0.0
     (np.maximum(0.0, -0.0) is +0.0). r0 and r1 are the same ufuncs on the
-    same operands as invsqr_eval's, and are never -0.0, so d = r0 - r1 is
-    never -0.0 and ((d + 0.0) - 0.0) is d, a NaN's bits included. The sum
-    adds the same contiguous entries, in the same pairwise order, as
-    invsqr_eval's acc.sum(axis=-1), and is not -0.0, so apply's leading
-    0.0 + is a no-op, as is a + 0.0 on x. A slope that underflows to -0.0
-    breaks the argument (-0.0 * (x + h) is NaN where x + h overflows), so a
-    table with one has no view and its divider runs apply.
+    same operands as invsqr_eval's: each entry of slopes is al's entry for
+    its interval, and zero is the +0.0 numpy makes of invsqr_eval's 0.0, so
+    each entry gets the same IEEE operation on the same bits. They are
+    never -0.0, so d = r0 - r1 is never -0.0 and ((d + 0.0) - 0.0) is d,
+    a NaN's bits included. The sum adds the same contiguous entries, in the
+    same pairwise order, as invsqr_eval's acc.sum(axis=-1), and is not
+    -0.0, so apply's leading 0.0 + is a no-op, as is a + 0.0 on x. A slope
+    that underflows to -0.0 breaks the argument (-0.0 * (x + h) is NaN where
+    x + h overflows), so a table with one has no view and its divider runs
+    apply.
     """
     al = table.slopes
     if not np.all(al < 0.0):
         return None
     pair = table.knot_stack[:2, 0]
+    slopes, zero = np.stack([al, al]), np.zeros(())
+    slopes.setflags(write=False)
+    zero.setflags(write=False)
     add, subtract, multiply, maximum = np.add, np.subtract, np.multiply, np.maximum
 
     def view(a):
         if type(a) is not np.float64 or not a > 0.0:
             return 0.0 + invsqr_eval(table, a + 0.0)
         r = subtract(a, pair)
-        multiply(al, r, r)
-        maximum(0.0, r, out=r)  # np.maximum deprecates a positional out
+        multiply(slopes, r, r)
+        maximum(zero, r, out=r)  # np.maximum deprecates a positional out
         d = r[0]
         subtract(d, r[1], d)
         return add.reduce(d)

@@ -38,6 +38,17 @@ def test_pairs_alternate_and_count_wins(tmp_path, capsys):
     assert runs == ["--workload gauss-exact --seed 1 --seconds 0.5 --trace 0"] * 3
 
 
+def test_the_seed_reaches_every_run_and_the_summary(tmp_path, capsys):
+    old, new = checkout(tmp_path / "old", 2.0), checkout(tmp_path / "new", 1.0)
+    assert bench_pairs.main([str(old), str(new), "gauss-relu", "--pairs", "2",
+                             "--seconds", "1", "--seed", "7919"]) == 0
+    assert "gauss-relu: 2 pairs of 1 s at seed 7919; every run correct: True" in (
+        capsys.readouterr().out)
+    for root in (old, new):
+        runs = (root / "runs.txt").read_text().splitlines()
+        assert runs == ["--workload gauss-relu --seed 7919 --seconds 1.0 --trace 0"] * 2
+
+
 def test_a_run_that_is_not_correct_exits_1(tmp_path, capsys):
     old, new = checkout(tmp_path / "old", 1.0), checkout(tmp_path / "new", 1.0, correct=False)
     assert bench_pairs.main([str(old), str(new), "gauss-exact", "--pairs", "1"]) == 1

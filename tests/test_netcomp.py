@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elsakit import gauss, netcomp
@@ -632,6 +632,10 @@ class TestShapeFreeComponents:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(name=st.sampled_from(sorted(SHAPE_FREE)), c=EXTREME, x=EXTREME)
+    # The exact divider's view takes its zero-square branch on these.
+    @example(name="exact_divider", c=0.0, x=0.0)
+    @example(name="exact_divider", c=0.0, x=-0.0)
+    @example(name="exact_divider", c=0.0, x=1e-200)
     def test_a_float64_scalar_is_the_dense_sum_bitwise(self, name, c, x):
         # The elimination runs the pivot path on 0-d float64 entries.
         comp = SHAPE_FREE[name](c)
@@ -640,8 +644,9 @@ class TestShapeFreeComponents:
             got = comp.apply(x)
             want = dense_component_forward(x, comp, invsqr_eval)
             called = comp(x)
-        # A Python float has no shape; each result must keep one.
+        # A Python float has no shape; each result must keep one, and the view apply's type.
         assert got.shape == want.shape == called.shape == ()
+        assert type(called) is type(got)
         assert got.tobytes() == want.tobytes()
         assert called.tobytes() == got.tobytes()
         if name in INLINE:

@@ -9,14 +9,22 @@ speed shifts of up to ~2x that some machines show between processes.
 
 The tool first checks that the two trees give bitwise equal outputs (w
 traces, predictions and reports; solutions and reports) on a few requests,
-and for a ridge workload on one more whose descent overflows at its last step
-(eta 1e12 times the auto eta), its final prompts included, and stops with
-exit code 1 if they do not. It then runs ROUNDS rounds. Each
-round times the same REQUESTS requests on each tree, in an order that
-alternates from round to round, and prints the process-time ratio NEW / OLD;
-below 1 means NEW is faster. The last line gives the median ratio and the
-number of rounds NEW won. As in the benchmark, a timed request is the run
-alone: the outputs are turned into bytes only for the check.
+and stops with exit code 1 if they do not. A ridge workload checks one more,
+whose descent overflows at its last step (eta 1e12 times the auto eta), its
+final prompts included. A gauss workload checks two more systems, which
+reach the table divider's other branches in relu mode: a dominant one with
+signed pivots, whose negative pivots run apply's map through invsqr_eval,
+and F = L U with U's diagonal 10**linspace(-5, 5), whose pivots run from
+below the default table's first knot to past its cutoff. A request that
+raises a named error (an ArithmeticError or ValueError) gives its class and
+message as its output, so an error must match too.
+
+It then runs ROUNDS rounds. Each round times the same REQUESTS requests on
+each tree, in an order that alternates from round to round, and prints the
+process-time ratio NEW / OLD; below 1 means NEW is faster. The last line
+gives the median ratio and the number of rounds NEW won. As in the
+benchmark, a timed request is the run alone: the outputs are turned into
+bytes only for the check.
 
 The requests follow the benchmark's workloads: ridge runs run_pipeline for
 both forms on one problem (lambda = 0.5, eta auto, n=20 d=4 T=200 or n=100
@@ -61,7 +69,8 @@ def load(root: Path, name: str):
     return module
 
 
-def inputs(kind: str, shape: tuple, index: int) -> tuple:
+def inputs(kind: str, shape: tuple, index: int, variant: str = "") -> tuple:
+    """Request index's arrays; a gauss variant "signed" or "wide" is one of the checked systems."""
     rng = np.random.default_rng([7, index])
     if kind == "ridge":
         n, d, _ = shape
@@ -69,17 +78,27 @@ def inputs(kind: str, shape: tuple, index: int) -> tuple:
         y = x @ rng.normal(size=(d, 1)) + 0.1 * rng.normal(size=(n, 1))
         return x, y, rng.normal(size=(d, 1))
     m, _ = shape
+    if variant == "wide":
+        lower = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1) + np.eye(m)
+        pivots = 10.0 ** np.linspace(-5.0, 5.0, m)
+        upper = np.triu(rng.uniform(-1.0, 1.0, size=(m, m)), 1) + np.diag(pivots)
+        return lower @ upper, rng.uniform(-1.0, 1.0, size=(m, 1))
     f = rng.uniform(-1.0, 1.0, size=(m, m))
-    np.fill_diagonal(f, np.sum(np.abs(f), axis=1) - np.abs(np.diag(f)) + 1.0 + rng.uniform(size=m))
+    diag = np.sum(np.abs(f), axis=1) - np.abs(np.diag(f)) + 1.0 + rng.uniform(size=m)
+    if variant == "signed":
+        diag *= rng.choice([-1.0, 1.0], size=m)
+    np.fill_diagonal(f, diag)
     return f, rng.uniform(-1.0, 1.0, size=(m, 1))
 
 
-def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False) -> list:
+def request(lib, kind: str, shape: tuple, arrays: tuple, variant: str = "") -> list:
     """Run one request on lib; its outputs: both forms' runs, or the solution and report.
 
-    With overflow, a ridge request runs at 1e12 times the auto eta, so that it diverges, up
-    to the descent's first non-finite step, and adds each form's final prompt from run_program.
+    With variant "overflow", a ridge request runs at 1e12 times the auto eta, so that it
+    diverges, up to the descent's first non-finite step, and adds each form's final prompt
+    from run_program.
     """
+    overflow = variant == "overflow"
     if kind == "ridge":
         x, y, u = (lib.Matrix(a) for a in arrays)
         p = lib.make_problem(x, y, u, 0.5, eta="auto", steps=shape[2])
@@ -98,6 +117,14 @@ def request(lib, kind: str, shape: tuple, arrays: tuple, overflow: bool = False)
     f, alpha = arrays
     return list(lib.solve(lib.LinearSystem(f=lib.Matrix(f), alpha=lib.Matrix(alpha)),
                           mode=shape[1]))
+
+
+def checked(lib, kind: str, shape: tuple, arrays: tuple, variant: str) -> bytes:
+    """A checked request's outputs as bytes, or its named error's class and message."""
+    try:
+        return as_bytes(kind, request(lib, kind, shape, arrays, variant))
+    except (ArithmeticError, ValueError) as exc:  # every elsakit error a run raises is one
+        return f"{type(exc).__name__}: {exc}".encode()
 
 
 def as_bytes(kind: str, outputs: list) -> bytes:
@@ -125,12 +152,12 @@ def main(argv: list[str]) -> int:
         return 2
     libs = {"old": load(Path(argv[0]), "elsakit_old"), "new": load(Path(argv[1]), "elsakit_new")}
     kind, shape, requests = WORKLOADS[argv[2]]
-    checks = [(i, False) for i in range(CHECKED)] + [(CHECKED, True)] * (kind == "ridge")
-    for i, overflow in checks:
-        arrays = inputs(kind, shape, i)
-        outputs = (request(lib, kind, shape, arrays, overflow) for lib in libs.values())
-        if len({as_bytes(kind, out) for out in outputs}) != 1:
-            print(f"outputs differ on request {i}; not timing", file=sys.stderr)
+    extra = ["overflow"] if kind == "ridge" else ["signed", "wide"]
+    checks = [(i, "") for i in range(CHECKED)] + [(CHECKED + j, v) for j, v in enumerate(extra)]
+    for i, variant in checks:
+        arrays = inputs(kind, shape, i, variant)
+        if len({checked(lib, kind, shape, arrays, variant) for lib in libs.values()}) != 1:
+            print(f"outputs differ on request {i} {variant}; not timing", file=sys.stderr)
             return 1
     print(f"{argv[2]}: outputs bitwise equal on {len(checks)} requests", flush=True)
     batch = [inputs(kind, shape, CHECKED + i) for i in range(requests)]

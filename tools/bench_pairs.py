@@ -1,17 +1,19 @@
 """Run the benchmark in two checkouts, in alternating order, and compare their end-to-end metrics.
 
-    python3 tools/bench_pairs.py OLD NEW WORKLOAD [--pairs 10] [--seconds 10]
+    python3 tools/bench_pairs.py OLD NEW WORKLOAD [--pairs 10] [--seconds 10] [--seed 1]
 
 OLD and NEW are the roots of two checkouts. Each pair runs
 
-    python3 perfbench/run.py --workload WORKLOAD --seed 1 --seconds SECONDS --trace 0
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 
 once in each checkout's root, one run after the other: OLD first in odd pairs, NEW first in
 even ones, so a drift in the machine's speed falls on both sides alike. For each end-to-end
 metric of NEW's BENCHMARK.json it prints every run's value, the median of each side, the
 interquartile range of OLD's runs, and how many pairs NEW won (a strictly better value in the
-metric's direction). A median gap wider than OLD's interquartile range is marked. The exit
-code is 1 if any run failed or did not report "correct": true, else 0.
+metric's direction). A median gap wider than OLD's interquartile range is marked. The seed
+defaults to 1; perfbench/README.md holds seed 7919 back for confirming a claim, which
+--seed 7919 runs through the same pairs. The exit code is 1 if any run failed or did not
+report "correct": true, else 0.
 """
 
 import argparse
@@ -22,10 +24,10 @@ import sys
 from pathlib import Path
 
 
-def run(root: Path, workload: str, seconds: float) -> dict:
+def run(root: Path, workload: str, seconds: float, seed: int) -> dict:
     """One benchmark run in root: its last stdout line, parsed, or {"correct": False}."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -54,6 +56,7 @@ def main(argv=None) -> int:
     parser.add_argument("workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -63,11 +66,11 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         for side in order:
-            runs[side].append(run(getattr(args, side), args.workload, args.seconds))
+            runs[side].append(run(getattr(args, side), args.workload, args.seconds, args.seed))
         print(f"pair {i + 1}: {' then '.join(order)}", flush=True)
 
     correct = all(r["correct"] for side in runs.values() for r in side)
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s; "
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s at seed {args.seed}; "
           f"every run correct: {correct}")
     if not correct:
         return 1
